@@ -9,8 +9,7 @@ The backend is chosen once at import time from the environment variable
 
 Both paths evaluate the same arithmetic (iterated power tables, fixed
 left-to-right products), so they agree to a few ulp; results are
-bit-reproducible within one backend.  ``benchmarks/backend_bench.py``
-compares the two.
+bit-reproducible within one backend.
 """
 
 import os
@@ -60,7 +59,7 @@ def monomial_matrix_numpy(points, alphas):
     alphas = np.asarray(alphas, dtype=np.int64)
     kmax = alphas.max(axis=0)
     tables = _power_tables_numpy(points, kmax)
-    out = tables[0][alphas[:, 0]].copy()
+    out = tables[0][alphas[:, 0]]
     for j in range(1, points.shape[1]):
         out *= tables[j][alphas[:, j]]
     return out

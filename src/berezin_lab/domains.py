@@ -249,8 +249,11 @@ def domain_from_config(spec):
     if name is None:
         raise ParameterError("domain spec needs a 'name' field")
     dom = make_domain(name, **spec)
-    if spec.get("inflate"):
-        infl = spec["inflate"]
+    infl = spec.get("inflate")
+    if infl is not None:
+        for key in ("p", "r"):
+            if key not in infl:
+                raise ParameterError(f"domain 'inflate' needs field {key!r}")
         dom = inflate(dom, infl["p"], infl["r"])
     return dom
 

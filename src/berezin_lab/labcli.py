@@ -13,6 +13,7 @@ path on stderr).
 
 import argparse
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -160,8 +161,13 @@ _TGRID = {"oneOf": [
      "required": ["start", "stop", "count"], "additionalProperties": False},
 ]}
 
+_INFLATE = {"type": "object",
+            "properties": {"p": {"type": "integer", "minimum": 1},
+                           "r": {"type": "number", "exclusiveMinimum": 0}},
+            "required": ["p", "r"], "additionalProperties": False}
+
 _DOMAIN = {"type": "object",
-           "properties": {"name": {"type": "string"}},
+           "properties": {"name": {"type": "string"}, "inflate": _INFLATE},
            "required": ["name"]}
 
 _COMMON = {
@@ -270,15 +276,25 @@ SCHEMAS = {
 }
 
 
+@functools.cache
+def _validator(experiment):
+    """Validator for one experiment's schema, checked against the metaschema
+    once, on first use (not at import)."""
+    schema = SCHEMAS[experiment]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_config(experiment, config):
     if experiment not in EXPERIMENTS:
         raise SchemaError(f"unknown experiment {experiment!r}")
     if "experiment" in config and config["experiment"] != experiment:
         raise SchemaError(
             f"config experiment {config['experiment']!r} does not match {experiment!r}")
-    try:
-        jsonschema.validate(config, SCHEMAS[experiment])
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise
+    exc = jsonschema.exceptions.best_match(_validator(experiment).iter_errors(config))
+    if exc is not None:
         path = "$" + "".join(f"[{p!r}]" for p in exc.absolute_path)
         raise SchemaError(f"config field {path}: {exc.message}") from exc
 

@@ -19,6 +19,7 @@ Toeplitz assembly picks the cheapest exact route available:
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,6 +46,19 @@ class TruncatedOperator:
     @property
     def size(self):
         return self.matrix.shape[0]
+
+    @cached_property
+    def _abs_diagonal(self):
+        """|M[j, j]| when M is finite with no nonzero off-diagonal entry, else None.
+
+        Counting nonzeros avoids a B x B temporary.  A non-finite matrix is
+        left to the SVD path, which keeps its error behaviour.
+        """
+        diag = np.diagonal(self.matrix)
+        if (np.count_nonzero(self.matrix) != np.count_nonzero(diag)
+                or not np.all(np.isfinite(diag))):
+            return None
+        return np.abs(diag)
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +499,21 @@ def boundary_profile(op, p0, t_grid):
 
 
 def tail_norm(op, k):
-    """Spectral norm of the column block of basis degrees >= k (proxy ||T Q_k||)."""
+    """Spectral norm of the column block of basis degrees >= k (proxy ||T Q_k||).
+
+    A diagonal matrix (radial symbols on Reinhardt spaces) is read off
+    exactly as max |M[j, j]| over the block's columns; any other matrix
+    takes the SVD spectral norm.
+    """
     space = op.space
     if not 0 <= k <= space.N:
         raise ParameterError(f"tail index k={k} outside [0, {space.N}]")
     cols = space.degrees >= k
     if not np.any(cols):
         return 0.0
+    diag = op._abs_diagonal
+    if diag is not None:
+        return float(np.max(diag[cols]))
     return float(np.linalg.norm(op.matrix[:, cols], 2))
 
 

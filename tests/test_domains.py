@@ -204,6 +204,9 @@ def test_domain_from_config():
     assert dom.name == "egg2"
     with pytest.raises(ParameterError):
         domain_from_config({"name": "nosuch"})
+    assert domain_from_config({"name": "disk", "inflate": {"p": 1, "r": 1.0}}).dim == 2
+    with pytest.raises(ParameterError, match="'r'"):
+        domain_from_config({"name": "disk", "inflate": {"p": 1}})
     with pytest.raises(ParameterError):
         make_domain("egg", m=5)
     with pytest.raises(ParameterError):

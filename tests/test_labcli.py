@@ -157,6 +157,18 @@ def test_main_exit_codes(tmp_path, capsys):
                         "--out", str(tmp_path / "out2")]) == 2
 
 
+@pytest.mark.parametrize("inflate", [{"p": 1}, {"r": 1.0}, {"p": 0, "r": 1.0},
+                                     {"p": 1, "r": 1.0, "q": 2}])
+def test_main_rejects_bad_inflate(tmp_path, capsys, inflate):
+    cfg = tmp_path / "infl.json"
+    cfg.write_text(json.dumps({"domain": {"name": "disk", "inflate": inflate},
+                               "N": 8}))
+    assert labcli.main(["kernel-check", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "inflate" in err
+
+
 def test_flag_overrides(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"domain": {"name": "disk"}, "count": 4,

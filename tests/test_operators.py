@@ -24,7 +24,7 @@ from berezin_lab import (
 )
 from berezin_lab.errors import ParameterError
 from berezin_lab.labcli import _monomial_symbols
-from berezin_lab.operators import _materialize_sparse
+from berezin_lab.operators import HP, _materialize_sparse
 
 DISK = make_domain("disk")
 
@@ -278,6 +278,54 @@ def test_tail_norm_monotone_for_diagonal_and_bounded():
     gen = TruncatedOperator(m, sp)
     full = np.linalg.norm(m, 2)
     assert all(tail_norm(gen, k) <= full + 1e-12 for k in range(sp.N + 1))
+
+
+def svd_tail(op, k):
+    return float(np.linalg.norm(op.matrix[:, op.space.degrees >= k], 2))
+
+
+def test_tail_norm_diagonal_matches_svd_exactly():
+    poly = build_space(WeightedMeasure(make_domain("smoothed_polydisk"), 0.0), 16)
+    disk = disk_space(0.0, 24)
+    ops = [
+        toeplitz(poly, sym("max(0, 1-(1-abs(z2))/0.3)", 2)),
+        toeplitz(disk, sym("1-abs2(z)")),
+        TruncatedOperator(np.eye(disk.size, dtype=complex), disk),
+        TruncatedOperator(np.zeros((disk.size, disk.size), dtype=complex), disk),
+        materialize(OperatorExpr(((HP(sym("abs(z)"), sym("abs(z)")),),)), disk),
+    ]
+    for op in ops:
+        assert op._abs_diagonal is not None
+        for k in range(op.space.N + 1):
+            assert tail_norm(op, k) == svd_tail(op, k)
+
+
+def test_tail_norm_general_matches_svd_exactly():
+    sp = disk_space(0.0, 24)
+    rng = np.random.default_rng(7)
+    near_diag = np.diag(np.linspace(1.0, 0.1, sp.size)).astype(complex)
+    near_diag[3, 17] = 0.5
+    ops = [
+        TruncatedOperator(rng.standard_normal((sp.size, sp.size)) + 0j, sp),
+        toeplitz(sp, sym("re(z)")),
+        TruncatedOperator(near_diag, sp),
+    ]
+    for op in ops:
+        assert op._abs_diagonal is None
+        for k in range(sp.N + 1):
+            assert tail_norm(op, k) == svd_tail(op, k)
+
+
+@pytest.mark.parametrize("entry", [(2, 2), (2, 5)])
+def test_tail_norm_nan_entry_fails_like_svd(entry):
+    sp = disk_space(0.0, 8)
+    m = np.eye(sp.size, dtype=complex)
+    m[entry] = np.nan
+    op = TruncatedOperator(m, sp)
+    with pytest.raises(np.linalg.LinAlgError):
+        svd_tail(op, 1)
+    with pytest.raises(np.linalg.LinAlgError):
+        tail_norm(op, 1)
 
 
 def test_az_report_compact_and_noncompact():

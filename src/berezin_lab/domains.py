@@ -210,13 +210,27 @@ class InflatedDomain(Domain):
 # catalog
 # ---------------------------------------------------------------------------
 
+# parameters each catalog domain accepts
+_DOMAIN_PARAMS = {"disk": (), "ball": ("n",), "egg": ("m",),
+                  "smoothed_polydisk": ("m",), "ellipsoid": ("exponents",)}
+
+
 def make_domain(name, **params):
     """Build a catalog domain by name.
 
     Names: ``disk``; ``ball`` (n <= 3); ``egg`` (m in {2, 3});
     ``smoothed_polydisk`` (m = 4); ``ellipsoid`` (free exponent list).
+    A parameter the named domain does not take raises ParameterError.
     """
     name = str(name).lower().replace("-", "_")
+    if name not in _DOMAIN_PARAMS:
+        raise ParameterError(f"unknown domain {name!r}")
+    unknown = sorted(set(params) - set(_DOMAIN_PARAMS[name]))
+    if unknown:
+        valid = ", ".join(_DOMAIN_PARAMS[name]) or "none"
+        raise ParameterError(
+            f"domain {name!r} has no parameter {', '.join(map(repr, unknown))} "
+            f"(valid: {valid})")
     if name == "disk":
         return EllipsoidDomain((2.0,), name="disk")
     if name == "ball":
@@ -239,7 +253,6 @@ def make_domain(name, **params):
         if not exps:
             raise ParameterError("ellipsoid requires an 'exponents' list")
         return EllipsoidDomain(tuple(exps))
-    raise ParameterError(f"unknown domain {name!r}")
 
 
 def domain_from_config(spec):
@@ -248,8 +261,8 @@ def domain_from_config(spec):
     name = spec.pop("name", None)
     if name is None:
         raise ParameterError("domain spec needs a 'name' field")
+    infl = spec.pop("inflate", None)
     dom = make_domain(name, **spec)
-    infl = spec.get("inflate")
     if infl is not None:
         for key in ("p", "r"):
             if key not in infl:

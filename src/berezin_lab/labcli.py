@@ -167,8 +167,10 @@ _INFLATE = {"type": "object",
             "required": ["p", "r"], "additionalProperties": False}
 
 _DOMAIN = {"type": "object",
-           "properties": {"name": {"type": "string"}, "inflate": _INFLATE},
-           "required": ["name"]}
+           "properties": {"name": {"type": "string"}, "inflate": _INFLATE,
+                          "n": {"type": "integer"}, "m": {"type": "integer"},
+                          "exponents": {"type": "array", "items": {"type": "number"}}},
+           "required": ["name"], "additionalProperties": False}
 
 _COMMON = {
     "experiment": {"type": "string", "enum": list(EXPERIMENTS)},

@@ -10,28 +10,31 @@ checks take an explicit ``margin``.
 
 Toeplitz assembly picks the cheapest exact route available:
 
-* polynomial symbols on Reinhardt closed-moment spaces: exact banded entries
-  from moment ratios (monomial symbols give weighted-shift matrices);
+* polynomial symbols on Reinhardt closed-moment spaces: exact entries from
+  moment ratios.  A monomial symbol z^gamma zbar^delta is a weighted shift
+  e_alpha -> w(alpha) e_{alpha+gamma-delta}, so such operators are held as
+  {shift: weight vector} maps; Toeplitz matrices, Hankel Grams, products and
+  the identity residuals are computed in that form and densified only when a
+  matrix is returned;
 * torus-invariant ("radial") symbols: exactly diagonal, entries by radial
   quadrature normalized against the same rule's diagonal Gram (so T_1 = I
   exactly);
 * general symbols: full quadrature Gram, orthonormalized against the rule.
 """
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _accel
-from .bergman import KernelEvaluator
-from .errors import CapabilityError, ParameterError
+from .bergman import GRAM_EIGENVALUE_FLOOR, KernelEvaluator
+from .errors import CapabilityError, ConditioningError, ParameterError
 from .quadrature import (log_monomial_moments, measure_node_weights,
                          polar_tensor_rule, radial_rule)
 from .symbols import Symbol
 
-_SPARSE_DENSITY = 0.05
 _RADIAL_ORDER = 160
 
 
@@ -128,17 +131,14 @@ def decompose_product(symbols):
 
 
 # ---------------------------------------------------------------------------
-# Toeplitz / Hankel assembly
+# weighted-shift algebra (polynomial symbols on Reinhardt spaces)
+#
+# An operator is a dict {shift s: w} of complex weight vectors of length B,
+# w[alpha] = <T e_alpha, e_{alpha+s}>, zero where alpha+s leaves the
+# truncation; the matrix entry [alpha+s, alpha] is w[alpha].  Weight vectors
+# may be shared with the per-space Toeplitz cache, so operations build new
+# arrays and never write into their inputs.
 # ---------------------------------------------------------------------------
-
-def _space_is_diagonal(space):
-    cached = getattr(space, "_diagonal_cache", None)
-    if cached is None:
-        c = space.coeffs
-        cached = bool(np.count_nonzero(c - np.diag(np.diagonal(c))) == 0)
-        space._diagonal_cache = cached
-    return cached
-
 
 def _alpha_codes(space):
     """Linear codes for multiindex lookup plus the inverse table (cached)."""
@@ -159,53 +159,173 @@ def _poly_key(sym):
     return frozenset((a, b, complex(c)) for (a, b), c in sym.poly.items())
 
 
-def _toeplitz_sparse(space, sym):
-    """Closed-form banded assembly for polynomial symbols (Reinhardt spaces).
-
-    Entry (beta, alpha) is nonzero only for beta = alpha + gamma - delta per
-    symbol monomial z^gamma zbar^delta, with value c_alpha c_beta m_{alpha+gamma};
-    each monomial contributes a weighted-shift band, so the matrix is sparse.
-    Results are cached on the space keyed by the symbol's monomial dict.
-    """
-    cache = getattr(space, "_toeplitz_sparse_cache", None)
+def _shift_targets(space, shift):
+    """(tgt, valid) for a shift: ``valid[alpha]`` when alpha+shift stays in the
+    truncation, ``tgt[alpha]`` its basis index (0 where not valid).  Cached."""
+    cache = getattr(space, "_shift_target_cache", None)
     if cache is None:
-        cache = space._toeplitz_sparse_cache = {}
+        cache = space._shift_target_cache = {}
+    hit = cache.get(shift)
+    if hit is not None:
+        return hit
+    strides, inverse = _alpha_codes(space)
+    shifted = space.alphas + np.asarray(shift, dtype=np.int64)
+    valid = np.all(shifted >= 0, axis=1) & (shifted.sum(axis=1) <= space.N)
+    tgt = np.zeros(space.size, dtype=np.int64)
+    tgt[valid] = inverse[shifted[valid] @ strides]
+    cache[shift] = (tgt, valid)
+    return tgt, valid
+
+
+def _shift_order(shift):
+    """Sort key placing alpha+shift in basis order (degree, then lex) for any alpha."""
+    return sum(shift), shift
+
+
+def _toeplitz_shifts(space, sym):
+    """Closed-form weights of T_sym for a polynomial symbol (Reinhardt spaces).
+
+    Monomial z^gamma zbar^delta contributes c_alpha c_beta m_{alpha+gamma} at
+    shift gamma - delta; monomials sharing a shift are summed in the symbol's
+    order.  Results are cached on the space keyed by the monomial dict.
+    """
+    cache = getattr(space, "_toeplitz_shift_cache", None)
+    if cache is None:
+        cache = space._toeplitz_shift_cache = {}
     key = _poly_key(sym)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    alphas = space.alphas
     logm = space.log_moments
-    strides, inverse = _alpha_codes(space)
-    nb = space.size
-    rows_all, cols_all, vals_all = [], [], []
+    out = {}
     for (gamma, delta), c in sym.poly.items():
-        gamma = np.asarray(gamma, dtype=np.int64)
-        delta = np.asarray(delta, dtype=np.int64)
-        ext = alphas + gamma
-        shifted = ext - delta
-        valid = np.all(shifted >= 0, axis=1) & (shifted.sum(axis=1) <= space.N)
+        shift = tuple(g - d for g, d in zip(gamma, delta))
+        tgt, valid = _shift_targets(space, shift)
         if not np.any(valid):
             continue
-        rows = inverse[shifted[valid] @ strides]
         cols = np.flatnonzero(valid)
-        logext = log_monomial_moments(space.measure, ext[valid])
-        rows_all.append(rows)
-        cols_all.append(cols)
-        vals_all.append(c * np.exp(logext - 0.5 * logm[cols] - 0.5 * logm[rows]))
-    if rows_all:
-        mat = sp.csr_matrix(
-            (np.concatenate(vals_all),
-             (np.concatenate(rows_all), np.concatenate(cols_all))),
-            shape=(nb, nb), dtype=np.complex128)
-    else:
-        mat = sp.csr_matrix((nb, nb), dtype=np.complex128)
-    cache[key] = mat
+        rows = tgt[cols]
+        ext = space.alphas[cols] + np.asarray(gamma, dtype=np.int64)
+        logext = log_monomial_moments(space.measure, ext)
+        w = out.setdefault(shift, np.zeros(space.size, dtype=np.complex128))
+        w[cols] += c * np.exp(logext - 0.5 * logm[cols] - 0.5 * logm[rows])
+    cache[key] = out
+    return out
+
+
+def _identity_shifts(space):
+    return {(0,) * space.dim: np.ones(space.size, dtype=np.complex128)}
+
+
+def _compose(space, a, b):
+    """Weights of A @ B (B applied first); entry products are A-value * B-value.
+
+    An entry reached through several intermediate indices sums those paths
+    in ascending order of the intermediate index (the order a row-sorted
+    sparse product uses), whatever the dict order of the shifts.
+    """
+    out = {}
+    for sb in sorted(b, key=_shift_order):
+        wb = b[sb]
+        tgt = _shift_targets(space, sb)[0]
+        for sa, wa in a.items():
+            s = tuple(map(operator.add, sa, sb))
+            term = wa[tgt] * wb
+            if s in out:
+                out[s] += term
+            else:
+                out[s] = term
+    return out
+
+
+def _adjoint(space, a):
+    out = {}
+    for s, w in a.items():
+        tgt, valid = _shift_targets(space, s)
+        v = np.zeros(space.size, dtype=np.complex128)
+        v[tgt[valid]] = np.conj(w[valid])
+        out[tuple(-x for x in s)] = v
+    return out
+
+
+def _combine(op, a, b):
+    """Entrywise op(A, B); a shift missing on one side counts as zero."""
+    out = dict(a)
+    for s, w in b.items():
+        out[s] = op(out.get(s, 0), w)
+    return out
+
+
+def _block_max(space, a, keep):
+    """max |entry| over rows and columns in ``keep`` (0.0 when none)."""
+    parts = []
+    for s, w in a.items():
+        tgt, valid = _shift_targets(space, s)
+        mask = valid & keep & keep[tgt]
+        if np.any(mask):
+            parts.append(np.abs(w[mask]))
+    return float(np.max(np.concatenate(parts))) if parts else 0.0
+
+
+def _densify(space, a):
+    nb = space.size
+    mat = np.zeros((nb, nb), dtype=np.complex128)
+    for s, w in a.items():
+        tgt, valid = _shift_targets(space, s)
+        cols = np.flatnonzero(valid)
+        mat[tgt[cols], cols] += w[cols]
     return mat
 
 
-def _toeplitz_exact(space, sym):
-    return _toeplitz_sparse(space, sym).toarray()
+def _hankel_gram_shifts(space, phi, psi):
+    """Weights of H*_psi H_phi = T_{phi conj(psi)} - T_psi^H T_phi."""
+    s = phi * psi.conj()
+    m_s = _toeplitz_shifts(space, s)
+    m_phi = _toeplitz_shifts(space, phi)
+    m_psi = _toeplitz_shifts(space, psi)
+    return _combine(operator.sub, m_s, _compose(space, _adjoint(space, m_psi), m_phi))
+
+
+def _factor_shifts(factor, space):
+    kind = factor[0]
+    if kind == "toeplitz":
+        return _toeplitz_shifts(space, factor[1])
+    if kind == "hankel_pair":
+        return _hankel_gram_shifts(space, factor[2], factor[1].conj())
+    if kind == "identity":
+        return _identity_shifts(space)
+    raise ParameterError(f"unknown factor kind {kind!r}")
+
+
+def _materialize_shifts(expr, space):
+    """Running sum over the terms of scal * (left-to-right factor product)."""
+    total = {}
+    for product in expr.terms:
+        scal = 1.0 + 0.0j
+        acc = None
+        for factor in product:
+            if factor[0] == "scalar":
+                scal *= factor[1]
+                continue
+            m = _factor_shifts(factor, space)
+            acc = m if acc is None else _compose(space, acc, m)
+        if acc is None:
+            acc = _identity_shifts(space)
+        total = _combine(operator.add, total, {s: w * scal for s, w in acc.items()})
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Toeplitz / Hankel assembly
+# ---------------------------------------------------------------------------
+
+def _space_is_diagonal(space):
+    cached = getattr(space, "_diagonal_cache", None)
+    if cached is None:
+        c = space.coeffs
+        cached = bool(np.count_nonzero(c - np.diag(np.diagonal(c))) == 0)
+        space._diagonal_cache = cached
+    return cached
 
 
 def _radial_rule_for(space):
@@ -247,6 +367,11 @@ def _toeplitz_quad(space, sym, rule):
     gram = 0.5 * (gram + gram.conj().T)
     wmat = (x * (w * phi)) @ x.conj().T
     evals, vecs = np.linalg.eigh(gram)
+    if evals[0] < GRAM_EIGENVALUE_FLOOR:
+        raise ConditioningError(
+            f"quadrature Gram matrix of the basis is numerically singular "
+            f"(smallest eigenvalue {evals[0]:.3e}); refine the quadrature rule",
+            smallest_eigenvalue=float(evals[0]))
     ghalf = (vecs / np.sqrt(evals)) @ vecs.conj().T
     return (ghalf @ wmat @ ghalf).T.copy()
 
@@ -255,7 +380,7 @@ def toeplitz(space, sym, rule=None):
     """Truncated Toeplitz operator: matrix of P_N M_phi on the basis."""
     if sym.poly is not None and space.measure.domain.exponents is not None \
             and _space_is_diagonal(space):
-        mat = _toeplitz_exact(space, sym)
+        mat = _densify(space, _toeplitz_shifts(space, sym))
     elif sym.radial and space.measure.domain.exponents is not None \
             and _space_is_diagonal(space) and space.dim <= 2:
         mat = _toeplitz_radial(space, sym)
@@ -270,14 +395,6 @@ def _all_exact(space, *symbols):
             and all(s.poly is not None for s in symbols))
 
 
-def _hankel_gram_sparse(space, phi, psi):
-    s = phi * psi.conj()
-    m_s = _toeplitz_sparse(space, s)
-    m_phi = _toeplitz_sparse(space, phi)
-    m_psi = _toeplitz_sparse(space, psi)
-    return (m_s - m_psi.conj().T.tocsr() @ m_phi).tocsr()
-
-
 def hankel_gram(space, phi, psi, rule=None):
     """Matrix of H*_psi H_phi: [beta, alpha] = <H_phi e_alpha, H_psi e_beta>.
 
@@ -287,7 +404,7 @@ def hankel_gram(space, phi, psi, rule=None):
     <= N - deg(phi) vanishes.
     """
     if _all_exact(space, phi, psi):
-        return _hankel_gram_sparse(space, phi, psi).toarray()
+        return _densify(space, _hankel_gram_shifts(space, phi, psi))
     s = phi * psi.conj()
     m_s = toeplitz(space, s, rule=rule).matrix
     m_phi = toeplitz(space, phi, rule=rule).matrix
@@ -312,15 +429,7 @@ def _factor_matrix(factor, space, rule):
 
 
 def _chain_matmul(mats):
-    """Left-to-right product; banded factors are multiplied sparsely."""
-    if len(mats) == 1:
-        return mats[0]
-    nb = mats[0].shape[0]
-    if all(np.count_nonzero(m) <= _SPARSE_DENSITY * nb * nb for m in mats):
-        acc = sp.csr_matrix(mats[0])
-        for m in mats[1:]:
-            acc = acc @ sp.csr_matrix(m)
-        return np.asarray(acc.todense())
+    """Left-to-right dense product."""
     acc = mats[0]
     for m in mats[1:]:
         acc = acc @ m
@@ -338,46 +447,18 @@ def _expr_symbols(expr):
     return out
 
 
-def _factor_sparse(factor, space):
-    kind = factor[0]
-    if kind == "toeplitz":
-        return _toeplitz_sparse(space, factor[1])
-    if kind == "hankel_pair":
-        return _hankel_gram_sparse(space, factor[2], factor[1].conj())
-    if kind == "identity":
-        return sp.identity(space.size, dtype=np.complex128, format="csr")
-    raise ParameterError(f"unknown factor kind {kind!r}")
-
-
-def _materialize_sparse(expr, space):
-    nb = space.size
-    total = sp.csr_matrix((nb, nb), dtype=np.complex128)
-    for product in expr.terms:
-        scal = 1.0 + 0.0j
-        acc = None
-        for factor in product:
-            if factor[0] == "scalar":
-                scal *= factor[1]
-                continue
-            m = _factor_sparse(factor, space)
-            acc = m if acc is None else acc @ m
-        if acc is None:
-            acc = sp.identity(nb, dtype=np.complex128, format="csr")
-        total = total + scal * acc
-    return total.tocsr()
-
-
 def materialize(expr, space, rule=None):
     """Evaluate an operator expression to its truncated matrix.
 
     Products multiply factor matrices in the written order; scalar factors
     accumulate multiplicatively without an extra matmul.  All-polynomial
-    expressions on Reinhardt closed-moment spaces run through banded sparse
-    products and densify once at the end.
+    expressions on Reinhardt closed-moment spaces are evaluated as weighted
+    shifts (one weight vector per multiindex shift, see the module docstring)
+    and densified once at the end.
     """
     nb = space.size
     if _all_exact(space, *_expr_symbols(expr)):
-        return TruncatedOperator(_materialize_sparse(expr, space).toarray(),
+        return TruncatedOperator(_densify(space, _materialize_shifts(expr, space)),
                                  space, provenance=expr)
     total = np.zeros((nb, nb), dtype=np.complex128)
     for product in expr.terms:
@@ -406,14 +487,6 @@ def _safe_block(space, margin):
     return keep
 
 
-def _sparse_block_max(mat, keep):
-    coo = sp.coo_matrix(mat)
-    mask = keep[coo.row] & keep[coo.col]
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(np.abs(coo.data[mask])))
-
-
 def semi_commutator_residual(space, phi2, phi1, margin):
     """Max-entry residual of T_{phi2} T_{phi1} = T_{phi2 phi1} - H*_{conj(phi2)} H_{phi1}
     over the truncation-safe block."""
@@ -425,11 +498,12 @@ def semi_commutator_residual(space, phi2, phi1, margin):
         raise ParameterError(f"margin {margin} is below the symbol degree {d}")
     keep = _safe_block(space, margin)
     if _all_exact(space, phi2, phi1):
-        t2 = _toeplitz_sparse(space, phi2)
-        t1 = _toeplitz_sparse(space, phi1)
-        t21 = _toeplitz_sparse(space, phi2 * phi1)
-        hg = _hankel_gram_sparse(space, phi1, phi2.conj())
-        return _sparse_block_max(t2 @ t1 - t21 + hg, keep)
+        t2 = _toeplitz_shifts(space, phi2)
+        t1 = _toeplitz_shifts(space, phi1)
+        t21 = _toeplitz_shifts(space, phi2 * phi1)
+        hg = _hankel_gram_shifts(space, phi1, phi2.conj())
+        resid = _combine(operator.sub, _compose(space, t2, t1), t21)
+        return _block_max(space, _combine(operator.add, resid, hg), keep)
     t2 = toeplitz(space, phi2).matrix
     t1 = toeplitz(space, phi1).matrix
     t21 = toeplitz(space, phi2 * phi1).matrix
@@ -453,11 +527,11 @@ def product_decomposition_residual(space, symbols, margin):
     keep = _safe_block(space, margin)
     expr = decompose_product(symbols)
     if _all_exact(space, *symbols):
-        direct = _toeplitz_sparse(space, symbols[0])
+        direct = _toeplitz_shifts(space, symbols[0])
         for s in symbols[1:]:
-            direct = direct @ _toeplitz_sparse(space, s)
-        decomposed = _materialize_sparse(expr, space)
-        return _sparse_block_max(direct - decomposed, keep)
+            direct = _compose(space, direct, _toeplitz_shifts(space, s))
+        decomposed = _materialize_shifts(expr, space)
+        return _block_max(space, _combine(operator.sub, direct, decomposed), keep)
     direct = _chain_matmul([toeplitz(space, s).matrix for s in symbols])
     decomposed = materialize(expr, space).matrix
     return float(np.max(np.abs((direct - decomposed)[np.ix_(keep, keep)])))

@@ -207,6 +207,13 @@ def test_domain_from_config():
     assert domain_from_config({"name": "disk", "inflate": {"p": 1, "r": 1.0}}).dim == 2
     with pytest.raises(ParameterError, match="'r'"):
         domain_from_config({"name": "disk", "inflate": {"p": 1}})
+    with pytest.raises(ParameterError, match="'M'"):
+        domain_from_config({"name": "egg", "M": 3})
+    with pytest.raises(ParameterError, match="'n'"):
+        domain_from_config({"name": "disk", "n": 2, "inflate": {"p": 1, "r": 1.0}})
+    with pytest.raises(ParameterError, match="'m'"):
+        make_domain("ball", m=2)
+    assert make_domain("ellipsoid", exponents=[2.0, 4.0]).dim == 2
     with pytest.raises(ParameterError):
         make_domain("egg", m=5)
     with pytest.raises(ParameterError):

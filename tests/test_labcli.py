@@ -169,6 +169,17 @@ def test_main_rejects_bad_inflate(tmp_path, capsys, inflate):
     assert err.startswith("config error:") and "inflate" in err
 
 
+@pytest.mark.parametrize("domain", [{"name": "egg", "M": 3},
+                                    {"name": "disk", "M": 3, "inflate": {"p": 1, "r": 1.0}}])
+def test_main_rejects_unknown_domain_key(tmp_path, capsys, domain):
+    cfg = tmp_path / "dom.json"
+    cfg.write_text(json.dumps({"domain": domain, "count": 4}))
+    assert labcli.main(["classify", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'M'" in err
+
+
 def test_flag_overrides(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"domain": {"name": "disk"}, "count": 4,

@@ -22,9 +22,11 @@ from berezin_lab import (
     tail_norm,
     toeplitz,
 )
-from berezin_lab.errors import ParameterError
+from berezin_lab.bergman import GRAM_EIGENVALUE_FLOOR
+from berezin_lab.errors import ConditioningError, ParameterError
 from berezin_lab.labcli import _monomial_symbols
-from berezin_lab.operators import HP, _materialize_sparse
+from berezin_lab.operators import HP, T
+from berezin_lab.quadrature import log_monomial_moments, polar_tensor_rule
 
 DISK = make_domain("disk")
 
@@ -188,15 +190,10 @@ def test_materialize_decomposition_matches_direct_product():
         assert product_decomposition_residual(sp, symbols, max(margin, 1)) < 1e-9
 
 
-def test_sparse_and_dense_materialization_agree():
-    ball = make_domain("ball", n=2)
-    sp = build_space(WeightedMeasure(ball, 0.0), 10)
-    s1, s2 = Symbol.parse("z1*conj(z2)", 2), Symbol.parse("conj(z1)", 2)
-    expr = decompose_product([s2, s1])
-    sparse = _materialize_sparse(expr, sp).toarray()
-    # dense route: force by materializing factor-by-factor
+def dense_materialize(expr, space):
+    """Reference: dense factor matrices multiplied in the written order."""
     from berezin_lab.operators import _chain_matmul, _factor_matrix
-    total = np.zeros((sp.size, sp.size), dtype=complex)
+    total = np.zeros((space.size, space.size), dtype=complex)
     for product in expr.terms:
         scal = 1.0 + 0j
         mats = []
@@ -204,9 +201,94 @@ def test_sparse_and_dense_materialization_agree():
             if f[0] == "scalar":
                 scal *= f[1]
             else:
-                mats.append(_factor_matrix(f, sp, None))
+                mats.append(_factor_matrix(f, space, None))
         total += scal * _chain_matmul(mats)
-    assert np.max(np.abs(sparse - total)) < 1e-14
+    return total
+
+
+def test_shift_and_dense_materialization_agree():
+    ball = make_domain("ball", n=2)
+    sp = build_space(WeightedMeasure(ball, 0.0), 10)
+    s1, s2 = Symbol.parse("z1*conj(z2)", 2), Symbol.parse("conj(z1)", 2)
+    expr = decompose_product([s2, s1])
+    shift = materialize(expr, sp).matrix
+    assert np.max(np.abs(shift - dense_materialize(expr, sp))) < 1e-14
+
+
+@pytest.mark.parametrize("domain,r,n", [("disk", 0.0, 48), ("disk", 1.0, 48),
+                                        ("ball", 0.0, 16)])
+def test_semi_commutator_matches_dense_recomputation_exactly(domain, r, n):
+    dom = make_domain(domain, n=2) if domain == "ball" else make_domain(domain)
+    sp = build_space(WeightedMeasure(dom, r), n)
+    syms = _monomial_symbols(dom.dim, 2)
+    keep = sp.degrees <= sp.N - 2
+    for s2 in syms:
+        for s1 in syms:
+            t2 = toeplitz(sp, s2).matrix
+            t1 = toeplitz(sp, s1).matrix
+            t21 = toeplitz(sp, s2 * s1).matrix
+            psi = s2.conj()
+            hg = (toeplitz(sp, s1 * psi.conj()).matrix
+                  - toeplitz(sp, psi).matrix.conj().T @ toeplitz(sp, s1).matrix)
+            dense = np.max(np.abs((t2 @ t1 - t21 + hg)[np.ix_(keep, keep)]))
+            assert semi_commutator_residual(sp, s2, s1, 2) == dense
+
+
+def dense_toeplitz(space, symbol):
+    """Reference: entry by entry, T[beta, alpha] = c m_{alpha+gamma} / sqrt(m_alpha m_beta)."""
+    index = {tuple(a): i for i, a in enumerate(space.alphas)}
+    logm = log_monomial_moments(space.measure, space.alphas)
+    mat = np.zeros((space.size, space.size), dtype=complex)
+    for (gamma, delta), c in symbol.poly.items():
+        for i, alpha in enumerate(space.alphas):
+            beta = tuple(int(a) + g - d for a, g, d in zip(alpha, gamma, delta))
+            j = index.get(beta)
+            if j is not None:
+                ext = log_monomial_moments(space.measure, [alpha + np.array(gamma)])[0]
+                mat[j, i] += c * np.exp(ext - 0.5 * logm[i] - 0.5 * logm[j])
+    return mat
+
+
+@pytest.mark.parametrize("dim,n,texts", [
+    (1, 16, ("1-abs2(z)", "z + z*abs2(z)", "conj(z)")),
+    (2, 8, ("2*z1*conj(z2) + z1*abs2(z2)", "1-abs2(z1)", "conj(z2)")),
+])
+def test_shift_path_matches_dense_factor_products(dim, n, texts):
+    # symbols whose monomials share a shift (z and z*abs2(z) both move by +1)
+    dom = make_domain("disk") if dim == 1 else make_domain("ball", n=2)
+    sp = build_space(WeightedMeasure(dom, 0.0), n)
+    syms = [sym(t, dim) for t in texts]
+    ref = {id(s): dense_toeplitz(sp, s) for s in syms}
+    for s in syms:
+        assert np.max(np.abs(toeplitz(sp, s).matrix - ref[id(s)])) < 1e-14
+    for phi in syms:
+        for psi in syms:
+            want = (dense_toeplitz(sp, phi * psi.conj())
+                    - ref[id(psi)].conj().T @ ref[id(phi)])
+            assert np.max(np.abs(hankel_gram(sp, phi, psi) - want)) < 1e-14
+            expr = decompose_product([psi, phi])
+            shift = materialize(expr, sp).matrix
+            assert np.max(np.abs(shift - dense_materialize(expr, sp))) < 1e-14
+            direct = materialize(OperatorExpr(((T(psi), T(phi)),)), sp).matrix
+            assert np.max(np.abs(direct - ref[id(psi)] @ ref[id(phi)])) < 1e-14
+
+
+def test_composition_through_truncated_index():
+    # T_z e_N leaves the truncation, so (T_conj(z) T_z)[N, N] is 0 while
+    # T_abs2(z)[N, N] is not
+    sp = disk_space(0.0, 12)
+    z, zb = sym("z"), sym("conj(z)")
+    prod = materialize(OperatorExpr(((T(zb), T(z)),)), sp).matrix
+    dense = toeplitz(sp, zb).matrix @ toeplitz(sp, z).matrix
+    assert np.max(np.abs(prod - dense)) < 1e-15
+    assert prod[sp.N, sp.N] == 0
+    assert toeplitz(sp, sym("abs2(z)")).matrix[sp.N, sp.N] != 0
+    ball = build_space(WeightedMeasure(make_domain("ball", n=2), 0.0), 6)
+    z1, z2b = sym("z1", 2), sym("conj(z2)", 2)
+    prod = materialize(OperatorExpr(((T(z2b), T(z1)), (T(z1), T(z2b)))), ball).matrix
+    dense = (toeplitz(ball, z2b).matrix @ toeplitz(ball, z1).matrix
+             + toeplitz(ball, z1).matrix @ toeplitz(ball, z2b).matrix)
+    assert np.max(np.abs(prod - dense)) < 1e-15
 
 
 def test_berezin_identity_and_cauchy_schwarz():
@@ -386,6 +468,16 @@ def test_expr_json_roundtrip_and_errors():
                                              {"identity": {}}]}]}, 1)
     m = materialize(scal, sp).matrix
     assert m[0, 0] == 2.0j
+
+
+def test_toeplitz_quadrature_singular_gram_raises():
+    # 16 nodes cannot resolve 41 basis functions: the Gram is singular
+    measure = WeightedMeasure(DISK, 0.0)
+    sp = build_space(measure, 40)
+    rule = polar_tensor_rule(measure, radial_order=4, angular_order=4)
+    with pytest.raises(ConditioningError) as info:
+        toeplitz(sp, sym("max(0, re(z))"), rule=rule)
+    assert info.value.smallest_eigenvalue < GRAM_EIGENVALUE_FLOOR
 
 
 def test_toeplitz_hermitian_for_real_symbols():

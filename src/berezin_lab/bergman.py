@@ -51,8 +51,10 @@ class WeightedSpace:
     N : int
         Maximum total monomial degree.
     alphas : (B, n) int array of multiindices.
-    coeffs : (B, B) complex array, basis = coeffs @ monomials.  Diagonal on
-        Reinhardt domains (1/sqrt(moment) normalizers).
+    coeffs : complex array of basis coefficients over the monomials.  On
+        closed-moment (Reinhardt) domains a length-B vector of normalizers
+        1/sqrt(m_alpha), so e_b = coeffs[b] * z^alphas[b]; on plug-in domains
+        the (B, B) Gram-orthogonalizing matrix, basis = coeffs @ monomials.
     gram_residual : float, max |Gram - I| entry over the basis.
     """
 
@@ -74,12 +76,21 @@ class WeightedSpace:
     def dim(self):
         return self.measure.domain.dim
 
+    @property
+    def normalized_monomials(self):
+        """True when the basis is z^alpha / sqrt(m_alpha) with closed-form
+        moments ``log_moments`` (normalizers held as a vector)."""
+        return self.coeffs.ndim == 1
+
     def basis_values(self, points):
         """Matrix e_b(points): shape (B, m)."""
         points = np.asarray(points, dtype=np.complex128)
         if points.ndim == 1:
             points = points[:, None] if self.dim == 1 else points[None, :]
         mon = _accel.monomial_matrix(points, self.alphas)
+        if self.normalized_monomials:
+            mon *= self.coeffs[:, None]
+            return mon
         return self.coeffs @ mon
 
     def eval_series(self, coefficients, points):
@@ -87,7 +98,11 @@ class WeightedSpace:
         points = np.asarray(points, dtype=np.complex128)
         if points.ndim == 1:
             points = points[:, None] if self.dim == 1 else points[None, :]
-        mono_coeffs = np.asarray(coefficients, dtype=np.complex128) @ self.coeffs
+        coefficients = np.asarray(coefficients, dtype=np.complex128)
+        if self.normalized_monomials:
+            mono_coeffs = coefficients * self.coeffs
+        else:
+            mono_coeffs = coefficients @ self.coeffs
         return _accel.series_values(points, self.alphas, mono_coeffs)
 
     def __repr__(self):
@@ -108,10 +123,10 @@ def build_space(measure, N, rule=None):
     if measure.domain.exponents is not None:
         logm = log_monomial_moments(measure, alphas)
         c = np.exp(-0.5 * logm)
-        coeffs = np.diag(c).astype(np.complex128)
         # orthogonality is analytic; residual records normalizer rounding
         resid = float(np.max(np.abs(c * c * np.exp(logm) - 1.0)))
-        return WeightedSpace(measure, N, alphas, coeffs, resid, log_moments=logm)
+        return WeightedSpace(measure, N, alphas, c.astype(np.complex128), resid,
+                             log_moments=logm)
     if rule is None:
         raise CapabilityError(
             f"domain {measure.domain.name} has no closed-form moments; "

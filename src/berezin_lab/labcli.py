@@ -4,11 +4,11 @@ All experiments are byte-deterministic: identical configs (seeds included)
 produce identical CSV output.  No timestamps or environment-dependent values
 enter the tables; floats are written as shortest round-trip decimals.
 
-CLI: ``berezin-lab <experiment> --config file.json [--out dir] [--seed n]
-[--threads n]``, with flags overriding config-file keys.  Exit codes:
-0 success, 2 when a verdict comes back failing/inconsistent, 1 on any error
-(including config schema violations, which are reported with their JSON
-path on stderr).
+CLI: ``berezin-lab <experiment> --config file.json [--out dir] [--seed n]``,
+with flags overriding config-file keys.  Exit codes: 0 success, 2 when a
+verdict comes back failing/inconsistent, 1 on any error (including command
+line usage errors, and config schema violations, which are reported with
+their JSON path on stderr).
 """
 
 import argparse
@@ -72,10 +72,10 @@ class Report:
 def canonical_config_hash(config):
     """sha256 over the canonical (sorted, compact) JSON serialization.
 
-    Run-location keys (out, threads) do not affect results and are excluded,
+    The run-location key ``out`` does not affect results and is excluded,
     so reruns of the same experiment hash identically wherever they write.
     """
-    semantic = {k: v for k, v in config.items() if k not in ("out", "threads")}
+    semantic = {k: v for k, v in config.items() if k != "out"}
     blob = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -176,7 +176,6 @@ _COMMON = {
     "experiment": {"type": "string", "enum": list(EXPERIMENTS)},
     "out": {"type": "string"},
     "seed": {"type": "integer"},
-    "threads": {"type": "integer", "minimum": 1},
 }
 
 
@@ -687,15 +686,11 @@ def run(experiment, config, write=True):
     CSV and JSON forms.
     """
     validate_config(experiment, config)
-    # recorded for provenance; the numeric kernels are single-threaded and
-    # all reductions use fixed orderings, so results never depend on this
-    threads = config.get("threads") or os.environ.get("BEREZIN_LAB_THREADS")
     report = Report(experiment, metadata={
         "experiment": experiment,
         "config_hash": canonical_config_hash(config),
         "version": __version__,
         "backend": _accel.backend_name(),
-        "threads": int(threads) if threads else None,
     })
     _RUNNERS[experiment](config, report)
     if write:
@@ -709,8 +704,16 @@ def run(experiment, config, write=True):
 # CLI
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1 (2 means a failing verdict)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="berezin-lab",
         description="Weighted Bergman-space experiment runner")
     sub = parser.add_subparsers(dest="experiment", required=True)
@@ -719,7 +722,6 @@ def _build_parser():
         sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--out", help="output directory (overrides config)")
         sp.add_argument("--seed", type=int, help="seed override")
-        sp.add_argument("--threads", type=int, help="worker count override")
     return parser
 
 
@@ -738,7 +740,7 @@ def main(argv=None):
     if not isinstance(config, dict):
         print("config must be a JSON object", file=sys.stderr)
         return 1
-    for key in ("out", "seed", "threads"):
+    for key in ("out", "seed"):
         val = getattr(args, key)
         if val is not None:
             config[key] = val

@@ -31,8 +31,8 @@ import numpy as np
 from . import _accel
 from .bergman import GRAM_EIGENVALUE_FLOOR, KernelEvaluator
 from .errors import CapabilityError, ConditioningError, ParameterError
-from .quadrature import (log_monomial_moments, measure_node_weights,
-                         polar_tensor_rule, radial_rule)
+from .quadrature import (finite_node_values, log_monomial_moments,
+                         measure_node_weights, polar_tensor_rule, radial_rule)
 from .symbols import Symbol
 
 _RADIAL_ORDER = 160
@@ -319,15 +319,6 @@ def _materialize_shifts(expr, space):
 # Toeplitz / Hankel assembly
 # ---------------------------------------------------------------------------
 
-def _space_is_diagonal(space):
-    cached = getattr(space, "_diagonal_cache", None)
-    if cached is None:
-        c = space.coeffs
-        cached = bool(np.count_nonzero(c - np.diag(np.diagonal(c))) == 0)
-        space._diagonal_cache = cached
-    return cached
-
-
 def _radial_rule_for(space):
     cache = getattr(space, "_radial_rule_cache", None)
     if cache is None:
@@ -341,7 +332,7 @@ def _toeplitz_radial(space, sym):
     rule = _radial_rule_for(space)
     w = measure_node_weights(space.measure, rule)
     mon2 = np.abs(_accel.monomial_matrix(rule.nodes, space.alphas)) ** 2
-    phi = np.asarray(sym(rule.nodes), dtype=np.complex128)
+    phi = finite_node_values(sym(rule.nodes), rule.nodes, "symbol")
     num = mon2 @ (w * phi)
     den = mon2 @ w
     return np.diag(num / den).astype(np.complex128)
@@ -362,7 +353,7 @@ def _toeplitz_quad(space, sym, rule):
         rule = _default_rule(space)
     x = space.basis_values(rule.nodes)
     w = measure_node_weights(space.measure, rule)
-    phi = np.asarray(sym(rule.nodes), dtype=np.complex128)
+    phi = finite_node_values(sym(rule.nodes), rule.nodes, "symbol")
     gram = (x * w) @ x.conj().T
     gram = 0.5 * (gram + gram.conj().T)
     wmat = (x * (w * phi)) @ x.conj().T
@@ -378,11 +369,9 @@ def _toeplitz_quad(space, sym, rule):
 
 def toeplitz(space, sym, rule=None):
     """Truncated Toeplitz operator: matrix of P_N M_phi on the basis."""
-    if sym.poly is not None and space.measure.domain.exponents is not None \
-            and _space_is_diagonal(space):
+    if sym.poly is not None and space.normalized_monomials:
         mat = _densify(space, _toeplitz_shifts(space, sym))
-    elif sym.radial and space.measure.domain.exponents is not None \
-            and _space_is_diagonal(space) and space.dim <= 2:
+    elif sym.radial and space.normalized_monomials and space.dim <= 2:
         mat = _toeplitz_radial(space, sym)
     else:
         mat = _toeplitz_quad(space, sym, rule)
@@ -390,8 +379,7 @@ def toeplitz(space, sym, rule=None):
 
 
 def _all_exact(space, *symbols):
-    return (space.measure.domain.exponents is not None
-            and _space_is_diagonal(space)
+    return (space.normalized_monomials
             and all(s.poly is not None for s in symbols))
 
 

@@ -255,14 +255,21 @@ def monte_carlo_rule(measure, samples=1_000_000, seed=42):
                           measure.r, seed=seed)
 
 
-def integrate(f, measure, rule):
-    """sum_i w_i f(node_i) (-rho(node_i))^r; deterministic given the rule."""
-    vals = np.asarray(f(rule.nodes), dtype=np.complex128)
+def finite_node_values(vals, nodes, what):
+    """``vals`` (one value per node) as complex128; raises
+    :class:`NumericError` naming the first node where a value is NaN/Inf."""
+    vals = np.asarray(vals, dtype=np.complex128)
     bad = ~np.isfinite(vals)
     if np.any(bad):
         idx = int(np.argmax(bad))
-        raise NumericError(f"integrand not finite at node {rule.nodes[idx]}",
-                           node=rule.nodes[idx])
+        raise NumericError(f"{what} not finite at node {nodes[idx]}",
+                           node=nodes[idx])
+    return vals
+
+
+def integrate(f, measure, rule):
+    """sum_i w_i f(node_i) (-rho(node_i))^r; deterministic given the rule."""
+    vals = finite_node_values(f(rule.nodes), rule.nodes, "integrand")
     return complex(np.sum(measure_node_weights(measure, rule) * vals))
 
 

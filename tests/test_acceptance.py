@@ -2,8 +2,7 @@
 printing one pass/fail line per criterion (run with -s to stream them).
 
 Criterion configs are module-level constants so the determinism criterion can
-replay them byte-for-byte.  JIT warmup happens once per session so runtime
-bounds measure compute, not compilation.
+replay them byte-for-byte.
 """
 
 import itertools
@@ -20,7 +19,7 @@ from berezin_lab import (
     diagonal_comparability_check,
     make_domain,
 )
-from berezin_lab import _accel, labcli
+from berezin_lab import labcli
 
 RESULTS = []
 
@@ -33,11 +32,7 @@ def record(criterion, passed, detail=""):
 
 
 @pytest.fixture(scope="session", autouse=True)
-def warm_numba():
-    # compile the jitted kernels before any timed section
-    _accel.count_inside(np.zeros((4, 2)), 1.0)
-    _accel.monomial_matrix(np.zeros((3, 2), dtype=complex),
-                           np.array([[0, 0], [1, 2]], dtype=np.int64))
+def print_results():
     yield
     print()
     for line in RESULTS:

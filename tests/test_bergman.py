@@ -4,6 +4,7 @@ import pytest
 from berezin_lab import (
     CustomDomain,
     KernelEvaluator,
+    Symbol,
     WeightedMeasure,
     build_space,
     diagonal_comparability_check,
@@ -15,8 +16,10 @@ from berezin_lab import (
     polar_tensor_rule,
     project,
     slice_inequality_check,
+    toeplitz,
 )
-from berezin_lab.bergman import WeightedSpace
+from berezin_lab import _accel, operators
+from berezin_lab.bergman import WeightedSpace, build_inflated_space
 from berezin_lab.errors import (BoundaryError, CapabilityError,
                                 ConditioningError, ParameterError)
 
@@ -36,8 +39,81 @@ def test_disk_basis_normalizers():
     sp = disk_space(0.0, 8)
     # e_k = sqrt((k+1)/pi) z^k
     for k in range(9):
-        assert sp.coeffs[k, k].real == pytest.approx(np.sqrt((k + 1) / np.pi))
+        assert sp.coeffs[k].real == pytest.approx(np.sqrt((k + 1) / np.pi))
     assert sp.gram_residual < 1e-10
+
+
+def _dense_normalizer_rows(coeffs, rows):
+    """Rows ``rows`` of the dense matrix diag(coeffs)."""
+    block = np.zeros((len(rows), len(coeffs)), dtype=np.complex128)
+    block[np.arange(len(rows)), rows] = coeffs[rows]
+    return block
+
+
+def _row_blocks(size, step=512):
+    return [np.arange(i, min(i + step, size)) for i in range(0, size, step)]
+
+
+def _dense_basis_values(sp, pts):
+    """diag(coeffs) @ monomials, a block of rows at a time (each entry is one
+    nonzero product plus exact zeros, so blocking cannot change it)."""
+    mon = _accel.monomial_matrix(pts, sp.alphas)
+    return np.vstack([_dense_normalizer_rows(sp.coeffs, rows) @ mon
+                      for rows in _row_blocks(sp.size)])
+
+
+def _dense_eval_series(sp, v, pts):
+    """series_values of v @ diag(coeffs), a block of columns at a time."""
+    mono = np.concatenate([v @ _dense_normalizer_rows(sp.coeffs, cols).T
+                           for cols in _row_blocks(sp.size)])
+    return _accel.series_values(pts, sp.alphas, mono)
+
+
+def _closed_moment_spaces():
+    yield disk_space(1.0, 40), np.array([[0.3 + 0.4j], [-0.5], [-0.7 - 0.0j], [0.0]])
+    yield (build_space(WeightedMeasure(make_domain("ball", n=2), 1.0), 16),
+           np.array([[0.2 - 0.3j, 0.4j], [-0.5, -0.3], [-0.6, 0.0], [0.1, -0.2 + 0.1j]]))
+    # crit 2.1: the inflated space of the disk with r = 2, p = 2 (B = 6545)
+    infl = build_inflated_space(disk_space(2.0, 32), 2)
+    assert infl.size == 6545
+    yield infl, np.array([[0.4, 0.0, 0.0], [-0.4, 0.0, 0.0], [-0.2 + 0.3j, 0.0, 0.0],
+                          [0.1j, -0.3, 0.2 - 0.1j]])
+
+
+def test_normalizer_vector_matches_dense_form_exactly():
+    rng = np.random.default_rng(5)
+    for sp, pts in _closed_moment_spaces():
+        assert sp.normalized_monomials and sp.coeffs.shape == (sp.size,)
+        assert sp.coeffs.dtype == np.complex128
+        assert np.array_equal(sp.basis_values(pts), _dense_basis_values(sp, pts))
+        v = rng.standard_normal(sp.size) + 1j * rng.standard_normal(sp.size)
+        assert np.array_equal(sp.eval_series(v, pts), _dense_eval_series(sp, v, pts))
+
+
+def test_plugin_space_keeps_matrix_and_quadrature_toeplitz(monkeypatch):
+    custom = CustomDomain(
+        "custom-disk", 1,
+        rho=lambda z: np.abs(np.atleast_2d(z)[:, 0]) ** 2 - 1.0
+        if np.ndim(z) > 1 else float(np.abs(z[0]) ** 2 - 1.0),
+        grad_rho=lambda z: np.conj(z),
+        hessian=lambda p, x, y: complex(np.sum(x * np.conj(y))))
+    rule = polar_tensor_rule(WeightedMeasure(DISK, 0.0), radial_order=64)
+    sp = build_space(WeightedMeasure(custom, 0.0), 8, rule=rule)
+    assert sp.coeffs.shape == (sp.size, sp.size) and not sp.normalized_monomials
+    calls = []
+    quad = operators._toeplitz_quad
+
+    def spy(space, sym, rule):
+        calls.append(sym.text)
+        return quad(space, sym, rule)
+
+    monkeypatch.setattr(operators, "_toeplitz_quad", spy)
+    for text in ("1", "z", "1-abs2(z)"):
+        m = toeplitz(sp, Symbol.parse(text, 1), rule=rule).matrix
+        assert m.shape == (sp.size, sp.size)
+    assert calls == ["1", "z", "1-abs2(z)"]
+    assert np.max(np.abs(toeplitz(sp, Symbol.parse("1", 1), rule=rule).matrix
+                         - np.eye(sp.size))) < 1e-10
 
 
 def test_multiindex_count_egg():

@@ -50,7 +50,7 @@ def test_determinism_byte_identical(tmp_path, experiment, config):
 def test_config_hash_recomputable(tmp_path):
     config = {"domain": {"name": "disk"}, "r": 0.0, "N": 16, "out": str(tmp_path)}
     report = labcli.run("kernel-check", config)
-    semantic = {k: v for k, v in config.items() if k not in ("out", "threads")}
+    semantic = {k: v for k, v in config.items() if k != "out"}
     blob = json.dumps(semantic, sort_keys=True, separators=(",", ":")).encode()
     assert report.metadata["config_hash"] == hashlib.sha256(blob).hexdigest()
     payload = json.load(open(tmp_path / "kernel_check_report.json"))
@@ -186,10 +186,49 @@ def test_flag_overrides(tmp_path):
                                "seed": 1, "out": "ignored"}))
     out = tmp_path / "cli_out"
     code = labcli.main(["classify", "--config", str(cfg), "--out", str(out),
-                        "--seed", "7", "--threads", "1"])
+                        "--seed", "7"])
     assert code == 0
     payload = json.load(open(out / "classify_report.json"))
-    assert payload["metadata"]["threads"] == 1
+    want = labcli.canonical_config_hash({"domain": {"name": "disk"}, "count": 4,
+                                         "seed": 7})
+    assert payload["metadata"]["config_hash"] == want
+
+
+def test_threads_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"domain": {"name": "disk"}, "count": 4,
+                               "threads": 2}))
+    assert labcli.main(["classify", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'threads'" in err
+
+
+@pytest.mark.parametrize("flags", [["--bogus", "1"], ["--threads", "4"]])
+def test_usage_error_exits_1(tmp_path, capsys, flags):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"domain": {"name": "disk"}, "count": 4}))
+    with pytest.raises(SystemExit) as info:
+        labcli.main(["classify", "--config", str(cfg), *flags])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: unrecognized arguments: " + " ".join(flags) in err
+    with pytest.raises(SystemExit) as info:
+        labcli.main(["classify", "--help"])
+    assert info.value.code == 0
+
+
+def test_symbol_not_finite_at_node_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"domain": {"name": "disk"}, "r": 0.0, "N": 16,
+                               "symbol": "1/im(z)", "point": [1.0, 0.0],
+                               "t_grid": {"start": 0.4, "stop": 0.9, "count": 3}}))
+    out = tmp_path / "out"
+    assert labcli.main(["berezin-profile", "--config", str(cfg),
+                        "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: symbol not finite at node")
+    assert not out.exists()
 
 
 def test_constants_single_pair_form(tmp_path):

@@ -23,7 +23,7 @@ from berezin_lab import (
     toeplitz,
 )
 from berezin_lab.bergman import GRAM_EIGENVALUE_FLOOR
-from berezin_lab.errors import ConditioningError, ParameterError
+from berezin_lab.errors import ConditioningError, NumericError, ParameterError
 from berezin_lab.labcli import _monomial_symbols
 from berezin_lab.operators import HP, T
 from berezin_lab.quadrature import log_monomial_moments, polar_tensor_rule
@@ -485,3 +485,14 @@ def test_toeplitz_hermitian_for_real_symbols():
     for text in ("1-abs2(z)", "re(z)", "im(z)*2"):
         m = toeplitz(sp, sym(text)).matrix
         assert np.max(np.abs(m - m.conj().T)) < 1e-10
+
+
+@pytest.mark.parametrize("text", [
+    "1/im(z)",          # general path: the default polar rule has nodes with im z = 0
+    "abs(z)/0",         # radial path
+])
+def test_toeplitz_symbol_not_finite_at_node_raises(text):
+    sp = disk_space(0.0, 12)
+    with pytest.raises(NumericError) as info:
+        toeplitz(sp, sym(text))
+    assert info.value.node is not None

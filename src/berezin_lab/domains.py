@@ -47,7 +47,6 @@ class Domain:
 
     name = "domain"
     dim = 0
-    reinhardt = False
     bounding_radius = 1.0
     exponents = None
 
@@ -84,7 +83,6 @@ class EllipsoidDomain(Domain):
         self.exponents = exponents
         self.dim = len(exponents)
         self.name = name or "ellipsoid" + str(exponents)
-        self.reinhardt = True
         # each |z_j| < 1 inside, so |z| < sqrt(n)
         self.bounding_radius = float(np.sqrt(self.dim))
 
@@ -128,14 +126,12 @@ class EllipsoidDomain(Domain):
 class CustomDomain(Domain):
     """Plug-in domain defined by user callables (no closed-form moments)."""
 
-    def __init__(self, name, dim, rho, grad_rho, hessian,
-                 reinhardt=False, bounding_radius=1.0):
+    def __init__(self, name, dim, rho, grad_rho, hessian, bounding_radius=1.0):
         self.name = name
         self.dim = int(dim)
         self._rho = rho
         self._grad = grad_rho
         self._hess = hessian
-        self.reinhardt = bool(reinhardt)
         self.bounding_radius = float(bounding_radius)
 
     def rho(self, z):
@@ -173,7 +169,6 @@ class InflatedDomain(Domain):
         self.dim = base.dim + p
         self.total_dim = self.dim
         self.name = f"{base.name}^({p},{r:g})"
-        self.reinhardt = base.reinhardt
         self.bounding_radius = float(np.hypot(base.bounding_radius, np.sqrt(p)))
         if base.exponents is not None:
             self.exponents = base.exponents + (self.fiber_exponent,) * p

@@ -32,8 +32,9 @@ from .bergman import (KernelEvaluator, build_inflated_space, build_space,
 from .domains import (PointKind, boundary_point, classify_boundary,
                       domain_from_config, sample_boundary)
 from .errors import LabError, ParameterError, SchemaError
-from .operators import (OperatorExpr, axler_zheng_report, boundary_profile,
-                        expr_from_json, product_decomposition_residual,
+from .operators import (DEFAULT_T_GRID, OperatorExpr, axler_zheng_report,
+                        boundary_profile, expr_from_json,
+                        product_decomposition_residual,
                         semi_commutator_residual, toeplitz)
 from .quadrature import (WeightedMeasure, inflation_constant,
                          inflation_constant_mc, monomial_moment,
@@ -331,8 +332,7 @@ def _snap_to_boundary(dom, point, band=0.01):
 
 def _to_tgrid(spec):
     if spec is None:
-        return np.concatenate([np.linspace(0.5, 0.95, 10),
-                               np.linspace(0.96, 0.995, 6)])
+        return DEFAULT_T_GRID
     if isinstance(spec, dict):
         return np.linspace(spec["start"], spec["stop"], spec["count"])
     return np.asarray(spec, dtype=float)
@@ -611,13 +611,12 @@ def _run_axler_zheng(config, report):
                 pt_rows.append([role, i, cls.kind.value,
                                 cls.min_tangential_eigenvalue])
     thr = config.get("thresholds", {})
-    az_cfg = {
-        "berezin_threshold": float(thr.get("berezin", 0.1)),
-        "tail_threshold": float(thr.get("tail", 0.5)),
-        "decreasing_window": int(thr.get("window", 5)),
-        "tail_k": config.get("tail_k"),
-        "t_grid": _to_tgrid(config.get("t_grid")),
-    }
+    az_cfg = {"tail_k": config.get("tail_k"), "t_grid": _to_tgrid(config.get("t_grid"))}
+    for name, key, cast in (("berezin", "berezin_threshold", float),
+                            ("tail", "tail_threshold", float),
+                            ("window", "decreasing_window", int)):
+        if name in thr:      # unset thresholds keep DEFAULT_AZ_CONFIG's values
+            az_cfg[key] = cast(thr[name])
     rep = axler_zheng_report(expr, space, strong, weak, az_cfg)
     for name, profs in (("strong_profiles", rep.strong_profiles),
                         ("weak_profiles", rep.weak_profiles)):

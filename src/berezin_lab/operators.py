@@ -13,13 +13,18 @@ Toeplitz assembly picks the cheapest exact route available:
 * polynomial symbols on Reinhardt closed-moment spaces: exact entries from
   moment ratios.  A monomial symbol z^gamma zbar^delta is a weighted shift
   e_alpha -> w(alpha) e_{alpha+gamma-delta}, so such operators are held as
-  {shift: weight vector} maps; Toeplitz matrices, Hankel Grams, products and
-  the identity residuals are computed in that form and densified only when a
-  matrix is returned;
+  {shift: weight vector} maps;
 * torus-invariant ("radial") symbols: exactly diagonal, entries by radial
   quadrature normalized against the same rule's diagonal Gram (so T_1 = I
   exactly);
 * general symbols: full quadrature Gram, orthonormalized against the rule.
+
+Operator algebra picks its form once per call (``_form``): weighted shifts,
+densified only when a matrix is returned, when every symbol is a polynomial
+on a closed-moment space; else dense matrices from ``toeplitz`` and
+``hankel_gram``.  Each formula is written once for both forms.  The identity
+residuals need a closed-moment space and raise :class:`CapabilityError` on
+any other.
 """
 
 import operator
@@ -133,48 +138,45 @@ def decompose_product(symbols):
 # ---------------------------------------------------------------------------
 # weighted-shift algebra (polynomial symbols on Reinhardt spaces)
 #
-# An operator is a dict {shift s: w} of complex weight vectors of length B,
-# w[alpha] = <T e_alpha, e_{alpha+s}>, zero where alpha+s leaves the
+# An operator is a _Shifts: a dict {shift s: w} of complex weight vectors of
+# length B, w[alpha] = <T e_alpha, e_{alpha+s}>, zero where alpha+s leaves the
 # truncation; the matrix entry [alpha+s, alpha] is w[alpha].  Weight vectors
 # may be shared with the per-space Toeplitz cache, so operations build new
 # arrays and never write into their inputs.
 # ---------------------------------------------------------------------------
 
-def _alpha_codes(space):
-    """Linear codes for multiindex lookup plus the inverse table (cached)."""
-    cached = getattr(space, "_alpha_code_cache", None)
-    if cached is not None:
-        return cached
-    stride = space.N + 1
-    n = space.alphas.shape[1]
-    strides = stride ** np.arange(n, dtype=np.int64)
-    codes = space.alphas @ strides
-    inverse = np.full(stride ** n, -1, dtype=np.int64)
-    inverse[codes] = np.arange(space.size)
-    space._alpha_code_cache = (strides, inverse)
-    return strides, inverse
+class _ShiftIndex:
+    """Where each multiindex shift sends each basis index of one truncated
+    space, cached per shift.  It keeps the space's arrays but not the space,
+    so the Toeplitz weight maps cached on the space, which point here, form
+    no reference cycle with it and are freed with it."""
+
+    def __init__(self, space):
+        self.alphas = space.alphas
+        self.N = space.N
+        self.size = space.size
+        stride = space.N + 1
+        n = space.alphas.shape[1]
+        self.strides = stride ** np.arange(n, dtype=np.int64)
+        self.inverse = np.full(stride ** n, -1, dtype=np.int64)
+        self.inverse[space.alphas @ self.strides] = np.arange(space.size)
+        self.cache = {}
+
+    def targets(self, shift):
+        """(tgt, valid): ``valid[alpha]`` when alpha+shift stays in the
+        truncation, ``tgt[alpha]`` its basis index (0 where not valid)."""
+        hit = self.cache.get(shift)
+        if hit is None:
+            shifted = self.alphas + np.asarray(shift, dtype=np.int64)
+            valid = np.all(shifted >= 0, axis=1) & (shifted.sum(axis=1) <= self.N)
+            tgt = np.zeros(self.size, dtype=np.int64)
+            tgt[valid] = self.inverse[shifted[valid] @ self.strides]
+            hit = self.cache[shift] = (tgt, valid)
+        return hit
 
 
 def _poly_key(sym):
     return frozenset((a, b, complex(c)) for (a, b), c in sym.poly.items())
-
-
-def _shift_targets(space, shift):
-    """(tgt, valid) for a shift: ``valid[alpha]`` when alpha+shift stays in the
-    truncation, ``tgt[alpha]`` its basis index (0 where not valid).  Cached."""
-    cache = getattr(space, "_shift_target_cache", None)
-    if cache is None:
-        cache = space._shift_target_cache = {}
-    hit = cache.get(shift)
-    if hit is not None:
-        return hit
-    strides, inverse = _alpha_codes(space)
-    shifted = space.alphas + np.asarray(shift, dtype=np.int64)
-    valid = np.all(shifted >= 0, axis=1) & (shifted.sum(axis=1) <= space.N)
-    tgt = np.zeros(space.size, dtype=np.int64)
-    tgt[valid] = inverse[shifted[valid] @ strides]
-    cache[shift] = (tgt, valid)
-    return tgt, valid
 
 
 def _shift_order(shift):
@@ -182,137 +184,130 @@ def _shift_order(shift):
     return sum(shift), shift
 
 
-def _toeplitz_shifts(space, sym):
-    """Closed-form weights of T_sym for a polynomial symbol (Reinhardt spaces).
+class _Shifts:
+    """Weighted-shift operator (see above) with the ndarray operations the
+    formulas use (``@ + -``, scalar ``*``), plus ``adjoint``, ``dense``, ``block_max``."""
 
-    Monomial z^gamma zbar^delta contributes c_alpha c_beta m_{alpha+gamma} at
-    shift gamma - delta; monomials sharing a shift are summed in the symbol's
-    order.  Results are cached on the space keyed by the monomial dict.
-    """
-    cache = getattr(space, "_toeplitz_shift_cache", None)
-    if cache is None:
-        cache = space._toeplitz_shift_cache = {}
-    key = _poly_key(sym)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    logm = space.log_moments
-    out = {}
-    for (gamma, delta), c in sym.poly.items():
-        shift = tuple(g - d for g, d in zip(gamma, delta))
-        tgt, valid = _shift_targets(space, shift)
-        if not np.any(valid):
-            continue
-        cols = np.flatnonzero(valid)
-        rows = tgt[cols]
-        ext = space.alphas[cols] + np.asarray(gamma, dtype=np.int64)
-        logext = log_monomial_moments(space.measure, ext)
-        w = out.setdefault(shift, np.zeros(space.size, dtype=np.complex128))
-        w[cols] += c * np.exp(logext - 0.5 * logm[cols] - 0.5 * logm[rows])
-    cache[key] = out
-    return out
+    __slots__ = ("index", "w")
 
+    def __init__(self, index, w):
+        self.index = index
+        self.w = w
 
-def _identity_shifts(space):
-    return {(0,) * space.dim: np.ones(space.size, dtype=np.complex128)}
+    def __matmul__(self, other):
+        """A @ B (B applied first); entry products are A-value * B-value.
 
+        An entry reached through several intermediate indices sums those paths
+        in ascending order of the intermediate index (the order a row-sorted
+        sparse product uses), whatever the dict order of the shifts.
+        """
+        index, a, b = self.index, self.w.items(), other.w
+        out = {}
+        for sb in sorted(b, key=_shift_order):
+            wb = b[sb]
+            tgt = index.targets(sb)[0]
+            for sa, wa in a:
+                s = tuple(map(operator.add, sa, sb))
+                term = wa[tgt] * wb
+                if s in out:
+                    out[s] += term
+                else:
+                    out[s] = term
+        return _Shifts(index, out)
 
-def _compose(space, a, b):
-    """Weights of A @ B (B applied first); entry products are A-value * B-value.
+    def __add__(self, other):
+        out = dict(self.w)
+        for s, w in other.w.items():
+            out[s] = out.get(s, 0) + w
+        return _Shifts(self.index, out)
 
-    An entry reached through several intermediate indices sums those paths
-    in ascending order of the intermediate index (the order a row-sorted
-    sparse product uses), whatever the dict order of the shifts.
-    """
-    out = {}
-    for sb in sorted(b, key=_shift_order):
-        wb = b[sb]
-        tgt = _shift_targets(space, sb)[0]
-        for sa, wa in a.items():
-            s = tuple(map(operator.add, sa, sb))
-            term = wa[tgt] * wb
-            if s in out:
-                out[s] += term
-            else:
-                out[s] = term
-    return out
+    def __sub__(self, other):
+        out = dict(self.w)
+        for s, w in other.w.items():
+            out[s] = out.get(s, 0) - w
+        return _Shifts(self.index, out)
 
+    def __rmul__(self, scal):
+        return _Shifts(self.index, {s: w * scal for s, w in self.w.items()})
 
-def _adjoint(space, a):
-    out = {}
-    for s, w in a.items():
-        tgt, valid = _shift_targets(space, s)
-        v = np.zeros(space.size, dtype=np.complex128)
-        v[tgt[valid]] = np.conj(w[valid])
-        out[tuple(-x for x in s)] = v
-    return out
+    def adjoint(self):
+        out = {}
+        for s, w in self.w.items():
+            tgt, valid = self.index.targets(s)
+            v = np.zeros(self.index.size, dtype=np.complex128)
+            v[tgt[valid]] = np.conj(w[valid])
+            out[tuple(-x for x in s)] = v
+        return _Shifts(self.index, out)
 
+    def dense(self):
+        nb = self.index.size
+        mat = np.zeros((nb, nb), dtype=np.complex128)
+        for s, w in self.w.items():
+            tgt, valid = self.index.targets(s)
+            cols = np.flatnonzero(valid)
+            mat[tgt[cols], cols] += w[cols]
+        return mat
 
-def _combine(op, a, b):
-    """Entrywise op(A, B); a shift missing on one side counts as zero."""
-    out = dict(a)
-    for s, w in b.items():
-        out[s] = op(out.get(s, 0), w)
-    return out
-
-
-def _block_max(space, a, keep):
-    """max |entry| over rows and columns in ``keep`` (0.0 when none)."""
-    parts = []
-    for s, w in a.items():
-        tgt, valid = _shift_targets(space, s)
-        mask = valid & keep & keep[tgt]
-        if np.any(mask):
-            parts.append(np.abs(w[mask]))
-    return float(np.max(np.concatenate(parts))) if parts else 0.0
+    def block_max(self, keep):
+        """max |entry| over rows and columns in ``keep`` (0.0 when none)."""
+        parts = []
+        for s, w in self.w.items():
+            tgt, valid = self.index.targets(s)
+            mask = valid & keep & keep[tgt]
+            if np.any(mask):
+                parts.append(np.abs(w[mask]))
+        return float(np.max(np.concatenate(parts))) if parts else 0.0
 
 
-def _densify(space, a):
-    nb = space.size
-    mat = np.zeros((nb, nb), dtype=np.complex128)
-    for s, w in a.items():
-        tgt, valid = _shift_targets(space, s)
-        cols = np.flatnonzero(valid)
-        mat[tgt[cols], cols] += w[cols]
-    return mat
+class _ShiftForm:
+    """Factors as weighted shifts (polynomial symbols, Reinhardt spaces)."""
 
+    def __init__(self, space):
+        if not hasattr(space, "_shift_index"):
+            space._shift_index = _ShiftIndex(space)
+            space._toeplitz_shift_cache = {}
+        self.space = space
+        self.index = space._shift_index
 
-def _hankel_gram_shifts(space, phi, psi):
-    """Weights of H*_psi H_phi = T_{phi conj(psi)} - T_psi^H T_phi."""
-    s = phi * psi.conj()
-    m_s = _toeplitz_shifts(space, s)
-    m_phi = _toeplitz_shifts(space, phi)
-    m_psi = _toeplitz_shifts(space, psi)
-    return _combine(operator.sub, m_s, _compose(space, _adjoint(space, m_psi), m_phi))
-
-
-def _factor_shifts(factor, space):
-    kind = factor[0]
-    if kind == "toeplitz":
-        return _toeplitz_shifts(space, factor[1])
-    if kind == "hankel_pair":
-        return _hankel_gram_shifts(space, factor[2], factor[1].conj())
-    if kind == "identity":
-        return _identity_shifts(space)
-    raise ParameterError(f"unknown factor kind {kind!r}")
-
-
-def _materialize_shifts(expr, space):
-    """Running sum over the terms of scal * (left-to-right factor product)."""
-    total = {}
-    for product in expr.terms:
-        scal = 1.0 + 0.0j
-        acc = None
-        for factor in product:
-            if factor[0] == "scalar":
-                scal *= factor[1]
+    def toeplitz(self, sym):
+        """Closed-form weights of T_sym for a polynomial symbol: monomial
+        z^gamma zbar^delta contributes c_alpha c_beta m_{alpha+gamma} at shift
+        gamma - delta; monomials sharing a shift are summed in the symbol's
+        order.  Cached on the space, keyed by the monomial dict."""
+        space, index = self.space, self.index
+        cache = space._toeplitz_shift_cache
+        key = _poly_key(sym)
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
+        logm = space.log_moments
+        out = {}
+        for (gamma, delta), c in sym.poly.items():
+            shift = tuple(g - d for g, d in zip(gamma, delta))
+            tgt, valid = index.targets(shift)
+            if not np.any(valid):
                 continue
-            m = _factor_shifts(factor, space)
-            acc = m if acc is None else _compose(space, acc, m)
-        if acc is None:
-            acc = _identity_shifts(space)
-        total = _combine(operator.add, total, {s: w * scal for s, w in acc.items()})
-    return total
+            cols = np.flatnonzero(valid)
+            rows = tgt[cols]
+            ext = space.alphas[cols] + np.asarray(gamma, dtype=np.int64)
+            logext = log_monomial_moments(space.measure, ext)
+            w = out.setdefault(shift, np.zeros(space.size, dtype=np.complex128))
+            w[cols] += c * np.exp(logext - 0.5 * logm[cols] - 0.5 * logm[rows])
+        hit = cache[key] = _Shifts(index, out)
+        return hit
+
+    def hankel(self, phi, psi):
+        return _hankel_pair(self, phi, psi)
+
+    def identity(self):
+        return _Shifts(self.index, {(0,) * self.space.dim:
+                                    np.ones(self.space.size, dtype=np.complex128)})
+
+    def zero(self):
+        return _Shifts(self.index, {})
+
+    adjoint = staticmethod(_Shifts.adjoint)
+    dense = staticmethod(_Shifts.dense)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +327,7 @@ def _toeplitz_radial(space, sym):
     rule = _radial_rule_for(space)
     w = measure_node_weights(space.measure, rule)
     mon2 = np.abs(_accel.monomial_matrix(rule.nodes, space.alphas)) ** 2
-    phi = finite_node_values(sym(rule.nodes), rule.nodes, "symbol")
+    phi = finite_node_values(sym, rule.nodes, "symbol")
     num = mon2 @ (w * phi)
     den = mon2 @ w
     return np.diag(num / den).astype(np.complex128)
@@ -353,7 +348,7 @@ def _toeplitz_quad(space, sym, rule):
         rule = _default_rule(space)
     x = space.basis_values(rule.nodes)
     w = measure_node_weights(space.measure, rule)
-    phi = finite_node_values(sym(rule.nodes), rule.nodes, "symbol")
+    phi = finite_node_values(sym, rule.nodes, "symbol")
     gram = (x * w) @ x.conj().T
     gram = 0.5 * (gram + gram.conj().T)
     wmat = (x * (w * phi)) @ x.conj().T
@@ -370,7 +365,7 @@ def _toeplitz_quad(space, sym, rule):
 def toeplitz(space, sym, rule=None):
     """Truncated Toeplitz operator: matrix of P_N M_phi on the basis."""
     if sym.poly is not None and space.normalized_monomials:
-        mat = _densify(space, _toeplitz_shifts(space, sym))
+        mat = _ShiftForm(space).toeplitz(sym).dense()
     elif sym.radial and space.normalized_monomials and space.dim <= 2:
         mat = _toeplitz_radial(space, sym)
     else:
@@ -378,9 +373,45 @@ def toeplitz(space, sym, rule=None):
     return TruncatedOperator(mat, space, provenance=OperatorExpr.toeplitz(sym))
 
 
-def _all_exact(space, *symbols):
-    return (space.normalized_monomials
-            and all(s.poly is not None for s in symbols))
+@dataclass
+class _DenseForm:
+    """Factors as dense matrices from the public ``toeplitz``/``hankel_gram``."""
+
+    space: object
+    rule: object
+
+    def toeplitz(self, sym):
+        return toeplitz(self.space, sym, rule=self.rule).matrix
+
+    def hankel(self, phi, psi):
+        return hankel_gram(self.space, phi, psi, rule=self.rule)
+
+    def identity(self):
+        return np.eye(self.space.size, dtype=np.complex128)
+
+    def zero(self):
+        return np.zeros((self.space.size, self.space.size), dtype=np.complex128)
+
+    @staticmethod
+    def adjoint(m):
+        return m.conj().T
+
+    dense = staticmethod(np.asarray)
+
+
+def _form(space, symbols, rule=None):
+    """The one place that picks how a call holds its operators: weighted
+    shifts when every symbol is a polynomial and the space has normalized
+    monomials, dense matrices otherwise."""
+    if space.normalized_monomials and all(s.poly is not None for s in symbols):
+        return _ShiftForm(space)
+    return _DenseForm(space, rule)
+
+
+def _hankel_pair(form, phi, psi):
+    """H*_psi H_phi = T_{phi conj(psi)} - T_psi^H T_phi, in ``form``."""
+    return (form.toeplitz(phi * psi.conj())
+            - form.adjoint(form.toeplitz(psi)) @ form.toeplitz(phi))
 
 
 def hankel_gram(space, phi, psi, rule=None):
@@ -391,48 +422,43 @@ def hankel_gram(space, phi, psi, rule=None):
     psi = phi.  For holomorphic polynomial phi the block of degrees
     <= N - deg(phi) vanishes.
     """
-    if _all_exact(space, phi, psi):
-        return _densify(space, _hankel_gram_shifts(space, phi, psi))
-    s = phi * psi.conj()
-    m_s = toeplitz(space, s, rule=rule).matrix
-    m_phi = toeplitz(space, phi, rule=rule).matrix
-    m_psi = toeplitz(space, psi, rule=rule).matrix
-    return m_s - _chain_matmul([m_psi.conj().T, m_phi])
+    form = _form(space, (phi, psi), rule)
+    return form.dense(_hankel_pair(form, phi, psi))
 
 
 # ---------------------------------------------------------------------------
 # materialization
 # ---------------------------------------------------------------------------
 
-def _factor_matrix(factor, space, rule):
-    kind = factor[0]
-    if kind == "toeplitz":
-        return toeplitz(space, factor[1], rule=rule).matrix
-    if kind == "hankel_pair":
-        psi, phi = factor[1], factor[2]
-        return hankel_gram(space, phi, psi.conj(), rule=rule)
-    if kind == "identity":
-        return np.eye(space.size, dtype=np.complex128)
-    raise ParameterError(f"unknown factor kind {kind!r}")
-
-
-def _chain_matmul(mats):
-    """Left-to-right dense product."""
-    acc = mats[0]
-    for m in mats[1:]:
-        acc = acc @ m
-    return acc
-
-
 def _expr_symbols(expr):
-    out = []
+    return [s for product in expr.terms for f in product
+            if f[0] in ("toeplitz", "hankel_pair") for s in f[1:]]
+
+
+def _sum_of_products(form, expr):
+    """Running sum over the terms of scal * (left-to-right factor product)."""
+    total = form.zero()
     for product in expr.terms:
-        for f in product:
-            if f[0] == "toeplitz":
-                out.append(f[1])
-            elif f[0] == "hankel_pair":
-                out.extend(f[1:])
-    return out
+        scal = 1.0 + 0.0j
+        acc = None
+        for factor in product:
+            kind = factor[0]
+            if kind == "scalar":
+                scal *= factor[1]
+                continue
+            if kind == "toeplitz":
+                m = form.toeplitz(factor[1])
+            elif kind == "hankel_pair":
+                m = form.hankel(factor[2], factor[1].conj())
+            elif kind == "identity":
+                m = form.identity()
+            else:
+                raise ParameterError(f"unknown factor kind {kind!r}")
+            acc = m if acc is None else acc @ m
+        if acc is None:
+            acc = form.identity()
+        total += scal * acc
+    return total
 
 
 def materialize(expr, space, rule=None):
@@ -444,31 +470,29 @@ def materialize(expr, space, rule=None):
     shifts (one weight vector per multiindex shift, see the module docstring)
     and densified once at the end.
     """
-    nb = space.size
-    if _all_exact(space, *_expr_symbols(expr)):
-        return TruncatedOperator(_densify(space, _materialize_shifts(expr, space)),
-                                 space, provenance=expr)
-    total = np.zeros((nb, nb), dtype=np.complex128)
-    for product in expr.terms:
-        scal = 1.0 + 0.0j
-        mats = []
-        for factor in product:
-            if factor[0] == "scalar":
-                scal *= factor[1]
-            else:
-                mats.append(_factor_matrix(factor, space, rule))
-        if mats:
-            total += scal * _chain_matmul(mats)
-        else:
-            total += scal * np.eye(nb, dtype=np.complex128)
-    return TruncatedOperator(total, space, provenance=expr)
+    form = _form(space, _expr_symbols(expr), rule)
+    return TruncatedOperator(form.dense(_sum_of_products(form, expr)),
+                             space, provenance=expr)
 
 
 # ---------------------------------------------------------------------------
 # identity checks on truncation-safe blocks
 # ---------------------------------------------------------------------------
 
-def _safe_block(space, margin):
+def _safe_block(space, what, symbols, degree_of, margin):
+    """Indices of the truncation-safe block for a ``what`` residual over
+    ``symbols``, whose degree ``degree_of`` combines from theirs.  Residuals
+    hold their operators as weighted shifts, so the space must have
+    normalized monomials."""
+    if not space.normalized_monomials:
+        raise CapabilityError(
+            f"{what} residual needs a closed-moment (Reinhardt) space with "
+            "normalized monomials")
+    if any(s.poly is None for s in symbols):
+        raise ParameterError(f"{what} residual requires polynomial symbols")
+    degree = degree_of(s.degree for s in symbols)
+    if margin < degree:
+        raise ParameterError(f"margin {margin} is below the symbol degree {degree}")
     keep = space.degrees <= space.N - margin
     if not np.any(keep):
         raise ParameterError(f"margin {margin} leaves no truncation-safe indices")
@@ -477,52 +501,26 @@ def _safe_block(space, margin):
 
 def semi_commutator_residual(space, phi2, phi1, margin):
     """Max-entry residual of T_{phi2} T_{phi1} = T_{phi2 phi1} - H*_{conj(phi2)} H_{phi1}
-    over the truncation-safe block."""
-    for s in (phi2, phi1):
-        if s.poly is None:
-            raise ParameterError("semi-commutator residual requires polynomial symbols")
-    d = max(phi2.degree, phi1.degree)
-    if margin < d:
-        raise ParameterError(f"margin {margin} is below the symbol degree {d}")
-    keep = _safe_block(space, margin)
-    if _all_exact(space, phi2, phi1):
-        t2 = _toeplitz_shifts(space, phi2)
-        t1 = _toeplitz_shifts(space, phi1)
-        t21 = _toeplitz_shifts(space, phi2 * phi1)
-        hg = _hankel_gram_shifts(space, phi1, phi2.conj())
-        resid = _combine(operator.sub, _compose(space, t2, t1), t21)
-        return _block_max(space, _combine(operator.add, resid, hg), keep)
-    t2 = toeplitz(space, phi2).matrix
-    t1 = toeplitz(space, phi1).matrix
-    t21 = toeplitz(space, phi2 * phi1).matrix
-    hg = hankel_gram(space, phi1, phi2.conj())
-    resid = t2 @ t1 - (t21 - hg)
-    return float(np.max(np.abs(resid[np.ix_(keep, keep)])))
+    over the truncation-safe block (closed-moment spaces only)."""
+    keep = _safe_block(space, "semi-commutator", (phi2, phi1), max, margin)
+    form = _ShiftForm(space)
+    t = form.toeplitz
+    resid = t(phi2) @ t(phi1) - t(phi2 * phi1) + form.hankel(phi1, phi2.conj())
+    return resid.block_max(keep)
 
 
 def product_decomposition_residual(space, symbols, margin):
     """Max-entry residual between the direct Toeplitz product and its
     decomposition (one Toeplitz with the product symbol plus Hankel
-    corrections) over the truncation-safe block."""
+    corrections) over the truncation-safe block (closed-moment spaces only)."""
     symbols = list(symbols)
-    for s in symbols:
-        if s.poly is None:
-            raise ParameterError("product decomposition residual requires polynomial symbols")
-    total_deg = sum(s.degree for s in symbols)
-    if margin < total_deg:
-        raise ParameterError(
-            f"margin {margin} is below the accumulated symbol degree {total_deg}")
-    keep = _safe_block(space, margin)
+    keep = _safe_block(space, "product decomposition", symbols, sum, margin)
     expr = decompose_product(symbols)
-    if _all_exact(space, *symbols):
-        direct = _toeplitz_shifts(space, symbols[0])
-        for s in symbols[1:]:
-            direct = _compose(space, direct, _toeplitz_shifts(space, s))
-        decomposed = _materialize_shifts(expr, space)
-        return _block_max(space, _combine(operator.sub, direct, decomposed), keep)
-    direct = _chain_matmul([toeplitz(space, s).matrix for s in symbols])
-    decomposed = materialize(expr, space).matrix
-    return float(np.max(np.abs((direct - decomposed)[np.ix_(keep, keep)])))
+    form = _ShiftForm(space)
+    direct = form.toeplitz(symbols[0])
+    for s in symbols[1:]:
+        direct = direct @ form.toeplitz(s)
+    return (direct - _sum_of_products(form, expr)).block_max(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +596,16 @@ class AxlerZhengReport:
     thresholds: dict = field(default_factory=dict)
 
 
+DEFAULT_T_GRID = np.concatenate([np.linspace(0.5, 0.95, 10),
+                                 np.linspace(0.96, 0.995, 6)])
+DEFAULT_T_GRID.flags.writeable = False
+
 DEFAULT_AZ_CONFIG = {
     "berezin_threshold": 0.1,      # terminal |B| below this counts as vanishing
     "tail_threshold": 0.5,         # tail_norm(tail_k) above this is non-vanishing
     "decreasing_window": 5,        # vanishing also needs decrease over this window
     "tail_k": None,                # default N // 2
-    "t_grid": None,                # default 16 points in [0.5, 0.995]
+    "t_grid": DEFAULT_T_GRID,
 }
 
 
@@ -627,9 +629,6 @@ def axler_zheng_report(expr, space, strong_points, weak_points, config=None,
     if not strong_points:
         raise ParameterError("strong_points must be nonempty")
     t_grid = cfg["t_grid"]
-    if t_grid is None:
-        t_grid = np.concatenate([np.linspace(0.5, 0.95, 10),
-                                 np.linspace(0.96, 0.995, 6)])
     tail_k = cfg["tail_k"] if cfg["tail_k"] is not None else space.N // 2
     op = materialize(expr, space, rule=rule)
 

@@ -255,10 +255,12 @@ def monte_carlo_rule(measure, samples=1_000_000, seed=42):
                           measure.r, seed=seed)
 
 
-def finite_node_values(vals, nodes, what):
-    """``vals`` (one value per node) as complex128; raises
-    :class:`NumericError` naming the first node where a value is NaN/Inf."""
-    vals = np.asarray(vals, dtype=np.complex128)
+def finite_node_values(f, nodes, what):
+    """``f(nodes)`` as complex128; raises :class:`NumericError` naming the
+    first node where a value is NaN/Inf.  The evaluation runs with numpy's
+    floating-point warnings off, since that error reports the bad node."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = np.asarray(f(nodes), dtype=np.complex128)
     bad = ~np.isfinite(vals)
     if np.any(bad):
         idx = int(np.argmax(bad))
@@ -269,7 +271,7 @@ def finite_node_values(vals, nodes, what):
 
 def integrate(f, measure, rule):
     """sum_i w_i f(node_i) (-rho(node_i))^r; deterministic given the rule."""
-    vals = finite_node_values(f(rule.nodes), rule.nodes, "integrand")
+    vals = finite_node_values(f, rule.nodes, "integrand")
     return complex(np.sum(measure_node_weights(measure, rule) * vals))
 
 

@@ -135,8 +135,7 @@ def test_classify_scale_invariance_of_kind():
             "scaled-egg", 2,
             rho=lambda z, c=c: c * EGG2.rho(z),
             grad_rho=lambda z, c=c: c * EGG2.grad_rho(z),
-            hessian=lambda p, x, y, c=c: c * EGG2.hessian(p, x, y),
-            reinhardt=True)
+            hessian=lambda p, x, y, c=c: c * EGG2.hessian(p, x, y))
         strong = classify_boundary(scaled, [0.0, 1.0])
         assert strong.kind is PointKind.STRONGLY_PSEUDOCONVEX
         assert strong.min_tangential_eigenvalue == pytest.approx(c)

@@ -76,6 +76,17 @@ def test_json_mirrors_csv_numeric_values(tmp_path):
         assert bool(int(csv_row[3])) == json_row[3]
 
 
+def test_axler_zheng_thresholds_override_only_what_they_set(tmp_path):
+    # T_{1-|z|^2} has tail norms 1/(k+2): 0.1 at the default tail_k = N // 2
+    base = {"domain": {"name": "disk"}, "r": 0.0, "N": 16, "symbol": "1-abs2(z)",
+            "strong_points": [[1.0, 0.0]], "weak_points": [], "out": str(tmp_path)}
+    report = labcli.run("axler-zheng", base)
+    assert report.verdicts["classification"] == "compact"
+    assert len(report.tables["strong_profiles"].rows) == 16   # default t grid
+    tight = labcli.run("axler-zheng", {**base, "thresholds": {"tail": 0.0}})
+    assert tight.verdicts["classification"] == "localized"
+
+
 def test_profile_row_count_matches_grid(tmp_path):
     config = {"domain": {"name": "disk"}, "r": 0.0, "N": 32, "symbol": "1",
               "point": [1.0, 0.0], "t_grid": [0.1 * k for k in range(1, 21)],

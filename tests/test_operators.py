@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from berezin_lab import (
+    CustomDomain,
     KernelEvaluator,
     OperatorExpr,
     Symbol,
@@ -23,7 +26,8 @@ from berezin_lab import (
     toeplitz,
 )
 from berezin_lab.bergman import GRAM_EIGENVALUE_FLOOR
-from berezin_lab.errors import ConditioningError, NumericError, ParameterError
+from berezin_lab.errors import (CapabilityError, ConditioningError, NumericError,
+                                ParameterError)
 from berezin_lab.labcli import _monomial_symbols
 from berezin_lab.operators import HP, T
 from berezin_lab.quadrature import log_monomial_moments, polar_tensor_rule
@@ -191,18 +195,20 @@ def test_materialize_decomposition_matches_direct_product():
 
 
 def dense_materialize(expr, space):
-    """Reference: dense factor matrices multiplied in the written order."""
-    from berezin_lab.operators import _chain_matmul, _factor_matrix
+    """Reference: public factor matrices multiplied in the written order."""
+    factors = {"toeplitz": lambda f: toeplitz(space, f[1]).matrix,
+               "hankel_pair": lambda f: hankel_gram(space, f[2], f[1].conj()),
+               "identity": lambda f: np.eye(space.size, dtype=complex)}
     total = np.zeros((space.size, space.size), dtype=complex)
     for product in expr.terms:
         scal = 1.0 + 0j
-        mats = []
+        acc = np.eye(space.size, dtype=complex)
         for f in product:
             if f[0] == "scalar":
                 scal *= f[1]
             else:
-                mats.append(_factor_matrix(f, space, None))
-        total += scal * _chain_matmul(mats)
+                acc = acc @ factors[f[0]](f)
+        total += scal * acc
     return total
 
 
@@ -271,6 +277,34 @@ def test_shift_path_matches_dense_factor_products(dim, n, texts):
             assert np.max(np.abs(shift - dense_materialize(expr, sp))) < 1e-14
             direct = materialize(OperatorExpr(((T(psi), T(phi)),)), sp).matrix
             assert np.max(np.abs(direct - ref[id(psi)] @ ref[id(phi)])) < 1e-14
+
+
+def test_plugin_space_dense_algebra_and_residuals_need_closed_moments():
+    # the unit disk through callables: no closed moments, Gram-orthogonalized
+    custom = CustomDomain(
+        "custom-disk", 1,
+        rho=lambda z: np.abs(np.atleast_2d(z)[:, 0]) ** 2 - 1.0
+        if np.ndim(z) > 1 else float(np.abs(z[0]) ** 2 - 1.0),
+        grad_rho=lambda z: np.conj(z),
+        hessian=lambda p, x, y: complex(np.sum(x * np.conj(y))))
+    rule = polar_tensor_rule(WeightedMeasure(DISK, 0.0), radial_order=64)
+    sp = build_space(WeightedMeasure(custom, 0.0), 8, rule=rule)
+    exact = disk_space(0.0, 8)
+    z, zb = sym("z"), sym("conj(z)")
+    # the plug-in basis spans the same polynomials in another orthonormal
+    # basis, so the matrices agree up to unitary similarity
+    def svals(m):
+        return np.linalg.svd(m, compute_uv=False)
+
+    assert np.max(np.abs(svals(hankel_gram(sp, zb, zb, rule=rule))
+                         - svals(hankel_gram(exact, zb, zb)))) < 1e-10
+    expr = decompose_product([zb, z])
+    assert np.max(np.abs(svals(materialize(expr, sp, rule=rule).matrix)
+                         - svals(materialize(expr, exact).matrix))) < 1e-10
+    for call in (lambda: semi_commutator_residual(sp, zb, z, 1),
+                 lambda: product_decomposition_residual(sp, [zb, z], 2)):
+        with pytest.raises(CapabilityError, match="closed-moment .Reinhardt."):
+            call()
 
 
 def test_composition_through_truncated_index():
@@ -493,6 +527,9 @@ def test_toeplitz_hermitian_for_real_symbols():
 ])
 def test_toeplitz_symbol_not_finite_at_node_raises(text):
     sp = disk_space(0.0, 12)
-    with pytest.raises(NumericError) as info:
-        toeplitz(sp, sym(text))
+    with warnings.catch_warnings():
+        # the error names the node; numpy's divide warnings stay quiet
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as info:
+            toeplitz(sp, sym(text))
     assert info.value.node is not None

@@ -12,11 +12,12 @@ def backend_name():
 
 
 def _power_tables(points, kmax):
-    """Tables P[j][k, i] = points[i, j]**k built by iterated multiplication."""
+    """Tables P[j][k, i] = points[i, j]**k built by iterated multiplication,
+    in the dtype of ``points``."""
     m, n = points.shape
     tables = []
     for j in range(n):
-        t = np.empty((kmax[j] + 1, m), dtype=np.complex128)
+        t = np.empty((kmax[j] + 1, m), dtype=points.dtype)
         t[0] = 1.0
         for k in range(1, kmax[j] + 1):
             t[k] = t[k - 1] * points[:, j]

@@ -347,7 +347,11 @@ def inflate(base, p, r):
 
 
 def boundary_point(domain, direction):
-    """Scale a direction vector onto the boundary (rho = 0 along the ray)."""
+    """Scale a direction vector onto the boundary (rho = 0 along the ray).
+
+    Bisects for at most 200 steps, stopping once no float lies strictly
+    between the bracket ends, after which a step could not change them.
+    """
     d = np.asarray(direction, dtype=np.complex128)
     if np.allclose(d, 0):
         raise ParameterError("direction must be nonzero")
@@ -358,6 +362,8 @@ def boundary_point(domain, direction):
             raise ParameterError("ray never leaves the domain")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:   # no float left between lo and hi
+            break
         if domain.rho(mid * d) < 0:
             lo = mid
         else:

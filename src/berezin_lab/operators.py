@@ -15,8 +15,11 @@ Toeplitz assembly picks the cheapest exact route available:
   e_alpha -> w(alpha) e_{alpha+gamma-delta}, so such operators are held as
   {shift: weight vector} maps;
 * torus-invariant ("radial") symbols: exactly diagonal, entries by radial
-  quadrature normalized against the same rule's diagonal Gram (so T_1 = I
-  exactly);
+  quadrature normalized against the same rule's diagonal Gram.  The sums
+  over the nodes are contracted through the rule's Duffy tensor factors
+  (real per-coordinate power tables, no basis x nodes array), and the real
+  and imaginary parts of the symbol go through the same real kernel as the
+  Gram, so T_1 = I exactly;
 * general symbols: full quadrature Gram, orthonormalized against the rule.
 
 Operator algebra picks its form once per call (``_form``): weighted shifts,
@@ -314,26 +317,69 @@ class _ShiftForm:
 # Toeplitz / Hankel assembly
 # ---------------------------------------------------------------------------
 
-def _radial_rule_for(space):
-    cache = getattr(space, "_radial_rule_cache", None)
-    if cache is None:
-        cache = radial_rule(space.measure, order=_RADIAL_ORDER)
-        space._radial_rule_cache = cache
-    return cache
+class _RadialDiagonal:
+    """Diagonal Toeplitz weights of torus-invariant symbols on one space, by
+    the radial rule's Duffy tensor structure (dimension <= 2).
+
+    Node (a, b) of the rule has t1 = u1[a], t2 = (1-u1[a]) u2[b] with
+    t_j = |z_j|^{q_j}, so |z^alpha|^2 = R[alpha1, a] S[alpha2, a] V[alpha2, b]
+    with real power tables R[k] = |z1|^{2k}, S[k] = (1-u1)^{2k/q2} and
+    V[k] = u2^{2k/q2}.  A sum over the nodes of |z^alpha|^2 m[a, b] is then
+    two small matmuls, R (S o (m V^T)^T)^T read at (alpha1, alpha2):
+    O(order * N) memory, no basis x nodes array.  Dimension 1 is the same
+    contraction with S and V all ones and alpha2 = 0.  Holds arrays only,
+    not the space.
+    """
+
+    def __init__(self, space):
+        self.rule = rule = radial_rule(space.measure, order=_RADIAL_ORDER)
+        q = space.measure.domain.exponents
+        u1 = rule.factors[0]
+        N = space.N
+        r1 = (u1 ** (1.0 / q[0])) ** 2
+        if space.dim == 1:
+            self.r = _accel._power_tables(r1[:, None], [N])[0]
+            self.s = np.ones((1, len(u1)))
+            self.v = np.ones((1, 1))
+            self.at = (space.alphas[:, 0], np.zeros(space.size, dtype=np.int64))
+        else:
+            u2 = rule.factors[1]
+            s1 = ((1.0 - u1) ** (1.0 / q[1])) ** 2
+            self.r, self.s = _accel._power_tables(np.column_stack([r1, s1]), [N, N])
+            self.v = _accel._power_tables(((u2 ** (1.0 / q[1])) ** 2)[:, None], [N])[0]
+            self.at = (space.alphas[:, 0], space.alphas[:, 1])
+        self.w = measure_node_weights(space.measure, rule).reshape(len(u1), -1)
+        self.den = self.contract(self.w)
+
+    def contract(self, m):
+        """sum_{a,b} |z^alpha|^2 m[a, b] for each basis alpha; ``m`` real."""
+        q = self.s * (m @ self.v.T).T
+        return (self.r @ q.T)[self.at]
 
 
 def _toeplitz_radial(space, sym):
-    """Diagonal assembly for torus-invariant symbols, Gram-ratio normalized."""
-    rule = _radial_rule_for(space)
-    w = measure_node_weights(space.measure, rule)
-    mon2 = np.abs(_accel.monomial_matrix(rule.nodes, space.alphas)) ** 2
-    phi = finite_node_values(sym, rule.nodes, "symbol")
-    num = mon2 @ (w * phi)
-    den = mon2 @ w
-    return np.diag(num / den).astype(np.complex128)
+    """Diagonal assembly for torus-invariant symbols, Gram-ratio normalized.
+
+    Entry alpha is sum |z^alpha|^2 w phi over sum |z^alpha|^2 w on the radial
+    rule, both by ``_RadialDiagonal.contract``.  The real and imaginary parts
+    of w phi go through the same real kernel as the denominator, so T_1 = I
+    exactly.  The contraction tables are cached on the space.
+    """
+    rad = getattr(space, "_radial_diagonal", None)
+    if rad is None:
+        rad = space._radial_diagonal = _RadialDiagonal(space)
+    phi = finite_node_values(sym, rad.rule.nodes, "symbol").reshape(rad.w.shape)
+    diag = np.empty(space.size, dtype=np.complex128)
+    diag.real = rad.contract(rad.w * phi.real) / rad.den
+    diag.imag = rad.contract(rad.w * phi.imag) / rad.den
+    return np.diag(diag)
 
 
 def _default_rule(space):
+    if space.measure.domain.exponents is None:
+        raise CapabilityError(
+            f"plug-in domain {space.measure.domain.name} needs an explicit "
+            "quadrature rule: it has no ellipsoid structure to build one from")
     if space.dim == 1:
         radial = max(128, space.N + 32)
         return polar_tensor_rule(space.measure, radial_order=radial,

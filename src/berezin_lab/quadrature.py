@@ -67,6 +67,9 @@ class QuadratureRule:
                                  # only for torus-invariant integrands
     negrho: np.ndarray = None    # exact -rho at the nodes when known by
                                  # construction (avoids |sqrt(t)|^2 round-off)
+    factors: tuple = None        # Radial2D only: the 1-D Duffy factors, (t,)
+                                 # for n = 1 or (u1, u2) for n = 2, where node
+                                 # a*len(u2)+b has t1 = u1[a], t2 = (1-u1[a]) u2[b]
 
     def __len__(self):
         return len(self.weights)
@@ -170,7 +173,7 @@ def polar_tensor_rule(measure, radial_order=128, angular_order=None):
             raise ParameterError(
                 "full tensor rule for n=2 would exceed 2e7 nodes; "
                 "lower the orders or use radial_rule/monte_carlo_rule")
-        t1, t2, wr, negrho = _simplex_radial(q, r, radial_order)
+        t1, t2, wr, negrho, _ = _simplex_radial(q, r, radial_order)
         theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
         phase = np.exp(1j * theta)
         r1 = t1 ** (1.0 / q[0])
@@ -193,7 +196,8 @@ def _simplex_radial(q, r, order):
     """Duffy-mapped Gauss-Jacobi grid on the t-simplex for n = 2.
 
     Returns flattened t1, t2, weights (with the measure weight (1-t1-t2)^r
-    divided out), and -rho = 1 - t1 - t2 at the nodes.
+    divided out), -rho = 1 - t1 - t2 at the nodes, and the 1-D factors
+    (u1, u2) of the grid.
     """
     a1 = 2.0 / q[0]
     a2 = 2.0 / q[1]
@@ -206,14 +210,16 @@ def _simplex_radial(q, r, order):
     negrho = (1.0 - np.repeat(u1, order)) * (1.0 - np.tile(u2, order))
     if r > 0:
         w = w / negrho ** r
-    return t1, t2, w, negrho
+    return t1, t2, w, negrho, (u1, u2)
 
 
 def radial_rule(measure, order=128):
     """Radial-section rule: exact angular integration folded into the weights.
 
     Nodes lie on the real-positive modulus section, so the rule integrates
-    only torus-invariant functions correctly (scheme Radial2D).
+    only torus-invariant functions correctly (scheme Radial2D).  The rule
+    keeps its 1-D Duffy factors, so |z^alpha|^2 at the nodes factors into
+    per-coordinate power tables (see ``QuadratureRule.factors``).
     """
     q = _require_ellipsoid(measure)
     n = len(q)
@@ -223,13 +229,14 @@ def radial_rule(measure, order=128):
         nodes = (t ** (1.0 / q[0])).astype(np.complex128).reshape(-1, 1)
         w = (2.0 * np.pi / q[0]) * wt / (1.0 - t) ** r
         return QuadratureRule(nodes, w, Scheme.RADIAL2D, (order,), r,
-                              radial_only=True, negrho=1.0 - t)
+                              radial_only=True, negrho=1.0 - t, factors=(t,))
     if n == 2:
-        t1, t2, w, negrho = _simplex_radial(q, r, order)
+        t1, t2, w, negrho, factors = _simplex_radial(q, r, order)
         nodes = np.column_stack([t1 ** (1.0 / q[0]), t2 ** (1.0 / q[1])])
         w = (2.0 * np.pi) ** 2 * w
         return QuadratureRule(nodes.astype(np.complex128), w, Scheme.RADIAL2D,
-                              (order,), r, radial_only=True, negrho=negrho)
+                              (order,), r, radial_only=True, negrho=negrho,
+                              factors=factors)
     raise CapabilityError(f"radial rule supports n <= 2, got n = {n}")
 
 

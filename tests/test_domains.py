@@ -52,6 +52,43 @@ def test_rho_sign_sampling():
                 assert np.all(np.atleast_1d(dom.rho(out)) > 0)
 
 
+def _bisect_200(domain, d):
+    """boundary_point's bisection run for all 200 steps."""
+    lo, hi = 0.0, 1.0
+    while domain.rho(hi * d) < 0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if domain.rho(mid * d) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi) * d
+
+
+class _CountingRho:
+    def __init__(self, domain):
+        self.domain = domain
+        self.calls = 0
+
+    def rho(self, z):
+        self.calls += 1
+        return self.domain.rho(z)
+
+
+def test_boundary_point_stops_bisecting_bit_identically():
+    rng = np.random.default_rng(11)
+    for dom in (DISK, BALL2, make_domain("ball", n=3), EGG2,
+                make_domain("egg", m=3), POLY4):
+        for _ in range(40):
+            d = rng.normal(size=dom.dim) + 1j * rng.normal(size=dom.dim)
+            d *= rng.uniform(0.1, 3.0) / np.linalg.norm(d)
+            counting = _CountingRho(dom)
+            got = boundary_point(counting, d)
+            assert np.array_equal(got, _bisect_200(dom, d))
+            assert counting.calls < 80
+
+
 def test_hessian_disk_constant():
     for p in (0.0, 0.3 + 0.1j, -0.7j):
         assert complex_hessian(DISK, [p], [1.0], [1.0]) == pytest.approx(1.0)

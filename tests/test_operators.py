@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,12 +26,15 @@ from berezin_lab import (
     tail_norm,
     toeplitz,
 )
+from berezin_lab import _accel
 from berezin_lab.bergman import GRAM_EIGENVALUE_FLOOR
 from berezin_lab.errors import (CapabilityError, ConditioningError, NumericError,
                                 ParameterError)
 from berezin_lab.labcli import _monomial_symbols
-from berezin_lab.operators import HP, T
-from berezin_lab.quadrature import log_monomial_moments, polar_tensor_rule
+from berezin_lab.operators import _RADIAL_ORDER, HP, T
+from berezin_lab.quadrature import (finite_node_values, log_monomial_moments,
+                                    measure_node_weights, polar_tensor_rule,
+                                    radial_rule)
 
 DISK = make_domain("disk")
 
@@ -41,6 +45,17 @@ def disk_space(r, n):
 
 def sym(text, dim=1):
     return Symbol.parse(text, dim)
+
+
+def custom_disk_space(n, rule):
+    """The unit disk through callables: no closed moments, Gram-orthogonalized."""
+    custom = CustomDomain(
+        "custom-disk", 1,
+        rho=lambda z: np.abs(np.atleast_2d(z)[:, 0]) ** 2 - 1.0
+        if np.ndim(z) > 1 else float(np.abs(z[0]) ** 2 - 1.0),
+        grad_rho=lambda z: np.conj(z),
+        hessian=lambda p, x, y: complex(np.sum(x * np.conj(y))))
+    return build_space(WeightedMeasure(custom, 0.0), n, rule=rule)
 
 
 def test_toeplitz_identity_symbol():
@@ -71,6 +86,51 @@ def test_toeplitz_radial_quadrature_matches_exact():
     exact = toeplitz(sp, sym("1-abs2(z)")).matrix          # polynomial path
     rad = toeplitz(sp, sym("max(0, 1-abs2(z))")).matrix    # radial path, same values
     assert np.max(np.abs(exact - rad)) < 1e-12
+
+
+RADIAL_CASES = [("disk", {}, 0.0, 48, "max(0, 1-abs(z))"),
+                ("disk", {}, 1.0, 48, "abs(z)"),
+                ("ball", {"n": 2}, 0.0, 24, "max(0, 1-abs2(z1)-abs(z2))"),
+                ("egg", {"m": 2}, 0.5, 24, "abs(z1)*abs(z2) + sqrt(abs(z2))"),
+                ("smoothed_polydisk", {}, 0.0, 40, "max(0, 1-(1-abs(z2))/0.3)")]
+
+
+@pytest.mark.parametrize("name,kw,r,n,text", RADIAL_CASES)
+def test_toeplitz_radial_matches_dense_monomial_reference(name, kw, r, n, text):
+    # the diagonal as a basis x nodes monomial matrix would give it
+    dom = make_domain(name, **kw)
+    sp = build_space(WeightedMeasure(dom, r), n)
+    s = sym(text, dom.dim)
+    rule = radial_rule(sp.measure, order=_RADIAL_ORDER)
+    w = measure_node_weights(sp.measure, rule)
+    mon2 = np.abs(_accel.monomial_matrix(rule.nodes, sp.alphas)) ** 2
+    want = (mon2 @ (w * finite_node_values(s, rule.nodes, "symbol"))) / (mon2 @ w)
+    m = toeplitz(sp, s).matrix
+    assert np.count_nonzero(m - np.diag(np.diagonal(m))) == 0
+    assert np.max(np.abs(np.diagonal(m) - want) / np.abs(want)) <= 1e-14
+
+
+@pytest.mark.parametrize("name,kw,r,n", [("disk", {}, 1.0, 48),
+                                         ("ball", {"n": 2}, 0.0, 24),
+                                         ("smoothed_polydisk", {}, 0.0, 16)])
+def test_toeplitz_radial_of_one_is_exact_identity(name, kw, r, n):
+    # radial and not a polynomial, and 1 on the whole domain
+    dom = make_domain(name, **kw)
+    sp = build_space(WeightedMeasure(dom, r), n)
+    m = toeplitz(sp, sym("max(1, abs(z))", dom.dim)).matrix
+    assert np.array_equal(m, np.eye(sp.size))
+
+
+def test_toeplitz_radial_builds_no_basis_by_nodes_array():
+    # B = 861 and 25,600 radial nodes: a complex monomial matrix would be 353 MB
+    sp = build_space(WeightedMeasure(make_domain("smoothed_polydisk"), 0.0), 40)
+    tracemalloc.start()
+    try:
+        toeplitz(sp, sym("max(0, 1-(1-abs(z2))/0.3)", 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_toeplitz_general_quadrature_matches_exact():
@@ -280,15 +340,8 @@ def test_shift_path_matches_dense_factor_products(dim, n, texts):
 
 
 def test_plugin_space_dense_algebra_and_residuals_need_closed_moments():
-    # the unit disk through callables: no closed moments, Gram-orthogonalized
-    custom = CustomDomain(
-        "custom-disk", 1,
-        rho=lambda z: np.abs(np.atleast_2d(z)[:, 0]) ** 2 - 1.0
-        if np.ndim(z) > 1 else float(np.abs(z[0]) ** 2 - 1.0),
-        grad_rho=lambda z: np.conj(z),
-        hessian=lambda p, x, y: complex(np.sum(x * np.conj(y))))
     rule = polar_tensor_rule(WeightedMeasure(DISK, 0.0), radial_order=64)
-    sp = build_space(WeightedMeasure(custom, 0.0), 8, rule=rule)
+    sp = custom_disk_space(8, rule)
     exact = disk_space(0.0, 8)
     z, zb = sym("z"), sym("conj(z)")
     # the plug-in basis spans the same polynomials in another orthonormal
@@ -305,6 +358,14 @@ def test_plugin_space_dense_algebra_and_residuals_need_closed_moments():
                  lambda: product_decomposition_residual(sp, [zb, z], 2)):
         with pytest.raises(CapabilityError, match="closed-moment .Reinhardt."):
             call()
+
+
+def test_plugin_space_toeplitz_without_rule_asks_for_one():
+    sp = custom_disk_space(8, polar_tensor_rule(WeightedMeasure(DISK, 0.0),
+                                                radial_order=64))
+    with pytest.raises(CapabilityError, match="plug-in domain custom-disk needs "
+                                              "an explicit quadrature rule"):
+        toeplitz(sp, sym("z"))
 
 
 def test_composition_through_truncated_index():

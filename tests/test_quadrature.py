@@ -146,6 +146,21 @@ def test_radial_rule_matches_full_rule_for_radial_integrands():
     assert got.real == pytest.approx(want, rel=5e-6)
 
 
+def test_radial_rule_nodes_are_its_duffy_factors():
+    for dom in (DISK, make_domain("egg", m=2)):
+        q = dom.exponents
+        rule = radial_rule(WeightedMeasure(dom, 0.5), order=12)
+        if dom.dim == 1:
+            (t,) = rule.factors
+            assert np.array_equal(rule.nodes[:, 0], t ** (1.0 / q[0]))
+            continue
+        u1, u2 = rule.factors
+        t1 = np.repeat(u1, len(u2))
+        t2 = (1.0 - t1) * np.tile(u2, len(u1))
+        assert np.array_equal(rule.nodes[:, 0], t1 ** (1.0 / q[0]))
+        assert np.array_equal(rule.nodes[:, 1], t2 ** (1.0 / q[1]))
+
+
 def test_monte_carlo_rule_reproducible_and_interior():
     meas = WeightedMeasure(BALL2, 0.0)
     rule_a = monte_carlo_rule(meas, samples=200_000, seed=9)

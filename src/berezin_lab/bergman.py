@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .domains import inflate
+from .domains import BOUNDARY_TOL_COEFF, inflate
 from .errors import (BoundaryError, CapabilityError, ConditioningError,
                      ParameterError)
 from .quadrature import (WeightedMeasure, inflation_constant,
@@ -186,7 +186,19 @@ class KernelEvaluator:
         return float(dens[top].sum() / total) if total > 0 else 0.0
 
     def inside_contract(self, z):
-        return -float(self.space.measure.domain.rho(np.asarray(z, dtype=np.complex128))) >= DELTA_INTERIOR
+        """True when -rho(z) >= DELTA_INTERIOR, the interior accuracy contract.
+
+        Raises :class:`BoundaryError` when z lies outside the closed domain,
+        rho(z) > BOUNDARY_TOL_COEFF (1 + |z|^2), where the kernel is not
+        defined: the truncated series would still return a number there.
+        """
+        z = np.asarray(z, dtype=np.complex128)
+        domain = self.space.measure.domain
+        rho = float(domain.rho(z))
+        if rho > BOUNDARY_TOL_COEFF * (1.0 + float(np.sum(np.abs(z) ** 2))):
+            raise BoundaryError(f"point {z} lies outside {domain.name} "
+                                f"(rho = {rho:.6g})")
+        return -rho >= DELTA_INTERIOR
 
 
 def project(space, f, rule):
@@ -201,8 +213,10 @@ def kernel_mass_outside(ev, z, center, radius, rule):
     """Weighted mass of |k_z|^2 outside the ball U = {|w - center| < radius}.
 
     The quantity that must vanish as z approaches a peak boundary point for
-    any fixed neighborhood U of that point.
+    any fixed neighborhood U of that point.  Raises :class:`BoundaryError`
+    when z lies outside the closed domain (see ``inside_contract``).
     """
+    ev.inside_contract(z)
     space = ev.space
     v = ev.normalized_kernel(z)
     center = np.atleast_1d(np.asarray(center, dtype=np.complex128))

@@ -27,7 +27,9 @@ densified only when a matrix is returned, when every symbol is a polynomial
 on a closed-moment space; else dense matrices from ``toeplitz`` and
 ``hankel_gram``.  Each formula is written once for both forms.  The identity
 residuals need a closed-moment space and raise :class:`CapabilityError` on
-any other.
+any other.  They take the difference of the two sides and its block max in
+one pass over the shifts, building no intermediate operator, and reuse the
+operators that recur from one identity to the next (``_ShiftCache``).
 """
 
 import operator
@@ -92,6 +94,9 @@ def SC(value):
     return ("scalar", complex(value))
 
 
+_MINUS_ONE = SC(-1.0)
+
+
 @dataclass(frozen=True)
 class OperatorExpr:
     """Finite sum of finite products of factors (nonempty)."""
@@ -99,7 +104,7 @@ class OperatorExpr:
     terms: tuple
 
     def __post_init__(self):
-        if not self.terms or any(not t for t in self.terms):
+        if not self.terms or not all(self.terms):
             raise ParameterError("operator expression must be a nonempty sum of nonempty products")
 
     @classmethod
@@ -133,26 +138,25 @@ def decompose_product(symbols):
         tail = symbols[i + 1]
         for s in symbols[i + 2:]:
             tail = tail * s
-        product = (SC(-1.0),) + tuple(T(s) for s in symbols[:i]) + (HP(symbols[i], tail),)
-        terms.append(product)
+        terms.append((_MINUS_ONE, *map(T, symbols[:i]), HP(symbols[i], tail)))
     return OperatorExpr(tuple(terms))
 
 
 # ---------------------------------------------------------------------------
 # weighted-shift algebra (polynomial symbols on Reinhardt spaces)
 #
-# An operator is a _Shifts: a dict {shift s: w} of complex weight vectors of
-# length B, w[alpha] = <T e_alpha, e_{alpha+s}>, zero where alpha+s leaves the
+# An operator is a _Shifts: a dict {shift s: w} of weight vectors (float64 or
+# complex128) of length B, w[alpha] = <T e_alpha, e_{alpha+s}>, zero where alpha+s leaves the
 # truncation; the matrix entry [alpha+s, alpha] is w[alpha].  Weight vectors
-# may be shared with the per-space Toeplitz cache, so operations build new
-# arrays and never write into their inputs.
+# may be shared with the per-space caches, so operations build new arrays and
+# never write into their inputs.
 # ---------------------------------------------------------------------------
 
 class _ShiftIndex:
     """Where each multiindex shift sends each basis index of one truncated
     space, cached per shift.  It keeps the space's arrays but not the space,
-    so the Toeplitz weight maps cached on the space, which point here, form
-    no reference cycle with it and are freed with it."""
+    so the operators cached on the space, which point here, form no
+    reference cycle with it and are freed with it."""
 
     def __init__(self, space):
         self.alphas = space.alphas
@@ -163,6 +167,8 @@ class _ShiftIndex:
         self.strides = stride ** np.arange(n, dtype=np.int64)
         self.inverse = np.full(stride ** n, -1, dtype=np.int64)
         self.inverse[space.alphas @ self.strides] = np.arange(space.size)
+        self.zero = np.zeros(space.size)
+        self.zero.flags.writeable = False
         self.cache = {}
 
     def targets(self, shift):
@@ -178,8 +184,23 @@ class _ShiftIndex:
         return hit
 
 
-def _poly_key(sym):
-    return frozenset((a, b, complex(c)) for (a, b), c in sym.poly.items())
+class _ShiftCache:
+    """What a space's weighted-shift algebra reuses across calls, held by
+    the space.  Operators are keyed by polynomial keys (``Symbol.key``) and
+    point only to the ``_ShiftIndex``, so nothing here refers back to the
+    space.  Only operators whose number stays small are kept: one per
+    distinct polynomial, Hankel pairs of two operand symbols, and the last
+    leading pair product; never one per identity."""
+
+    __slots__ = ("toeplitz", "hankel", "last_pair", "keep", "blocks")
+
+    def __init__(self):
+        self.toeplitz = {}   # key -> T_s
+        self.hankel = {}     # (key phi, key psi) -> H*_psi H_phi, phi an operand
+        self.last_pair = None  # ((key a, key b), T_a T_b) of the last chain
+        self.keep = {}       # margin -> truncation-safe index mask
+        self.blocks = {}     # (margin, shift) -> mask of the alpha with alpha and
+                             #   alpha+shift truncation-safe, False if none
 
 
 def _shift_order(shift):
@@ -189,13 +210,14 @@ def _shift_order(shift):
 
 class _Shifts:
     """Weighted-shift operator (see above) with the ndarray operations the
-    formulas use (``@ + -``, scalar ``*``), plus ``adjoint``, ``dense``, ``block_max``."""
+    formulas use (``@ + -``, scalar ``*``), plus ``adjoint`` and ``dense``."""
 
-    __slots__ = ("index", "w")
+    __slots__ = ("index", "w", "_adjoint")
 
     def __init__(self, index, w):
         self.index = index
         self.w = w
+        self._adjoint = None
 
     def __matmul__(self, other):
         """A @ B (B applied first); entry products are A-value * B-value.
@@ -234,13 +256,16 @@ class _Shifts:
         return _Shifts(self.index, {s: w * scal for s, w in self.w.items()})
 
     def adjoint(self):
-        out = {}
-        for s, w in self.w.items():
-            tgt, valid = self.index.targets(s)
-            v = np.zeros(self.index.size, dtype=np.complex128)
-            v[tgt[valid]] = np.conj(w[valid])
-            out[tuple(-x for x in s)] = v
-        return _Shifts(self.index, out)
+        """The adjoint, built once per operator."""
+        if self._adjoint is None:
+            out = {}
+            for s, w in self.w.items():
+                tgt, valid = self.index.targets(s)
+                v = np.zeros(self.index.size, dtype=w.dtype)
+                v[tgt[valid]] = np.conj(w[valid])
+                out[tuple(-x for x in s)] = v
+            self._adjoint = _Shifts(self.index, out)
+        return self._adjoint
 
     def dense(self):
         nb = self.index.size
@@ -251,39 +276,39 @@ class _Shifts:
             mat[tgt[cols], cols] += w[cols]
         return mat
 
-    def block_max(self, keep):
-        """max |entry| over rows and columns in ``keep`` (0.0 when none)."""
-        parts = []
-        for s, w in self.w.items():
-            tgt, valid = self.index.targets(s)
-            mask = valid & keep & keep[tgt]
-            if np.any(mask):
-                parts.append(np.abs(w[mask]))
-        return float(np.max(np.concatenate(parts))) if parts else 0.0
-
 
 class _ShiftForm:
-    """Factors as weighted shifts (polynomial symbols, Reinhardt spaces)."""
+    """Factors as weighted shifts (polynomial symbols, Reinhardt spaces).
 
-    def __init__(self, space):
+    ``operands`` are the symbols of the calling identity: Hankel pairs whose
+    H-symbol is one of them are kept in the space's cache.
+    """
+
+    def __init__(self, space, operands=()):
         if not hasattr(space, "_shift_index"):
             space._shift_index = _ShiftIndex(space)
-            space._toeplitz_shift_cache = {}
+            space._shift_cache = _ShiftCache()
         self.space = space
         self.index = space._shift_index
+        self.cache = space._shift_cache
+        self.operands = operands
 
     def toeplitz(self, sym):
         """Closed-form weights of T_sym for a polynomial symbol: monomial
         z^gamma zbar^delta contributes c_alpha c_beta m_{alpha+gamma} at shift
         gamma - delta; monomials sharing a shift are summed in the symbol's
-        order.  Cached on the space, keyed by the monomial dict."""
-        space, index = self.space, self.index
-        cache = space._toeplitz_shift_cache
-        key = _poly_key(sym)
-        hit = cache.get(key)
+        order.  Cached on the space by the symbol's key.
+
+        The weights are real (float64) when every coefficient is: complex
+        arithmetic on x + 0j gives the same values as real arithmetic on x,
+        and real weights take half the memory and time."""
+        cache = self.cache.toeplitz
+        hit = cache.get(sym.key)
         if hit is not None:
             return hit
+        space, index = self.space, self.index
         logm = space.log_moments
+        real = all(c.imag == 0 for c in sym.poly.values())
         out = {}
         for (gamma, delta), c in sym.poly.items():
             shift = tuple(g - d for g, d in zip(gamma, delta))
@@ -294,13 +319,41 @@ class _ShiftForm:
             rows = tgt[cols]
             ext = space.alphas[cols] + np.asarray(gamma, dtype=np.int64)
             logext = log_monomial_moments(space.measure, ext)
-            w = out.setdefault(shift, np.zeros(space.size, dtype=np.complex128))
-            w[cols] += c * np.exp(logext - 0.5 * logm[cols] - 0.5 * logm[rows])
-        hit = cache[key] = _Shifts(index, out)
+            w = out.setdefault(shift, np.zeros(space.size,
+                                               dtype=np.float64 if real else np.complex128))
+            w[cols] += (c.real if real else c) * np.exp(logext - 0.5 * logm[cols]
+                                                        - 0.5 * logm[rows])
+        hit = cache[sym.key] = _Shifts(index, out)
         return hit
 
+    def chain(self, symbols):
+        """T_{s_1} ... T_{s_m}, multiplied left to right.  The product of the
+        first two factors is kept for the next call: a sweep varies the last
+        factor fastest, so consecutive identities share it, and one kept
+        product costs no memory that grows with the sweep."""
+        if len(symbols) == 1:
+            return self.toeplitz(symbols[0])
+        first, second = symbols[0], symbols[1]
+        pair = (first.key, second.key)
+        last = self.cache.last_pair
+        if last is not None and last[0] == pair:
+            acc = last[1]
+        else:
+            acc = self.toeplitz(first) @ self.toeplitz(second)
+            self.cache.last_pair = (pair, acc)
+        for s in symbols[2:]:
+            acc = acc @ self.toeplitz(s)
+        return acc
+
     def hankel(self, phi, psi):
-        return _hankel_pair(self, phi, psi)
+        """H*_psi H_phi, kept in the space's cache when phi is an operand."""
+        if phi not in self.operands:          # Symbol equality is identity
+            return _hankel_pair(self, phi, psi)
+        pair = (phi.key, psi.key)
+        hit = self.cache.hankel.get(pair)
+        if hit is None:
+            hit = self.cache.hankel[pair] = _hankel_pair(self, phi, psi)
+        return hit
 
     def identity(self):
         return _Shifts(self.index, {(0,) * self.space.dim:
@@ -308,6 +361,38 @@ class _ShiftForm:
 
     def zero(self):
         return _Shifts(self.index, {})
+
+    def keep(self, margin):
+        """Mask of the truncation-safe indices, total degree <= N - margin."""
+        keep = self.cache.keep.get(margin)
+        if keep is None:
+            keep = self.space.degrees <= self.space.N - margin
+            if not np.any(keep):
+                raise ParameterError(f"margin {margin} leaves no truncation-safe indices")
+            self.cache.keep[margin] = keep
+        return keep
+
+    def block_max(self, margin, combine, *ops):
+        """max |combine(w_1, ..., w_k)| over the truncation-safe block (0.0
+        when it is empty), where w_i is the weight vector of ``ops[i]`` at one
+        shift, zeros if it has none.  The combination runs one shift at a
+        time and builds no operator, and each entry goes through the same
+        arithmetic as ``combine`` applied to whole operators."""
+        blocks, zero = self.cache.blocks, self.index.zero
+        best = 0.0
+        for s in set().union(*[op.w for op in ops]):
+            block = blocks.get((margin, s))
+            if block is None:
+                keep = self.keep(margin)
+                tgt, valid = self.index.targets(s)
+                block = valid & keep & keep[tgt]
+                block = blocks[margin, s] = block if block.any() else False
+            if block is False:
+                continue
+            top = float(np.abs(combine(*[op.w.get(s, zero) for op in ops])[block]).max())
+            if top > best or top != top:      # a NaN entry wins, as in np.max
+                best = top
+        return best
 
     adjoint = staticmethod(_Shifts.adjoint)
     dense = staticmethod(_Shifts.dense)
@@ -481,28 +566,32 @@ def _expr_symbols(expr):
             if f[0] in ("toeplitz", "hankel_pair") for s in f[1:]]
 
 
+def _product(form, product):
+    """(scal, left-to-right product of the other factors) for one term."""
+    scal = 1.0 + 0.0j
+    acc = None
+    for factor in product:
+        kind = factor[0]
+        if kind == "scalar":
+            scal *= factor[1]
+            continue
+        if kind == "toeplitz":
+            m = form.toeplitz(factor[1])
+        elif kind == "hankel_pair":
+            m = form.hankel(factor[2], factor[1].conj())
+        elif kind == "identity":
+            m = form.identity()
+        else:
+            raise ParameterError(f"unknown factor kind {kind!r}")
+        acc = m if acc is None else acc @ m
+    return scal, form.identity() if acc is None else acc
+
+
 def _sum_of_products(form, expr):
     """Running sum over the terms of scal * (left-to-right factor product)."""
     total = form.zero()
     for product in expr.terms:
-        scal = 1.0 + 0.0j
-        acc = None
-        for factor in product:
-            kind = factor[0]
-            if kind == "scalar":
-                scal *= factor[1]
-                continue
-            if kind == "toeplitz":
-                m = form.toeplitz(factor[1])
-            elif kind == "hankel_pair":
-                m = form.hankel(factor[2], factor[1].conj())
-            elif kind == "identity":
-                m = form.identity()
-            else:
-                raise ParameterError(f"unknown factor kind {kind!r}")
-            acc = m if acc is None else acc @ m
-        if acc is None:
-            acc = form.identity()
+        scal, acc = _product(form, product)
         total += scal * acc
     return total
 
@@ -525,11 +614,11 @@ def materialize(expr, space, rule=None):
 # identity checks on truncation-safe blocks
 # ---------------------------------------------------------------------------
 
-def _safe_block(space, what, symbols, degree_of, margin):
-    """Indices of the truncation-safe block for a ``what`` residual over
-    ``symbols``, whose degree ``degree_of`` combines from theirs.  Residuals
-    hold their operators as weighted shifts, so the space must have
-    normalized monomials."""
+def _residual_form(space, what, symbols, degree_of, margin):
+    """Weighted-shift form for a ``what`` residual over ``symbols``, whose
+    degree ``degree_of`` combines from theirs, after checking the space, the
+    symbols and the margin.  Residuals hold their operators as weighted
+    shifts, so the space must have normalized monomials."""
     if not space.normalized_monomials:
         raise CapabilityError(
             f"{what} residual needs a closed-moment (Reinhardt) space with "
@@ -539,20 +628,18 @@ def _safe_block(space, what, symbols, degree_of, margin):
     degree = degree_of(s.degree for s in symbols)
     if margin < degree:
         raise ParameterError(f"margin {margin} is below the symbol degree {degree}")
-    keep = space.degrees <= space.N - margin
-    if not np.any(keep):
-        raise ParameterError(f"margin {margin} leaves no truncation-safe indices")
-    return keep
+    form = _ShiftForm(space, operands=symbols)
+    form.keep(margin)
+    return form
 
 
 def semi_commutator_residual(space, phi2, phi1, margin):
     """Max-entry residual of T_{phi2} T_{phi1} = T_{phi2 phi1} - H*_{conj(phi2)} H_{phi1}
     over the truncation-safe block (closed-moment spaces only)."""
-    keep = _safe_block(space, "semi-commutator", (phi2, phi1), max, margin)
-    form = _ShiftForm(space)
-    t = form.toeplitz
-    resid = t(phi2) @ t(phi1) - t(phi2 * phi1) + form.hankel(phi1, phi2.conj())
-    return resid.block_max(keep)
+    form = _residual_form(space, "semi-commutator", (phi2, phi1), max, margin)
+    return form.block_max(margin, lambda p, t, h: p - t + h,
+                          form.chain((phi2, phi1)), form.toeplitz(phi2 * phi1),
+                          form.hankel(phi1, phi2.conj()))
 
 
 def product_decomposition_residual(space, symbols, margin):
@@ -560,13 +647,24 @@ def product_decomposition_residual(space, symbols, margin):
     decomposition (one Toeplitz with the product symbol plus Hankel
     corrections) over the truncation-safe block (closed-moment spaces only)."""
     symbols = list(symbols)
-    keep = _safe_block(space, "product decomposition", symbols, sum, margin)
-    expr = decompose_product(symbols)
-    form = _ShiftForm(space)
-    direct = form.toeplitz(symbols[0])
-    for s in symbols[1:]:
-        direct = direct @ form.toeplitz(s)
-    return (direct - _sum_of_products(form, expr)).block_max(keep)
+    form = _residual_form(space, "product decomposition", symbols, sum, margin)
+    terms = [_product(form, p) for p in decompose_product(symbols).terms]
+    scals = [scal for scal, _ in terms]
+
+    def direct_minus_sum(direct, *ws):
+        # left-to-right sum of scal * w; a scalar of +-1 adds or subtracts w,
+        # which gives the same values as multiplying by it
+        total = None
+        for w, scal in zip(ws, scals):
+            if scal == -1:
+                total = -w if total is None else total - w
+            else:
+                w = w if scal == 1 else w * scal
+                total = w if total is None else total + w
+        return direct - total
+
+    return form.block_max(margin, direct_minus_sum, form.chain(symbols),
+                          *[op for _, op in terms])
 
 
 # ---------------------------------------------------------------------------
@@ -591,15 +689,16 @@ def boundary_profile(op, p0, t_grid):
     """Berezin values along the inward radial path z(t) = t p0.
 
     Samples too close to the boundary for the interior accuracy contract are
-    flagged (and annotated with the top-degree kernel share), never dropped.
+    flagged (and annotated with the top-degree kernel share), never dropped;
+    a sample outside the closed domain raises :class:`BoundaryError`.
     """
     p0 = np.atleast_1d(np.asarray(p0, dtype=np.complex128))
     ev = KernelEvaluator(op.space)
     out = []
     for t in t_grid:
         z = float(t) * p0
-        val = berezin(op, z)
         flag = not ev.inside_contract(z)
+        val = berezin(op, z)
         out.append(ProfileSample(float(t), val, flag, ev.truncation_tail_fraction(z)))
     return out
 

@@ -13,6 +13,7 @@ of structure are detected on the parse tree and drive fast paths downstream:
 """
 
 import enum
+from functools import cached_property
 
 import numpy as np
 
@@ -342,6 +343,9 @@ class Symbol:
                 all(a == b for (a, b) in (poly or {}))
         self.radial = bool(radial)
         self.text = text if text is not None else self._synth_text()
+        self._conj = None
+        self._table = None        # _ProductTable this symbol multiplies through
+        self._interned = False    # reachable from a table, so never holds one
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -377,7 +381,7 @@ class Symbol:
             return SymbolTag.RADIAL
         return SymbolTag.GENERAL
 
-    @property
+    @cached_property
     def degree(self):
         """Total degree in (z, zbar) for polynomial symbols, else None."""
         if self.poly is None:
@@ -386,21 +390,45 @@ class Symbol:
             return 0
         return max(sum(a) + sum(b) for a, b in self.poly)
 
+    @cached_property
+    def key(self):
+        """Hashable polynomial key: the (alpha, beta, coeff) monomials in the
+        dict's order (which downstream sums follow), or None for a
+        non-polynomial symbol.  Computed once; ``poly`` is never mutated."""
+        if self.poly is None:
+            return None
+        return tuple((a, b, complex(c)) for (a, b), c in self.poly.items())
+
     # -- algebra -------------------------------------------------------------
     def conj(self):
-        if self.ast is not None:
-            return Symbol(self.dim, ast=("call", "conj", [self.ast]),
-                          text=f"conj({self.text})")
-        return Symbol(self.dim, poly=_poly_conj(self.poly), radial=self.radial,
-                      text=f"conj({self.text})")
+        """The complex conjugate symbol, built once per symbol."""
+        if self._conj is None:
+            if self.ast is not None:
+                c = Symbol(self.dim, ast=("call", "conj", [self.ast]),
+                           text=f"conj({self.text})")
+            else:
+                c = Symbol(self.dim, poly=_poly_conj(self.poly), radial=self.radial,
+                           text=f"conj({self.text})")
+            c._table, c._interned = self._table, self._interned
+            self._conj = c
+        return self._conj
 
     def __mul__(self, other):
+        """Product symbol.  Polynomial products go through a
+        :class:`_ProductTable` shared with the operands, so a repeated product
+        is the same Symbol and no polynomial is expanded twice."""
         if not isinstance(other, Symbol):
             return NotImplemented
         if self.poly is not None and other.poly is not None:
-            return Symbol(self.dim, poly=_poly_mul(self.poly, other.poly),
-                          radial=self.radial and other.radial,
-                          text=f"({self.text})*({other.text})")
+            table = self._table or other._table
+            if table is None:
+                if self._interned and other._interned:
+                    return _poly_product(self, other)
+                table = _ProductTable()
+            for s in (self, other):
+                if s._table is None and not s._interned:
+                    s._table = table
+            return table.product(self, other)
         if self.ast is not None and other.ast is not None:
             return Symbol(self.dim, ast=("*", self.ast, other.ast),
                           text=f"({self.text})*({other.text})")
@@ -447,3 +475,36 @@ class Symbol:
 
     def __repr__(self):
         return f"Symbol({self.text!r}, tag={self.tag.value})"
+
+
+def _poly_product(a, b):
+    """Product of two polynomial symbols; torus invariance is read off the
+    product polynomial."""
+    return Symbol(a.dim, poly=_poly_mul(a.poly, b.poly), text=f"({a.text})*({b.text})")
+
+
+class _ProductTable:
+    """Polynomial products of the symbols that have been multiplied together,
+    interned by key: one Symbol per distinct polynomial (its text is that of
+    the product that first built it), looked up by the operands' keys.
+
+    The operands hold the table; the products it holds, and everything
+    derived from them, are marked interned and never hold a table, so there
+    is no reference cycle and the table is freed with its operands.
+    """
+
+    __slots__ = ("by_pair", "by_key")
+
+    def __init__(self):
+        self.by_pair = {}   # (left key, right key) -> product
+        self.by_key = {}    # product key -> product
+
+    def product(self, a, b):
+        pair = (a.key, b.key)
+        hit = self.by_pair.get(pair)
+        if hit is None:
+            made = _poly_product(a, b)
+            hit = self.by_key.setdefault(made.key, made)
+            hit._interned = True
+            self.by_pair[pair] = hit
+        return hit

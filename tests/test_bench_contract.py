@@ -25,3 +25,19 @@ def test_every_traced_span_target_exists():
     finally:
         tracer.uninstall()
     assert callable(berezin_lab._accel.backend_name)
+
+
+def test_tiny_sweep_fires_every_identity_sweep_span(tmp_path):
+    from berezin_lab import labcli
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        labcli.run("semi-commutator", {"domain": {"name": "disk"}, "r": 0.0, "N": 8,
+                                       "degree": 1, "out": str(tmp_path)})
+    finally:
+        tracer.uninstall()
+    assert tracer.missing("identity-sweep") == []
+    n = 3                                   # 1, z, conj(z)
+    summary = tracer.summary()
+    assert summary["operators.semi_commutator_residual.calls"] == n ** 2
+    assert summary["operators.product_decomposition_residual.calls"] == n ** 3

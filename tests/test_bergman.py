@@ -195,6 +195,15 @@ def test_mass_concentration_near_peak_point():
     assert m99 < 0.1
 
 
+def test_kernel_mass_outside_rejects_points_outside_the_domain():
+    sp = disk_space(0.0, 16)
+    ev = KernelEvaluator(sp)
+    rule = polar_tensor_rule(sp.measure, radial_order=32, angular_order=64)
+    kernel_mass_outside(ev, [1.0], [1.0], 0.3, rule)        # boundary point: allowed
+    with pytest.raises(BoundaryError, match="outside disk"):
+        kernel_mass_outside(ev, [1.0 + 1e-6], [1.0], 0.3, rule)
+
+
 def test_project_examples():
     sp = disk_space(0.0, 12)
     rule = polar_tensor_rule(sp.measure, radial_order=64)

@@ -89,7 +89,7 @@ def test_axler_zheng_thresholds_override_only_what_they_set(tmp_path):
 
 def test_profile_row_count_matches_grid(tmp_path):
     config = {"domain": {"name": "disk"}, "r": 0.0, "N": 32, "symbol": "1",
-              "point": [1.0, 0.0], "t_grid": [0.1 * k for k in range(1, 21)],
+              "point": [1.0, 0.0], "t_grid": [0.05 * k for k in range(1, 21)],
               "out": str(tmp_path)}
     rep = labcli.run("berezin-profile", config)
     table = rep.tables["profile"]
@@ -239,6 +239,23 @@ def test_symbol_not_finite_at_node_exits_1(tmp_path, capsys):
                         "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: symbol not finite at node")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mass", [False, True])
+def test_profile_point_outside_domain_exits_1(tmp_path, capsys, mass):
+    config = {"domain": {"name": "disk"}, "r": 0.0, "N": 16, "symbol": "re(z)",
+              "point": [1.0, 0.0], "t_grid": [0.5, 1.5]}
+    if mass:
+        config["mass_outside"] = {"center": [1.0, 0.0], "radius": 0.3, "quad_order": 32}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert labcli.main(["berezin-profile", "--config", str(cfg),
+                        "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: point [1.5+0.j] lies outside disk")
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,8 +1,13 @@
+import gc
+import itertools
+import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from berezin_lab import (
     CustomDomain,
@@ -26,7 +31,7 @@ from berezin_lab import (
     tail_norm,
     toeplitz,
 )
-from berezin_lab import _accel
+from berezin_lab import _accel, labcli
 from berezin_lab.bergman import GRAM_EIGENVALUE_FLOOR
 from berezin_lab.errors import (CapabilityError, ConditioningError, NumericError,
                                 ParameterError)
@@ -298,6 +303,103 @@ def test_semi_commutator_matches_dense_recomputation_exactly(domain, r, n):
                   - toeplitz(sp, psi).matrix.conj().T @ toeplitz(sp, s1).matrix)
             dense = np.max(np.abs((t2 @ t1 - t21 + hg)[np.ix_(keep, keep)]))
             assert semi_commutator_residual(sp, s2, s1, 2) == dense
+
+
+@pytest.mark.parametrize("domain,n", [("disk", 24), ("ball", 12)])
+def test_product_decomposition_matches_dense_recomputation_exactly(domain, n):
+    # T3 T2 T1 - (T_{s3 s2 s1} - T3 H*_{conj s2} H_{s1} - H*_{conj s3} H_{s2 s1})
+    dom = make_domain(domain, n=2) if domain == "ball" else make_domain(domain)
+    sp = build_space(WeightedMeasure(dom, 0.0), n)
+    syms = _monomial_symbols(dom.dim, 1)
+    block = np.ix_(sp.degrees <= sp.N - 3, sp.degrees <= sp.N - 3)
+
+    def t(s):
+        return toeplitz(sp, s).matrix
+
+    for s3, s2, s1 in itertools.product(syms, repeat=3):
+        direct = t(s3) @ t(s2) @ t(s1)
+        decomposition = (t(s3 * s2 * s1) - t(s3) @ hankel_gram(sp, s1, s2.conj())
+                         - hankel_gram(sp, s2 * s1, s3.conj()))
+        dense = np.max(np.abs((direct - decomposition)[block]))
+        assert product_decomposition_residual(sp, [s3, s2, s1], 3) == dense
+
+
+_WARM = {dim: build_space(WeightedMeasure(make_domain("disk") if dim == 1
+                                          else make_domain("ball", n=2), 0.0), 12)
+         for dim in (1, 2)}
+
+
+@st.composite
+def _poly_symbols(draw, dim):
+    """1-3 monomials of degree <= 2 with complex coefficients; few distinct
+    values, so that products of different draws share polynomial keys."""
+    exps = st.tuples(*[st.integers(0, 1)] * (2 * dim)).filter(lambda e: sum(e) <= 2)
+    coeff = st.sampled_from([1.0, -1.0, 1j, 0.5 - 2j, 1.5 + 0.25j])
+    monos = draw(st.dictionaries(exps, coeff, min_size=1, max_size=3))
+    return Symbol.from_monomials({(e[:dim], e[dim:]): c for e, c in monos.items()}, dim)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2]).flatmap(lambda d: st.lists(_poly_symbols(d), min_size=3,
+                                                          max_size=3)))
+def test_residuals_on_a_warm_space_equal_a_fresh_space(symbols):
+    warm = _WARM[symbols[0].dim]
+
+    def fresh():
+        return build_space(warm.measure, warm.N)
+
+    s3, s2, s1 = symbols
+    margin = max(s2.degree, s1.degree)
+    assert (semi_commutator_residual(warm, s2, s1, margin)
+            == semi_commutator_residual(fresh(), s2, s1, margin))
+    margin = sum(s.degree for s in symbols)
+    assert (product_decomposition_residual(warm, symbols, margin)
+            == product_decomposition_residual(fresh(), symbols, margin))
+
+
+def test_residual_caches_are_freed_with_their_space():
+    syms = _monomial_symbols(2, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        sp = build_space(WeightedMeasure(make_domain("ball", n=2), 0.0), 8)
+        semi_commutator_residual(sp, syms[1], syms[3], 1)
+        product_decomposition_residual(sp, syms[1:4], 3)
+        space, product = weakref.ref(sp), weakref.ref(syms[1] * syms[3])
+        del sp
+        assert space() is None
+        del syms
+        assert product() is None        # the product table goes with its operands
+    finally:
+        gc.enable()
+
+
+def _module_container_sizes():
+    """len() of every dict, list and set bound in a berezin_lab module or on
+    one of its classes."""
+    sizes = {}
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "berezin_lab" or name.startswith("berezin_lab.")):
+            continue
+        owners = [(name, vars(module))] + [
+            (f"{name}.{k}", vars(v)) for k, v in vars(module).items()
+            if isinstance(v, type) and v.__module__ == name]
+        for owner, namespace in owners:
+            for attr, val in namespace.items():
+                if isinstance(val, (dict, list, set)):
+                    sizes[owner, attr] = len(val)
+    return sizes
+
+
+def test_semi_commutator_runs_leave_no_module_level_growth(tmp_path):
+    config = {"domain": {"name": "ball", "n": 2}, "r": 0.0, "N": 8, "degree": 1,
+              "out": str(tmp_path)}
+    labcli.run("semi-commutator", dict(config))
+    first = _module_container_sizes()
+    labcli.run("semi-commutator", dict(config))
+    grown = {k: (first.get(k), v) for k, v in _module_container_sizes().items()
+             if v > first.get(k, 0)}
+    assert grown == {}
 
 
 def dense_toeplitz(space, symbol):

@@ -1,3 +1,6 @@
+import gc
+import itertools
+
 import numpy as np
 import pytest
 
@@ -106,3 +109,28 @@ def test_points_dimension_check():
     sym = Symbol.parse("z1+z2", 2)
     with pytest.raises(ParameterError):
         sym(rand_points(3))
+
+
+def test_polynomial_products_are_interned():
+    z1, w = Symbol.parse("z1", 2), Symbol.parse("conj(z2)", 2)
+    zw = z1 * w
+    assert zw.poly == {((1, 0), (0, 1)): 1.0}
+    assert z1 * w is zw and w * z1 is zw      # one Symbol per polynomial
+    assert (zw * z1).key == (z1 * zw).key
+    assert z1.conj() is z1.conj()
+    assert z1.conj().conj().key == z1.key
+    assert (z1 * z1.conj()).radial             # read off the product polynomial
+
+
+def test_product_tables_form_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        syms = [Symbol.from_monomials({((a,), (b,)): c}, 1)
+                for a, b, c in ((0, 0, 2.0), (1, 0, 1.0), (0, 1, 0.5j), (1, 1, 1.0))]
+        for a, b, c in itertools.product(syms, repeat=3):
+            (a * b * c).conj() * a * (b.conj() * a).conj()
+        del syms, a, b, c
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

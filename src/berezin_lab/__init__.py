@@ -36,7 +36,6 @@ from .quadrature import (
     radial_rule,
 )
 from .bergman import (
-    KernelEvaluator,
     WeightedSpace,
     build_space,
     diagonal_comparability_check,

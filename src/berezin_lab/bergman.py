@@ -6,9 +6,13 @@ the basis is e_alpha = z^alpha / sqrt(m_alpha) with closed-form moments; on
 plug-in domains the monomials are orthogonalized against a quadrature Gram
 matrix.  The truncated kernel is K(z, w) = sum_b e_b(z) conj(e_b(w)).
 
-Kernel evaluations are advertised for -rho(z) >= DELTA_INTERIOR; nearer the
-boundary values are still returned, with the last-degree share of K(z, z)
-available as a truncation-error heuristic.
+The space evaluates its kernel itself (``kernel``, ``normalized_kernel``,
+``truncation_tail_fraction``, ``inside_contract``), at one point of shape
+(n,) or at an (m, n) array of points: one basis evaluation per call, and a
+scalar or one value per point back.  Kernel evaluations are advertised for
+-rho(z) >= DELTA_INTERIOR; nearer the boundary values are still returned,
+with the last-degree share of K(z, z) available as a truncation-error
+heuristic.
 """
 
 import itertools
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .domains import BOUNDARY_TOL_COEFF, inflate
+from .domains import BOUNDARY_TOL_COEFF, _as_points, inflate
 from .errors import (BoundaryError, CapabilityError, ConditioningError,
                      ParameterError)
 from .quadrature import (WeightedMeasure, inflation_constant,
@@ -105,6 +109,63 @@ class WeightedSpace:
             mono_coeffs = coefficients @ self.coeffs
         return _accel.series_values(points, self.alphas, mono_coeffs)
 
+    def _rows(self, z):
+        """(points, E, single) for one point (n,) or an (m, n) array, E the
+        basis values as contiguous (m, B) rows.  Row sums of E then add in
+        the same order as sums over a single point's values."""
+        pts, single = _as_points(z, self.dim)
+        return pts, np.ascontiguousarray(self.basis_values(pts).T), single
+
+    def kernel(self, z, w):
+        """K(z_i, w_i) = sum_b e_b(z_i) conj(e_b(w_i)) for paired points:
+        a complex for one point each, else an array of shape (m,)."""
+        zs, single = _as_points(z, self.dim)
+        ez = self.basis_values(zs)
+        ew = self.basis_values(_as_points(w, self.dim)[0])
+        # ez is named, not a temporary: numpy would multiply a temporary in
+        # place, through a loop that rounds differently
+        k = np.sum(ez * np.conj(ew), axis=0)
+        return complex(k[0]) if single else k
+
+    def normalized_kernel(self, z):
+        """Coefficients of k_z = K(., z)/sqrt(K(z, z)) in the basis (unit
+        norm): shape (B,) for one point, (m, B) for an array of points."""
+        pts, e, single = self._rows(z)
+        kzz = np.sum(np.abs(e) ** 2, axis=1)
+        low = kzz < UNDERFLOW_FLOOR
+        if np.any(low):
+            raise ParameterError(f"K(z,z) underflow at z={pts[np.argmax(low)]}")
+        v = np.conj(e) / np.sqrt(kzz)[:, None]
+        return v[0] if single else v
+
+    def truncation_tail_fraction(self, z):
+        """Share of K(z, z) carried by the top-degree basis block (error
+        heuristic): a float for one point, else one value per point."""
+        _, e, single = self._rows(z)
+        dens = np.abs(e) ** 2
+        total = dens.sum(axis=1)
+        # compress keeps the rows contiguous, unlike boolean indexing
+        top = dens.compress(self.degrees == self.N, axis=1).sum(axis=1)
+        frac = np.divide(top, total, out=np.zeros_like(total), where=total > 0)
+        return float(frac[0]) if single else frac
+
+    def inside_contract(self, z):
+        """-rho(z) >= DELTA_INTERIOR, the interior accuracy contract: a bool
+        for one point, else one per point.  Raises :class:`BoundaryError`
+        naming the first point outside the closed domain, rho(z) >
+        BOUNDARY_TOL_COEFF (1 + |z|^2), where the kernel is not defined (the
+        truncated series would still return a number there)."""
+        pts, single = _as_points(z, self.dim)
+        domain = self.measure.domain
+        rho = np.atleast_1d(domain.rho(pts[0] if single else pts))
+        outside = rho > BOUNDARY_TOL_COEFF * (1.0 + np.sum(np.abs(pts) ** 2, axis=1))
+        if np.any(outside):
+            i = int(np.argmax(outside))
+            raise BoundaryError(f"point {pts[i]} lies outside {domain.name} "
+                                f"(rho = {rho[i]:.6g})")
+        inside = -rho >= DELTA_INTERIOR
+        return bool(inside[0]) if single else inside
+
     def __repr__(self):
         return (f"<WeightedSpace {self.measure.domain.name} r={self.measure.r:g} "
                 f"N={self.N} size={self.size}>")
@@ -147,60 +208,6 @@ def build_space(measure, N, rule=None):
     return WeightedSpace(measure, N, alphas, coeffs, resid)
 
 
-@dataclass(frozen=True)
-class KernelEvaluator:
-    """Truncated-series evaluator for the weighted Bergman kernel."""
-
-    space: WeightedSpace
-
-    def kernel(self, z, w):
-        """K(z, w) = sum_b e_b(z) conj(e_b(w)) for single points."""
-        ez = self.space.basis_values(np.atleast_1d(np.asarray(z, dtype=np.complex128)).reshape(1, -1))
-        ew = self.space.basis_values(np.atleast_1d(np.asarray(w, dtype=np.complex128)).reshape(1, -1))
-        return complex(np.sum(ez[:, 0] * np.conj(ew[:, 0])))
-
-    def kernel_pairs(self, zs, ws):
-        """K(z_i, w_i) for paired point arrays of shape (m, n)."""
-        ez = self.space.basis_values(zs)
-        ew = self.space.basis_values(ws)
-        return np.sum(ez * np.conj(ew), axis=0)
-
-    def kernel_diag(self, z):
-        ez = self.space.basis_values(np.asarray(z, dtype=np.complex128).reshape(1, -1))
-        return float(np.sum(np.abs(ez[:, 0]) ** 2))
-
-    def normalized_kernel(self, z):
-        """Coefficients of k_z = K(., z)/sqrt(K(z, z)) in the basis (unit norm)."""
-        ez = self.space.basis_values(np.asarray(z, dtype=np.complex128).reshape(1, -1))[:, 0]
-        kzz = float(np.sum(np.abs(ez) ** 2))
-        if kzz < UNDERFLOW_FLOOR:
-            raise ParameterError(f"K(z,z) underflow at z={z}")
-        return np.conj(ez) / np.sqrt(kzz)
-
-    def truncation_tail_fraction(self, z):
-        """Share of K(z, z) carried by the top-degree basis block (error heuristic)."""
-        ez = self.space.basis_values(np.asarray(z, dtype=np.complex128).reshape(1, -1))[:, 0]
-        dens = np.abs(ez) ** 2
-        top = self.space.degrees == self.space.N
-        total = float(dens.sum())
-        return float(dens[top].sum() / total) if total > 0 else 0.0
-
-    def inside_contract(self, z):
-        """True when -rho(z) >= DELTA_INTERIOR, the interior accuracy contract.
-
-        Raises :class:`BoundaryError` when z lies outside the closed domain,
-        rho(z) > BOUNDARY_TOL_COEFF (1 + |z|^2), where the kernel is not
-        defined: the truncated series would still return a number there.
-        """
-        z = np.asarray(z, dtype=np.complex128)
-        domain = self.space.measure.domain
-        rho = float(domain.rho(z))
-        if rho > BOUNDARY_TOL_COEFF * (1.0 + float(np.sum(np.abs(z) ** 2))):
-            raise BoundaryError(f"point {z} lies outside {domain.name} "
-                                f"(rho = {rho:.6g})")
-        return -rho >= DELTA_INTERIOR
-
-
 def project(space, f, rule):
     """Quadrature Bergman projection: coefficients <f, e_b> in the basis."""
     vals = np.asarray(f(rule.nodes), dtype=np.complex128)
@@ -209,16 +216,15 @@ def project(space, f, rule):
     return np.conj(eb) @ (w * vals)
 
 
-def kernel_mass_outside(ev, z, center, radius, rule):
+def kernel_mass_outside(space, z, center, radius, rule):
     """Weighted mass of |k_z|^2 outside the ball U = {|w - center| < radius}.
 
     The quantity that must vanish as z approaches a peak boundary point for
     any fixed neighborhood U of that point.  Raises :class:`BoundaryError`
     when z lies outside the closed domain (see ``inside_contract``).
     """
-    ev.inside_contract(z)
-    space = ev.space
-    v = ev.normalized_kernel(z)
+    space.inside_contract(z)
+    v = space.normalized_kernel(z)
     center = np.atleast_1d(np.asarray(center, dtype=np.complex128))
     vals = space.eval_series(v, rule.nodes)
     dens = np.abs(vals) ** 2
@@ -259,11 +265,9 @@ def inflation_kernel_residuals(base_space, p, zs, xis, infl_space=None):
     p = int(p)
     zs = np.atleast_2d(np.asarray(zs, dtype=np.complex128))
     xis = np.atleast_2d(np.asarray(xis, dtype=np.complex128))
-    ev_base = KernelEvaluator(base_space)
-    ev_infl = KernelEvaluator(infl_space)
     zeros = np.zeros((len(zs), p), dtype=np.complex128)
-    kb = ev_base.kernel_pairs(zs, xis)
-    ki = ev_infl.kernel_pairs(np.hstack([zs, zeros]), np.hstack([xis, zeros]))
+    kb = base_space.kernel(zs, xis)
+    ki = infl_space.kernel(np.hstack([zs, zeros]), np.hstack([xis, zeros]))
     c = inflation_constant(p, base_space.measure.r)
     return np.abs(kb - c * ki) / np.abs(kb), kb, ki
 
@@ -344,9 +348,8 @@ def diagonal_comparability_check(space1, space2, samples, c):
     """
     if space1.dim != space2.dim:
         raise ParameterError("spaces must live on domains of equal dimension")
-    ev1 = KernelEvaluator(space1)
-    ev2 = KernelEvaluator(space2)
-    ratios = np.array([ev2.kernel_diag(z) / ev1.kernel_diag(z) for z in samples])
+    samples = np.asarray(samples, dtype=np.complex128)
+    ratios = space2.kernel(samples, samples).real / space1.kernel(samples, samples).real
     lo, hi = float(ratios.min()), float(ratios.max())
     c = float(c)
     return ComparabilityCheck(

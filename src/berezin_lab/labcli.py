@@ -26,7 +26,7 @@ import numpy as np
 import jsonschema
 
 from . import __version__, _accel
-from .bergman import (KernelEvaluator, build_inflated_space, build_space,
+from .bergman import (build_inflated_space, build_space,
                       inflation_kernel_residuals, kernel_mass_outside,
                       multiindices)
 from .domains import (PointKind, boundary_point, classify_boundary,
@@ -81,97 +81,96 @@ def canonical_config_hash(config):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _fmt_cell(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
-def emit(report, fmt, out_dir):
-    """Write report files; CSV gets one file per table, JSON mirrors all tables."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    prefix = report.experiment.replace("-", "_")
-    if fmt == "csv":
-        for name, table in report.tables.items():
-            path = os.path.join(out_dir, f"{prefix}_{name}.csv")
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(table.columns)
-                for row in table.rows:
-                    writer.writerow([_fmt_cell(x) for x in row])
-            written.append(path)
-        return written
-    if fmt == "json":
-        path = os.path.join(out_dir, f"{prefix}_report.json")
-        payload = {
-            "metadata": _jsonify(report.metadata),
-            "tables": {name: {"columns": t.columns,
-                              "rows": [[_json_cell(x) for x in row] for row in t.rows]}
-                       for name, t in report.tables.items()},
-            "verdicts": _jsonify(report.verdicts),
-            "warnings": list(report.warnings),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        return [path]
-    raise ParameterError(f"unknown report format {fmt!r}")
-
-
-def _json_cell(x):
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(x)
-    return str(x)
-
-
 def _jsonify(obj):
+    """JSON-native copy of a report value: containers recursively, numpy
+    scalars as Python ones, anything else that is not a number as text."""
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if obj is None or isinstance(obj, str):
         return obj
-    return _json_cell(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    return str(obj)
+
+
+def _fmt_cell(x):
+    """CSV text of a JSON-native cell."""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, float):
+        return repr(x)
+    return str(x)
+
+
+def emit(report, out_dir):
+    """Write one CSV file per table and a JSON report mirroring them all;
+    returns every path written.  Each cell is converted once, to its JSON
+    value, and the CSV text is made from that."""
+    os.makedirs(out_dir, exist_ok=True)
+    prefix = report.experiment.replace("-", "_")
+    tables = {name: {"columns": t.columns, "rows": _jsonify(t.rows)}
+              for name, t in report.tables.items()}
+    written = []
+    for name, table in tables.items():
+        path = os.path.join(out_dir, f"{prefix}_{name}.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(table["columns"])
+            writer.writerows([_fmt_cell(x) for x in row] for row in table["rows"])
+        written.append(path)
+    path = os.path.join(out_dir, f"{prefix}_report.json")
+    payload = {
+        "metadata": _jsonify(report.metadata),
+        "tables": tables,
+        "verdicts": _jsonify(report.verdicts),
+        "warnings": list(report.warnings),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    written.append(path)
+    return written
 
 
 # ---------------------------------------------------------------------------
 # config schema
 # ---------------------------------------------------------------------------
 
-_POINT = {"oneOf": [
-    {"type": "number"},
-    {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-    {"type": "array", "items": {"type": "array", "items": {"type": "number"},
-                                "minItems": 2, "maxItems": 2}},
-]}
+def _object(props, required=None):
+    """Object schema with exactly ``props``, all required unless listed."""
+    return {"type": "object", "properties": props,
+            "required": list(props if required is None else required),
+            "additionalProperties": False}
 
-_TGRID = {"oneOf": [
-    {"type": "array", "items": {"type": "number"}, "minItems": 1},
-    {"type": "object",
-     "properties": {"start": {"type": "number"}, "stop": {"type": "number"},
-                    "count": {"type": "integer", "minimum": 1}},
-     "required": ["start", "stop", "count"], "additionalProperties": False},
-]}
 
-_INFLATE = {"type": "object",
-            "properties": {"p": {"type": "integer", "minimum": 1},
-                           "r": {"type": "number", "exclusiveMinimum": 0}},
-            "required": ["p", "r"], "additionalProperties": False}
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
+_PAIR = dict(_NUMBERS, minItems=2, maxItems=2)
+_POINT = {"oneOf": [{"type": "number"}, _PAIR, {"type": "array", "items": _PAIR}]}
+_TGRID = {"oneOf": [dict(_NUMBERS, minItems=1), _object(
+    {"start": {"type": "number"}, "stop": {"type": "number"},
+     "count": {"type": "integer", "minimum": 1}})]}
+_INFLATE = _object({"p": {"type": "integer", "minimum": 1},
+                    "r": {"type": "number", "exclusiveMinimum": 0}})
+_DOMAIN = _object({"name": {"type": "string"}, "inflate": _INFLATE,
+                   "n": {"type": "integer"}, "m": {"type": "integer"},
+                   "exponents": _NUMBERS}, required=["name"])
 
-_DOMAIN = {"type": "object",
-           "properties": {"name": {"type": "string"}, "inflate": _INFLATE,
-                          "n": {"type": "integer"}, "m": {"type": "integer"},
-                          "exponents": {"type": "array", "items": {"type": "number"}}},
-           "required": ["name"], "additionalProperties": False}
+# operator wire format (``operators.expr_from_json``): a sum of products of
+# factors, each factor an object with exactly one of these keys
+_TEXT = {"type": "string"}
+_FACTOR = dict(_object({"toeplitz": _object({"symbol": _TEXT}),
+                        "hankelpair": _object({"psi": _TEXT, "phi": _TEXT}),
+                        "identity": _object({}),
+                        "scalar": {"oneOf": [{"type": "number"}, _PAIR]}},
+                       required=()), minProperties=1, maxProperties=1)
+_OPERATOR = _object({"sum": {"type": "array", "minItems": 1, "items": _object(
+    {"prod": {"type": "array", "minItems": 1, "items": _FACTOR}})}})
 
 _COMMON = {
     "experiment": {"type": "string", "enum": list(EXPERIMENTS)},
@@ -181,17 +180,12 @@ _COMMON = {
 
 
 def _schema(props, required=()):
-    full = dict(_COMMON)
-    full.update(props)
-    return {"type": "object", "properties": full,
-            "required": list(required), "additionalProperties": False}
+    return _object({**_COMMON, **props}, required)
 
 
 SCHEMAS = {
     "constants": _schema({
-        "pairs": {"type": "array",
-                  "items": {"type": "array", "items": {"type": "number"},
-                            "minItems": 2, "maxItems": 2}},
+        "pairs": {"type": "array", "items": _PAIR},
         "p": {"type": "integer", "minimum": 1},
         "r": {"type": "number", "exclusiveMinimum": 0},
         "samples": {"type": "integer", "minimum": 1000},
@@ -234,13 +228,11 @@ SCHEMAS = {
         "expect_limit": {"type": "number"},
         "tolerance": {"type": "number", "exclusiveMinimum": 0},
         "snap_points": {"type": "boolean"},
-        "mass_outside": {"type": "object",
-                         "properties": {"center": _POINT,
-                                        "radius": {"type": "number", "exclusiveMinimum": 0},
-                                        "quad_order": {"type": "integer", "minimum": 8},
-                                        "tolerance": {"type": "number", "exclusiveMinimum": 0}},
-                         "required": ["center", "radius"],
-                         "additionalProperties": False},
+        "mass_outside": _object({"center": _POINT,
+                                 "radius": {"type": "number", "exclusiveMinimum": 0},
+                                 "quad_order": {"type": "integer", "minimum": 8},
+                                 "tolerance": {"type": "number", "exclusiveMinimum": 0}},
+                                required=["center", "radius"]),
     }, required=("domain", "symbol", "point")),
     "semi-commutator": _schema({
         "domain": _DOMAIN,
@@ -256,16 +248,14 @@ SCHEMAS = {
         "domain": _DOMAIN,
         "r": {"type": "number", "minimum": 0},
         "N": {"type": "integer", "minimum": 1},
-        "operator": {"type": "object"},
+        "operator": _OPERATOR,
         "symbol": {"type": "string"},
         "strong_points": {"type": "array", "items": _POINT, "minItems": 1},
         "weak_points": {"type": "array", "items": _POINT},
         "t_grid": _TGRID,
-        "thresholds": {"type": "object",
-                       "properties": {"berezin": {"type": "number"},
-                                      "tail": {"type": "number"},
-                                      "window": {"type": "integer", "minimum": 2}},
-                       "additionalProperties": False},
+        "thresholds": _object({"berezin": {"type": "number"},
+                               "tail": {"type": "number"},
+                               "window": {"type": "integer", "minimum": 2}}, required=()),
         "tail_k": {"type": "integer", "minimum": 0},
         "validate_points": {"type": "boolean"},
         "snap_points": {"type": "boolean"},
@@ -348,6 +338,21 @@ def _monomial_symbols(dim, degree):
     return syms
 
 
+def _ray_pairs(dim, radius, phase, n_grid):
+    """(t_z, t_w, z, w) over all pairs of an n_grid-point ray grid on
+    [0, radius] along the unit direction of the given phase, t_z slowest."""
+    ts = radius * np.arange(n_grid) / (n_grid - 1)
+    u = np.exp(1j * phase) * np.ones(dim) / np.sqrt(dim)
+    tz, tw = (g.ravel() for g in np.meshgrid(ts, ts, indexing="ij"))
+    return tz, tw, tz[:, None] * u, tw[:, None] * u
+
+
+def _abs(d):
+    """|d| by libm's hypot, as Python's abs rounds it (numpy's vectorized
+    complex abs differs in the last bit on some values)."""
+    return np.hypot(d.real, d.imag)
+
+
 def _closed_form_kernel(domain, r):
     """(z, w) -> K^r(z, w) for disk and balls, else None."""
     if domain.exponents is None or any(q != 2.0 for q in domain.exponents):
@@ -412,22 +417,15 @@ def _run_kernel_check(config, report):
             f"kernel-check requires a disk/ball domain with a closed-form kernel, "
             f"got {dom.name}")
     space = build_space(WeightedMeasure(dom, r), nn)
-    ev = KernelEvaluator(space)
     # ray grid: phases aligned so z wbar >= 0; anti-aligned pairs at these
     # truncations sit below the closed-form magnitude and fail the relative
     # tolerance for structural (not numerical) reasons
-    ts = radius * np.arange(n_grid) / (n_grid - 1)
-    u = np.exp(1j * phase) * np.ones(dom.dim) / np.sqrt(dom.dim)
-    rows = []
-    worst = 0.0
-    for tz, tw in itertools.product(ts, ts):
-        z, w = tz * u, tw * u
-        kt = ev.kernel(z, w)
-        kc = complex(closed(z[None, :], w[None, :])[0])
-        err = abs(kt - kc) / abs(kc)
-        worst = max(worst, err)
-        rows.append([float(tz), float(tw), err])
-    report.tables["residuals"] = Table(["t_z", "t_w", "rel_err"], rows)
+    tz, tw, z, w = _ray_pairs(dom.dim, radius, phase, n_grid)
+    kc = closed(z, w)
+    err = _abs(space.kernel(z, w) - kc) / _abs(kc)
+    worst = float(np.max(err))
+    report.tables["residuals"] = Table(["t_z", "t_w", "rel_err"],
+                                       np.column_stack([tz, tw, err]).tolist())
     report.verdicts = {"pass": bool(worst < tol), "max_rel_err": worst,
                        "tolerance": tol}
 
@@ -443,29 +441,19 @@ def _run_inflation_check(config, report):
     tol = float(config.get("tolerance", 1e-8))
     space = build_space(WeightedMeasure(dom, r), nn)
     infl_space = build_inflated_space(space, p)
-    ts = radius * np.arange(n_grid) / (n_grid - 1)
-    u = np.exp(1j * phase) * np.ones(dom.dim) / np.sqrt(dom.dim)
-    zs, xis = [], []
-    for tz, tx in itertools.product(ts, ts):
-        zs.append(tz * u)
-        xis.append(tx * u)
-    zs = np.array(zs)
-    xis = np.array(xis)
+    tz, tx, zs, xis = _ray_pairs(dom.dim, radius, phase, n_grid)
     resid, kb, ki = inflation_kernel_residuals(space, p, zs, xis, infl_space=infl_space)
     closed = _closed_form_kernel(dom, r)
     c = inflation_constant(p, r)
-    rows = []
+    cerr = np.full(len(zs), np.nan)
     worst_closed = 0.0
-    for i, (tz, tx) in enumerate(itertools.product(ts, ts)):
-        if closed is not None:
-            kc = complex(closed(zs[i][None, :], xis[i][None, :])[0])
-            cerr = abs(c * ki[i] - kc) / abs(kc)
-            worst_closed = max(worst_closed, cerr)
-        else:
-            cerr = float("nan")
-        rows.append([float(tz), float(tx), float(resid[i]), cerr])
+    if closed is not None:
+        kc = closed(zs, xis)
+        cerr = _abs(c * ki - kc) / _abs(kc)
+        worst_closed = float(np.max(cerr))
     report.tables["residuals"] = Table(
-        ["t_z", "t_xi", "identity_residual", "closed_form_residual"], rows)
+        ["t_z", "t_xi", "identity_residual", "closed_form_residual"],
+        np.column_stack([tz, tx, resid, cerr]).tolist())
     ok = float(np.max(resid)) < tol and (closed is None or worst_closed < tol)
     report.verdicts = {"pass": bool(ok),
                        "max_identity_residual": float(np.max(resid)),
@@ -539,10 +527,9 @@ def _run_berezin_profile(config, report):
         order = int(mo.get("quad_order", 256))
         rule = polar_tensor_rule(space.measure, radial_order=order,
                                  angular_order=2 * order)
-        ev = KernelEvaluator(space)
         rows = []
         for t in t_grid:
-            mass = kernel_mass_outside(ev, float(t) * p0, center, radius, rule)
+            mass = kernel_mass_outside(space, float(t) * p0, center, radius, rule)
             rows.append([float(t), mass])
         report.tables["mass_outside"] = Table(["t", "off_mass"], rows)
         if "tolerance" in mo:
@@ -693,9 +680,7 @@ def run(experiment, config, write=True):
     })
     _RUNNERS[experiment](config, report)
     if write:
-        out = config.get("out", "reports")
-        emit(report, "csv", out)
-        emit(report, "json", out)
+        emit(report, config.get("out", "reports"))
     return report
 
 

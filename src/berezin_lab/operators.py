@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _accel
-from .bergman import GRAM_EIGENVALUE_FLOOR, KernelEvaluator
+from .bergman import GRAM_EIGENVALUE_FLOOR
 from .errors import CapabilityError, ConditioningError, ParameterError
 from .quadrature import (finite_node_values, log_monomial_moments,
                          measure_node_weights, polar_tensor_rule, radial_rule)
@@ -672,9 +672,12 @@ def product_decomposition_residual(space, symbols, margin):
 # ---------------------------------------------------------------------------
 
 def berezin(op, z):
-    """B T(z) = <T k_z, k_z>: quadratic form on the normalized kernel."""
-    v = KernelEvaluator(op.space).normalized_kernel(z)
-    return complex(v.conj() @ op.matrix @ v)
+    """B T(z) = <T k_z, k_z>, a complex for one point (n,), else one value
+    per row of an (m, n) array.  The quadratic form is taken row by row, which
+    rounds as a one-point call does; one (m, B) x (B, B) product would not."""
+    v = op.space.normalized_kernel(z)
+    vals = np.array([row.conj() @ op.matrix @ row for row in np.atleast_2d(v)])
+    return complex(vals[0]) if v.ndim == 1 else vals
 
 
 @dataclass(frozen=True)
@@ -693,14 +696,13 @@ def boundary_profile(op, p0, t_grid):
     a sample outside the closed domain raises :class:`BoundaryError`.
     """
     p0 = np.atleast_1d(np.asarray(p0, dtype=np.complex128))
-    ev = KernelEvaluator(op.space)
-    out = []
-    for t in t_grid:
-        z = float(t) * p0
-        flag = not ev.inside_contract(z)
-        val = berezin(op, z)
-        out.append(ProfileSample(float(t), val, flag, ev.truncation_tail_fraction(z)))
-    return out
+    ts = np.asarray(t_grid, dtype=np.float64)
+    zs = ts[:, None] * p0
+    inside = op.space.inside_contract(zs)
+    vals = berezin(op, zs)
+    tails = op.space.truncation_tail_fraction(zs)
+    return [ProfileSample(float(t), complex(v), not ok, float(tail))
+            for t, v, ok, tail in zip(ts, vals, inside, tails)]
 
 
 def tail_norm(op, k):
@@ -775,6 +777,8 @@ def axler_zheng_report(expr, space, strong_points, weak_points, config=None,
         raise ParameterError("strong_points must be nonempty")
     t_grid = cfg["t_grid"]
     tail_k = cfg["tail_k"] if cfg["tail_k"] is not None else space.N // 2
+    if not 0 <= tail_k <= space.N:
+        raise ParameterError(f"tail_k={tail_k} outside [0, {space.N}]")
     op = materialize(expr, space, rule=rule)
 
     strong_profiles = tuple(

@@ -51,7 +51,11 @@ def _tokenize(text):
             while j < len(text) and (text[j].isdigit() or text[j] in ".eE"
                                      or (text[j] in "+-" and text[j - 1] in "eE")):
                 j += 1
-            tokens.append(("num", float(text[i:j])))
+            try:
+                tokens.append(("num", float(text[i:j])))
+            except ValueError:
+                raise ParameterError(f"malformed number {text[i:j]!r} in symbol "
+                                     f"{text!r}") from None
             i = j
         elif ch.isalpha() or ch == "_":
             j = i

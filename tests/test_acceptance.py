@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from berezin_lab import (
-    KernelEvaluator,
     WeightedMeasure,
     build_space,
     diagonal_comparability_check,

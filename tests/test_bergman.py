@@ -3,7 +3,6 @@ import pytest
 
 from berezin_lab import (
     CustomDomain,
-    KernelEvaluator,
     Symbol,
     WeightedMeasure,
     build_space,
@@ -125,7 +124,6 @@ def test_multiindex_count_egg():
 def test_kernel_closed_form_ray_grid():
     for r in (0.0, 1.0):
         sp = disk_space(r, 64)
-        ev = KernelEvaluator(sp)
         closed = closed_disk_kernel(r)
         ts = 0.8 * np.arange(10) / 9
         phase = np.exp(0.3j)
@@ -134,24 +132,22 @@ def test_kernel_closed_form_ray_grid():
             for tw in ts:
                 z, w = tz * phase, tw * phase
                 kc = closed(z, w)
-                worst = max(worst, abs(ev.kernel([z], [w]) - kc) / abs(kc))
+                worst = max(worst, abs(sp.kernel([z], [w]) - kc) / abs(kc))
         assert worst < 1e-8
 
 
 def test_kernel_at_zero():
-    ev = KernelEvaluator(disk_space(0.0, 16))
-    assert ev.kernel([0.0], [0.0]) == pytest.approx(1 / np.pi)
+    assert disk_space(0.0, 16).kernel([0.0], [0.0]) == pytest.approx(1 / np.pi)
 
 
 def test_kernel_hermitian_symmetry_to_machine_rounding():
     sp = build_space(WeightedMeasure(EGG2, 0.5), 10)
-    ev = KernelEvaluator(sp)
     rng = np.random.default_rng(12)
     for _ in range(100):
         z = 0.6 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
         w = 0.6 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
-        a = ev.kernel(z, w)
-        b = np.conj(ev.kernel(w, z))
+        a = sp.kernel(z, w)
+        b = np.conj(sp.kernel(w, z))
         # a few ulp: numpy's vectorized complex multiply rounds the two
         # cross products asymmetrically (FMA), so bitwise equality is not
         # available even though the arithmetic is symmetric
@@ -159,7 +155,7 @@ def test_kernel_hermitian_symmetry_to_machine_rounding():
 
 
 def test_kernel_diag_monotone_in_truncation():
-    vals = [KernelEvaluator(disk_space(1.0, n)).kernel_diag([0.7]) for n in range(4, 40, 4)]
+    vals = [disk_space(1.0, n).kernel([0.7], [0.7]).real for n in range(4, 40, 4)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -167,19 +163,17 @@ def test_kernel_truncation_geometric_decay():
     closed = closed_disk_kernel(0.0)(0.8, 0.8)
     errs = []
     for n in (8, 16, 24, 32, 40):
-        ev = KernelEvaluator(disk_space(0.0, n))
-        errs.append(abs(ev.kernel([0.8], [0.8]) - closed))
+        errs.append(abs(disk_space(0.0, n).kernel([0.8], [0.8]) - closed))
     ratios = [b / a for a, b in zip(errs, errs[1:])]
     assert all(r < 0.2 for r in ratios)   # |z w| = 0.64 per extra degree block
 
 
 def test_normalized_kernel_unit_norm_and_center():
     sp = disk_space(0.0, 24)
-    ev = KernelEvaluator(sp)
     for z in ([0.3], [0.8j], [-0.5 + 0.4j]):
-        v = ev.normalized_kernel(z)
+        v = sp.normalized_kernel(z)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-    v0 = ev.normalized_kernel([0.0])
+    v0 = sp.normalized_kernel([0.0])
     assert v0[0] == pytest.approx(1.0)
     assert np.max(np.abs(v0[1:])) < 1e-15
 
@@ -187,21 +181,19 @@ def test_normalized_kernel_unit_norm_and_center():
 def test_mass_concentration_near_peak_point():
     # off-neighborhood mass of |k_z|^2 shrinks as z approaches the peak point
     sp = disk_space(0.0, 192)
-    ev = KernelEvaluator(sp)
     rule = polar_tensor_rule(sp.measure, radial_order=192, angular_order=384)
-    m95 = kernel_mass_outside(ev, [0.95], [1.0], 0.3, rule)
-    m99 = kernel_mass_outside(ev, [0.99], [1.0], 0.3, rule)
+    m95 = kernel_mass_outside(sp, [0.95], [1.0], 0.3, rule)
+    m99 = kernel_mass_outside(sp, [0.99], [1.0], 0.3, rule)
     assert m99 < m95 < 0.2
     assert m99 < 0.1
 
 
 def test_kernel_mass_outside_rejects_points_outside_the_domain():
     sp = disk_space(0.0, 16)
-    ev = KernelEvaluator(sp)
     rule = polar_tensor_rule(sp.measure, radial_order=32, angular_order=64)
-    kernel_mass_outside(ev, [1.0], [1.0], 0.3, rule)        # boundary point: allowed
+    kernel_mass_outside(sp, [1.0], [1.0], 0.3, rule)        # boundary point: allowed
     with pytest.raises(BoundaryError, match="outside disk"):
-        kernel_mass_outside(ev, [1.0 + 1e-6], [1.0], 0.3, rule)
+        kernel_mass_outside(sp, [1.0 + 1e-6], [1.0], 0.3, rule)
 
 
 def test_project_examples():
@@ -236,10 +228,9 @@ def test_reproducing_property_via_quadrature():
     for r in (0.0, 1.0):
         sp = disk_space(r, 24)
         rule = polar_tensor_rule(sp.measure, radial_order=96)
-        ev = KernelEvaluator(sp)
         for z in ([0.4], [0.7 - 0.3j]):
             z = np.asarray(z, dtype=complex)
-            kz = lambda w: ev.space.eval_series(
+            kz = lambda w: sp.eval_series(
                 np.conj(sp.basis_values(z.reshape(1, -1))[:, 0]), w)
             coeffs = project(sp, kz, rule)
             # <K(., z), e_a> = conj(e_a(z))
@@ -322,10 +313,8 @@ def test_gram_orthogonalized_space_matches_exact():
     rule = polar_tensor_rule(exact.measure, radial_order=64)
     sp = build_space(WeightedMeasure(custom, 0.0), 8, rule=rule)
     assert sp.gram_residual < 1e-10
-    ev = KernelEvaluator(sp)
-    ev_exact = KernelEvaluator(exact)
     for z, w in (([0.3], [0.5]), ([0.2 + 0.4j], [-0.6j])):
-        assert ev.kernel(z, w) == pytest.approx(ev_exact.kernel(z, w), rel=1e-10)
+        assert sp.kernel(z, w) == pytest.approx(exact.kernel(z, w), rel=1e-10)
 
 
 def test_gram_orthogonalization_conditioning_error():

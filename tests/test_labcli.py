@@ -259,6 +259,30 @@ def test_profile_point_outside_domain_exits_1(tmp_path, capsys, mass):
     assert not out.exists()
 
 
+def _factor(f):
+    return {"operator": {"sum": [{"prod": [f]}]}}
+
+
+@pytest.mark.parametrize("extra", [
+    _factor({"toeplitz": {}}), _factor({"toeplitz": "z"}),
+    _factor({"scalar": [1]}), _factor({"scalar": "a"}),
+    {"operator": {"sum": [{"prod": 5}]}},
+    _factor({"hankelpair": {"psi": "z"}}),
+    {"symbol": "1e"},
+    {"symbol": "1-abs2(z)", "tail_k": 99},
+])
+def test_axler_zheng_bad_operator_symbol_or_tail_k_exits_1(tmp_path, capsys, extra):
+    config = {"domain": {"name": "disk"}, "r": 0.0, "N": 8,
+              "strong_points": [[1.0, 0.0]], "weak_points": [], **extra}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert labcli.main(["axler-zheng", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(("config error: config field $['operator']", "error:"))
+    assert "Traceback" not in err
+
+
 def test_constants_single_pair_form(tmp_path):
     rep = labcli.run("constants", {"p": 1, "r": 1.0, "samples": 50_000,
                                    "out": str(tmp_path)})

@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from berezin_lab import (
     CustomDomain,
-    KernelEvaluator,
     OperatorExpr,
     Symbol,
     TruncatedOperator,
     WeightedMeasure,
     axler_zheng_report,
     berezin,
+    boundary_point,
     boundary_profile,
     build_space,
     decompose_product,
@@ -32,11 +32,11 @@ from berezin_lab import (
     toeplitz,
 )
 from berezin_lab import _accel, labcli
-from berezin_lab.bergman import GRAM_EIGENVALUE_FLOOR
-from berezin_lab.errors import (CapabilityError, ConditioningError, NumericError,
-                                ParameterError)
+from berezin_lab.bergman import GRAM_EIGENVALUE_FLOOR, WeightedSpace
+from berezin_lab.errors import (BoundaryError, CapabilityError, ConditioningError,
+                                NumericError, ParameterError)
 from berezin_lab.labcli import _monomial_symbols
-from berezin_lab.operators import _RADIAL_ORDER, HP, T
+from berezin_lab.operators import _RADIAL_ORDER, DEFAULT_T_GRID, HP, T
 from berezin_lab.quadrature import (finite_node_values, log_monomial_moments,
                                     measure_node_weights, polar_tensor_rule,
                                     radial_rule)
@@ -531,6 +531,49 @@ def test_boundary_profile_decreasing_weighted_defect():
     prof = boundary_profile(op, [1.0], np.linspace(0.5, 0.95, 10))
     mags = [abs(s.value) for s in prof]
     assert all(b < a for a, b in zip(mags, mags[1:]))
+
+
+def _profile_case(name):
+    """(operator, boundary point) of a disk N=96 or smoothed_polydisk N=40 profile."""
+    if name == "disk":
+        return toeplitz(disk_space(0.0, 96), sym("re(z)")), np.array([1.0 + 0j])
+    dom = make_domain("smoothed_polydisk")
+    sp = build_space(WeightedMeasure(dom, 0.0), 40)
+    op = toeplitz(sp, sym("max(0, 1-(1-abs(z2))/0.3)", 2))
+    return op, boundary_point(dom, np.array([0.7 + 0.7j, 0.1j]))
+
+
+@pytest.mark.parametrize("name", ["disk", "smoothed_polydisk"])
+def test_batched_kernel_methods_equal_pointwise(name):
+    op, p0 = _profile_case(name)
+    sp = op.space
+    zs = DEFAULT_T_GRID[:, None] * p0
+    for method in (sp.normalized_kernel, sp.truncation_tail_fraction,
+                   sp.inside_contract, lambda z: berezin(op, z)):
+        batched = method(zs)
+        assert np.array_equal(batched, np.array([method(z) for z in zs]))
+    # the first point outside the closed domain is named, as in one-point calls
+    outside = np.vstack([zs[:3], 1.5 * p0, 2.0 * p0])
+    with pytest.raises(BoundaryError) as err:
+        sp.inside_contract(outside)
+    with pytest.raises(BoundaryError) as one:
+        sp.inside_contract(1.5 * p0)
+    assert str(err.value) == str(one.value)
+
+
+def test_boundary_profile_evaluates_the_basis_at_most_twice(monkeypatch):
+    op, p0 = _profile_case("disk")
+    calls = []
+    orig = WeightedSpace.basis_values
+
+    def counting(self, points):
+        calls.append(points)
+        return orig(self, points)
+
+    monkeypatch.setattr(WeightedSpace, "basis_values", counting)
+    prof = boundary_profile(op, p0, DEFAULT_T_GRID)
+    assert len(prof) == len(DEFAULT_T_GRID)
+    assert len(calls) <= 2
 
 
 def test_tail_norm_examples():

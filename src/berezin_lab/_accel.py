@@ -38,8 +38,23 @@ def monomial_matrix(points, alphas):
 
 
 def count_inside(u, exponent):
-    """Rows of u (real pairs per coordinate) with sum_j |u_j|**(2 exponent) < 1."""
-    s = np.sum((u[:, 0::2] ** 2 + u[:, 1::2] ** 2) ** exponent, axis=1)
+    """Rows of u (real pairs per coordinate) with sum_j |u_j|**(2 exponent) < 1.
+
+    Squares ``u`` in place, so pass a copy to keep it.  Each |u_j|^2 is
+    added through a contiguous (m, p, 2) view and the coordinates are
+    summed left to right, which rounds exactly like
+    ``np.sum((u[:, 0::2]**2 + u[:, 1::2]**2)**exponent, axis=1)``.
+    """
+    np.multiply(u, u, out=u)
+    pairs = u.reshape(len(u), -1, 2)
+    t = np.add(pairs[:, :, 0], pairs[:, :, 1])
+    if exponent == 2.0:
+        t *= t
+    elif exponent != 1.0:
+        np.power(t, exponent, out=t)
+    s = t[:, 0]
+    for j in range(1, t.shape[1]):
+        s += t[:, j]
     return int(np.count_nonzero(s < 1.0))
 
 
@@ -49,16 +64,22 @@ _CHUNK = 16384
 def series_values(points, alphas, coeffs, chunk=_CHUNK):
     """Evaluate sum_b coeffs[b] * z**alphas[b] at each point, chunked.
 
-    Chunking keeps the basis matrix peak memory at chunk * len(alphas)
-    entries regardless of the node count.
+    ``coeffs`` is one series (B,), giving shape (m,), or k series (k, B),
+    giving (k, m).  Each chunk's monomial matrix is built once and freed
+    before the next, so peak memory stays at chunk * len(alphas) entries
+    regardless of the node count; every series takes its own vector product
+    with it, so each row rounds as a one-series call does.
     """
     points = np.asarray(points, dtype=np.complex128)
     if points.ndim == 1:
         points = points[:, None]
     coeffs = np.asarray(coeffs, dtype=np.complex128)
+    rows = np.atleast_2d(coeffs)
     m = points.shape[0]
-    out = np.empty(m, dtype=np.complex128)
+    out = np.empty((len(rows), m), dtype=np.complex128)
     for start in range(0, m, chunk):
-        block = points[start:start + chunk]
-        out[start:start + chunk] = coeffs @ monomial_matrix(block, alphas)
-    return out
+        mon = monomial_matrix(points[start:start + chunk], alphas)
+        for row, c in zip(out, rows):
+            row[start:start + chunk] = c @ mon
+        del mon
+    return out if coeffs.ndim == 2 else out[0]

@@ -98,7 +98,8 @@ class WeightedSpace:
         return self.coeffs @ mon
 
     def eval_series(self, coefficients, points):
-        """Evaluate sum_b coefficients[b] e_b at points (chunked)."""
+        """Evaluate sum_b coefficients[b] e_b at points (chunked): shape
+        (m,) for coefficients (B,), or (k, m) for k series (k, B)."""
         points = np.asarray(points, dtype=np.complex128)
         if points.ndim == 1:
             points = points[:, None] if self.dim == 1 else points[None, :]
@@ -217,20 +218,25 @@ def project(space, f, rule):
 
 
 def kernel_mass_outside(space, z, center, radius, rule):
-    """Weighted mass of |k_z|^2 outside the ball U = {|w - center| < radius}.
+    """Weighted mass of |k_z|^2 outside the ball U = {|w - center| < radius}:
+    a float for one point z of shape (n,), else one value per row of an
+    (m, n) array.
 
     The quantity that must vanish as z approaches a peak boundary point for
-    any fixed neighborhood U of that point.  Raises :class:`BoundaryError`
-    when z lies outside the closed domain (see ``inside_contract``).
+    any fixed neighborhood U of that point.  All points share one pass over
+    the rule's nodes; on closed-moment spaces each row rounds as a one-point
+    call does.  Raises :class:`BoundaryError` when a point lies outside the
+    closed domain (see ``inside_contract``).
     """
     space.inside_contract(z)
     v = space.normalized_kernel(z)
     center = np.atleast_1d(np.asarray(center, dtype=np.complex128))
-    vals = space.eval_series(v, rule.nodes)
-    dens = np.abs(vals) ** 2
+    dens = np.abs(space.eval_series(v, rule.nodes)) ** 2
     w = measure_node_weights(space.measure, rule)
     outside = np.linalg.norm(rule.nodes - center[None, :], axis=1) >= radius
-    return float(np.sum(w * dens * outside))
+    if dens.ndim == 1:
+        return float(np.sum(w * dens * outside))
+    return np.array([np.sum(w * d * outside) for d in dens])
 
 
 # ---------------------------------------------------------------------------

@@ -527,10 +527,9 @@ def _run_berezin_profile(config, report):
         order = int(mo.get("quad_order", 256))
         rule = polar_tensor_rule(space.measure, radial_order=order,
                                  angular_order=2 * order)
-        rows = []
-        for t in t_grid:
-            mass = kernel_mass_outside(space, float(t) * p0, center, radius, rule)
-            rows.append([float(t), mass])
+        pts = np.array([float(t) * p0 for t in t_grid])
+        masses = kernel_mass_outside(space, pts, center, radius, rule)
+        rows = [[float(t), float(m)] for t, m in zip(t_grid, masses)]
         report.tables["mass_outside"] = Table(["t", "off_mass"], rows)
         if "tolerance" in mo:
             mtol = float(mo["tolerance"])

@@ -20,6 +20,7 @@ dV is Lebesgue measure on C^n ~ R^{2n} throughout.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +30,10 @@ from scipy.special import betaln, gammaln, roots_jacobi, roots_legendre
 from . import _accel
 from .errors import BoundaryError, CapabilityError, NumericError, ParameterError
 
-MC_CHUNK = 1_000_000   # fixed so the sample stream is independent of memory limits
+# rows per draw in monomial_moment_mc and monte_carlo_rule.  The uniform
+# stream does not depend on it; it is fixed because monomial_moment_mc adds
+# one partial sum per chunk, so its estimates' last bits do
+MC_CHUNK = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -100,9 +104,11 @@ def _jacobi_recurrence(n, a, b):
     return alpha, beta
 
 
+@functools.lru_cache(maxsize=32)
 def _jac01(n, a, b):
-    """Nodes/weights for the weight (1-u)^a u^b on [0, 1].
+    """Nodes/weights for the weight (1-u)^a u^b on [0, 1], read-only.
 
+    Memoized per (n, a, b): spaces over one measure share the polished rule.
     Library nodes at order ~100+ carry enough rounding that degree-2n-1
     moments miss the 1e-12 exactness contract, so nodes are polished by
     Newton iteration on the orthonormal Jacobi recurrence in extended
@@ -137,7 +143,10 @@ def _jac01(n, a, b):
     _, _, sumsq = _recurrence_pass(x)
     w = (1.0 / sumsq).astype(np.float64)
     x = x.astype(np.float64)
-    return 0.5 * (x + 1.0), w * 0.5 ** (a + b + 1.0)
+    u, wu = 0.5 * (x + 1.0), w * 0.5 ** (a + b + 1.0)
+    u.setflags(write=False)
+    wu.setflags(write=False)
+    return u, wu
 
 
 def _require_ellipsoid(measure):
@@ -377,21 +386,34 @@ def monomial_moment_mc(measure, alpha, samples=1_000_000, seed=42):
     return MCEstimate(box * mean, box * np.sqrt(var / samples), samples, seed)
 
 
+def _count_hits(rng, samples, p, exponent, half):
+    """How many of ``samples`` draws w uniform on the box [-half, half]^{2p}
+    of R^{2p} ~ C^p satisfy sum_j |w_j / half|^{2 exponent} < 1.
+
+    Draws ``_accel._CHUNK`` rows at a time into one reused buffer.  Scaling
+    ``rng.random`` as low + (high - low) x, as ``rng.uniform`` does, gives
+    the same stream and the same rounding as ``rng.uniform(-half, half)``
+    followed by ``/ half``, whatever the block size.
+    """
+    buf = np.empty((min(_accel._CHUNK, samples), 2 * p))
+    hits = 0
+    for start in range(0, samples, _accel._CHUNK):
+        u = buf[:samples - start]
+        rng.random(out=u)
+        u *= 2.0 * half
+        u += -half
+        u /= half
+        hits += _accel.count_inside(u, exponent)
+    return hits
+
+
 def inflation_constant_mc(p, r, samples=10_000_000, seed=42):
     """Monte Carlo estimate of the fiber volume; reproducible for fixed seed."""
     p = int(p)
     r = float(r)
     if p < 1 or not 0.0 < r <= p:
         raise ParameterError(f"inflation constant requires 0 < r <= p, got r={r}, p={p}")
-    exponent = p / r
-    rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    while done < samples:
-        m = min(MC_CHUNK, samples - done)
-        u = rng.uniform(-1.0, 1.0, size=(m, 2 * p))
-        hits += _accel.count_inside(u, exponent)
-        done += m
+    hits = _count_hits(np.random.default_rng(seed), samples, p, p / r, 1.0)
     box_vol = 4.0 ** p
     phat = hits / samples
     value = box_vol * phat
@@ -422,18 +444,9 @@ def dilation_identity_check(domain, p, r, z, samples=1_000_000, seed=42):
     r = float(r)
     if p < 1 or not 0.0 < r <= p:
         raise ParameterError(f"dilation check requires 0 < r <= p, got r={r}, p={p}")
-    exponent = p / r
     half = s ** (r / (2.0 * p))
-    rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    while done < samples:
-        m = min(MC_CHUNK, samples - done)
-        u = rng.uniform(-half, half, size=(m, 2 * p))
-        scaled = u / half
-        # sum |w|^{2p/r} < s  <=>  sum |w/half|^{2p/r} < 1
-        hits += _accel.count_inside(scaled, exponent)
-        done += m
+    # sum |w|^{2p/r} < s  <=>  sum |w/half|^{2p/r} < 1
+    hits = _count_hits(np.random.default_rng(seed), samples, p, p / r, half)
     lhs = (2.0 * half) ** (2 * p) * hits / samples
     mc = inflation_constant_mc(p, r, samples=samples, seed=seed + 1)
     rhs = s ** r * mc.value

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from berezin_lab import _accel
 
@@ -29,3 +30,25 @@ def test_series_values_chunking_consistent():
     assert np.array_equal(small, big)
     direct = coeffs @ _accel.monomial_matrix(pts, alphas)
     assert np.array_equal(big, direct)
+
+
+def test_series_values_rows_equal_one_series_calls():
+    pts = rand_points(1000, 2, seed=5)
+    alphas = np.array([[a, b] for a in range(6) for b in range(6 - a)], dtype=np.int64)
+    rng = np.random.default_rng(6)
+    coeffs = rng.standard_normal((3, len(alphas))) + 1j * rng.standard_normal((3, len(alphas)))
+    got = _accel.series_values(pts, alphas, coeffs, chunk=64)
+    want = np.stack([_accel.series_values(pts, alphas, c, chunk=64) for c in coeffs])
+    assert got.shape == (3, 1000)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", (1, 2, 3))
+@pytest.mark.parametrize("exponent", (0.5, 1.0, 1.5, 2.0, 4.0))
+def test_count_inside_matches_reference_sum(p, exponent):
+    u = np.random.default_rng(10 * p + int(4 * exponent)).uniform(-1, 1, (50_000, 2 * p))
+    want = np.count_nonzero(
+        np.sum((u[:, 0::2] ** 2 + u[:, 1::2] ** 2) ** exponent, axis=1) < 1)
+    got = _accel.count_inside(u.copy(), exponent)    # squares its input in place
+    assert 0 < got < len(u)
+    assert got == want

@@ -41,3 +41,28 @@ def test_tiny_sweep_fires_every_identity_sweep_span(tmp_path):
     summary = tracer.summary()
     assert summary["operators.semi_commutator_residual.calls"] == n ** 2
     assert summary["operators.product_decomposition_residual.calls"] == n ** 3
+
+
+def test_tiny_oracles_fires_every_oracles_span(tmp_path):
+    from berezin_lab import labcli
+    disk = {"name": "disk"}
+    runs = [
+        ("kernel-check", {"domain": disk, "r": 1.0, "N": 16, "grid_points": 4,
+                          "radius": 0.6, "phase": 0.3, "tolerance": 1e-8}),
+        ("inflation-check", {"domain": disk, "r": 1.0, "p": 1, "N": 16,
+                             "grid_points": 4, "radius": 0.6, "phase": 0.2,
+                             "tolerance": 1e-8}),
+        ("constants", {"pairs": [[1, 1.0], [2, 0.5]], "samples": 50_000, "seed": 42}),
+        ("berezin-profile", {"domain": disk, "r": 0.0, "N": 32, "symbol": "1",
+                             "point": [1.0, 0.0], "t_grid": [0.9, 0.95],
+                             "mass_outside": {"center": [1.0, 0.0], "radius": 0.3,
+                                              "quad_order": 32}}),
+    ]
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        for i, (experiment, config) in enumerate(runs):
+            labcli.run(experiment, dict(config, out=str(tmp_path / str(i))))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing("oracles") == []

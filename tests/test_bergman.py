@@ -188,6 +188,18 @@ def test_mass_concentration_near_peak_point():
     assert m99 < 0.1
 
 
+def test_kernel_mass_outside_batched_equals_per_point():
+    sp = disk_space(0.0, 48)
+    # 32,768 nodes: two series_values chunks
+    rule = polar_tensor_rule(sp.measure, radial_order=128, angular_order=256)
+    pts = np.array([[0.5], [0.9j], [-0.7 + 0.2j], [0.95]])
+    batched = kernel_mass_outside(sp, pts, [1.0], 0.3, rule)
+    single = [kernel_mass_outside(sp, z, [1.0], 0.3, rule) for z in pts]
+    assert all(type(m) is float for m in single)
+    assert batched.shape == (4,)
+    assert list(batched) == single
+
+
 def test_kernel_mass_outside_rejects_points_outside_the_domain():
     sp = disk_space(0.0, 16)
     rule = polar_tensor_rule(sp.measure, radial_order=32, angular_order=64)

@@ -161,6 +161,15 @@ def test_radial_rule_nodes_are_its_duffy_factors():
         assert np.array_equal(rule.nodes[:, 1], t2 ** (1.0 / q[1]))
 
 
+def test_radial_rule_factors_are_read_only():
+    rule = radial_rule(WeightedMeasure(DISK, 1.0), order=16)
+    again = radial_rule(WeightedMeasure(DISK, 1.0), order=16)
+    assert np.array_equal(rule.nodes, again.nodes)
+    assert np.array_equal(rule.weights, again.weights)
+    with pytest.raises(ValueError):
+        rule.factors[0][0] = 0.5
+
+
 def test_monte_carlo_rule_reproducible_and_interior():
     meas = WeightedMeasure(BALL2, 0.0)
     rule_a = monte_carlo_rule(meas, samples=200_000, seed=9)
@@ -205,6 +214,27 @@ def test_inflated_moment_mc_cross_check():
         closed = monomial_moment(meas, alpha)
         est = monomial_moment_mc(meas, alpha, samples=400_000, seed=21)
         assert abs(closed - est.value) < 4 * est.stderr
+
+
+def _reference_hits(seed, samples, p, r, half):
+    """Hit count of one rng.uniform draw of all samples (unblocked)."""
+    u = np.random.default_rng(seed).uniform(-half, half, size=(samples, 2 * p)) / half
+    return np.count_nonzero(
+        np.sum((u[:, 0::2] ** 2 + u[:, 1::2] ** 2) ** (p / r), axis=1) < 1)
+
+
+def test_mc_hit_counts_match_one_unblocked_draw():
+    samples = 100_003                   # not a multiple of the draw block
+    for p, r in ((1, 1.0), (2, 1.0), (2, 2.0), (3, 2.0), (2, 0.5)):
+        est = inflation_constant_mc(p, r, samples=samples, seed=7)
+        assert est.value == 4.0 ** p * (_reference_hits(7, samples, p, r, 1.0) / samples)
+    chk = dilation_identity_check(DISK, 1, 1.0, [0.6], samples=samples, seed=7)
+    s = -float(DISK.rho(np.array([0.6], dtype=complex)))
+    half = s ** 0.5
+    hits = _reference_hits(7, samples, 1, 1.0, half)
+    assert chk.lhs == (2.0 * half) ** 2 * hits / samples
+    rhs_hits = _reference_hits(8, samples, 1, 1.0, 1.0)
+    assert chk.rhs == s * (4.0 * (rhs_hits / samples))
 
 
 def test_dilation_identity_check():

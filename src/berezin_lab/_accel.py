@@ -31,7 +31,9 @@ def monomial_matrix(points, alphas):
     alphas = np.asarray(alphas, dtype=np.int64)
     kmax = alphas.max(axis=0)
     tables = _power_tables(points, kmax)
-    out = tables[0][alphas[:, 0]]
+    out = tables[0]
+    if len(alphas) != len(out) or np.any(alphas[:, 0] != np.arange(len(out))):
+        out = out[alphas[:, 0]]        # else the table is already in basis order
     for j in range(1, points.shape[1]):
         out *= tables[j][alphas[:, j]]
     return out

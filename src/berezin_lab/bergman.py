@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .domains import BOUNDARY_TOL_COEFF, _as_points, inflate
+from .domains import BOUNDARY_TOL_COEFF, _as_points, inflate, inflation_parameters
 from .errors import (BoundaryError, CapabilityError, ConditioningError,
                      ParameterError)
 from .quadrature import (WeightedMeasure, inflation_constant,
                          log_monomial_moments, measure_node_weights,
-                         polar_tensor_rule)
+                         polar_tensor_rule, require_full_rule)
 
 DELTA_INTERIOR = 0.02        # accuracy contract: kernel advertised for -rho >= this
 GRAM_EIGENVALUE_FLOOR = 1e-12
@@ -211,6 +211,7 @@ def build_space(measure, N, rule=None):
 
 def project(space, f, rule):
     """Quadrature Bergman projection: coefficients <f, e_b> in the basis."""
+    require_full_rule(rule, "project")
     vals = np.asarray(f(rule.nodes), dtype=np.complex128)
     w = measure_node_weights(space.measure, rule)
     eb = space.basis_values(rule.nodes)
@@ -228,6 +229,7 @@ def kernel_mass_outside(space, z, center, radius, rule):
     call does.  Raises :class:`BoundaryError` when a point lies outside the
     closed domain (see ``inside_contract``).
     """
+    require_full_rule(rule, "kernel_mass_outside")
     space.inside_contract(z)
     v = space.normalized_kernel(z)
     center = np.atleast_1d(np.asarray(center, dtype=np.complex128))
@@ -253,11 +255,7 @@ class InflationKernelCheck:
 
 def build_inflated_space(base_space, p):
     """Unweighted space over the inflation of the base domain, same degree."""
-    r = base_space.measure.r
-    p = int(p)
-    if not 0.0 < r <= p:
-        raise ParameterError(f"inflation requires 0 < r <= p, got r={r}, p={p}")
-    infl_dom = inflate(base_space.measure.domain, p, r)
+    infl_dom = inflate(base_space.measure.domain, p, base_space.measure.r)
     if infl_dom.exponents is None:
         raise CapabilityError("inflated moments unavailable for this base domain")
     return build_space(WeightedMeasure(infl_dom, 0.0), base_space.N)
@@ -311,10 +309,7 @@ def slice_inequality_check(base_space, p, G, z, fiber_order=96):
     fiber average of |G(z, .)|^2 against c_{p,r} (-rho(z))^r.  Returns
     rhs - lhs, expected >= 0 (constants achieve equality).
     """
-    r = base_space.measure.r
-    p = int(p)
-    if not 0.0 < r <= p:
-        raise ParameterError(f"slice check requires 0 < r <= p, got r={r}, p={p}")
+    p, r = inflation_parameters(p, base_space.measure.r)
     if p > 2:
         raise CapabilityError("fiber quadrature implemented for p <= 2")
     dom = base_space.measure.domain

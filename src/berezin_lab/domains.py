@@ -147,6 +147,13 @@ class CustomDomain(Domain):
                                   np.asarray(y, dtype=np.complex128)))
 
 
+def inflation_parameters(p, r):
+    """(int p, float r), checking that p >= 1 is an integer and 0 < r <= p."""
+    if int(p) != p or p < 1 or not 0.0 < float(r) <= p:
+        raise ParameterError(f"inflation needs an integer p >= 1 and 0 < r <= p, got p={p}, r={r}")
+    return int(p), float(r)
+
+
 class InflatedDomain(Domain):
     """Hartogs-type inflation: base domain plus p fiber coordinates.
 
@@ -156,12 +163,7 @@ class InflatedDomain(Domain):
     """
 
     def __init__(self, base, p, r):
-        p = int(p)
-        if p < 1:
-            raise ParameterError(f"fiber count p must be a positive integer, got {p}")
-        r = float(r)
-        if not 0.0 < r <= p:
-            raise ParameterError(f"inflation requires 0 < r <= p, got r={r}, p={p}")
+        p, r = inflation_parameters(p, r)
         self.base = base
         self.p = p
         self.r = r

@@ -8,28 +8,22 @@ truncation-safe block of indices with total degree <= N - margin, margin >=
 d; outside that block truncation error is structural, which is why residual
 checks take an explicit ``margin``.
 
-Toeplitz assembly picks the cheapest exact route available:
-
-* polynomial symbols on Reinhardt closed-moment spaces: exact entries from
-  moment ratios.  A monomial symbol z^gamma zbar^delta is a weighted shift
-  e_alpha -> w(alpha) e_{alpha+gamma-delta}, so such operators are held as
-  {shift: weight vector} maps;
-* torus-invariant ("radial") symbols: exactly diagonal, entries by radial
-  quadrature normalized against the same rule's diagonal Gram.  The sums
-  over the nodes are contracted through the rule's Duffy tensor factors
-  (real per-coordinate power tables, no basis x nodes array), and the real
-  and imaginary parts of the symbol go through the same real kernel as the
-  Gram, so T_1 = I exactly;
-* general symbols: full quadrature Gram, orthonormalized against the rule.
-
-Operator algebra picks its form once per call (``_form``): weighted shifts,
-densified only when a matrix is returned, when every symbol is a polynomial
-on a closed-moment space; else dense matrices from ``toeplitz`` and
-``hankel_gram``.  Each formula is written once for both forms.  The identity
-residuals need a closed-moment space and raise :class:`CapabilityError` on
-any other.  They take the difference of the two sides and its block max in
-one pass over the shifts, building no intermediate operator, and reuse the
-operators that recur from one identity to the next (``_ShiftCache``).
+On a Reinhardt closed-moment space operators are weighted shifts
+(``_Shifts``, see below).  A monomial symbol z^gamma zbar^delta is the one
+shift gamma - delta, with exact weights from moment ratios; a
+torus-invariant ("radial") symbol in dimension <= 2 is the zero shift alone,
+contracted on the radial rule's Duffy tensor factors with T_1 = I exactly
+(``_RadialDiagonal``).  ``_form`` picks the form once per call: shifts when
+every Toeplitz symbol is one of these and every Hankel-pair symbol a
+polynomial, else dense matrices, where general symbols take a full
+quadrature Gram orthonormalized against the rule; each formula is written
+once for both.  A ``TruncatedOperator`` keeps the form it was built in: its
+``diagonal`` is the zero shift's weights, never searched for in a matrix,
+and its ``matrix`` is densified on first read.  The identity residuals need
+a closed-moment space (else :class:`CapabilityError`); they take the
+difference of the two sides and its block max in one pass over the shifts,
+and reuse the operators that recur from one identity to the next
+(``_ShiftCache``).
 """
 
 import operator
@@ -42,7 +36,8 @@ from . import _accel
 from .bergman import GRAM_EIGENVALUE_FLOOR
 from .errors import CapabilityError, ConditioningError, ParameterError
 from .quadrature import (finite_node_values, log_monomial_moments,
-                         measure_node_weights, polar_tensor_rule, radial_rule)
+                         measure_node_weights, polar_tensor_rule, radial_rule,
+                         require_full_rule)
 from .symbols import Symbol
 
 _RADIAL_ORDER = 160
@@ -50,28 +45,30 @@ _RADIAL_ORDER = 160
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """N_b x N_b matrix of an operator expression in the orthonormal basis."""
+    """An operator expression on the truncated space, held in the form its
+    assembly built: weighted shifts (``_Shifts``) or an N_b x N_b matrix."""
 
-    matrix: np.ndarray
+    assembled: object
     space: object
     provenance: object = None
 
-    @property
-    def size(self):
-        return self.matrix.shape[0]
+    @cached_property
+    def matrix(self):
+        """M[beta, alpha] = <T e_alpha, e_beta>, densified on first read."""
+        if isinstance(self.assembled, _Shifts):
+            return self.assembled.dense()
+        return self.assembled
 
     @cached_property
-    def _abs_diagonal(self):
-        """|M[j, j]| when M is finite with no nonzero off-diagonal entry, else None.
-
-        Counting nonzeros avoids a B x B temporary.  A non-finite matrix is
-        left to the SVD path, which keeps its error behaviour.
-        """
-        diag = np.diagonal(self.matrix)
-        if (np.count_nonzero(self.matrix) != np.count_nonzero(diag)
-                or not np.all(np.isfinite(diag))):
+    def diagonal(self):
+        """The weights of the zero shift (read-only) when that is the only
+        shift, else None; None for an operator handed a dense matrix."""
+        zero = (0,) * self.space.dim
+        if not isinstance(self.assembled, _Shifts) or list(self.assembled.w) != [zero]:
             return None
-        return np.abs(diag)
+        d = self.assembled.w[zero].view()
+        d.flags.writeable = False
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +140,7 @@ def decompose_product(symbols):
 
 
 # ---------------------------------------------------------------------------
-# weighted-shift algebra (polynomial symbols on Reinhardt spaces)
+# weighted-shift algebra (Reinhardt spaces)
 #
 # An operator is a _Shifts: a dict {shift s: w} of weight vectors (float64 or
 # complex128) of length B, w[alpha] = <T e_alpha, e_{alpha+s}>, zero where alpha+s leaves the
@@ -192,9 +189,12 @@ class _ShiftCache:
     distinct polynomial, Hankel pairs of two operand symbols, and the last
     leading pair product; never one per identity."""
 
-    __slots__ = ("toeplitz", "hankel", "last_pair", "keep", "blocks")
+    __slots__ = ("index", "radial", "toeplitz", "hankel", "last_pair", "keep",
+                 "blocks")
 
-    def __init__(self):
+    def __init__(self, space):
+        self.index = _ShiftIndex(space)
+        self.radial = None   # _RadialDiagonal, built for the first radial symbol
         self.toeplitz = {}   # key -> T_s
         self.hankel = {}     # (key phi, key psi) -> H*_psi H_phi, phi an operand
         self.last_pair = None  # ((key a, key b), T_a T_b) of the last chain
@@ -278,30 +278,31 @@ class _Shifts:
 
 
 class _ShiftForm:
-    """Factors as weighted shifts (polynomial symbols, Reinhardt spaces).
+    """Factors as weighted shifts (Reinhardt spaces).
 
     ``operands`` are the symbols of the calling identity: Hankel pairs whose
     H-symbol is one of them are kept in the space's cache.
     """
 
     def __init__(self, space, operands=()):
-        if not hasattr(space, "_shift_index"):
-            space._shift_index = _ShiftIndex(space)
-            space._shift_cache = _ShiftCache()
-        self.space = space
-        self.index = space._shift_index
-        self.cache = space._shift_cache
-        self.operands = operands
+        if getattr(space, "_shift_cache", None) is None:
+            space._shift_cache = _ShiftCache(space)
+        self.space, self.cache, self.operands = space, space._shift_cache, operands
+        self.index = self.cache.index
 
     def toeplitz(self, sym):
-        """Closed-form weights of T_sym for a polynomial symbol: monomial
+        """T_sym: the radial diagonal for a non-polynomial symbol (not
+        cached, as its key is None), else closed-form weights: monomial
         z^gamma zbar^delta contributes c_alpha c_beta m_{alpha+gamma} at shift
-        gamma - delta; monomials sharing a shift are summed in the symbol's
-        order.  Cached on the space by the symbol's key.
+        gamma - delta, summed in the symbol's order, cached by the symbol's key.
 
         The weights are real (float64) when every coefficient is: complex
         arithmetic on x + 0j gives the same values as real arithmetic on x,
         and real weights take half the memory and time."""
+        if sym.poly is None:
+            if self.cache.radial is None:
+                self.cache.radial = _RadialDiagonal(self.space)
+            return _Shifts(self.index, {(0,) * self.space.dim: self.cache.radial(sym)})
         cache = self.cache.toeplitz
         hit = cache.get(sym.key)
         if hit is not None:
@@ -395,7 +396,6 @@ class _ShiftForm:
         return best
 
     adjoint = staticmethod(_Shifts.adjoint)
-    dense = staticmethod(_Shifts.dense)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +403,9 @@ class _ShiftForm:
 # ---------------------------------------------------------------------------
 
 class _RadialDiagonal:
-    """Diagonal Toeplitz weights of torus-invariant symbols on one space, by
-    the radial rule's Duffy tensor structure (dimension <= 2).
+    """Diagonal Toeplitz weights of torus-invariant symbols on one space
+    (dimension <= 2): entry alpha is sum |z^alpha|^2 w phi over sum
+    |z^alpha|^2 w on the radial rule, both by its Duffy tensor structure.
 
     Node (a, b) of the rule has t1 = u1[a], t2 = (1-u1[a]) u2[b] with
     t_j = |z_j|^{q_j}, so |z^alpha|^2 = R[alpha1, a] S[alpha2, a] V[alpha2, b]
@@ -412,8 +413,9 @@ class _RadialDiagonal:
     V[k] = u2^{2k/q2}.  A sum over the nodes of |z^alpha|^2 m[a, b] is then
     two small matmuls, R (S o (m V^T)^T)^T read at (alpha1, alpha2):
     O(order * N) memory, no basis x nodes array.  Dimension 1 is the same
-    contraction with S and V all ones and alpha2 = 0.  Holds arrays only,
-    not the space.
+    contraction with S and V all ones and alpha2 = 0.  The real and imaginary
+    parts of w phi go through the same real kernel as the denominator, so
+    T_1 = I exactly.  Holds arrays only, not the space.
     """
 
     def __init__(self, space):
@@ -441,23 +443,13 @@ class _RadialDiagonal:
         q = self.s * (m @ self.v.T).T
         return (self.r @ q.T)[self.at]
 
-
-def _toeplitz_radial(space, sym):
-    """Diagonal assembly for torus-invariant symbols, Gram-ratio normalized.
-
-    Entry alpha is sum |z^alpha|^2 w phi over sum |z^alpha|^2 w on the radial
-    rule, both by ``_RadialDiagonal.contract``.  The real and imaginary parts
-    of w phi go through the same real kernel as the denominator, so T_1 = I
-    exactly.  The contraction tables are cached on the space.
-    """
-    rad = getattr(space, "_radial_diagonal", None)
-    if rad is None:
-        rad = space._radial_diagonal = _RadialDiagonal(space)
-    phi = finite_node_values(sym, rad.rule.nodes, "symbol").reshape(rad.w.shape)
-    diag = np.empty(space.size, dtype=np.complex128)
-    diag.real = rad.contract(rad.w * phi.real) / rad.den
-    diag.imag = rad.contract(rad.w * phi.imag) / rad.den
-    return np.diag(diag)
+    def __call__(self, sym):
+        """The diagonal of T_sym, complex, one entry per basis index."""
+        phi = finite_node_values(sym, self.rule.nodes, "symbol").reshape(self.w.shape)
+        diag = np.empty(len(self.den), dtype=np.complex128)
+        diag.real = self.contract(self.w * phi.real) / self.den
+        diag.imag = self.contract(self.w * phi.imag) / self.den
+        return diag
 
 
 def _default_rule(space):
@@ -477,6 +469,7 @@ def _default_rule(space):
 def _toeplitz_quad(space, sym, rule):
     if rule is None:
         rule = _default_rule(space)
+    require_full_rule(rule, "toeplitz of a general symbol")
     x = space.basis_values(rule.nodes)
     w = measure_node_weights(space.measure, rule)
     phi = finite_node_values(sym, rule.nodes, "symbol")
@@ -494,25 +487,25 @@ def _toeplitz_quad(space, sym, rule):
 
 
 def toeplitz(space, sym, rule=None):
-    """Truncated Toeplitz operator: matrix of P_N M_phi on the basis."""
-    if sym.poly is not None and space.normalized_monomials:
-        mat = _ShiftForm(space).toeplitz(sym).dense()
-    elif sym.radial and space.normalized_monomials and space.dim <= 2:
-        mat = _toeplitz_radial(space, sym)
-    else:
-        mat = _toeplitz_quad(space, sym, rule)
-    return TruncatedOperator(mat, space, provenance=OperatorExpr.toeplitz(sym))
+    """Truncated Toeplitz operator P_N M_phi on the basis."""
+    return TruncatedOperator(_form(space, (sym,), rule=rule).toeplitz(sym), space,
+                             provenance=OperatorExpr.toeplitz(sym))
 
 
 @dataclass
 class _DenseForm:
-    """Factors as dense matrices from the public ``toeplitz``/``hankel_gram``."""
+    """Factors as dense matrices: Hankel pairs from the public
+    ``hankel_gram``, Toeplitz factors by exact per-symbol assembly."""
 
     space: object
     rule: object
 
     def toeplitz(self, sym):
-        return toeplitz(self.space, sym, rule=self.rule).matrix
+        """The shift form's T_sym densified when it takes sym, else by quadrature."""
+        form = _form(self.space, (sym,))
+        if isinstance(form, _ShiftForm):
+            return form.toeplitz(sym).dense()
+        return _toeplitz_quad(self.space, sym, self.rule)
 
     def hankel(self, phi, psi):
         return hankel_gram(self.space, phi, psi, rule=self.rule)
@@ -527,14 +520,16 @@ class _DenseForm:
     def adjoint(m):
         return m.conj().T
 
-    dense = staticmethod(np.asarray)
 
-
-def _form(space, symbols, rule=None):
+def _form(space, toeplitz_symbols, hankel_symbols=(), rule=None):
     """The one place that picks how a call holds its operators: weighted
-    shifts when every symbol is a polynomial and the space has normalized
-    monomials, dense matrices otherwise."""
-    if space.normalized_monomials and all(s.poly is not None for s in symbols):
+    shifts on a space with normalized monomials when every Toeplitz symbol
+    is a polynomial or, in dimension <= 2, torus-invariant, and every
+    Hankel-pair symbol is a polynomial; dense matrices otherwise."""
+    if (space.normalized_monomials
+            and all(s.poly is not None or (s.radial and space.dim <= 2)
+                    for s in toeplitz_symbols)
+            and all(s.poly is not None for s in hankel_symbols)):
         return _ShiftForm(space)
     return _DenseForm(space, rule)
 
@@ -553,8 +548,8 @@ def hankel_gram(space, phi, psi, rule=None):
     psi = phi.  For holomorphic polynomial phi the block of degrees
     <= N - deg(phi) vanishes.
     """
-    form = _form(space, (phi, psi), rule)
-    return form.dense(_hankel_pair(form, phi, psi))
+    form = _form(space, (), (phi, psi), rule)
+    return TruncatedOperator(_hankel_pair(form, phi, psi), space).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +557,10 @@ def hankel_gram(space, phi, psi, rule=None):
 # ---------------------------------------------------------------------------
 
 def _expr_symbols(expr):
-    return [s for product in expr.terms for f in product
-            if f[0] in ("toeplitz", "hankel_pair") for s in f[1:]]
+    """(Toeplitz symbols, Hankel-pair symbols) of an expression."""
+    factors = [f for product in expr.terms for f in product]
+    return ([f[1] for f in factors if f[0] == "toeplitz"],
+            [s for f in factors if f[0] == "hankel_pair" for s in f[1:]])
 
 
 def _product(form, product):
@@ -597,17 +594,15 @@ def _sum_of_products(form, expr):
 
 
 def materialize(expr, space, rule=None):
-    """Evaluate an operator expression to its truncated matrix.
+    """Evaluate an operator expression on the truncated space.
 
-    Products multiply factor matrices in the written order; scalar factors
-    accumulate multiplicatively without an extra matmul.  All-polynomial
-    expressions on Reinhardt closed-moment spaces are evaluated as weighted
-    shifts (one weight vector per multiindex shift, see the module docstring)
-    and densified once at the end.
+    Products multiply factors in the written order; scalar factors
+    accumulate multiplicatively without an extra matmul.  The result keeps
+    the form ``_form`` picked: weighted shifts (one weight vector per
+    multiindex shift, see the module docstring) or a dense matrix.
     """
-    form = _form(space, _expr_symbols(expr), rule)
-    return TruncatedOperator(form.dense(_sum_of_products(form, expr)),
-                             space, provenance=expr)
+    form = _form(space, *_expr_symbols(expr), rule=rule)
+    return TruncatedOperator(_sum_of_products(form, expr), space, provenance=expr)
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +669,12 @@ def product_decomposition_residual(space, symbols, margin):
 def berezin(op, z):
     """B T(z) = <T k_z, k_z>, a complex for one point (n,), else one value
     per row of an (m, n) array.  The quadratic form is taken row by row, which
-    rounds as a one-point call does; one (m, B) x (B, B) product would not."""
+    rounds as a one-point call does; one (m, B) x (B, B) product would not.
+    A diagonal operator takes sum_j conj(v_j) d_j v_j, rounding as M does."""
     v = op.space.normalized_kernel(z)
-    vals = np.array([row.conj() @ op.matrix @ row for row in np.atleast_2d(v)])
+    d = op.diagonal
+    vals = np.array([row.conj() @ op.matrix @ row if d is None else (row.conj() * d) @ row
+                     for row in np.atleast_2d(v)])
     return complex(vals[0]) if v.ndim == 1 else vals
 
 
@@ -708,9 +706,9 @@ def boundary_profile(op, p0, t_grid):
 def tail_norm(op, k):
     """Spectral norm of the column block of basis degrees >= k (proxy ||T Q_k||).
 
-    A diagonal matrix (radial symbols on Reinhardt spaces) is read off
-    exactly as max |M[j, j]| over the block's columns; any other matrix
-    takes the SVD spectral norm.
+    A diagonal operator (``op.diagonal``: a radial or diagonal polynomial
+    symbol on a Reinhardt space) is read off exactly as max |d_j| over the
+    block's columns; any other operator takes the SVD spectral norm.
     """
     space = op.space
     if not 0 <= k <= space.N:
@@ -718,9 +716,9 @@ def tail_norm(op, k):
     cols = space.degrees >= k
     if not np.any(cols):
         return 0.0
-    diag = op._abs_diagonal
+    diag = op.diagonal
     if diag is not None:
-        return float(np.max(diag[cols]))
+        return float(np.max(np.abs(diag[cols])))
     return float(np.linalg.norm(op.matrix[:, cols], 2))
 
 

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.special import betaln, gammaln, roots_jacobi, roots_legendre
 
 from . import _accel
+from .domains import inflation_parameters
 from .errors import BoundaryError, CapabilityError, NumericError, ParameterError
 
 # rows per draw in monomial_moment_mc and monte_carlo_rule.  The uniform
@@ -285,6 +286,16 @@ def finite_node_values(f, nodes, what):
     return vals
 
 
+def require_full_rule(rule, what):
+    """Raise :class:`ParameterError` when ``rule`` is a radial-section rule:
+    it integrates only torus-invariant functions, and ``what`` integrates
+    functions that are not."""
+    if rule.radial_only:
+        raise ParameterError(
+            f"{what} needs a full quadrature rule: the {rule.scheme.value} rule "
+            "integrates only torus-invariant functions")
+
+
 def integrate(f, measure, rule):
     """sum_i w_i f(node_i) (-rho(node_i))^r; deterministic given the rule."""
     vals = finite_node_values(f, rule.nodes, "integrand")
@@ -335,10 +346,7 @@ def monomial_moment(measure, alpha, rule=None):
 
 def inflation_constant(p, r):
     """Volume of { sum_j |w_j|^{2p/r} < 1 } in C^p: pi^p Gamma(1+r/p)^p / Gamma(1+r)."""
-    p = int(p)
-    r = float(r)
-    if p < 1 or not 0.0 < r <= p:
-        raise ParameterError(f"inflation constant requires 0 < r <= p, got r={r}, p={p}")
+    p, r = inflation_parameters(p, r)
     return float(np.exp(p * math.log(math.pi)
                         + p * gammaln(1.0 + r / p) - gammaln(1.0 + r)))
 
@@ -409,10 +417,7 @@ def _count_hits(rng, samples, p, exponent, half):
 
 def inflation_constant_mc(p, r, samples=10_000_000, seed=42):
     """Monte Carlo estimate of the fiber volume; reproducible for fixed seed."""
-    p = int(p)
-    r = float(r)
-    if p < 1 or not 0.0 < r <= p:
-        raise ParameterError(f"inflation constant requires 0 < r <= p, got r={r}, p={p}")
+    p, r = inflation_parameters(p, r)
     hits = _count_hits(np.random.default_rng(seed), samples, p, p / r, 1.0)
     box_vol = 4.0 ** p
     phat = hits / samples
@@ -440,10 +445,7 @@ def dilation_identity_check(domain, p, r, z, samples=1_000_000, seed=42):
     s = -float(domain.rho(z))
     if s <= 0:
         raise BoundaryError(f"point {z} is not strictly inside {domain.name}")
-    p = int(p)
-    r = float(r)
-    if p < 1 or not 0.0 < r <= p:
-        raise ParameterError(f"dilation check requires 0 < r <= p, got r={r}, p={p}")
+    p, r = inflation_parameters(p, r)
     half = s ** (r / (2.0 * p))
     # sum |w|^{2p/r} < s  <=>  sum |w/half|^{2p/r} < 1
     hits = _count_hits(np.random.default_rng(seed), samples, p, p / r, half)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,24 @@ def test_monomial_matrix_against_direct_power():
     got = _accel.monomial_matrix(pts, alphas)
     want = np.array([pts[:, 0] ** a[0] * pts[:, 1] ** a[1] for a in alphas])
     assert np.allclose(got, want, rtol=1e-13)
+
+
+def test_monomial_matrix_in_table_order_takes_no_copy():
+    # a disk basis 0..N is the power table's own row order: a 16,384-node
+    # chunk at N = 192 is a 50.6 MB result, which the fancy-indexed copy of
+    # the table used to double
+    pts = rand_points(16384, 1, seed=2)
+    alphas = np.arange(193, dtype=np.int64).reshape(-1, 1)
+    tracemalloc.start()
+    try:
+        got = _accel.monomial_matrix(pts, alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * got.nbytes
+    assert np.array_equal(got, _accel._power_tables(pts, [192])[0][alphas[:, 0]])
+    shuffled = alphas[::-1]
+    assert np.array_equal(_accel.monomial_matrix(pts, shuffled), got[::-1])
 
 
 def test_series_values_chunking_consistent():

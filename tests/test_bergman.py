@@ -7,6 +7,10 @@ from berezin_lab import (
     WeightedMeasure,
     build_space,
     diagonal_comparability_check,
+    dilation_identity_check,
+    inflate,
+    inflation_constant,
+    inflation_constant_mc,
     inflation_kernel_check,
     kernel_mass_outside,
     make_domain,
@@ -14,6 +18,7 @@ from berezin_lab import (
     multiindices,
     polar_tensor_rule,
     project,
+    radial_rule,
     slice_inequality_check,
     toeplitz,
 )
@@ -225,6 +230,33 @@ def test_project_examples():
     # P(|z|^2) is the constant 1/2
     val_at_zero = sp.eval_series(c, np.array([[0.0 + 0j]]))[0]
     assert val_at_zero == pytest.approx(0.5, abs=1e-10)
+
+
+def test_radial_section_rule_is_refused_where_integrands_are_not_radial():
+    # nodes on the real-positive section: with the rule, P(z) came out near
+    # 1.2 at basis indices 0 and 2, where the exact coefficients are 0
+    sp = disk_space(0.0, 8)
+    rule = radial_rule(sp.measure, order=64)
+    with pytest.raises(ParameterError, match="project needs a full quadrature "
+                                             "rule: the Radial2D rule"):
+        project(sp, lambda w: w[:, 0], rule)
+    with pytest.raises(ParameterError, match="kernel_mass_outside needs a full"):
+        kernel_mass_outside(sp, [0.5], [1.0], 0.3, rule)
+
+
+@pytest.mark.parametrize("p,r", [(1.5, 1.0), (0, 0.5), (1, 1.5), (2, 0.0)])
+def test_every_inflation_entry_point_checks_p_and_r_alike(p, r):
+    sp = disk_space(r, 8)
+    calls = [lambda: inflation_constant(p, r),
+             lambda: inflation_constant_mc(p, r, samples=100),
+             lambda: dilation_identity_check(DISK, p, r, [0.2], samples=100),
+             lambda: inflate(DISK, p, r),
+             lambda: build_inflated_space(sp, p),
+             lambda: slice_inequality_check(sp, p, lambda z, w: np.ones(len(w)), [0.2])]
+    for call in calls:
+        with pytest.raises(ParameterError,
+                           match=r"inflation needs an integer p >= 1 and 0 < r <= p"):
+            call()
 
 
 def test_project_idempotent():

@@ -138,6 +138,15 @@ def test_toeplitz_radial_builds_no_basis_by_nodes_array():
     assert peak < 50e6
 
 
+def test_toeplitz_general_symbol_refuses_a_radial_section_rule():
+    # the rule integrates only torus-invariant functions: dist(0.5) came out
+    # 0.77 off the default rule's matrix
+    sp = disk_space(0.0, 8)
+    with pytest.raises(ParameterError, match="toeplitz of a general symbol needs "
+                                             "a full quadrature rule"):
+        toeplitz(sp, sym("dist(0.5)"), rule=radial_rule(sp.measure, order=64))
+
+
 def test_toeplitz_general_quadrature_matches_exact():
     sp = disk_space(0.0, 12)
     exact = toeplitz(sp, sym("re(z)")).matrix
@@ -612,17 +621,16 @@ def test_tail_norm_diagonal_matches_svd_exactly():
     ops = [
         toeplitz(poly, sym("max(0, 1-(1-abs(z2))/0.3)", 2)),
         toeplitz(disk, sym("1-abs2(z)")),
-        TruncatedOperator(np.eye(disk.size, dtype=complex), disk),
-        TruncatedOperator(np.zeros((disk.size, disk.size), dtype=complex), disk),
-        materialize(OperatorExpr(((HP(sym("abs(z)"), sym("abs(z)")),),)), disk),
+        materialize(OperatorExpr.identity(), disk),
     ]
     for op in ops:
-        assert op._abs_diagonal is not None
+        assert op.diagonal is not None
         for k in range(op.space.N + 1):
             assert tail_norm(op, k) == svd_tail(op, k)
 
 
 def test_tail_norm_general_matches_svd_exactly():
+    # dense matrices carry no structural diagonal, even diagonal ones
     sp = disk_space(0.0, 24)
     rng = np.random.default_rng(7)
     near_diag = np.diag(np.linspace(1.0, 0.1, sp.size)).astype(complex)
@@ -631,11 +639,56 @@ def test_tail_norm_general_matches_svd_exactly():
         TruncatedOperator(rng.standard_normal((sp.size, sp.size)) + 0j, sp),
         toeplitz(sp, sym("re(z)")),
         TruncatedOperator(near_diag, sp),
+        TruncatedOperator(np.eye(sp.size, dtype=complex), sp),
+        TruncatedOperator(np.zeros((sp.size, sp.size), dtype=complex), sp),
+        materialize(OperatorExpr(((HP(sym("abs(z)"), sym("abs(z)")),),)), sp),
     ]
     for op in ops:
-        assert op._abs_diagonal is None
+        assert op.diagonal is None
         for k in range(sp.N + 1):
             assert tail_norm(op, k) == svd_tail(op, k)
+
+
+def test_diagonal_is_the_zero_shift_of_the_assembled_form():
+    sp = disk_space(0.0, 16)
+    for op in (toeplitz(sp, sym("max(0, 1-abs(z))")), toeplitz(sp, sym("1-abs2(z)")),
+               materialize(OperatorExpr.identity(), sp)):
+        assert np.array_equal(op.diagonal, np.diagonal(op.matrix))
+        assert np.count_nonzero(op.matrix - np.diag(op.diagonal)) == 0
+        assert not op.diagonal.flags.writeable    # may be the space's cached weights
+    assert toeplitz(sp, sym("re(z)")).diagonal is None
+    assert materialize(OperatorExpr.identity(), sp).diagonal.dtype == complex
+
+
+@pytest.mark.parametrize("domain,n,text,p0", [
+    ("disk", 96, "abs2(z)", [1.0]),
+    ("smoothed_polydisk", 16, "max(0, 1-(1-abs(z2))/0.3)", [0.7 + 0.1j, 0.9j]),
+])
+def test_berezin_of_a_diagonal_operator_equals_the_dense_form_bitwise(domain, n, text, p0):
+    dom = make_domain(domain)
+    sp = build_space(WeightedMeasure(dom, 0.0), n)
+    op = toeplitz(sp, sym(text, dom.dim))
+    assert op.diagonal is not None
+    zs = DEFAULT_T_GRID[:, None] * np.asarray(p0)
+    dense = TruncatedOperator(op.matrix, sp)
+    assert np.array_equal(berezin(op, zs), berezin(dense, zs))
+
+
+def test_az_report_on_a_radial_symbol_builds_no_dense_matrix():
+    # B = 861: the dense B x B complex matrix alone would be 11.9 MB
+    dom = make_domain("smoothed_polydisk")
+    sp = build_space(WeightedMeasure(dom, 0.0), 40)
+    b = (1 - 0.1 ** 8) ** (1 / 8)
+    expr = OperatorExpr.toeplitz(sym("max(0, 1-(1-abs(z2))/0.3)", 2))
+    tracemalloc.start()
+    try:
+        rep = axler_zheng_report(expr, sp, [[b, 0.1], [1j * b, 0.1j]], [[0.0, 1.0]],
+                                 {"tail_k": 8})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.classification == "localized"
+    assert peak < sp.size ** 2 * 16
 
 
 @pytest.mark.parametrize("entry", [(2, 2), (2, 5)])

@@ -131,9 +131,9 @@ def emit(report, out_dir):
         "verdicts": _jsonify(report.verdicts),
         "warnings": list(report.warnings),
     }
+    # compact, so that json's C encoder writes it (indent forces pure Python)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
     written.append(path)
     return written
 

@@ -394,31 +394,10 @@ def monomial_moment_mc(measure, alpha, samples=1_000_000, seed=42):
     return MCEstimate(box * mean, box * np.sqrt(var / samples), samples, seed)
 
 
-def _count_hits(rng, samples, p, exponent, half):
-    """How many of ``samples`` draws w uniform on the box [-half, half]^{2p}
-    of R^{2p} ~ C^p satisfy sum_j |w_j / half|^{2 exponent} < 1.
-
-    Draws ``_accel._CHUNK`` rows at a time into one reused buffer.  Scaling
-    ``rng.random`` as low + (high - low) x, as ``rng.uniform`` does, gives
-    the same stream and the same rounding as ``rng.uniform(-half, half)``
-    followed by ``/ half``, whatever the block size.
-    """
-    buf = np.empty((min(_accel._CHUNK, samples), 2 * p))
-    hits = 0
-    for start in range(0, samples, _accel._CHUNK):
-        u = buf[:samples - start]
-        rng.random(out=u)
-        u *= 2.0 * half
-        u += -half
-        u /= half
-        hits += _accel.count_inside(u, exponent)
-    return hits
-
-
 def inflation_constant_mc(p, r, samples=10_000_000, seed=42):
     """Monte Carlo estimate of the fiber volume; reproducible for fixed seed."""
     p, r = inflation_parameters(p, r)
-    hits = _count_hits(np.random.default_rng(seed), samples, p, p / r, 1.0)
+    hits = _accel.count_inside(np.random.default_rng(seed), samples, p, p / r, 1.0)
     box_vol = 4.0 ** p
     phat = hits / samples
     value = box_vol * phat
@@ -448,7 +427,7 @@ def dilation_identity_check(domain, p, r, z, samples=1_000_000, seed=42):
     p, r = inflation_parameters(p, r)
     half = s ** (r / (2.0 * p))
     # sum |w|^{2p/r} < s  <=>  sum |w/half|^{2p/r} < 1
-    hits = _count_hits(np.random.default_rng(seed), samples, p, p / r, half)
+    hits = _accel.count_inside(np.random.default_rng(seed), samples, p, p / r, half)
     lhs = (2.0 * half) ** (2 * p) * hits / samples
     mc = inflation_constant_mc(p, r, samples=samples, seed=seed + 1)
     rhs = s ** r * mc.value

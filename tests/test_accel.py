@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,40 @@ def test_count_inside_matches_reference_sum(p, exponent):
     u = np.random.default_rng(10 * p + int(4 * exponent)).uniform(-1, 1, (50_000, 2 * p))
     want = np.count_nonzero(
         np.sum((u[:, 0::2] ** 2 + u[:, 1::2] ** 2) ** exponent, axis=1) < 1)
-    got = _accel.count_inside(u.copy(), exponent)    # squares its input in place
+    got = _accel._count_block(u.copy(), exponent)    # squares its input in place
     assert 0 < got < len(u)
     assert got == want
+
+
+def _generator(seed):
+    """A PCG64 generator holding a buffered 32-bit half-output, which
+    ``random`` leaves alone."""
+    rng = np.random.default_rng(seed)
+    rng.integers(2 ** 32, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def _unblocked_hits(seed, samples, p, exponent, half):
+    """The hit count from one ``rng.uniform`` call, and the generator's state
+    after it."""
+    rng = _generator(seed)
+    u = rng.uniform(-half, half, size=(samples, 2 * p)) / half
+    hits = np.count_nonzero(
+        np.sum((u[:, 0::2] ** 2 + u[:, 1::2] ** 2) ** exponent, axis=1) < 1)
+    return hits, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("cpus", (1, 2, 3))
+@pytest.mark.parametrize("p", (1, 2, 3))
+@pytest.mark.parametrize("half", (1.0, 0.37))
+def test_count_inside_split_draws_the_unblocked_stream(monkeypatch, cpus, p, half):
+    # any split of the blocks over threads counts the hits of one unblocked
+    # rng.uniform draw and leaves the caller's generator where it leaves it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for samples in (1000, 16384, 16385, 32769, 100003):
+        rng = _generator(samples)
+        got = _accel.count_inside(rng, samples, p, p / 0.7, half)
+        want, state = _unblocked_hits(samples, samples, p, p / 0.7, half)
+        assert got == want
+        assert rng.bit_generator.state == state

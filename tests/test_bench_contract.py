@@ -4,6 +4,8 @@ A refactor that renames or removes one of them fails here, not only in a
 traced benchmark run."""
 
 import importlib.util
+import os
+import threading
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -66,3 +68,35 @@ def test_tiny_oracles_fires_every_oracles_span(tmp_path):
     finally:
         tracer.uninstall()
     assert tracer.missing("oracles") == []
+
+
+def test_traced_spans_stay_on_the_calling_thread(tmp_path, monkeypatch):
+    # the Monte Carlo hit count splits its blocks over worker threads (three
+    # here, whatever the host has); the tracer's span stack is not
+    # thread-safe, so every traced name must still be entered on this thread
+    from berezin_lab import labcli
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    tracer = _load_tracer().Tracer()
+    wrap, entered = tracer._wrap, []
+
+    def recording_wrap(span, fn):
+        traced = wrap(span, fn)
+
+        def call(*args, **kwargs):
+            entered.append(threading.get_ident())
+            return traced(*args, **kwargs)
+        return call
+
+    tracer._wrap = recording_wrap
+    threads = threading.active_count()
+    tracer.install()
+    try:
+        labcli.run("constants", {"pairs": [[1, 1.0], [2, 0.5], [3, 1.5]],
+                                 "samples": 50_000, "seed": 42, "out": str(tmp_path)})
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["accel.count_inside.calls"] == 3
+    assert all(v >= 0 for k, v in summary.items() if k.endswith(".self_s"))
+    assert entered and set(entered) == {threading.get_ident()}
+    assert threading.active_count() == threads

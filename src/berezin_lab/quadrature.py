@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, gammaln, roots_jacobi, roots_legendre
+from scipy.special import betaln, gammaln
 
 from . import _accel
 from .domains import inflation_parameters
@@ -110,18 +110,28 @@ def _jac01(n, a, b):
     """Nodes/weights for the weight (1-u)^a u^b on [0, 1], read-only.
 
     Memoized per (n, a, b): spaces over one measure share the polished rule.
-    Library nodes at order ~100+ carry enough rounding that degree-2n-1
-    moments miss the 1e-12 exactness contract, so nodes are polished by
-    Newton iteration on the orthonormal Jacobi recurrence in extended
-    precision and weights recomputed as Christoffel numbers 1/sum_k p_k^2.
+    The nodes are seeded by Golub-Welsch (Math. Comp. 23, 1969): the
+    eigenvalues of the n x n symmetric tridiagonal Jacobi matrix, with
+    alpha[:n] on the diagonal and sqrt(beta[1:n]) beside it.  A float64
+    eigensolve at order ~100+ carries enough rounding that degree-2n-1
+    moments would miss the 1e-12 exactness contract, so see
+    :func:`_polished_rule` for the extended-precision polish.
     """
-    if a == 0.0 and b == 0.0:
-        x0, _ = roots_legendre(n)
-    else:
-        x0, _ = roots_jacobi(n, a, b)
-    x = x0.astype(np.longdouble)
     alpha, beta = _jacobi_recurrence(n + 1, a, b)
     sqb = np.sqrt(beta)
+    off = sqb[1:n].astype(np.float64)
+    jacobi = np.diag(alpha[:n].astype(np.float64)) + np.diag(off, 1) + np.diag(off, -1)
+    return _polished_rule(np.linalg.eigvalsh(jacobi), alpha, sqb, a, b)
+
+
+def _polished_rule(x0, alpha, sqb, a, b):
+    """The read-only rule (u, wu) of :func:`_jac01` from seed nodes ``x0``
+    on [-1, 1], given the recurrence of order len(x0) + 1 (``sqb`` is
+    sqrt(beta)): the nodes are polished by Newton iteration on the
+    orthonormal Jacobi recurrence in extended precision, and the weights
+    are the Christoffel numbers 1/sum_k p_k^2."""
+    n = len(x0)
+    x = np.asarray(x0).astype(np.longdouble)
 
     def _recurrence_pass(x):
         pkm1 = np.zeros_like(x)

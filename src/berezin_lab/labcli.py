@@ -36,7 +36,7 @@ from .operators import (DEFAULT_T_GRID, OperatorExpr, axler_zheng_report,
                         boundary_profile, expr_from_json,
                         product_decomposition_residual,
                         semi_commutator_residual, toeplitz)
-from .quadrature import (WeightedMeasure, inflation_constant,
+from .quadrature import (WeightedMeasure, _lgamma, inflation_constant,
                          inflation_constant_mc, monomial_moment,
                          monomial_moment_mc, polar_tensor_rule)
 from .symbols import Symbol
@@ -151,12 +151,13 @@ def _object(props, required=None):
 
 _NUMBERS = {"type": "array", "items": {"type": "number"}}
 _PAIR = dict(_NUMBERS, minItems=2, maxItems=2)
+_P = {"type": "integer", "minimum": 1}
+_R = {"type": "number", "exclusiveMinimum": 0}
 _POINT = {"oneOf": [{"type": "number"}, _PAIR, {"type": "array", "items": _PAIR}]}
 _TGRID = {"oneOf": [dict(_NUMBERS, minItems=1), _object(
     {"start": {"type": "number"}, "stop": {"type": "number"},
      "count": {"type": "integer", "minimum": 1}})]}
-_INFLATE = _object({"p": {"type": "integer", "minimum": 1},
-                    "r": {"type": "number", "exclusiveMinimum": 0}})
+_INFLATE = _object({"p": _P, "r": _R})
 _DOMAIN = _object({"name": {"type": "string"}, "inflate": _INFLATE,
                    "n": {"type": "integer"}, "m": {"type": "integer"},
                    "exponents": _NUMBERS}, required=["name"])
@@ -185,9 +186,9 @@ def _schema(props, required=()):
 
 SCHEMAS = {
     "constants": _schema({
-        "pairs": {"type": "array", "items": _PAIR},
-        "p": {"type": "integer", "minimum": 1},
-        "r": {"type": "number", "exclusiveMinimum": 0},
+        "pairs": {"type": "array", "items": dict(_PAIR, prefixItems=[_P, _R])},
+        "p": _P,
+        "r": _R,
         "samples": {"type": "integer", "minimum": 1000},
     }),
     "kernel-check": _schema({
@@ -201,8 +202,8 @@ SCHEMAS = {
     }, required=("domain",)),
     "inflation-check": _schema({
         "domain": _DOMAIN,
-        "r": {"type": "number", "exclusiveMinimum": 0},
-        "p": {"type": "integer", "minimum": 1},
+        "r": _R,
+        "p": _P,
         "N": {"type": "integer", "minimum": 1},
         "grid_points": {"type": "integer", "minimum": 2},
         "radius": {"type": "number", "exclusiveMinimum": 0},
@@ -358,8 +359,7 @@ def _closed_form_kernel(domain, r):
     if domain.exponents is None or any(q != 2.0 for q in domain.exponents):
         return None
     n = domain.dim
-    from scipy.special import gammaln
-    const = np.exp(gammaln(n + 1 + r) - gammaln(r + 1)) / np.pi ** n
+    const = np.exp(_lgamma(n + 1 + r) - _lgamma(r + 1)) / np.pi ** n
 
     def closed(z, w):
         inner = np.sum(np.atleast_2d(z) * np.conj(np.atleast_2d(w)), axis=1)
@@ -378,6 +378,10 @@ def _run_constants(config, report):
         if "p" not in config or "r" not in config:
             raise SchemaError("constants needs either 'pairs' or both 'p' and 'r'")
         pairs = [[config["p"], config["r"]]]
+    else:
+        for key in ("p", "r"):
+            if key in config:
+                raise SchemaError(f"config field $[{key!r}]: not allowed next to 'pairs'")
     samples = int(config.get("samples", 10_000_000))
     seed = int(config.get("seed", 42))
     rows = []

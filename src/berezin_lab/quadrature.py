@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 from . import _accel
 from .domains import inflation_parameters
@@ -90,6 +89,15 @@ def measure_node_weights(measure, rule):
     return rule.weights * negrho ** measure.r
 
 
+def _lgamma(x):
+    """log|Gamma(x)| by ``math.lgamma``: a float for a scalar, else an array
+    of x's shape, with lgamma evaluated once per distinct value."""
+    if np.ndim(x) == 0:
+        return math.lgamma(x)
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([math.lgamma(v) for v in values])[inverse].reshape(np.shape(x))
+
+
 def _jacobi_recurrence(n, a, b):
     """Orthonormal three-term recurrence coefficients for (1-x)^a (1+x)^b."""
     s = a + b
@@ -98,7 +106,8 @@ def _jacobi_recurrence(n, a, b):
         alpha = (b * b - a * a) / ((2 * k + s) * (2 * k + s + 2))
     alpha[0] = (b - a) / (s + 2)
     beta = np.empty(n, dtype=np.longdouble)
-    beta[0] = np.exp(betaln(a + 1.0, b + 1.0) + (s + 1.0) * np.log(2.0))
+    log_beta = _lgamma(a + 1.0) + _lgamma(b + 1.0) - _lgamma(s + 2.0)
+    beta[0] = np.exp(log_beta + (s + 1.0) * np.log(2.0))
     k1 = k[1:]
     beta[1:] = (4 * k1 * (k1 + a) * (k1 + b) * (k1 + s)
                 / ((2 * k1 + s) ** 2 * (2 * k1 + s + 1) * (2 * k1 + s - 1)))
@@ -112,10 +121,10 @@ def _jac01(n, a, b):
     Memoized per (n, a, b): spaces over one measure share the polished rule.
     The nodes are seeded by Golub-Welsch (Math. Comp. 23, 1969): the
     eigenvalues of the n x n symmetric tridiagonal Jacobi matrix, with
-    alpha[:n] on the diagonal and sqrt(beta[1:n]) beside it.  A float64
-    eigensolve at order ~100+ carries enough rounding that degree-2n-1
-    moments would miss the 1e-12 exactness contract, so see
-    :func:`_polished_rule` for the extended-precision polish.
+    alpha[:n] on the diagonal and sqrt(beta[1:n]) beside it.  Float64
+    eigenvalues at order ~100+ carry enough rounding that degree-2n-1
+    moments would miss the 1e-12 exactness contract, so
+    :func:`_polished_rule` polishes them in extended precision.
     """
     alpha, beta = _jacobi_recurrence(n + 1, a, b)
     sqb = np.sqrt(beta)
@@ -321,10 +330,11 @@ def log_monomial_moments(measure, alphas):
     q = _require_ellipsoid(measure)
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
     a = (2.0 * alphas + 2.0) / q
+    lg = _lgamma(np.concatenate([a.ravel(), np.sum(a, axis=1) + measure.r + 1.0]))
     return (len(q) * math.log(2.0 * math.pi)
-            + np.sum(gammaln(a) - np.log(q), axis=1)
-            + gammaln(measure.r + 1.0)
-            - gammaln(np.sum(a, axis=1) + measure.r + 1.0))
+            + np.sum(lg[:a.size].reshape(a.shape) - np.log(q), axis=1)
+            + _lgamma(measure.r + 1.0)
+            - lg[a.size:])
 
 
 def monomial_moment(measure, alpha, rule=None):
@@ -358,7 +368,7 @@ def inflation_constant(p, r):
     """Volume of { sum_j |w_j|^{2p/r} < 1 } in C^p: pi^p Gamma(1+r/p)^p / Gamma(1+r)."""
     p, r = inflation_parameters(p, r)
     return float(np.exp(p * math.log(math.pi)
-                        + p * gammaln(1.0 + r / p) - gammaln(1.0 + r)))
+                        + p * _lgamma(1.0 + r / p) - _lgamma(1.0 + r)))
 
 
 @dataclass(frozen=True)

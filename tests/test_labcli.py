@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -291,6 +293,41 @@ def test_constants_single_pair_form(tmp_path):
     assert rep.verdicts["pass"]
     with pytest.raises(SchemaError):
         labcli.run("constants", {"p": 1})
+
+
+@pytest.mark.parametrize("config,field", [
+    ({"pairs": [[1, 1.0]], "p": 2, "r": 1.0}, "$['p']"),
+    ({"pairs": [[1, 1.0]], "r": 1.0}, "$['r']"),
+    ({"pairs": [[1.5, 1.0]]}, "$['pairs'][0]"),
+    ({"pairs": [[0, 1.0]]}, "$['pairs'][0]"),
+    ({"pairs": [[1, 0.0]]}, "$['pairs'][0]"),
+])
+def test_constants_rejects_stray_keys_and_bad_pairs(tmp_path, capsys, config, field):
+    # p and r next to pairs would be ignored; a non-integer p would be truncated
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**config, "samples": 1000}))
+    out = tmp_path / "out"
+    assert labcli.main(["constants", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: config field {field}")
+    assert not out.exists()
+
+
+def test_runs_never_import_scipy(tmp_path):
+    # scipy is a test-only dependency: importing the lab and running the
+    # experiments that use moments, Gauss-Jacobi rules and log-gamma must not
+    # load it, lazily or otherwise
+    runs = [(e, {**c, "out": str(tmp_path / e)}) for e, c in CHEAP_CONFIGS
+            if e in ("moments", "kernel-check", "constants", "berezin-profile")]
+    assert len(runs) == 4 and "mass_outside" in dict(runs)["berezin-profile"]
+    code = ("import json, sys; import berezin_lab, berezin_lab.labcli as cli; "
+            "[cli.run(e, c) for e, c in json.loads(sys.argv[1])]; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_moments_with_mc(tmp_path):

@@ -254,3 +254,42 @@ def test_total_mass_positive():
     for dom, r in ((DISK, 0.0), (DISK, 2.0), (BALL2, 1.0),
                    (make_domain("egg", m=3), 0.5)):
         assert WeightedMeasure(dom, r).total_mass() > 0
+
+
+def _catalog_jacobi_pairs():
+    """The (a, b) of every 1-D Gauss-Jacobi factor the rules build for the
+    disk, ball2, egg m in {2, 3} and the smoothed polydisk at r in {0, 0.5, 1, 2}
+    (see ``polar_tensor_rule`` and ``_simplex_radial``)."""
+    pairs = set()
+    for name, params in (("disk", {}), ("ball", {"n": 2}), ("egg", {"m": 2}),
+                         ("egg", {"m": 3}), ("smoothed_polydisk", {})):
+        q = make_domain(name, **params).exponents
+        for r in (0.0, 0.5, 1.0, 2.0):
+            if len(q) == 1:
+                pairs.add((r, 2.0 / q[0] - 1.0))
+            else:
+                pairs.update({(2.0 / q[1] + r, 2.0 / q[0] - 1.0), (r, 2.0 / q[1] - 1.0)})
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("n", (8, 32, 128, 160, 256, 320))
+def test_golub_welsch_rule_matches_the_scipy_seeded_rule(n):
+    from scipy.special import roots_jacobi
+    from berezin_lab.quadrature import _jac01, _jacobi_recurrence, _polished_rule
+    for a, b in _catalog_jacobi_pairs():
+        u, w = _jac01.__wrapped__(n, a, b)
+        alpha, beta = _jacobi_recurrence(n + 1, a, b)
+        u_ref, w_ref = _polished_rule(roots_jacobi(n, a, b)[0], alpha, np.sqrt(beta), a, b)
+        assert np.all(np.abs(u - u_ref) <= 4e-15 * u_ref), (a, b)
+        assert np.all(np.abs(w - w_ref) <= 4e-15 * w_ref), (a, b)
+
+
+def test_lgamma_matches_scipy_gammaln():
+    from scipy.special import gammaln
+    from berezin_lab.quadrature import _lgamma
+    v = np.concatenate([np.geomspace(1e-6, 1000.0, 4000), np.arange(1, 1001) / 2.0])
+    ref = gammaln(v)
+    got = _lgamma(v.reshape(-1, 2))
+    assert got.shape == (len(v) // 2, 2)
+    assert np.all(np.abs(got.ravel() - ref) <= 4e-15 * np.maximum(1.0, np.abs(ref)))
+    assert _lgamma(2.5) == math.lgamma(2.5)

@@ -190,7 +190,7 @@ class _ShiftCache:
     leading pair product; never one per identity."""
 
     __slots__ = ("index", "radial", "toeplitz", "hankel", "last_pair", "keep",
-                 "blocks")
+                 "blocks", "moments")
 
     def __init__(self, space):
         self.index = _ShiftIndex(space)
@@ -201,6 +201,7 @@ class _ShiftCache:
         self.keep = {}       # margin -> truncation-safe index mask
         self.blocks = {}     # (margin, shift) -> mask of the alpha with alpha and
                              #   alpha+shift truncation-safe, False if none
+        self.moments = {}    # gamma -> log m_{alpha+gamma} for every alpha
 
 
 def _shift_order(shift):
@@ -318,11 +319,14 @@ class _ShiftForm:
                 continue
             cols = np.flatnonzero(valid)
             rows = tgt[cols]
-            ext = space.alphas[cols] + np.asarray(gamma, dtype=np.int64)
-            logext = log_monomial_moments(space.measure, ext)
+            logext = self.cache.moments.get(gamma)
+            if logext is None:
+                # computed row by row: these rows equal a call over cols alone
+                logext = self.cache.moments[gamma] = log_monomial_moments(
+                    space.measure, space.alphas + np.asarray(gamma, dtype=np.int64))
             w = out.setdefault(shift, np.zeros(space.size,
                                                dtype=np.float64 if real else np.complex128))
-            w[cols] += (c.real if real else c) * np.exp(logext - 0.5 * logm[cols]
+            w[cols] += (c.real if real else c) * np.exp(logext[cols] - 0.5 * logm[cols]
                                                         - 0.5 * logm[rows])
         hit = cache[sym.key] = _Shifts(index, out)
         return hit

@@ -293,3 +293,16 @@ def test_lgamma_matches_scipy_gammaln():
     assert got.shape == (len(v) // 2, 2)
     assert np.all(np.abs(got.ravel() - ref) <= 4e-15 * np.maximum(1.0, np.abs(ref)))
     assert _lgamma(2.5) == math.lgamma(2.5)
+
+
+def test_log_moments_rows_do_not_depend_on_the_other_rows():
+    # the shift form computes log m_{alpha+gamma} once for every alpha of a
+    # space and reads the rows it needs
+    from berezin_lab.bergman import multiindices
+    from berezin_lab.quadrature import log_monomial_moments
+    alphas = multiindices(2, 12) + np.array([1, 2])
+    cols = np.arange(0, len(alphas), 3)
+    for dom in (BALL2, make_domain("egg", m=3)):
+        meas = WeightedMeasure(dom, 0.5)
+        whole = log_monomial_moments(meas, alphas)
+        assert np.array_equal(whole[cols], log_monomial_moments(meas, alphas[cols]))

@@ -312,6 +312,19 @@ def test_constants_rejects_stray_keys_and_bad_pairs(tmp_path, capsys, config, fi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment", ["moments", "kernel-check"])
+def test_huge_weight_exponent_exits_1_without_traceback(tmp_path, capsys, experiment):
+    # log Gamma(r + 1) overflows a float
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"domain": {"name": "disk"}, "r": 1e306, "N": 4}))
+    out = tmp_path / "out"
+    assert labcli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: log Gamma(")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_runs_never_import_scipy(tmp_path):
     # scipy is a test-only dependency: importing the lab and running the
     # experiments that use moments, Gauss-Jacobi rules and log-gamma must not

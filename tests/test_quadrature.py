@@ -295,6 +295,22 @@ def test_lgamma_matches_scipy_gammaln():
     assert _lgamma(2.5) == math.lgamma(2.5)
 
 
+def test_lgamma_is_exact_at_whole_numbers_and_raises_past_overflow():
+    # the disk and ball moments take log Gamma at whole numbers, where
+    # math.lgamma is a few ulp off; log((k-1)!) is correctly rounded there
+    from berezin_lab.quadrature import _lgamma
+    k = np.arange(1, 172)
+    assert _lgamma(3.0) == math.log(2.0)
+    assert np.array_equal(_lgamma(k.astype(float)),
+                          [math.log(math.factorial(j - 1)) for j in k])
+    assert inflation_constant(2, 2.0) == np.pi ** 2 / 2
+    for bad in (1e306, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="log Gamma"):
+            _lgamma(bad)
+        with pytest.raises(ParameterError, match="log Gamma"):
+            _lgamma(np.array([2.0, bad]))
+
+
 def test_log_moments_rows_do_not_depend_on_the_other_rows():
     # the shift form computes log m_{alpha+gamma} once for every alpha of a
     # space and reads the rows it needs

@@ -292,6 +292,8 @@ def test_lgamma_matches_scipy_gammaln():
     got = _lgamma(v.reshape(-1, 2))
     assert got.shape == (len(v) // 2, 2)
     assert np.all(np.abs(got.ravel() - ref) <= 4e-15 * np.maximum(1.0, np.abs(ref)))
+    # the array path evaluates each distinct value once, as the scalar path does
+    assert np.array_equal(got.ravel(), [_lgamma(x) for x in v])
     assert _lgamma(2.5) == math.lgamma(2.5)
 
 

@@ -7,7 +7,7 @@ count runs on every usable CPU and still draws the serial stream exactly.
 
 import copy
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 
@@ -102,16 +102,22 @@ def count_inside(rng, samples, p, exponent, half):
     # allocated on the calling thread, not in each worker's malloc arena
     bufs = [np.empty((min(_CHUNK, hi - lo), width)) for lo, hi in zip(edges, edges[1:])]
 
-    def count(lo, hi, buf, gen):
-        hits = 0
-        for start in range(lo, hi, _CHUNK):
-            u = buf[:hi - start]
-            gen.random(out=u)
-            u *= 2.0 * half
-            u += -half
-            u /= half
-            hits += _count_block(u, exponent)
-        return hits
+    # each worker's hit count, or the exception it raised, re-raised below
+    results = [None] * workers
+
+    def count(i, lo, hi, buf, gen):
+        try:
+            hits = 0
+            for start in range(lo, hi, _CHUNK):
+                u = buf[:hi - start]
+                gen.random(out=u)
+                u *= 2.0 * half
+                u += -half
+                u /= half
+                hits += _count_block(u, exponent)
+            results[i] = hits
+        except BaseException as exc:
+            results[i] = exc
 
     bitgen = rng.bit_generator
     gens = []
@@ -119,8 +125,16 @@ def count_inside(rng, samples, p, exponent, half):
         copied = copy.deepcopy(bitgen)
         copied.advance(lo * width)
         gens.append(np.random.Generator(copied))
-    with ThreadPoolExecutor(workers) as pool:
-        hits = sum(pool.map(count, edges[:-1], edges[1:], bufs, gens))
+    threads = [threading.Thread(target=count, args=args)
+               for args in zip(range(workers), edges[:-1], edges[1:], bufs, gens)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    hits = sum(results)
     # advance() drops the buffered 32-bit half-output that random() keeps
     state = bitgen.state
     bitgen.advance(samples * width)

@@ -9,21 +9,25 @@ with flags overriding config-file keys.  Exit codes: 0 success, 2 when a
 verdict comes back failing/inconsistent, 1 on any error (including command
 line usage errors, and config schema violations, which are reported with
 their JSON path on stderr).
+
+Each experiment's config is checked against its JSON Schema in ``SCHEMAS``
+by a small checker in this module.  It implements exactly the Draft 2020-12
+keywords those schemas use, and refuses at import a schema that uses any
+other, so the lab needs only numpy at run time.
 """
 
 import argparse
 import csv
-import functools
 import hashlib
 import itertools
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import jsonschema
 
 from . import __version__, _accel
 from .bergman import (build_inflated_space, build_space,
@@ -269,14 +273,130 @@ SCHEMAS = {
 }
 
 
-@functools.cache
-def _validator(experiment):
-    """Validator for one experiment's schema, checked against the metaschema
-    once, on first use (not at import)."""
-    schema = SCHEMAS[experiment]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+# The checker below implements exactly the JSON Schema (Draft 2020-12)
+# keywords the schemas above use, with that draft's semantics; a schema with
+# any other keyword is refused when this module is imported, not skipped.
+_KEYWORDS = frozenset({
+    "type", "properties", "required", "additionalProperties", "items",
+    "prefixItems", "minItems", "maxItems", "minProperties", "maxProperties",
+    "minimum", "exclusiveMinimum", "enum", "oneOf"})
+_TYPES = ("object", "array", "string", "boolean", "integer", "number")
+
+
+def _check_schemas(schemas):
+    """Raise ValueError unless every schema in ``schemas``, and every schema
+    nested in one, uses only what ``_schema_error`` implements: the keywords
+    of ``_KEYWORDS``, a single ``type`` name of ``_TYPES``,
+    ``additionalProperties`` only as false, and an ``enum`` of strings."""
+    stack = list(schemas)
+    while stack:
+        schema = stack.pop()
+        unknown = set(schema) - _KEYWORDS
+        if unknown:
+            raise ValueError(f"schema keywords {sorted(unknown)} are not implemented")
+        if schema.get("type", "object") not in _TYPES:
+            raise ValueError(f"schema type {schema['type']!r} is not implemented")
+        if schema.get("additionalProperties", False) is not False:
+            raise ValueError("'additionalProperties' other than false is not implemented")
+        if not all(isinstance(v, str) for v in schema.get("enum", ())):
+            raise ValueError("an enum of other than strings is not implemented")
+        stack.extend(schema.get("properties", {}).values())
+        stack.extend(schema.get("prefixItems", ()))
+        stack.extend(schema.get("oneOf", ()))
+        if "items" in schema:
+            stack.append(schema["items"])
+
+
+_check_schemas(SCHEMAS.values())
+
+
+def _is_type(value, name):
+    """JSON Schema's type test on a Python value: only a dict is an object
+    and only a list an array, a bool is no number, and a float with a whole
+    value (8.0) is an integer."""
+    if name == "number":
+        return isinstance(value, numbers.Number) and not isinstance(value, bool)
+    if name == "integer":
+        return (isinstance(value, int) and not isinstance(value, bool)
+                or isinstance(value, float) and value.is_integer())
+    if name == "object":
+        return isinstance(value, dict)
+    if name == "array":
+        return isinstance(value, list)
+    if name == "string":
+        return isinstance(value, str)
+    return isinstance(value, bool)
+
+
+def _schema_error(value, schema, path=()):
+    """The first violation of ``schema`` by ``value``, as (path, reason), where
+    path is the tuple of keys and indices leading to the offending field;
+    None when ``value`` is valid."""
+    kind = schema.get("type")
+    if kind is not None and not _is_type(value, kind):
+        return path, f"{value!r} is not of type {kind!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                return path, f"{key!r} is a required property"
+        if "additionalProperties" in schema:
+            extra = sorted((k for k in value if k not in props), key=str)
+            if extra:
+                verb = "was" if len(extra) == 1 else "were"
+                return path, ("Additional properties are not allowed "
+                              f"({', '.join(map(repr, extra))} {verb} unexpected)")
+        if len(value) < schema.get("minProperties", 0):
+            return path, f"{value!r} does not have enough properties"
+        if len(value) > schema.get("maxProperties", math.inf):
+            return path, f"{value!r} has too many properties"
+        for key, sub in props.items():
+            if key in value:
+                error = _schema_error(value[key], sub, path + (key,))
+                if error is not None:
+                    return error
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return path, f"{value!r} is too short"
+        if len(value) > schema.get("maxItems", math.inf):
+            return path, f"{value!r} is too long"
+        prefix = schema.get("prefixItems", ())
+        for i, item in enumerate(value):
+            sub = prefix[i] if i < len(prefix) else schema.get("items")
+            if sub is None:
+                break
+            error = _schema_error(item, sub, path + (i,))
+            if error is not None:
+                return error
+    elif _is_type(value, "number"):
+        # NaN compares false, so it passes both bounds
+        if "minimum" in schema and value < schema["minimum"]:
+            return path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return path, (f"{value!r} is less than or equal to the minimum of "
+                          f"{schema['exclusiveMinimum']!r}")
+    if "oneOf" in schema:
+        return _one_of_error(value, schema["oneOf"], path)
+    return None
+
+
+def _one_of_error(value, branches, path):
+    """``_schema_error`` for ``oneOf``: None when exactly one branch holds.
+    When none holds and exactly one branch's type admits ``value``, that
+    branch's error names the field more closely than the oneOf does."""
+    errors = [_schema_error(value, b, path) for b in branches]
+    matched = errors.count(None)
+    if matched == 1:
+        return None
+    if matched > 1:
+        return path, f"{value!r} is valid under more than one of the given schemas"
+    typed = [e for b, e in zip(branches, errors)
+             if "type" not in b or _is_type(value, b["type"])]
+    if len(typed) == 1:
+        return typed[0]
+    return path, f"{value!r} is not valid under any of the given schemas"
 
 
 def validate_config(experiment, config):
@@ -285,11 +405,11 @@ def validate_config(experiment, config):
     if "experiment" in config and config["experiment"] != experiment:
         raise SchemaError(
             f"config experiment {config['experiment']!r} does not match {experiment!r}")
-    # the error jsonschema.validate would raise
-    exc = jsonschema.exceptions.best_match(_validator(experiment).iter_errors(config))
-    if exc is not None:
-        path = "$" + "".join(f"[{p!r}]" for p in exc.absolute_path)
-        raise SchemaError(f"config field {path}: {exc.message}") from exc
+    error = _schema_error(config, SCHEMAS[experiment])
+    if error is not None:
+        path, reason = error
+        field = "$" + "".join(f"[{p!r}]" for p in path)
+        raise SchemaError(f"config field {field}: {reason}")
 
 
 # ---------------------------------------------------------------------------

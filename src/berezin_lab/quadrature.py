@@ -93,6 +93,8 @@ def measure_node_weights(measure, rule):
 # finite float.  math.lgamma is a few ulp off at small whole numbers, which is
 # where the disk and ball moment arguments a_j = alpha_j + 1 lie
 _LGAMMA_WHOLE = {k: math.log(math.factorial(k - 1)) for k in range(1, 172)}
+# the same values indexed by k, for arrays; entry 0 is never read
+_LGAMMA_TABLE = np.array([math.nan, *_LGAMMA_WHOLE.values()])
 
 
 def _lgamma1(v):
@@ -111,15 +113,24 @@ def _lgamma1(v):
 def _lgamma(x):
     """log Gamma(x) for x > 0: a float for a scalar, else an array of x's shape.
 
-    An array is evaluated once per distinct value: moment arguments repeat
-    (the a_j of multi-indices sharing an entry, and row sums equal to other
-    a_j), 70-98% of them in the benchmark workloads.  Raises ParameterError
-    where log Gamma is not finite (x huge, infinite or nan).
+    An array reads its whole numbers up to 171 from the table in one
+    ``take``, and evaluates the other entries once per distinct value
+    (moment arguments repeat: the a_j of multi-indices sharing an entry, and
+    row sums equal to other a_j).  Raises ParameterError where log Gamma is
+    not finite (x huge, infinite or nan).
     """
     if np.ndim(x) == 0:
         return _lgamma1(float(x))
-    values, inverse = np.unique(x, return_inverse=True)
-    return np.array([_lgamma1(v) for v in values.tolist()])[inverse].reshape(np.shape(x))
+    x = np.asarray(x, dtype=np.float64)
+    whole = (x >= 1.0) & (x <= 171.0) & (np.trunc(x) == x)
+    out = _LGAMMA_TABLE.take(np.where(whole, x, 0.0).astype(np.intp))
+    if not whole.all():
+        rest = ~whole
+        others = x[rest]
+        values = np.unique(others)     # sorted, so searchsorted finds each entry
+        out[rest] = np.array([_lgamma1(v) for v in values.tolist()])[
+            np.searchsorted(values, others)]
+    return out
 
 
 def _jacobi_recurrence(n, a, b):

@@ -1,4 +1,5 @@
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -107,3 +108,19 @@ def test_count_inside_split_draws_the_unblocked_stream(monkeypatch, cpus, p, hal
         want, state = _unblocked_hits(samples, samples, p, p / 0.7, half)
         assert got == want
         assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("cpus", (1, 3))
+def test_count_inside_reraises_a_worker_exception(monkeypatch, cpus):
+    # a failure on a worker thread surfaces in the caller, and every worker
+    # has ended by then
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    def fail(u, exponent):
+        raise FloatingPointError("block failed")
+
+    monkeypatch.setattr(_accel, "_count_block", fail)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="block failed"):
+        _accel.count_inside(np.random.default_rng(0), 50_000, 1, 1.0, 1.0)
+    assert threading.active_count() == threads

@@ -5,17 +5,22 @@ on an ``error:`` or ``config error:`` line, and nothing ever prints a
 traceback.  Sizes (N, samples, counts, quadrature order) are capped so the
 whole module runs in a few seconds; the examples are derandomized, so a run
 is repeatable.
+
+The same configs, and a list of edge cases, also check the lab's config
+schema checker against jsonschema's Draft 2020-12 validator.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
 from berezin_lab import labcli
 
@@ -155,3 +160,107 @@ def test_cli_exit_codes_on_fuzzed_configs(experiment):
                        for line in text.splitlines()), text
 
     run()
+
+
+def _error_paths(errors):
+    """The absolute path of every jsonschema error, those in the context of
+    a oneOf error included."""
+    paths, stack = set(), list(errors)
+    while stack:
+        error = stack.pop()
+        paths.add(tuple(error.absolute_path))
+        stack.extend(error.context)
+    return paths
+
+
+def _assert_checker_agrees(experiment, config):
+    """The checker rejects ``config`` exactly when jsonschema does, and names
+    a field one of jsonschema's errors names."""
+    schema = labcli.SCHEMAS[experiment]
+    want = _error_paths(Draft202012Validator(schema).iter_errors(config))
+    got = labcli._schema_error(config, schema)
+    if got is None:
+        assert not want, (config, want)
+    else:
+        assert got[0] in want, (config, got, want)
+
+
+@pytest.mark.parametrize("experiment", labcli.EXPERIMENTS)
+def test_schema_checker_agrees_with_jsonschema_on_fuzzed_configs(experiment):
+    Draft202012Validator.check_schema(labcli.SCHEMAS[experiment])
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(_configs(experiment))
+    def run(config):
+        _assert_checker_agrees(experiment, config)
+
+    run()
+
+
+DISK = {"name": "disk"}
+_AZ = {"domain": DISK, "strong_points": [1.0]}
+
+
+def _factors(*factors):
+    return {**_AZ, "operator": {"sum": [{"prod": list(factors)}]}}
+
+
+@pytest.mark.parametrize("experiment,config", [
+    ("kernel-check", {"domain": DISK, "r": True}),            # a bool is no number
+    ("kernel-check", {"domain": DISK, "N": True}),
+    ("kernel-check", {"domain": DISK, "N": 8.0}),             # a whole float is an integer
+    ("kernel-check", {"domain": DISK, "N": 8.5}),
+    ("kernel-check", {"domain": DISK, "N": math.inf}),
+    ("kernel-check", {"domain": DISK, "N": math.nan}),
+    ("kernel-check", {"domain": DISK, "r": math.nan}),        # NaN passes minimum
+    ("kernel-check", {"domain": DISK, "radius": math.nan}),   # and exclusiveMinimum
+    ("kernel-check", {"domain": DISK, "r": -math.inf}),
+    ("kernel-check", {"domain": DISK, "radius": 0}),
+    ("kernel-check", {"domain": [DISK]}),
+    ("kernel-check", {"domain": {"name": 3, "n": 2.0}}),
+    ("kernel-check", {"domain": {"name": "disk", "inflate": {"p": 1}}}),
+    ("kernel-check", {"domain": {"name": "disk", "exponents": (2.0,)}}),  # a tuple is no array
+    ("kernel-check", {"domain": DISK, "experiment": "moments"}),
+    ("kernel-check", {"domain": DISK, "experiment": "nosuch"}),
+    ("kernel-check", {}),
+    ("kernel-check", [DISK]),
+    ("moments", {"domain": DISK, "alphas": ((1,),)}),
+    ("moments", {"domain": DISK, "alphas": [[1, -1], [2.0]]}),
+    ("moments", {"domain": DISK, "mc": 1}),
+    ("constants", {"pairs": [[1]]}),
+    ("constants", {"pairs": [[1, 1.0, 2.0]]}),
+    ("constants", {"pairs": [[1.5, 1.0]]}),
+    ("constants", {"pairs": [[1, "x"]]}),           # items applies only past the prefix
+    ("constants", {"pairs": [[1, 0.5], (1, 0.5)]}),
+    ("constants", {"pairs": [[0, 0.0]]}),
+    ("constants", {"pairs": [], "p": 1}),
+    ("berezin-profile", {"domain": DISK, "symbol": "z", "point": [1.0]}),
+    ("berezin-profile", {"domain": DISK, "symbol": "z", "point": []}),
+    ("berezin-profile", {"domain": DISK, "symbol": "z", "point": [[1.0]]}),
+    ("berezin-profile", {"domain": DISK, "symbol": "z", "point": [[1.0, 0.0], 2.0]}),
+    ("berezin-profile", {"domain": DISK, "symbol": "z", "point": "1"}),
+    ("berezin-profile", {"domain": DISK, "symbol": "z", "point": True}),
+    ("berezin-profile", {"domain": DISK, "symbol": "z", "point": 1.0, "t_grid": []}),
+    ("berezin-profile", {"domain": DISK, "symbol": "z", "point": 1.0,
+                         "t_grid": {"start": 0.0}}),
+    ("berezin-profile", {"domain": DISK, "symbol": "z", "point": 1.0,
+                         "t_grid": {"start": 0.0, "stop": 1.0, "count": 0}}),
+    ("berezin-profile", {"domain": DISK, "symbol": "z", "point": 1.0,
+                         "mass_outside": {"center": 0.5}}),
+    ("berezin-profile", {"domain": DISK, "symbol": "z", "point": 1.0,
+                         "mass_outside": {"center": [0.5], "radius": 0.1}}),
+    ("axler-zheng", _factors({"identity": {}, "scalar": 1.0})),  # a factor with two keys
+    ("axler-zheng", _factors({})),
+    ("axler-zheng", _factors({"identity": {"x": 1}})),
+    ("axler-zheng", _factors({"scalar": [1.0]})),
+    ("axler-zheng", _factors({"scalar": [1.0, True]})),
+    ("axler-zheng", _factors({"toeplitz": {"symbol": 1}})),
+    ("axler-zheng", _factors({"hankelpair": {"psi": "z"}})),
+    ("axler-zheng", {**_AZ, "operator": {"sum": []}}),
+    ("axler-zheng", {**_AZ, "operator": {"sum": [{"prod": []}]}}),
+    ("axler-zheng", {**_AZ, "strong_points": []}),
+    ("axler-zheng", {**_AZ, "thresholds": {"window": 1, "bogus": 0}}),
+    ("classify", {"domain": DISK, "count": 0, "tolerance": "x"}),
+])
+def test_schema_checker_agrees_with_jsonschema_on_edge_cases(experiment, config):
+    _assert_checker_agrees(experiment, config)

@@ -114,6 +114,20 @@ def test_schema_violations():
                                 "experiment": "constants"})
 
 
+@pytest.mark.parametrize("schema", [
+    {"type": "number", "maximum": 1},
+    {"type": "object", "properties": {"a": {"type": "string", "pattern": "x"}}},
+    {"type": "array", "items": {"oneOf": [{"type": "null"}]}},
+    {"type": ["number", "string"]},
+    {"type": "object", "additionalProperties": {"type": "number"}},
+    {"enum": [1, 2]},
+])
+def test_schema_checker_refuses_what_it_does_not_implement(schema):
+    # a keyword the checker skipped would let configs through unchecked
+    with pytest.raises(ValueError, match="not implemented"):
+        labcli._check_schemas([schema])
+
+
 def test_classify_includes_weak_axis_point(tmp_path):
     config = {"domain": {"name": "egg", "m": 2}, "count": 8, "out": str(tmp_path)}
     rep = labcli.run("classify", config)
@@ -326,15 +340,18 @@ def test_huge_weight_exponent_exits_1_without_traceback(tmp_path, capsys, experi
 
 
 def test_runs_never_import_scipy(tmp_path):
-    # scipy is a test-only dependency: importing the lab and running the
-    # experiments that use moments, Gauss-Jacobi rules and log-gamma must not
-    # load it, lazily or otherwise
+    # scipy and jsonschema are test-only dependencies: importing the lab,
+    # validating configs and running the experiments that use moments,
+    # Gauss-Jacobi rules, log-gamma and the threaded Monte Carlo count must not
+    # load them, lazily or otherwise, nor concurrent.futures (with the logging
+    # it pulls in)
     runs = [(e, {**c, "out": str(tmp_path / e)}) for e, c in CHEAP_CONFIGS
             if e in ("moments", "kernel-check", "constants", "berezin-profile")]
     assert len(runs) == 4 and "mass_outside" in dict(runs)["berezin-profile"]
     code = ("import json, sys; import berezin_lab, berezin_lab.labcli as cli; "
             "[cli.run(e, c) for e, c in json.loads(sys.argv[1])]; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'jsonschema') or m.startswith('concurrent.futures')))")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,

@@ -313,6 +313,24 @@ def test_lgamma_is_exact_at_whole_numbers_and_raises_past_overflow():
             _lgamma(np.array([2.0, bad]))
 
 
+@pytest.mark.parametrize("values", [
+    [1.0, 171.0, 172.0, 0.5, 2.5, 1e5],
+    [172.0, 1.0, 1.0, 2.5, 171.0, 1e5, 0.5, 3.0],
+    [[0.5, 171.0], [1e5, 1.0]],
+    [2.0, 5.0, 171.0],          # whole numbers only: the table alone
+    [0.5, 172.0, 1e5],          # none of them: math.lgamma alone
+])
+def test_lgamma_array_path_equals_scalar_path_bitwise(values):
+    # whole numbers up to 171 come from the table by one take, the rest from
+    # math.lgamma; either way each entry is the scalar path's float
+    from berezin_lab.quadrature import _lgamma
+    x = np.array(values)
+    got = _lgamma(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    want = np.array([_lgamma(v) for v in x.ravel()]).reshape(x.shape)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_log_moments_rows_do_not_depend_on_the_other_rows():
     # the shift form computes log m_{alpha+gamma} once for every alpha of a
     # space and reads the rows it needs

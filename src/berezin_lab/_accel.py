@@ -44,24 +44,33 @@ def monomial_matrix(points, alphas):
     return out
 
 
-def _count_block(u, exponent):
-    """Rows of u (real pairs per coordinate) with sum_j |u_j|**(2 exponent) < 1.
+def _pair_sums(u, out):
+    """out[k] = u[2k]**2 + u[2k+1]**2, the |w_k|^2 of flat real pairs ``u``.
 
-    Squares ``u`` in place, so pass a copy to keep it.  Each |u_j|^2 is
-    added through a contiguous (m, p, 2) view and the coordinates are
-    summed left to right, which rounds exactly like
-    ``np.sum((u[:, 0::2]**2 + u[:, 1::2]**2)**exponent, axis=1)``.
+    Squares ``u`` in place, so pass a copy to keep it.
     """
     np.multiply(u, u, out=u)
-    pairs = u.reshape(len(u), -1, 2)
-    t = np.add(pairs[:, :, 0], pairs[:, :, 1])
+    return np.add(u[0::2], u[1::2], out=out)
+
+
+def _count_block(t, exponent, scratch):
+    """Rows of the pair sums ``t`` (m, p) with sum_j t[:, j]**exponent < 1.
+
+    Leaves ``t`` as it is and works in ``scratch``, a flat buffer of at least
+    t.size + m doubles.  The power is taken on a contiguous array and the
+    coordinates are summed left to right, which for p < 8 rounds exactly like
+    ``np.sum(t**exponent, axis=1)`` (numpy sums longer rows pairwise).
+    """
+    m, p = t.shape
     if exponent == 2.0:
-        t *= t
+        t = np.multiply(t, t, out=scratch[:t.size].reshape(m, p))
     elif exponent != 1.0:
-        np.power(t, exponent, out=t)
+        t = np.power(t, exponent, out=scratch[:t.size].reshape(m, p))
     s = t[:, 0]
-    for j in range(1, t.shape[1]):
-        s += t[:, j]
+    if p > 1:
+        s = np.add(s, t[:, 1], out=scratch[t.size:t.size + m])
+        for j in range(2, p):
+            s += t[:, j]
     return int(np.count_nonzero(s < 1.0))
 
 
@@ -75,55 +84,62 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def count_inside(rng, samples, p, exponent, half):
-    """How many of ``samples`` draws w uniform on the box [-half, half]^{2p}
-    of R^{2p} ~ C^p satisfy sum_j |w_j / half|^{2 exponent} < 1.
+def _passes(shapes):
+    """Indices of ``shapes`` in order, grouped so that each group's p values
+    have an lcm of at most ``_CHUNK`` (or are one p), and that lcm."""
+    groups = []
+    for k, (p, _) in enumerate(shapes):
+        if groups and np.lcm(groups[-1][1], p) <= _CHUNK:
+            groups[-1][0].append(k)
+            groups[-1][1] = int(np.lcm(groups[-1][1], p))
+        else:
+            groups.append([[k], p])
+    return groups
 
-    ``rng`` is a PCG64 ``Generator`` (``np.random.default_rng``).  Rows are
-    drawn ``_CHUNK`` at a time into reused buffers; scaling ``rng.random`` as
-    low + (high - low) x, as ``rng.uniform`` does, gives the same stream and
-    the same rounding as ``rng.uniform(-half, half)`` followed by ``/ half``,
-    whatever the block size.
 
-    The blocks are split into W contiguous ranges, W = min(usable CPUs,
-    blocks), each counted on its own thread by a copy of ``rng``'s bit
-    generator advanced past the rows before the range.  Each double takes
-    exactly one 64-bit output, so every draw and every hit is the serial
-    loop's, and ``rng`` is left where the serial loop leaves it.  The
-    drawing and the ufunc loops release the GIL.  Worker threads call only
-    ``_count_block`` and numpy, never a module-level name that a tracer may
-    wrap (such wrappers are not thread-safe): tracing sees one call, on the
-    calling thread, covering all the work.
-    """
-    width = 2 * p
-    blocks = -(-samples // _CHUNK)
+def _count_pass(bitgen, samples, shapes, lcm, half):
+    """Hit counts of ``shapes`` from copies of ``bitgen``; see ``count_inside``."""
+    longest = max(p for p, _ in shapes)
+    total = samples * longest
+    # a block is a whole number of rows of every shape, and at most _CHUNK
+    # rows of the longest
+    block = _CHUNK * longest // lcm * lcm
+    blocks = -(-total // block)
     workers = max(1, min(_usable_cpus(), blocks))
-    edges = [min(blocks * i // workers * _CHUNK, samples) for i in range(workers + 1)]
+    edges = [min(blocks * i // workers * block, total) for i in range(workers + 1)]
     # allocated on the calling thread, not in each worker's malloc arena
-    bufs = [np.empty((min(_CHUNK, hi - lo), width)) for lo, hi in zip(edges, edges[1:])]
+    bufs = [(np.empty(2 * n), np.empty(n))
+            for n in (min(block, hi - lo) for lo, hi in zip(edges, edges[1:]))]
 
-    # each worker's hit count, or the exception it raised, re-raised below
+    # each worker's hit counts, or the exception it raised, re-raised below
     results = [None] * workers
 
     def count(i, lo, hi, buf, gen):
+        draws, sums = buf
         try:
-            hits = 0
-            for start in range(lo, hi, _CHUNK):
-                u = buf[:hi - start]
+            hits = [0] * len(shapes)
+            for start in range(lo, hi, block):
+                n = min(block, hi - start)
+                u = draws[:2 * n]
                 gen.random(out=u)
                 u *= 2.0 * half
                 u += -half
-                u /= half
-                hits += _count_block(u, exponent)
+                if half != 1.0:         # x / 1.0 is x
+                    u /= half
+                t = _pair_sums(u, sums[:n])
+                for k, (p, exponent) in enumerate(shapes):
+                    rows = min(n, samples * p - start) // p
+                    if rows > 0:        # the spent draws are its scratch
+                        hits[k] += _count_block(t[:rows * p].reshape(rows, p),
+                                                exponent, draws)
             results[i] = hits
         except BaseException as exc:
             results[i] = exc
 
-    bitgen = rng.bit_generator
     gens = []
     for lo in edges[:-1]:
         copied = copy.deepcopy(bitgen)
-        copied.advance(lo * width)
+        copied.advance(2 * lo)
         gens.append(np.random.Generator(copied))
     threads = [threading.Thread(target=count, args=args)
                for args in zip(range(workers), edges[:-1], edges[1:], bufs, gens)]
@@ -134,10 +150,49 @@ def count_inside(rng, samples, p, exponent, half):
     for r in results:
         if isinstance(r, BaseException):
             raise r
-    hits = sum(results)
+    return [sum(col) for col in zip(*results)]
+
+
+def count_inside(rng, samples, shapes, half):
+    """For each shape (p, exponent), how many of ``samples`` draws w uniform
+    on the box [-half, half]^{2p} of R^{2p} ~ C^p satisfy
+    sum_j |w_j / half|^{2 exponent} < 1; one count per shape, in order.
+
+    ``rng`` is a PCG64 ``Generator`` (``np.random.default_rng``), and every
+    shape reads the same stream, as if each had its own generator in
+    ``rng``'s state: a row of 2p doubles is p consecutive pair sums
+    T[k] = x_{2k}^2 + x_{2k+1}^2 of the scaled stream x, and row i of shape p
+    is T[p i : p i + p].  So one pass serves every shape drawn from the same
+    stream.  It draws the longest shape's samples * 2 max(p) doubles once,
+    scales, squares and pair-sums them once, then takes each shape's power,
+    row sums and count on its prefix of T.  Scaling ``rng.random`` as
+    low + (high - low) x, as ``rng.uniform`` does, gives the same stream and
+    the same rounding as ``rng.uniform(-half, half)`` followed by ``/ half``,
+    and each count is the one a separate call with that shape alone gives.
+
+    T is drawn in blocks of a whole number of rows of every shape (a
+    multiple of the lcm of the p values), split into W contiguous block
+    ranges, W = min(usable CPUs, blocks), each counted on its own thread by
+    a copy of ``rng``'s bit generator advanced past the draws before the
+    range.  Each double takes exactly one 64-bit output, so every draw and
+    every hit is the serial loop's, and ``rng`` is left where the longest
+    shape's serial loop leaves it.  A shape whose p would push the lcm past
+    ``_CHUNK`` starts another pass over the stream, so a worker holds
+    O(_CHUNK max(p)) doubles for any shapes.  The drawing and the ufunc
+    loops release the GIL.  Worker threads call only ``_pair_sums``,
+    ``_count_block`` and numpy, never a module-level name that a tracer may
+    wrap (such wrappers are not thread-safe): tracing sees one call, on the
+    calling thread, covering all the work.
+    """
+    bitgen = rng.bit_generator
+    hits = [0] * len(shapes)
+    for group, lcm in _passes(shapes):
+        counts = _count_pass(bitgen, samples, [shapes[k] for k in group], lcm, half)
+        for k, c in zip(group, counts):
+            hits[k] = c
     # advance() drops the buffered 32-bit half-output that random() keeps
     state = bitgen.state
-    bitgen.advance(samples * width)
+    bitgen.advance(samples * 2 * max((p for p, _ in shapes), default=0))
     bitgen.state = {**bitgen.state, "has_uint32": state["has_uint32"],
                     "uinteger": state["uinteger"]}
     return hits

@@ -41,7 +41,7 @@ from .operators import (DEFAULT_T_GRID, OperatorExpr, axler_zheng_report,
                         product_decomposition_residual,
                         semi_commutator_residual, toeplitz)
 from .quadrature import (WeightedMeasure, _lgamma, inflation_constant,
-                         inflation_constant_mc, monomial_moment,
+                         inflation_constant_mc, inflation_hits, monomial_moment,
                          monomial_moment_mc, polar_tensor_rule)
 from .symbols import Symbol
 
@@ -445,7 +445,7 @@ def _to_tgrid(spec):
     if spec is None:
         return DEFAULT_T_GRID
     if isinstance(spec, dict):
-        return np.linspace(spec["start"], spec["stop"], spec["count"])
+        return np.linspace(spec["start"], spec["stop"], int(spec["count"]))
     return np.asarray(spec, dtype=float)
 
 
@@ -507,10 +507,10 @@ def _run_constants(config, report):
     rows = []
     all_within = True
     exact_ok = True
-    for p, r in pairs:
+    for (p, r), hits in zip(pairs, inflation_hits(pairs, samples, seed)):
         p = int(p)
         cf = inflation_constant(p, r)
-        mc = inflation_constant_mc(p, r, samples=samples, seed=seed)
+        mc = inflation_constant_mc(p, r, samples=samples, seed=seed, hits=hits)
         sigmas = abs(cf - mc.value) / mc.stderr if mc.stderr > 0 else 0.0
         within = sigmas <= 3.0
         all_within &= within
@@ -590,7 +590,7 @@ def _run_moments(config, report):
     r = float(config.get("r", 0.0))
     measure = WeightedMeasure(dom, r)
     if "alphas" in config:
-        alphas = [tuple(a) for a in config["alphas"]]
+        alphas = [tuple(int(x) for x in a) for a in config["alphas"]]
         for a in alphas:
             if len(a) != dom.dim:
                 raise SchemaError(f"multiindex {a} has wrong length for {dom.name}")
@@ -721,7 +721,9 @@ def _run_axler_zheng(config, report):
                 pt_rows.append([role, i, cls.kind.value,
                                 cls.min_tangential_eigenvalue])
     thr = config.get("thresholds", {})
-    az_cfg = {"tail_k": config.get("tail_k"), "t_grid": _to_tgrid(config.get("t_grid"))}
+    tail_k = config.get("tail_k")
+    az_cfg = {"tail_k": None if tail_k is None else int(tail_k),
+              "t_grid": _to_tgrid(config.get("t_grid"))}
     for name, key, cast in (("berezin", "berezin_threshold", float),
                             ("tail", "tail_threshold", float),
                             ("window", "decreasing_window", int)):

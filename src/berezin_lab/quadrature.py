@@ -449,10 +449,26 @@ def monomial_moment_mc(measure, alpha, samples=1_000_000, seed=42):
     return MCEstimate(box * mean, box * np.sqrt(var / samples), samples, seed)
 
 
-def inflation_constant_mc(p, r, samples=10_000_000, seed=42):
-    """Monte Carlo estimate of the fiber volume; reproducible for fixed seed."""
+def inflation_hits(pairs, samples, seed):
+    """The hit count behind ``inflation_constant_mc(p, r, samples, seed)``
+    for each (p, r) of ``pairs``, all counted in one pass over the seed's
+    stream."""
+    shapes = []
+    for p, r in pairs:
+        p, r = inflation_parameters(p, r)
+        shapes.append((p, p / r))
+    return _accel.count_inside(np.random.default_rng(seed), samples, shapes, 1.0)
+
+
+def inflation_constant_mc(p, r, samples=10_000_000, seed=42, *, hits=None):
+    """Monte Carlo estimate of the fiber volume; reproducible for fixed seed.
+
+    ``hits`` is the pair's count from ``inflation_hits`` when the caller has
+    counted several pairs in one pass; by default the pair counts its own.
+    """
     p, r = inflation_parameters(p, r)
-    hits = _accel.count_inside(np.random.default_rng(seed), samples, p, p / r, 1.0)
+    if hits is None:
+        hits, = inflation_hits([(p, r)], samples, seed)
     box_vol = 4.0 ** p
     phat = hits / samples
     value = box_vol * phat
@@ -482,7 +498,7 @@ def dilation_identity_check(domain, p, r, z, samples=1_000_000, seed=42):
     p, r = inflation_parameters(p, r)
     half = s ** (r / (2.0 * p))
     # sum |w|^{2p/r} < s  <=>  sum |w/half|^{2p/r} < 1
-    hits = _accel.count_inside(np.random.default_rng(seed), samples, p, p / r, half)
+    hits, = _accel.count_inside(np.random.default_rng(seed), samples, [(p, p / r)], half)
     lhs = (2.0 * half) ** (2 * p) * hits / samples
     mc = inflation_constant_mc(p, r, samples=samples, seed=seed + 1)
     rhs = s ** r * mc.value

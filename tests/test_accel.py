@@ -71,7 +71,8 @@ def test_count_inside_matches_reference_sum(p, exponent):
     u = np.random.default_rng(10 * p + int(4 * exponent)).uniform(-1, 1, (50_000, 2 * p))
     want = np.count_nonzero(
         np.sum((u[:, 0::2] ** 2 + u[:, 1::2] ** 2) ** exponent, axis=1) < 1)
-    got = _accel._count_block(u.copy(), exponent)    # squares its input in place
+    t = _accel._pair_sums(u.ravel().copy(), np.empty(u.size // 2))  # squares its input in place
+    got = _accel._count_block(t.reshape(len(u), p), exponent, np.empty(u.size))
     assert 0 < got < len(u)
     assert got == want
 
@@ -104,7 +105,7 @@ def test_count_inside_split_draws_the_unblocked_stream(monkeypatch, cpus, p, hal
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     for samples in (1000, 16384, 16385, 32769, 100003):
         rng = _generator(samples)
-        got = _accel.count_inside(rng, samples, p, p / 0.7, half)
+        got, = _accel.count_inside(rng, samples, [(p, p / 0.7)], half)
         want, state = _unblocked_hits(samples, samples, p, p / 0.7, half)
         assert got == want
         assert rng.bit_generator.state == state
@@ -116,11 +117,66 @@ def test_count_inside_reraises_a_worker_exception(monkeypatch, cpus):
     # has ended by then
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
-    def fail(u, exponent):
+    def fail(t, exponent, scratch):
         raise FloatingPointError("block failed")
 
     monkeypatch.setattr(_accel, "_count_block", fail)
     threads = threading.active_count()
     with pytest.raises(FloatingPointError, match="block failed"):
-        _accel.count_inside(np.random.default_rng(0), 50_000, 1, 1.0, 1.0)
+        _accel.count_inside(np.random.default_rng(0), 50_000, [(1, 1.0)], 1.0)
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", (1, 2, 3))
+@pytest.mark.parametrize("half", (1.0, 0.37))
+@pytest.mark.parametrize("shapes", (
+    [(3, 3 / 0.7), (1, 1 / 0.7), (2, 2 / 0.7)],
+    [(2, 2 / 0.7), (5, 5 / 0.7)],
+    [(4, 4 / 0.7), (6, 6 / 0.7)],
+    [(1, 1.0), (7, 7 / 0.7)],
+    [(2, 1.0), (2, 2.0), (2, 4.0), (2, 2 / 0.7)],
+))
+def test_count_inside_one_pass_counts_each_shape_as_its_own_stream(
+        monkeypatch, cpus, half, shapes):
+    # every shape's count is that of its own unblocked rng.uniform draw from
+    # the same state, and the caller's generator ends where the longest
+    # shape's draw leaves it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    longest = max(p for p, _ in shapes)
+    for samples in (1000, 16384, 16385, 100003):
+        rng = _generator(samples)
+        got = _accel.count_inside(rng, samples, shapes, half)
+        want = [_unblocked_hits(samples, samples, p, exponent, half)[0]
+                for p, exponent in shapes]
+        assert got == want
+        state = _unblocked_hits(samples, samples, longest, 1.0, half)[1]
+        assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("cpus", (1, 2, 3))
+def test_count_inside_splits_coprime_p_into_passes_of_a_few_blocks(monkeypatch, cpus):
+    # lcm(97, 89) = 8633 fits in a block, and with 83 it would be 716,539
+    coprime = [(97, 1.0), (89, 2.0), (83, 83 / 0.7)]
+    assert [group for group, _ in _accel._passes(coprime)] == [[0, 1], [2]]
+    # rows that long almost never hit, so count the same split on short
+    # rows with 16-row blocks: lcm(5, 3) = 15 fits, and with 7 it would be 105
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(_accel, "_CHUNK", 16)
+    shapes = [(5, 5 / 0.7), (3, 3 / 0.7), (7, 7 / 0.7)]
+    assert [group for group, _ in _accel._passes(shapes)] == [[0, 1], [2]]
+    samples = 100003
+    # the first copy of a bit generator imports numpy.random's pickle helpers
+    _accel.count_inside(_generator(0), 1000, shapes, 0.37)
+    rng = _generator(6)
+    tracemalloc.start()
+    try:
+        got = _accel.count_inside(rng, samples, shapes, 0.37)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # each worker holds 3 doubles per pair sum of one block, at most 16 * 7
+    # pair sums, where the longest shape's draws at once are 11.2 MB
+    assert peak <= cpus * 3 * 8 * 16 * 7 + 2 ** 16
+    assert got == [_unblocked_hits(6, samples, p, e, 0.37)[0] for p, e in shapes]
+    assert min(got) > 0
+    assert rng.bit_generator.state == _unblocked_hits(6, samples, 7, 1.0, 0.37)[1]

@@ -24,6 +24,14 @@ from jsonschema import Draft202012Validator
 
 from berezin_lab import labcli
 
+
+
+def _ints(ints):
+    """The integers of ``ints``, about half of them as whole floats, which
+    the schema takes as integers (8.0 is an integer)."""
+    return st.one_of(ints, ints.map(float))
+
+
 COORD = st.floats(-1.5, 1.5, allow_nan=False)
 PAIR = st.tuples(COORD, COORD).map(list)
 POINT = st.one_of(COORD, PAIR, st.lists(PAIR, min_size=1, max_size=3))
@@ -46,7 +54,7 @@ SYMBOL = st.sampled_from([
 T_GRID = st.one_of(
     st.lists(st.floats(-0.5, 1.5, allow_nan=False), min_size=1, max_size=3),
     st.fixed_dictionaries({"start": st.floats(0.0, 1.0), "stop": st.floats(0.0, 1.0),
-                           "count": st.integers(1, 3)}))
+                           "count": _ints(st.integers(1, 3))}))
 FACTOR = st.one_of(
     st.fixed_dictionaries({"toeplitz": st.fixed_dictionaries({"symbol": SYMBOL})}),
     st.fixed_dictionaries({"hankelpair": st.fixed_dictionaries(
@@ -72,51 +80,53 @@ def _fields(domain, point):
     fields that may be left out)."""
     return {
         "constants": (
-            {"samples": st.sampled_from([1_000, 20_000])},
-            {"pairs": st.lists(st.tuples(st.sampled_from([1, 2, 3]),
+            {"samples": _ints(st.sampled_from([1_000, 20_000]))},
+            {"pairs": st.lists(st.tuples(_ints(st.sampled_from([1, 2, 3])),
                                          st.sampled_from([0.5, 1.0, 1.5])).map(list),
                                min_size=1, max_size=3),
-             "p": st.sampled_from([1, 2]), "r": st.sampled_from([0.5, 1.0])}),
+             "p": _ints(st.sampled_from([1, 2])), "r": st.sampled_from([0.5, 1.0])}),
         "kernel-check": (
-            {"domain": domain, "N": st.sampled_from([8, 3]),
-             "grid_points": st.sampled_from([2, 3])},
+            {"domain": domain, "N": _ints(st.sampled_from([8, 3])),
+             "grid_points": _ints(st.sampled_from([2, 3]))},
             {"r": R, "radius": st.sampled_from([0.3, 0.9, 1.2]), "phase": COORD,
              "tolerance": TOL}),
         "inflation-check": (
             {"domain": domain, "r": st.sampled_from([0.5, 1.0, 2.5]),
-             "p": st.sampled_from([1, 2]), "N": st.sampled_from([6, 2]),
-             "grid_points": st.sampled_from([2, 3])},
+             "p": _ints(st.sampled_from([1, 2])), "N": _ints(st.sampled_from([6, 2])),
+             "grid_points": _ints(st.sampled_from([2, 3]))},
             {"radius": st.sampled_from([0.3, 0.9, 1.2]), "phase": COORD,
              "tolerance": TOL}),
         "moments": (
-            {"domain": domain, "N": st.sampled_from([3, 0]),
-             "samples": st.sampled_from([1_000, 2_000])},
-            {"r": R, "alphas": st.lists(st.lists(st.integers(0, 3), min_size=1,
+            {"domain": domain, "N": _ints(st.sampled_from([3, 0])),
+             "samples": _ints(st.sampled_from([1_000, 2_000]))},
+            {"r": R, "alphas": st.lists(st.lists(_ints(st.integers(0, 3)), min_size=1,
                                                  max_size=3), max_size=3),
              "mc": st.booleans()}),
         "berezin-profile": (
             {"domain": domain, "symbol": SYMBOL, "point": point,
-             "N": st.sampled_from([6, 2])},
+             "N": _ints(st.sampled_from([6, 2]))},
             {"r": R, "t_grid": T_GRID, "expect_limit": COORD, "tolerance": TOL,
              "snap_points": st.booleans(),
              "mass_outside": st.fixed_dictionaries(
                  {"center": point, "radius": st.sampled_from([0.2, 0.5]),
-                  "quad_order": st.integers(8, 12)}, optional={"tolerance": TOL})}),
+                  "quad_order": _ints(st.integers(8, 12))}, optional={"tolerance": TOL})}),
         "semi-commutator": (
-            {"domain": domain, "N": st.sampled_from([5, 2]), "degree": st.sampled_from([1, 0])},
-            {"r": R, "margin_pairs": st.integers(0, 3), "margin_triples": st.integers(0, 3),
+            {"domain": domain, "N": _ints(st.sampled_from([5, 2])),
+             "degree": _ints(st.sampled_from([1, 0]))},
+            {"r": R, "margin_pairs": _ints(st.integers(0, 3)),
+             "margin_triples": _ints(st.integers(0, 3)),
              "include_triples": st.booleans(), "tolerance": TOL}),
         "axler-zheng": (
-            {"domain": domain, "N": st.sampled_from([5, 2]), "symbol": SYMBOL,
+            {"domain": domain, "N": _ints(st.sampled_from([5, 2])), "symbol": SYMBOL,
              "strong_points": st.lists(point, min_size=1, max_size=2)},
             {"r": R, "operator": OPERATOR,     # the operator wins over the symbol
              "weak_points": st.lists(point, max_size=2), "t_grid": T_GRID,
              "thresholds": st.fixed_dictionaries({}, optional={
-                 "berezin": COORD, "tail": COORD, "window": st.integers(2, 3)}),
-             "tail_k": st.integers(0, 8), "validate_points": st.booleans(),
+                 "berezin": COORD, "tail": COORD, "window": _ints(st.integers(2, 3))}),
+             "tail_k": _ints(st.integers(0, 8)), "validate_points": st.booleans(),
              "snap_points": st.booleans()}),
         "classify": (
-            {"domain": domain, "count": st.sampled_from([4, 1])},
+            {"domain": domain, "count": _ints(st.sampled_from([4, 1]))},
             {"tolerance": st.sampled_from([1e-8, 0.0, -1.0])}),
     }
 
@@ -129,7 +139,7 @@ def _configs(experiment):
         point = st.one_of(st.sampled_from(boundary), POINT)
         always, optional = _fields(st.just(domain), point)[experiment]
         good = st.fixed_dictionaries(always, optional={**optional,
-                                                       "seed": st.integers(0, 3)})
+                                                       "seed": _ints(st.integers(0, 3))})
         return st.tuples(good, st.one_of(st.none(), BAD_FIELD))
 
     def spoil(pair):

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -307,6 +309,60 @@ def test_constants_single_pair_form(tmp_path):
     assert rep.verdicts["pass"]
     with pytest.raises(SchemaError):
         labcli.run("constants", {"p": 1})
+
+
+def _cli(tmp_path, name, experiment, config):
+    """Exit code, stderr and the CSVs written by a CLI run of ``config``."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / name
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = labcli.main([experiment, "--config", str(path), "--out", str(out)])
+    csvs = {k: v for k, v in read_files(out).items() if k.endswith(".csv")} \
+        if out.exists() else {}
+    return code, err.getvalue(), csvs
+
+
+def test_constants_pairs_count_as_single_pair_runs(tmp_path):
+    # one pass over the stream counts all five pairs; each row is the one a
+    # run of that pair alone writes
+    pairs = [[1, 1.0], [2, 1.0], [2, 2.0], [3, 2.0], [2, 0.5]]
+    config = {"samples": 20_011, "seed": 7}
+    code, err, csvs = _cli(tmp_path, "all", "constants", {**config, "pairs": pairs})
+    assert (code, err) == (0, "")
+    [table] = csvs.values()
+    header, *rows = table.splitlines(keepends=True)
+    assert len(rows) == len(pairs)
+    for i, pair in enumerate(pairs):
+        code, err, single = _cli(tmp_path, str(i), "constants", {**config, "pairs": [pair]})
+        assert (code, err) == (0, "")
+        assert list(single.values()) == [header + rows[i]]
+
+
+@pytest.mark.parametrize("experiment,config,field", [
+    ("berezin-profile", {"domain": {"name": "disk"}, "r": 0.0, "N": 16, "symbol": "re(z)",
+                         "point": [1.0, 0.0],
+                         "t_grid": {"start": 0.5, "stop": 0.9, "count": 3}},
+     ("t_grid", "count")),
+    ("axler-zheng", {"domain": {"name": "disk"}, "r": 0.0, "N": 8, "symbol": "1-abs2(z)",
+                     "strong_points": [[1.0, 0.0]], "tail_k": 3}, ("tail_k",)),
+    ("moments", {"domain": {"name": "disk"}, "alphas": [[1], [2]]}, ("alphas", 1, 0)),
+])
+def test_whole_float_integer_fields_run_as_their_int_twin(tmp_path, experiment,
+                                                           config, field):
+    # the schema takes 8.0 as an integer, so the run must too
+    twin = json.loads(json.dumps(config))
+    *keys, last = field
+    holder = twin
+    for key in keys:
+        holder = holder[key]
+    holder[last] = float(holder[last])
+    want = _cli(tmp_path, "int", experiment, config)
+    got = _cli(tmp_path, "float", experiment, twin)
+    assert want[0] in (0, 2) and want[2]
+    assert "Traceback" not in got[1]
+    assert got == want
 
 
 @pytest.mark.parametrize("config,field", [

@@ -122,8 +122,8 @@ def _count_pass(bitgen, samples, shapes, lcm, half):
                 n = min(block, hi - start)
                 u = draws[:2 * n]
                 gen.random(out=u)
-                u *= 2.0 * half
-                u += -half
+                u *= 2.0
+                u += -1.0
                 if half != 1.0:         # x / 1.0 is x
                     u /= half
                 t = _pair_sums(u, sums[:n])
@@ -155,7 +155,7 @@ def _count_pass(bitgen, samples, shapes, lcm, half):
 
 def count_inside(rng, samples, shapes, half):
     """For each shape (p, exponent), how many of ``samples`` draws w uniform
-    on the box [-half, half]^{2p} of R^{2p} ~ C^p satisfy
+    on the unit box [-1, 1]^{2p} of R^{2p} ~ C^p satisfy
     sum_j |w_j / half|^{2 exponent} < 1; one count per shape, in order.
 
     ``rng`` is a PCG64 ``Generator`` (``np.random.default_rng``), and every
@@ -167,7 +167,7 @@ def count_inside(rng, samples, shapes, half):
     scales, squares and pair-sums them once, then takes each shape's power,
     row sums and count on its prefix of T.  Scaling ``rng.random`` as
     low + (high - low) x, as ``rng.uniform`` does, gives the same stream and
-    the same rounding as ``rng.uniform(-half, half)`` followed by ``/ half``,
+    the same rounding as ``rng.uniform(-1.0, 1.0)`` followed by ``/ half``,
     and each count is the one a separate call with that shape alone gives.
 
     T is drawn in blocks of a whole number of rows of every shape (a

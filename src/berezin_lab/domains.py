@@ -169,7 +169,6 @@ class InflatedDomain(Domain):
         self.r = r
         self.fiber_exponent = 2.0 * p / r
         self.dim = base.dim + p
-        self.total_dim = self.dim
         self.name = f"{base.name}^({p},{r:g})"
         self.bounding_radius = float(np.hypot(base.bounding_radius, np.sqrt(p)))
         if base.exponents is not None:

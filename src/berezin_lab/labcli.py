@@ -5,15 +5,16 @@ produce identical CSV output.  No timestamps or environment-dependent values
 enter the tables; floats are written as shortest round-trip decimals.
 
 CLI: ``berezin-lab <experiment> --config file.json [--out dir] [--seed n]``,
-with flags overriding config-file keys.  Exit codes: 0 success, 2 when a
-verdict comes back failing/inconsistent, 1 on any error (including command
-line usage errors, and config schema violations, which are reported with
-their JSON path on stderr).
+with flags overriding config-file keys (``--seed`` only where a seed is
+read).  Exit codes: 0 success, 2 when a verdict comes back failing/
+inconsistent, 1 on any error (including command line usage errors, and
+config schema violations, which are reported with their JSON path on stderr).
 
 Each experiment's config is checked against its JSON Schema in ``SCHEMAS``
 by a small checker in this module.  It implements exactly the Draft 2020-12
 keywords those schemas use, and refuses at import a schema that uses any
-other, so the lab needs only numpy at run time.
+other, so the lab needs only numpy at run time.  A config carries only keys
+its run reads: a runner refuses one that another key makes moot.
 """
 
 import argparse
@@ -180,7 +181,6 @@ _OPERATOR = _object({"sum": {"type": "array", "minItems": 1, "items": _object(
 _COMMON = {
     "experiment": {"type": "string", "enum": list(EXPERIMENTS)},
     "out": {"type": "string"},
-    "seed": {"type": "integer"},
 }
 
 
@@ -194,6 +194,7 @@ SCHEMAS = {
         "p": _P,
         "r": _R,
         "samples": {"type": "integer", "minimum": 1000},
+        "seed": {"type": "integer"},
     }),
     "kernel-check": _schema({
         "domain": _DOMAIN,
@@ -222,6 +223,7 @@ SCHEMAS = {
                    "items": {"type": "array", "items": {"type": "integer", "minimum": 0}}},
         "mc": {"type": "boolean"},
         "samples": {"type": "integer", "minimum": 1000},
+        "seed": {"type": "integer"},
     }, required=("domain",)),
     "berezin-profile": _schema({
         "domain": _DOMAIN,
@@ -232,7 +234,6 @@ SCHEMAS = {
         "t_grid": _TGRID,
         "expect_limit": {"type": "number"},
         "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "snap_points": {"type": "boolean"},
         "mass_outside": _object({"center": _POINT,
                                  "radius": {"type": "number", "exclusiveMinimum": 0},
                                  "quad_order": {"type": "integer", "minimum": 8},
@@ -244,9 +245,6 @@ SCHEMAS = {
         "r": {"type": "number", "minimum": 0},
         "N": {"type": "integer", "minimum": 1},
         "degree": {"type": "integer", "minimum": 0},
-        "margin_pairs": {"type": "integer", "minimum": 0},
-        "margin_triples": {"type": "integer", "minimum": 0},
-        "include_triples": {"type": "boolean"},
         "tolerance": {"type": "number", "exclusiveMinimum": 0},
     }, required=("domain",)),
     "axler-zheng": _schema({
@@ -259,16 +257,14 @@ SCHEMAS = {
         "weak_points": {"type": "array", "items": _POINT},
         "t_grid": _TGRID,
         "thresholds": _object({"berezin": {"type": "number"},
-                               "tail": {"type": "number"},
-                               "window": {"type": "integer", "minimum": 2}}, required=()),
+                               "tail": {"type": "number"}}, required=()),
         "tail_k": {"type": "integer", "minimum": 0},
-        "validate_points": {"type": "boolean"},
-        "snap_points": {"type": "boolean"},
     }, required=("domain", "strong_points")),
     "classify": _schema({
         "domain": _DOMAIN,
         "count": {"type": "integer", "minimum": 1},
         "tolerance": {"type": "number"},
+        "seed": {"type": "integer"},
     }, required=("domain",)),
 }
 
@@ -416,6 +412,14 @@ def validate_config(experiment, config):
 # config helpers
 # ---------------------------------------------------------------------------
 
+def _refuse(config, keys, reason):
+    """Raise SchemaError naming the first of ``keys`` set in ``config``,
+    where the run would otherwise ignore it."""
+    for key in keys:
+        if key in config:
+            raise SchemaError(f"config field $[{key!r}]: not allowed {reason}")
+
+
 def _to_point(spec, dim):
     """Decode a point: number, [re, im], or [[re, im], ...]."""
     if isinstance(spec, (int, float)):
@@ -429,13 +433,15 @@ def _to_point(spec, dim):
     return np.array(vec, dtype=np.complex128)
 
 
-def _snap_to_boundary(dom, point, band=0.01):
-    """Rescale a nearly-boundary point onto the boundary along its ray.
+def _boundary_point(dom, spec, band=0.01):
+    """Decode a config point; rescale it onto the boundary along its ray
+    when it is nearly there.
 
     Config files cannot carry boundary coordinates to the 1e-10 membership
     band, so points within |rho| <= band are projected; anything farther
     inside/outside is left alone for classify_boundary to reject.
     """
+    point = _to_point(spec, dom.dim)
     if abs(float(dom.rho(point))) <= band:
         return boundary_point(dom, point)
     return point
@@ -499,9 +505,7 @@ def _run_constants(config, report):
             raise SchemaError("constants needs either 'pairs' or both 'p' and 'r'")
         pairs = [[config["p"], config["r"]]]
     else:
-        for key in ("p", "r"):
-            if key in config:
-                raise SchemaError(f"config field $[{key!r}]: not allowed next to 'pairs'")
+        _refuse(config, ("p", "r"), "next to 'pairs'")
     samples = int(config.get("samples", 10_000_000))
     seed = int(config.get("seed", 42))
     rows = []
@@ -598,6 +602,8 @@ def _run_moments(config, report):
         alphas = [tuple(int(x) for x in a)
                   for a in multiindices(dom.dim, int(config.get("N", 8)))]
     mc = bool(config.get("mc", False))
+    if not mc:
+        _refuse(config, ("samples", "seed"), "without 'mc': true")
     samples = int(config.get("samples", 1_000_000))
     seed = int(config.get("seed", 42))
     rows = []
@@ -617,14 +623,14 @@ def _run_moments(config, report):
 
 
 def _run_berezin_profile(config, report):
+    if "expect_limit" not in config:
+        _refuse(config, ("tolerance",), "without 'expect_limit'")
     dom = domain_from_config(config["domain"])
     r = float(config.get("r", 0.0))
     nn = int(config.get("N", 96 if dom.dim == 1 else 16))
     space = build_space(WeightedMeasure(dom, r), nn)
     sym = Symbol.parse(config["symbol"], dom.dim)
-    p0 = _to_point(config["point"], dom.dim)
-    if config.get("snap_points", True):
-        p0 = _snap_to_boundary(dom, p0)
+    p0 = _boundary_point(dom, config["point"])
     t_grid = _to_tgrid(config.get("t_grid"))
     op = toeplitz(space, sym)
     prof = boundary_profile(op, p0, t_grid)
@@ -668,27 +674,22 @@ def _run_semi_commutator(config, report):
     r = float(config.get("r", 0.0))
     nn = int(config.get("N", 32))
     degree = int(config.get("degree", 2))
-    margin_pairs = int(config.get("margin_pairs", degree))
-    margin_triples = int(config.get("margin_triples", 3 * degree))
     tol = float(config.get("tolerance", 1e-9))
-    include_triples = bool(config.get("include_triples", True))
     space = build_space(WeightedMeasure(dom, r), nn)
     syms = _monomial_symbols(dom.dim, degree)
     rows = []
     worst = 0.0
     for s2, s1 in itertools.product(syms, syms):
-        resid = semi_commutator_residual(space, s2, s1, margin_pairs)
+        resid = semi_commutator_residual(space, s2, s1, degree)
         worst = max(worst, resid)
         rows.append([s2.text, s1.text, resid])
     report.tables["pairs"] = Table(["sym2", "sym1", "residual"], rows)
-    if include_triples:
-        rows3 = []
-        for s3, s2, s1 in itertools.product(syms, syms, syms):
-            resid = product_decomposition_residual(space, [s3, s2, s1],
-                                                   margin_triples)
-            worst = max(worst, resid)
-            rows3.append([s3.text, s2.text, s1.text, resid])
-        report.tables["triples"] = Table(["sym3", "sym2", "sym1", "residual"], rows3)
+    rows = []
+    for s3, s2, s1 in itertools.product(syms, syms, syms):
+        resid = product_decomposition_residual(space, [s3, s2, s1], 3 * degree)
+        worst = max(worst, resid)
+        rows.append([s3.text, s2.text, s1.text, resid])
+    report.tables["triples"] = Table(["sym3", "sym2", "sym1", "residual"], rows)
     report.verdicts = {"pass": bool(worst < tol), "max_residual": worst,
                        "tolerance": tol}
 
@@ -699,37 +700,28 @@ def _run_axler_zheng(config, report):
     nn = int(config.get("N", 16))
     space = build_space(WeightedMeasure(dom, r), nn)
     if "operator" in config:
+        _refuse(config, ("symbol",), "next to 'operator'")
         expr = expr_from_json(config["operator"], dom.dim)
     elif "symbol" in config:
         expr = OperatorExpr.toeplitz(Symbol.parse(config["symbol"], dom.dim))
     else:
         raise SchemaError("axler-zheng needs 'operator' or 'symbol'")
-    strong = [_to_point(p, dom.dim) for p in config["strong_points"]]
-    weak = [_to_point(p, dom.dim) for p in config.get("weak_points", [])]
-    if config.get("snap_points", True):
-        strong = [_snap_to_boundary(dom, p) for p in strong]
-        weak = [_snap_to_boundary(dom, p) for p in weak]
+    strong = [_boundary_point(dom, p) for p in config["strong_points"]]
+    weak = [_boundary_point(dom, p) for p in config.get("weak_points", [])]
     pt_rows = []
-    if config.get("validate_points", True):
-        for role, pts, want in (("strong", strong, PointKind.STRONGLY_PSEUDOCONVEX),
-                                ("weak", weak, PointKind.WEAKLY_PSEUDOCONVEX)):
-            for i, p in enumerate(pts):
-                cls = classify_boundary(dom, p)
-                if cls.kind is not want:
-                    raise ParameterError(
-                        f"{role} point #{i} {p} classified {cls.kind.value}")
-                pt_rows.append([role, i, cls.kind.value,
-                                cls.min_tangential_eigenvalue])
-    thr = config.get("thresholds", {})
+    for role, pts, want in (("strong", strong, PointKind.STRONGLY_PSEUDOCONVEX),
+                            ("weak", weak, PointKind.WEAKLY_PSEUDOCONVEX)):
+        for i, p in enumerate(pts):
+            cls = classify_boundary(dom, p)
+            if cls.kind is not want:
+                raise ParameterError(f"{role} point #{i} {p} classified {cls.kind.value}")
+            pt_rows.append([role, i, cls.kind.value, cls.min_tangential_eigenvalue])
     tail_k = config.get("tail_k")
-    az_cfg = {"tail_k": None if tail_k is None else int(tail_k),
-              "t_grid": _to_tgrid(config.get("t_grid"))}
-    for name, key, cast in (("berezin", "berezin_threshold", float),
-                            ("tail", "tail_threshold", float),
-                            ("window", "decreasing_window", int)):
-        if name in thr:      # unset thresholds keep DEFAULT_AZ_CONFIG's values
-            az_cfg[key] = cast(thr[name])
-    rep = axler_zheng_report(expr, space, strong, weak, az_cfg)
+    rep = axler_zheng_report(
+        expr, space, strong, weak, t_grid=_to_tgrid(config.get("t_grid")),
+        tail_k=None if tail_k is None else int(tail_k),
+        **{f"{name}_threshold": float(v)
+           for name, v in config.get("thresholds", {}).items()})
     for name, profs in (("strong_profiles", rep.strong_profiles),
                         ("weak_profiles", rep.weak_profiles)):
         rows = []
@@ -740,9 +732,8 @@ def _run_axler_zheng(config, report):
             ["point_index", "t", "re_berezin", "im_berezin", "trunc_flag"], rows)
     report.tables["tails"] = Table(
         ["k", "tail_norm"], [[k, v] for k, v in rep.tail_curve])
-    if pt_rows:
-        report.tables["points"] = Table(
-            ["role", "index", "kind", "min_tangential_eigenvalue"], pt_rows)
+    report.tables["points"] = Table(
+        ["role", "index", "kind", "min_tangential_eigenvalue"], pt_rows)
     report.verdicts = {
         "verdict": rep.verdict,
         "classification": rep.classification,
@@ -830,7 +821,8 @@ def _build_parser():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--out", help="output directory (overrides config)")
-        sp.add_argument("--seed", type=int, help="seed override")
+        if "seed" in SCHEMAS[name]["properties"]:
+            sp.add_argument("--seed", type=int, help="seed override")
     return parser
 
 
@@ -850,7 +842,7 @@ def main(argv=None):
         print("config must be a JSON object", file=sys.stderr)
         return 1
     for key in ("out", "seed"):
-        val = getattr(args, key)
+        val = getattr(args, key, None)
         if val is not None:
             config[key] = val
     try:

@@ -27,7 +27,7 @@ and reuse the operators that recur from one identity to the next
 """
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,7 +50,6 @@ class TruncatedOperator:
 
     assembled: object
     space: object
-    provenance: object = None
 
     @cached_property
     def matrix(self):
@@ -492,8 +491,7 @@ def _toeplitz_quad(space, sym, rule):
 
 def toeplitz(space, sym, rule=None):
     """Truncated Toeplitz operator P_N M_phi on the basis."""
-    return TruncatedOperator(_form(space, (sym,), rule=rule).toeplitz(sym), space,
-                             provenance=OperatorExpr.toeplitz(sym))
+    return TruncatedOperator(_form(space, (sym,), rule=rule).toeplitz(sym), space)
 
 
 @dataclass
@@ -606,7 +604,7 @@ def materialize(expr, space, rule=None):
     multiindex shift, see the module docstring) or a dense matrix.
     """
     form = _form(space, *_expr_symbols(expr), rule=rule)
-    return TruncatedOperator(_sum_of_products(form, expr), space, provenance=expr)
+    return TruncatedOperator(_sum_of_products(form, expr), space)
 
 
 # ---------------------------------------------------------------------------
@@ -742,24 +740,18 @@ class AxlerZhengReport:
     tail_vanishing: bool
     classification: str
     verdict: str
-    thresholds: dict = field(default_factory=dict)
 
 
 DEFAULT_T_GRID = np.concatenate([np.linspace(0.5, 0.95, 10),
                                  np.linspace(0.96, 0.995, 6)])
 DEFAULT_T_GRID.flags.writeable = False
 
-DEFAULT_AZ_CONFIG = {
-    "berezin_threshold": 0.1,      # terminal |B| below this counts as vanishing
-    "tail_threshold": 0.5,         # tail_norm(tail_k) above this is non-vanishing
-    "decreasing_window": 5,        # vanishing also needs decrease over this window
-    "tail_k": None,                # default N // 2
-    "t_grid": DEFAULT_T_GRID,
-}
+_DECREASING_WINDOW = 5
 
 
-def axler_zheng_report(expr, space, strong_points, weak_points, config=None,
-                       rule=None):
+def axler_zheng_report(expr, space, strong_points, weak_points, *,
+                       t_grid=DEFAULT_T_GRID, tail_k=None, berezin_threshold=0.1,
+                       tail_threshold=0.5, rule=None):
     """Two-sided compactness diagnostic for an operator expression.
 
     Reports (a) terminal Berezin values along radial paths at strongly
@@ -771,14 +763,15 @@ def axler_zheng_report(expr, space, strong_points, weak_points, config=None,
     fat tail is localization, not a contradiction).
 
     ``weak_points`` may be empty on domains without weakly pseudoconvex
-    points (disk, balls); ``strong_points`` must be nonempty.
+    points (disk, balls); ``strong_points`` must be nonempty.  Vanishing
+    means a terminal |B| below ``berezin_threshold`` (and a profile that
+    decreases over its last ``_DECREASING_WINDOW`` samples) and a
+    ``tail_norm(op, tail_k)`` at most ``tail_threshold`` (tail_k = N // 2).
     """
-    cfg = dict(DEFAULT_AZ_CONFIG)
-    cfg.update(config or {})
     if not strong_points:
         raise ParameterError("strong_points must be nonempty")
-    t_grid = cfg["t_grid"]
-    tail_k = cfg["tail_k"] if cfg["tail_k"] is not None else space.N // 2
+    if tail_k is None:
+        tail_k = space.N // 2
     if not 0 <= tail_k <= space.N:
         raise ParameterError(f"tail_k={tail_k} outside [0, {space.N}]")
     op = materialize(expr, space, rule=rule)
@@ -790,20 +783,19 @@ def axler_zheng_report(expr, space, strong_points, weak_points, config=None,
         (np.asarray(p, dtype=np.complex128), tuple(boundary_profile(op, p, t_grid)))
         for p in (weak_points or ()))
 
-    window = int(cfg["decreasing_window"])
     vanishing = True
     terminal_sup = 0.0
     for _, prof in strong_profiles:
         mags = [abs(s.value) for s in prof]
         terminal_sup = max(terminal_sup, mags[-1])
-        start = max(0, len(mags) - window)
+        start = max(0, len(mags) - _DECREASING_WINDOW)
         decreasing = all(mags[i + 1] <= mags[i] + 1e-12
                          for i in range(start, len(mags) - 1))
-        if not (mags[-1] < cfg["berezin_threshold"] and decreasing):
+        if not (mags[-1] < berezin_threshold and decreasing):
             vanishing = False
     tail_curve = tuple((k, tail_norm(op, k)) for k in range(space.N + 1))
     tail_value = tail_curve[tail_k][1]
-    tail_vanishing = tail_value <= cfg["tail_threshold"]
+    tail_vanishing = tail_value <= tail_threshold
 
     if vanishing and tail_vanishing:
         classification = "compact"
@@ -816,10 +808,7 @@ def axler_zheng_report(expr, space, strong_points, weak_points, config=None,
     verdict = "inconsistent" if classification == "contradictory" else "consistent"
     return AxlerZhengReport(strong_profiles, weak_profiles, tail_curve,
                             terminal_sup, vanishing, tail_k, tail_value,
-                            tail_vanishing, classification, verdict,
-                            thresholds={k: cfg[k] for k in
-                                        ("berezin_threshold", "tail_threshold",
-                                         "decreasing_window")})
+                            tail_vanishing, classification, verdict)
 
 
 # ---------------------------------------------------------------------------

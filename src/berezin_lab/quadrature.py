@@ -489,17 +489,22 @@ def dilation_identity_check(domain, p, r, z, samples=1_000_000, seed=42):
 
     Both sides are estimated with independent Monte Carlo streams (seed and
     seed+1), so the returned residual reflects genuine sampling error rather
-    than the change of variables cancelling exactly.
+    than the change of variables cancelling exactly.  The left side draws w
+    on the unit box, whatever z is, so its hit rate scales as (-rho(z))^r;
+    that box holds the fiber only when -rho(z) <= 1.
     """
     z = np.asarray(z, dtype=np.complex128)
     s = -float(domain.rho(z))
     if s <= 0:
         raise BoundaryError(f"point {z} is not strictly inside {domain.name}")
     p, r = inflation_parameters(p, r)
+    if s > 1:
+        raise ParameterError(f"-rho = {s!r} > 1 at {z}: the unit box does not "
+                             f"hold the fiber")
     half = s ** (r / (2.0 * p))
     # sum |w|^{2p/r} < s  <=>  sum |w/half|^{2p/r} < 1
     hits, = _accel.count_inside(np.random.default_rng(seed), samples, [(p, p / r)], half)
-    lhs = (2.0 * half) ** (2 * p) * hits / samples
+    lhs = 4.0 ** p * hits / samples
     mc = inflation_constant_mc(p, r, samples=samples, seed=seed + 1)
     rhs = s ** r * mc.value
     rhs_cf = s ** r * inflation_constant(p, r)

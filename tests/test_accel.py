@@ -90,7 +90,7 @@ def _unblocked_hits(seed, samples, p, exponent, half):
     """The hit count from one ``rng.uniform`` call, and the generator's state
     after it."""
     rng = _generator(seed)
-    u = rng.uniform(-half, half, size=(samples, 2 * p)) / half
+    u = rng.uniform(-1.0, 1.0, size=(samples, 2 * p)) / half
     hits = np.count_nonzero(
         np.sum((u[:, 0::2] ** 2 + u[:, 1::2] ** 2) ** exponent, axis=1) < 1)
     return hits, rng.bit_generator.state
@@ -98,7 +98,7 @@ def _unblocked_hits(seed, samples, p, exponent, half):
 
 @pytest.mark.parametrize("cpus", (1, 2, 3))
 @pytest.mark.parametrize("p", (1, 2, 3))
-@pytest.mark.parametrize("half", (1.0, 0.37))
+@pytest.mark.parametrize("half", (1.0, 0.9))
 def test_count_inside_split_draws_the_unblocked_stream(monkeypatch, cpus, p, half):
     # any split of the blocks over threads counts the hits of one unblocked
     # rng.uniform draw and leaves the caller's generator where it leaves it
@@ -128,7 +128,7 @@ def test_count_inside_reraises_a_worker_exception(monkeypatch, cpus):
 
 
 @pytest.mark.parametrize("cpus", (1, 2, 3))
-@pytest.mark.parametrize("half", (1.0, 0.37))
+@pytest.mark.parametrize("half", (1.0, 0.9))
 @pytest.mark.parametrize("shapes", (
     [(3, 3 / 0.7), (1, 1 / 0.7), (2, 2 / 0.7)],
     [(2, 2 / 0.7), (5, 5 / 0.7)],
@@ -166,17 +166,17 @@ def test_count_inside_splits_coprime_p_into_passes_of_a_few_blocks(monkeypatch, 
     assert [group for group, _ in _accel._passes(shapes)] == [[0, 1], [2]]
     samples = 100003
     # the first copy of a bit generator imports numpy.random's pickle helpers
-    _accel.count_inside(_generator(0), 1000, shapes, 0.37)
+    _accel.count_inside(_generator(0), 1000, shapes, 0.9)
     rng = _generator(6)
     tracemalloc.start()
     try:
-        got = _accel.count_inside(rng, samples, shapes, 0.37)
+        got = _accel.count_inside(rng, samples, shapes, 0.9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # each worker holds 3 doubles per pair sum of one block, at most 16 * 7
     # pair sums, where the longest shape's draws at once are 11.2 MB
     assert peak <= cpus * 3 * 8 * 16 * 7 + 2 ** 16
-    assert got == [_unblocked_hits(6, samples, p, e, 0.37)[0] for p, e in shapes]
+    assert got == [_unblocked_hits(6, samples, p, e, 0.9)[0] for p, e in shapes]
     assert min(got) > 0
-    assert rng.bit_generator.state == _unblocked_hits(6, samples, 7, 1.0, 0.37)[1]
+    assert rng.bit_generator.state == _unblocked_hits(6, samples, 7, 1.0, 0.9)[1]

@@ -192,7 +192,7 @@ def test_classify_rotation_invariance(t1, t2):
 
 def test_inflate_disk_is_ball():
     infl = inflate(DISK, 1, 1.0)
-    assert infl.total_dim == 2
+    assert infl.dim == 2
     assert infl.exponents == (2.0, 2.0)
     assert rho_eval(infl, [0.5, 0.5]) == pytest.approx(-0.5)
     # pointwise match with the two-summand formula

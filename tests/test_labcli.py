@@ -382,6 +382,63 @@ def test_constants_rejects_stray_keys_and_bad_pairs(tmp_path, capsys, config, fi
     assert not out.exists()
 
 
+DISK = {"name": "disk"}
+_AZ = {"domain": DISK, "N": 8, "symbol": "1-abs2(z)", "strong_points": [[1.0, 0.0]]}
+_PROFILE = {"domain": DISK, "N": 8, "symbol": "z", "point": [1.0, 0.0]}
+_SWEEP = {"domain": DISK, "N": 8, "degree": 1}
+
+
+@pytest.mark.parametrize("experiment,config,key", [
+    ("axler-zheng", {**_AZ, "validate_points": False}, "validate_points"),
+    ("axler-zheng", {**_AZ, "snap_points": False}, "snap_points"),
+    ("berezin-profile", {**_PROFILE, "snap_points": False}, "snap_points"),
+    ("semi-commutator", {**_SWEEP, "margin_pairs": 2}, "margin_pairs"),
+    ("semi-commutator", {**_SWEEP, "margin_triples": 4}, "margin_triples"),
+    ("semi-commutator", {**_SWEEP, "include_triples": False}, "include_triples"),
+    ("axler-zheng", {**_AZ, "thresholds": {"window": 3}}, "window"),
+    ("kernel-check", {"domain": DISK, "N": 8, "seed": 1}, "seed"),
+    ("inflation-check", {"domain": DISK, "N": 8, "r": 1.0, "p": 1, "seed": 1}, "seed"),
+    ("berezin-profile", {**_PROFILE, "seed": 1}, "seed"),
+    ("semi-commutator", {**_SWEEP, "seed": 1}, "seed"),
+    ("axler-zheng", {**_AZ, "seed": 1}, "seed"),
+])
+def test_keys_a_run_does_not_read_exit_1_naming_the_key(tmp_path, experiment, config,
+                                                        key):
+    # switches that only skipped or loosened a check, and seeds of runs
+    # that draw no random numbers, are not config keys
+    code, err, csvs = _cli(tmp_path, "c", experiment, config)
+    assert (code, csvs) == (1, {})
+    assert err.startswith("config error:") and f"{key!r} was unexpected" in err
+
+
+@pytest.mark.parametrize("experiment", ["kernel-check", "axler-zheng"])
+def test_seed_flag_is_a_usage_error_where_no_seed_is_read(tmp_path, capsys, experiment):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"domain": DISK, "N": 8}))
+    with pytest.raises(SystemExit) as info:
+        labcli.main([experiment, "--config", str(cfg), "--seed", "7"])
+    assert info.value.code == 1
+    assert "error: unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment,config,field,reason", [
+    ("axler-zheng", {**_AZ, "symbol": "this is not parsed",
+                     "operator": {"sum": [{"prod": [{"identity": {}}]}]}},
+     "symbol", "next to 'operator'"),
+    ("berezin-profile", {**_PROFILE, "tolerance": 0.1}, "tolerance",
+     "without 'expect_limit'"),
+    ("moments", {"domain": DISK, "N": 2, "samples": 1000}, "samples",
+     "without 'mc': true"),
+    ("moments", {"domain": DISK, "N": 2, "seed": 3}, "seed", "without 'mc': true"),
+    ("moments", {"domain": DISK, "N": 2, "mc": False, "samples": 1000}, "samples",
+     "without 'mc': true"),
+])
+def test_keys_another_key_makes_moot_exit_1_naming_the_field(tmp_path, experiment, config,
+                                                             field, reason):
+    assert _cli(tmp_path, "c", experiment, config) == (
+        1, f"config error: config field $[{field!r}]: not allowed {reason}\n", {})
+
+
 @pytest.mark.parametrize("experiment", ["moments", "kernel-check"])
 def test_huge_weight_exponent_exits_1_without_traceback(tmp_path, capsys, experiment):
     # log Gamma(r + 1) overflows a float

@@ -683,7 +683,7 @@ def test_az_report_on_a_radial_symbol_builds_no_dense_matrix():
     tracemalloc.start()
     try:
         rep = axler_zheng_report(expr, sp, [[b, 0.1], [1j * b, 0.1j]], [[0.0, 1.0]],
-                                 {"tail_k": 8})
+                                 tail_k=8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -720,18 +720,17 @@ def test_az_report_contradictory_when_profile_stops_early():
     sp = disk_space(0.0, 24)
     m = np.zeros((sp.size, sp.size), dtype=complex)
     m[0, 0] = 1.0
-    expr = OperatorExpr.identity()   # provenance placeholder
+    expr = OperatorExpr.identity()   # placeholder: materialize is replaced
 
     import berezin_lab.operators as ops
     orig = ops.materialize
 
     def fake_materialize(e, space, rule=None):
-        return TruncatedOperator(m, space, provenance=e)
+        return TruncatedOperator(m, space)
 
     ops.materialize = fake_materialize
     try:
-        rep = axler_zheng_report(expr, sp, [[1.0]], [],
-                                 {"t_grid": np.linspace(0.3, 0.6, 8)})
+        rep = axler_zheng_report(expr, sp, [[1.0]], [], t_grid=np.linspace(0.3, 0.6, 8))
     finally:
         ops.materialize = orig
     assert rep.classification == "contradictory"

@@ -218,7 +218,7 @@ def test_inflated_moment_mc_cross_check():
 
 def _reference_hits(seed, samples, p, r, half):
     """Hit count of one rng.uniform draw of all samples (unblocked)."""
-    u = np.random.default_rng(seed).uniform(-half, half, size=(samples, 2 * p)) / half
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, 2 * p)) / half
     return np.count_nonzero(
         np.sum((u[:, 0::2] ** 2 + u[:, 1::2] ** 2) ** (p / r), axis=1) < 1)
 
@@ -232,7 +232,7 @@ def test_mc_hit_counts_match_one_unblocked_draw():
     s = -float(DISK.rho(np.array([0.6], dtype=complex)))
     half = s ** 0.5
     hits = _reference_hits(7, samples, 1, 1.0, half)
-    assert chk.lhs == (2.0 * half) ** 2 * hits / samples
+    assert chk.lhs == 4.0 * hits / samples
     rhs_hits = _reference_hits(8, samples, 1, 1.0, 1.0)
     assert chk.rhs == s * (4.0 * (rhs_hits / samples))
 
@@ -248,6 +248,26 @@ def test_dilation_identity_check():
     assert chk21.rhs_closed_form == pytest.approx(inflation_constant(2, 1.0), rel=1e-12)
     with pytest.raises(BoundaryError):
         dilation_identity_check(DISK, 1, 1.0, [1.5])
+
+
+def test_dilation_identity_check_counts_a_fiber_that_scales_with_z():
+    # drawn on a box that scaled with the fiber, lhs / s^r would be the same
+    # count at every z; on the unit box the fiber's share of it moves with z
+    ratios = [dilation_identity_check(DISK, 1, 1.0, [z], samples=400_000, seed=42).lhs
+              / (1.0 - z * z) for z in (0.0, 0.6)]
+    assert ratios[1] != pytest.approx(ratios[0], rel=1e-9)
+    assert ratios == pytest.approx([np.pi] * 2, rel=1e-2)
+
+
+def test_dilation_identity_check_refuses_a_fiber_wider_than_the_unit_box():
+    class Wide:
+        name = "wide"
+
+        def rho(self, z):
+            return -2.0
+
+    with pytest.raises(ParameterError, match="unit box"):
+        dilation_identity_check(Wide(), 1, 1.0, [0.0], samples=1000)
 
 
 def test_total_mass_positive():

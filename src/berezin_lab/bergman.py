@@ -24,7 +24,7 @@ from . import _accel
 from .domains import BOUNDARY_TOL_COEFF, _as_points, inflate, inflation_parameters
 from .errors import (BoundaryError, CapabilityError, ConditioningError,
                      ParameterError)
-from .quadrature import (WeightedMeasure, inflation_constant,
+from .quadrature import (Scheme, WeightedMeasure, inflation_constant,
                          log_monomial_moments, measure_node_weights,
                          polar_tensor_rule, require_full_rule)
 
@@ -224,21 +224,39 @@ def kernel_mass_outside(space, z, center, radius, rule):
     (m, n) array.
 
     The quantity that must vanish as z approaches a peak boundary point for
-    any fixed neighborhood U of that point.  All points share one pass over
-    the rule's nodes; on closed-moment spaces each row rounds as a one-point
-    call does.  Raises :class:`BoundaryError` when a point lies outside the
-    closed domain (see ``inside_contract``).
+    any fixed neighborhood U of that point.  ``rule`` must be a polar tensor
+    rule: its nodes are radial points times torus points, w = s * zeta
+    coordinatewise, so on a space of normalized monomials
+    k_z(w) = sum_b (v_b s^alpha_b) e_b(zeta), v the coefficients of k_z.  The
+    series is evaluated as one set of coefficients per (point, radius) at the
+    torus points, never as a basis x nodes table, and each row rounds as a
+    one-point call does.  Raises :class:`ParameterError` for any other rule,
+    :class:`CapabilityError` for a Gram-orthogonalized space, and
+    :class:`BoundaryError` when a point lies outside the closed domain (see
+    ``inside_contract``).
     """
     require_full_rule(rule, "kernel_mass_outside")
+    if rule.scheme is not Scheme.POLAR_TENSOR:
+        raise ParameterError(
+            f"kernel_mass_outside needs a {Scheme.POLAR_TENSOR.value} rule, "
+            f"got a {rule.scheme.value} rule")
+    if not space.normalized_monomials:
+        raise CapabilityError(
+            "kernel_mass_outside needs a space of normalized monomials; "
+            f"the basis over {space.measure.domain.name} is Gram-orthogonalized")
     space.inside_contract(z)
     v = space.normalized_kernel(z)
+    single = v.ndim == 1
+    v = np.atleast_2d(v)
+    radial, torus = rule.factors
+    radial_powers = _accel.monomial_matrix(radial, space.alphas)
+    rows = (v[:, None, :] * radial_powers.T[None]).reshape(-1, space.size)
+    dens = np.abs(space.eval_series(rows, torus).reshape(len(v), -1)) ** 2
     center = np.atleast_1d(np.asarray(center, dtype=np.complex128))
-    dens = np.abs(space.eval_series(v, rule.nodes)) ** 2
     w = measure_node_weights(space.measure, rule)
     outside = np.linalg.norm(rule.nodes - center[None, :], axis=1) >= radius
-    if dens.ndim == 1:
-        return float(np.sum(w * dens * outside))
-    return np.array([np.sum(w * d * outside) for d in dens])
+    masses = [np.sum(w * d * outside) for d in dens]
+    return float(masses[0]) if single else np.array(masses)
 
 
 # ---------------------------------------------------------------------------

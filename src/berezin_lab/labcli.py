@@ -628,6 +628,16 @@ def _run_berezin_profile(config, report):
     dom = domain_from_config(config["domain"])
     r = float(config.get("r", 0.0))
     nn = int(config.get("N", 96 if dom.dim == 1 else 16))
+    if dom.dim != 1:
+        _refuse(config, ("mass_outside",), f"on a {dom.dim}-dimensional domain")
+    if "mass_outside" in config:
+        # on the disk the rule sums |k_z|^2 exactly iff 2 order - 1 >= N
+        order = int(config["mass_outside"].get("quad_order", 256))
+        need = nn // 2 + 1
+        if order < need:
+            raise SchemaError(f"config field $['mass_outside']['quad_order']: "
+                              f"{order} cannot integrate |k_z|^2 at N={nn}; "
+                              f"need >= {need}")
     space = build_space(WeightedMeasure(dom, r), nn)
     sym = Symbol.parse(config["symbol"], dom.dim)
     p0 = _boundary_point(dom, config["point"])
@@ -650,11 +660,8 @@ def _run_berezin_profile(config, report):
                          "tolerance": tol})
     if "mass_outside" in config:
         mo = config["mass_outside"]
-        if dom.dim != 1:
-            raise ParameterError("mass_outside is implemented for 1-dimensional domains")
         center = _to_point(mo["center"], dom.dim)
         radius = float(mo["radius"])
-        order = int(mo.get("quad_order", 256))
         rule = polar_tensor_rule(space.measure, radial_order=order,
                                  angular_order=2 * order)
         pts = np.array([float(t) * p0 for t in t_grid])

@@ -71,9 +71,12 @@ class QuadratureRule:
                                  # only for torus-invariant integrands
     negrho: np.ndarray = None    # exact -rho at the nodes when known by
                                  # construction (avoids |sqrt(t)|^2 round-off)
-    factors: tuple = None        # Radial2D only: the 1-D Duffy factors, (t,)
-                                 # for n = 1 or (u1, u2) for n = 2, where node
-                                 # a*len(u2)+b has t1 = u1[a], t2 = (1-u1[a]) u2[b]
+    factors: tuple = None        # Radial2D: the 1-D Duffy factors, (t,) for
+                                 # n = 1 or (u1, u2) for n = 2, where node
+                                 # a*len(u2)+b has t1 = u1[a], t2 = (1-u1[a]) u2[b].
+                                 # PolarTensor: (radial, torus), real (R, n) radii
+                                 # and complex (A^n, n) phases, where node
+                                 # k*A^n+j is radial[k] * torus[j]
 
     def __len__(self):
         return len(self.weights)
@@ -216,44 +219,42 @@ def polar_tensor_rule(measure, radial_order=128, angular_order=None):
 
     On the disk the rule integrates polynomials in z, zbar of total degree
     <= 2*radial_order - 1 against (-rho)^r exactly (angular grid permitting).
+    Every node is a radial point times a torus point, z = radial[k] * torus[j]
+    coordinatewise, and the rule keeps the two factors (see
+    ``QuadratureRule.factors``).
     """
     q = _require_ellipsoid(measure)
     n = len(q)
     r = measure.r
     if angular_order is None:
         angular_order = 2 * radial_order
+    if n > 2:
+        raise CapabilityError(f"polar tensor rule supports n <= 2, got n = {n}")
+    theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
+    phase = np.exp(1j * theta)
     if n == 1:
         t, wt = _jac01(radial_order, r, 2.0 / q[0] - 1.0)
-        theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
-        radii = t ** (1.0 / q[0])
-        nodes = (radii[:, None] * np.exp(1j * theta)[None, :]).reshape(-1, 1)
-        base = wt / q[0] * (2.0 * np.pi / angular_order)
-        w = np.repeat(base / (1.0 - t) ** r, angular_order)
-        negrho = np.repeat(1.0 - t, angular_order)
-        return QuadratureRule(nodes, w, Scheme.POLAR_TENSOR,
-                              (radial_order, angular_order), r, negrho=negrho)
-    if n == 2:
+        radial = (t ** (1.0 / q[0]))[:, None]
+        torus = phase[:, None]
+        w = wt / q[0] * (2.0 * np.pi / angular_order) / (1.0 - t) ** r
+        negrho = 1.0 - t
+    else:
         if radial_order ** 2 * angular_order ** 2 > 2 * 10 ** 7:
             raise ParameterError(
                 "full tensor rule for n=2 would exceed 2e7 nodes; "
                 "lower the orders or use radial_rule/monte_carlo_rule")
         t1, t2, wr, negrho, _ = _simplex_radial(q, r, radial_order)
-        theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
-        phase = np.exp(1j * theta)
-        r1 = t1 ** (1.0 / q[0])
-        r2 = t2 ** (1.0 / q[1])
-        # nodes: (radial pair) x (theta1) x (theta2)
-        z1 = np.broadcast_to(r1[:, None, None] * phase[None, :, None],
-                             (len(t1), angular_order, angular_order))
-        z2 = np.broadcast_to(r2[:, None, None] * phase[None, None, :],
-                             (len(t1), angular_order, angular_order))
-        nodes = np.stack([z1.ravel(), z2.ravel()], axis=1)
-        ang_w = (2.0 * np.pi / angular_order) ** 2
-        w = np.repeat(wr * ang_w, angular_order * angular_order)
-        return QuadratureRule(nodes, w, Scheme.POLAR_TENSOR,
-                              (radial_order, angular_order), r,
-                              negrho=np.repeat(negrho, angular_order * angular_order))
-    raise CapabilityError(f"polar tensor rule supports n <= 2, got n = {n}")
+        radial = np.column_stack([t1 ** (1.0 / q[0]), t2 ** (1.0 / q[1])])
+        # torus point j1*A+j2 is (phase[j1], phase[j2])
+        torus = np.column_stack([np.repeat(phase, angular_order),
+                                 np.tile(phase, angular_order)])
+        w = wr * (2.0 * np.pi / angular_order) ** 2
+    nodes = (radial[:, None, :] * torus[None, :, :]).reshape(-1, n)
+    per_radius = len(torus)
+    return QuadratureRule(nodes, np.repeat(w, per_radius), Scheme.POLAR_TENSOR,
+                          (radial_order, angular_order), r,
+                          negrho=np.repeat(negrho, per_radius),
+                          factors=(radial, torus))
 
 
 def _simplex_radial(q, r, order):

@@ -24,11 +24,23 @@ from berezin_lab import (
 )
 from berezin_lab import _accel, operators
 from berezin_lab.bergman import WeightedSpace, build_inflated_space
+from berezin_lab.quadrature import measure_node_weights
 from berezin_lab.errors import (BoundaryError, CapabilityError,
                                 ConditioningError, ParameterError)
 
 DISK = make_domain("disk")
+BALL2 = make_domain("ball", n=2)
 EGG2 = make_domain("egg", m=2)
+
+
+def _custom_disk():
+    """The unit disk through callables: no closed moments."""
+    return CustomDomain(
+        "custom-disk", 1,
+        rho=lambda z: np.abs(np.atleast_2d(z)[:, 0]) ** 2 - 1.0
+        if np.ndim(z) > 1 else float(np.abs(z[0]) ** 2 - 1.0),
+        grad_rho=lambda z: np.conj(z),
+        hessian=lambda p, x, y: complex(np.sum(x * np.conj(y))))
 
 
 def disk_space(r, n):
@@ -95,12 +107,7 @@ def test_normalizer_vector_matches_dense_form_exactly():
 
 
 def test_plugin_space_keeps_matrix_and_quadrature_toeplitz(monkeypatch):
-    custom = CustomDomain(
-        "custom-disk", 1,
-        rho=lambda z: np.abs(np.atleast_2d(z)[:, 0]) ** 2 - 1.0
-        if np.ndim(z) > 1 else float(np.abs(z[0]) ** 2 - 1.0),
-        grad_rho=lambda z: np.conj(z),
-        hessian=lambda p, x, y: complex(np.sum(x * np.conj(y))))
+    custom = _custom_disk()
     rule = polar_tensor_rule(WeightedMeasure(DISK, 0.0), radial_order=64)
     sp = build_space(WeightedMeasure(custom, 0.0), 8, rule=rule)
     assert sp.coeffs.shape == (sp.size, sp.size) and not sp.normalized_monomials
@@ -195,7 +202,7 @@ def test_mass_concentration_near_peak_point():
 
 def test_kernel_mass_outside_batched_equals_per_point():
     sp = disk_space(0.0, 48)
-    # 32,768 nodes: two series_values chunks
+    # 128 radii x 256 torus points: 4 x 128 series rows at the torus points
     rule = polar_tensor_rule(sp.measure, radial_order=128, angular_order=256)
     pts = np.array([[0.5], [0.9j], [-0.7 + 0.2j], [0.95]])
     batched = kernel_mass_outside(sp, pts, [1.0], 0.3, rule)
@@ -203,6 +210,75 @@ def test_kernel_mass_outside_batched_equals_per_point():
     assert all(type(m) is float for m in single)
     assert batched.shape == (4,)
     assert list(batched) == single
+
+
+def _direct_mass_outside(sp, z, center, radius, rule):
+    """sum w |k_z|^2 over the rule nodes outside the ball, each node's
+    series evaluated at the node itself."""
+    v = sp.normalized_kernel(z)
+    dens = np.abs(sp.eval_series(v, rule.nodes)) ** 2
+    w = measure_node_weights(sp.measure, rule)
+    outside = np.linalg.norm(rule.nodes - np.asarray(center)[None, :], axis=1) >= radius
+    return np.sum(w * dens * outside, axis=-1)
+
+
+@pytest.mark.parametrize("dom,r,N,orders,pts,center", [
+    (DISK, 0.0, 48, (64, 128), [[0.5], [0.9j], [-0.7 + 0.2j], [0.95]], [1.0]),
+    (DISK, 1.0, 48, (64, 128), [[0.5], [0.9j], [-0.7 + 0.2j], [0.95]], [1.0]),
+    (DISK, 2.0, 48, (64, 128), [[0.5], [0.9j], [-0.7 + 0.2j], [0.95]], [1.0]),
+    (BALL2, 0.5, 6, (6, 10), [[0.5, 0.3j], [-0.2, 0.7], [0.0, 0.0]], [0.6, 0.0])])
+def test_kernel_mass_outside_matches_the_direct_sum_over_nodes(dom, r, N, orders,
+                                                               pts, center):
+    sp = build_space(WeightedMeasure(dom, r), N)
+    rule = polar_tensor_rule(sp.measure, *orders)
+    pts = np.array(pts, dtype=np.complex128)
+    got = kernel_mass_outside(sp, pts, center, 0.5, rule)
+    want = _direct_mass_outside(sp, pts, center, 0.5, rule)
+    assert np.all(want > 0)
+    assert np.max(np.abs(got - want) / want) < 1e-13
+
+
+def test_kernel_mass_outside_evaluates_per_radius_at_the_torus_points(monkeypatch):
+    # the c6 criterion's size: N = 192, 256 radii x 512 torus points, 2 points
+    sp = disk_space(0.0, 192)
+    rule = polar_tensor_rule(sp.measure, radial_order=256, angular_order=512)
+    entries = []
+    build = _accel.monomial_matrix
+
+    def spy(points, alphas):
+        out = build(points, alphas)
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(_accel, "monomial_matrix", spy)
+    kernel_mass_outside(sp, np.array([[0.95], [0.99]]), [1.0], 0.3, rule)
+    assert sum(entries) <= (512 + 256 + 2) * sp.size
+
+
+def test_kernel_mass_outside_refuses_rules_and_spaces_it_cannot_factor():
+    sp = disk_space(0.0, 8)
+    rule = monte_carlo_rule(sp.measure, samples=2_000, seed=3)
+    with pytest.raises(ParameterError, match="needs a PolarTensor rule, "
+                                             "got a MonteCarlo rule"):
+        kernel_mass_outside(sp, [0.5], [1.0], 0.3, rule)
+    polar = polar_tensor_rule(WeightedMeasure(DISK, 0.0), radial_order=32)
+    gram = build_space(WeightedMeasure(_custom_disk(), 0.0), 8, rule=polar)
+    with pytest.raises(CapabilityError, match="Gram-orthogonalized"):
+        kernel_mass_outside(gram, [0.5], [1.0], 0.3, polar)
+
+
+@pytest.mark.parametrize("N", [48, 49])
+def test_polar_rule_sums_the_whole_kernel_mass_from_order_half_n(N):
+    # the whole-domain mass of |k_z|^2 is 1; the rule sums it exactly iff
+    # 2 order - 1 >= N, the bound the CLI holds mass_outside.quad_order to
+    sp = disk_space(0.0, N)
+    pts = np.array([[0.0], [0.9]])
+    need = N // 2 + 1
+    for order, exact in ((need, True), (need - 1, False)):
+        rule = polar_tensor_rule(sp.measure, radial_order=order,
+                                 angular_order=2 * order)
+        err = np.abs(kernel_mass_outside(sp, pts, [0.0], 0.0, rule) - 1.0)
+        assert (np.max(err) < 1e-13) == exact
 
 
 def test_kernel_mass_outside_rejects_points_outside_the_domain():
@@ -347,12 +423,7 @@ def test_comparability_disk_weights():
 
 def test_gram_orthogonalized_space_matches_exact():
     # plug-in domain without closed moments: same unit disk via callables
-    custom = CustomDomain(
-        "custom-disk", 1,
-        rho=lambda z: np.abs(np.atleast_2d(z)[:, 0]) ** 2 - 1.0
-        if np.ndim(z) > 1 else float(np.abs(z[0]) ** 2 - 1.0),
-        grad_rho=lambda z: np.conj(z),
-        hessian=lambda p, x, y: complex(np.sum(x * np.conj(y))))
+    custom = _custom_disk()
     exact = disk_space(0.0, 8)
     rule = polar_tensor_rule(exact.measure, radial_order=64)
     sp = build_space(WeightedMeasure(custom, 0.0), 8, rule=rule)
@@ -362,12 +433,7 @@ def test_gram_orthogonalized_space_matches_exact():
 
 
 def test_gram_orthogonalization_conditioning_error():
-    custom = CustomDomain(
-        "custom-disk", 1,
-        rho=lambda z: np.abs(np.atleast_2d(z)[:, 0]) ** 2 - 1.0
-        if np.ndim(z) > 1 else float(np.abs(z[0]) ** 2 - 1.0),
-        grad_rho=lambda z: np.conj(z),
-        hessian=lambda p, x, y: complex(np.sum(x * np.conj(y))))
+    custom = _custom_disk()
     rule = monte_carlo_rule(WeightedMeasure(DISK, 0.0), samples=8, seed=4)
     with pytest.raises(ConditioningError) as err:
         build_space(WeightedMeasure(custom, 0.0), 8, rule=rule)

@@ -411,6 +411,35 @@ def test_keys_a_run_does_not_read_exit_1_naming_the_key(tmp_path, experiment, co
     assert err.startswith("config error:") and f"{key!r} was unexpected" in err
 
 
+_MASS = {"center": [1.0, 0.0], "radius": 0.3}
+
+
+@pytest.mark.parametrize("config,message", [
+    ({**_PROFILE, "domain": {"name": "ball", "n": 2}, "point": [[1.0, 0.0], [0.0, 0.0]],
+      "mass_outside": _MASS},
+     "config field $['mass_outside']: not allowed on a 2-dimensional domain"),
+    ({**_PROFILE, "N": 300, "mass_outside": {**_MASS, "quad_order": 8}},
+     "config field $['mass_outside']['quad_order']: 8 cannot integrate |k_z|^2 "
+     "at N=300; need >= 151"),
+    ({**_PROFILE, "N": 48, "mass_outside": {**_MASS, "quad_order": 24}},
+     "config field $['mass_outside']['quad_order']: 24 cannot integrate |k_z|^2 "
+     "at N=48; need >= 25"),
+    ({**_PROFILE, "N": 600, "mass_outside": _MASS},       # the default order, 256
+     "config field $['mass_outside']['quad_order']: 256 cannot integrate |k_z|^2 "
+     "at N=600; need >= 301"),
+])
+def test_mass_outside_it_cannot_compute_exits_1_before_any_work(tmp_path, monkeypatch,
+                                                                config, message):
+    def build_space(*args, **kwargs):
+        raise AssertionError("the space was built")
+
+    monkeypatch.setattr(labcli, "build_space", build_space)
+    code, err, _ = _cli(tmp_path, "c", "berezin-profile", config)
+    assert code == 1
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("experiment", ["kernel-check", "axler-zheng"])
 def test_seed_flag_is_a_usage_error_where_no_seed_is_read(tmp_path, capsys, experiment):
     cfg = tmp_path / "c.json"

@@ -100,6 +100,50 @@ def test_polar_tensor_disk_exactness():
             assert abs(got.imag) < 1e-14
 
 
+def _polar_tensor_reference(measure, radial_order, angular_order):
+    """(nodes, weights, negrho) of the polar tensor rule as built before it
+    kept its radial and torus factors: one broadcast product per coordinate."""
+    from berezin_lab.quadrature import _jac01, _simplex_radial
+    q = np.asarray(measure.domain.exponents, dtype=float)
+    r = measure.r
+    theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
+    if len(q) == 1:
+        t, wt = _jac01(radial_order, r, 2.0 / q[0] - 1.0)
+        nodes = ((t ** (1.0 / q[0]))[:, None] * np.exp(1j * theta)[None, :]).reshape(-1, 1)
+        base = wt / q[0] * (2.0 * np.pi / angular_order)
+        return (nodes, np.repeat(base / (1.0 - t) ** r, angular_order),
+                np.repeat(1.0 - t, angular_order))
+    t1, t2, wr, negrho, _ = _simplex_radial(q, r, radial_order)
+    phase = np.exp(1j * theta)
+    shape = (len(t1), angular_order, angular_order)
+    z1 = np.broadcast_to((t1 ** (1.0 / q[0]))[:, None, None] * phase[None, :, None], shape)
+    z2 = np.broadcast_to((t2 ** (1.0 / q[1]))[:, None, None] * phase[None, None, :], shape)
+    per = angular_order * angular_order
+    return (np.stack([z1.ravel(), z2.ravel()], axis=1),
+            np.repeat(wr * (2.0 * np.pi / angular_order) ** 2, per),
+            np.repeat(negrho, per))
+
+
+@pytest.mark.parametrize("dom,r,orders", [
+    (DISK, 0.0, (32, 64)), (DISK, 1.5, (32, 64)), (DISK, 1.0, (7, 5)),
+    (BALL2, 0.0, (6, 8)), (BALL2, 1.5, (5, 7))])
+def test_polar_tensor_rule_nodes_are_its_radial_times_torus_factors(dom, r, orders):
+    meas = WeightedMeasure(dom, r)
+    rule = polar_tensor_rule(meas, *orders)
+    nodes, weights, negrho = _polar_tensor_reference(meas, *orders)
+    assert np.array_equal(rule.nodes, nodes)
+    assert np.array_equal(rule.weights, weights)
+    assert np.array_equal(rule.negrho, negrho)
+    radial, torus = rule.factors
+    n = dom.dim
+    assert radial.dtype == np.float64 and torus.dtype == np.complex128
+    assert radial.shape == (len(rule) // orders[1] ** n, n)
+    assert torus.shape == (orders[1] ** n, n)
+    assert np.max(np.abs(np.abs(torus) - 1.0)) < 1e-15
+    assert np.array_equal(rule.nodes.reshape(len(radial), len(torus), n),
+                          radial[:, None, :] * torus[None, :, :])
+
+
 def test_integrate_examples():
     meas0 = WeightedMeasure(DISK, 0.0)
     rule0 = polar_tensor_rule(meas0, radial_order=96)

@@ -53,6 +53,21 @@ def _pair_sums(u, out):
     return np.add(u[0::2], u[1::2], out=out)
 
 
+def _row_sums(t, out):
+    """Left-to-right sums of the rows of ``t`` (m, p): in ``out`` (m,) when
+    p > 1, else column 0 of ``t`` itself."""
+    s = t[:, 0]
+    if t.shape[1] > 1:
+        s = np.add(s, t[:, 1], out=out)
+        for j in range(2, t.shape[1]):
+            s += t[:, j]
+    return s
+
+
+# rows whose proxy sum lies within this of 1 are recounted with np.power
+_BAND = 2.0 ** -40
+
+
 def _count_block(t, exponent, scratch):
     """Rows of the pair sums ``t`` (m, p) with sum_j t[:, j]**exponent < 1.
 
@@ -60,18 +75,50 @@ def _count_block(t, exponent, scratch):
     t.size + m doubles.  The power is taken on a contiguous array and the
     coordinates are summed left to right, which for p < 8 rounds exactly like
     ``np.sum(t**exponent, axis=1)`` (numpy sums longer rows pairwise).
+
+    When k = 2 exponent is a whole number 1 <= k <= 16 other than 2 and 4,
+    the row sums s' are first formed from a proxy power without ``np.power``:
+    sqrt(t) times (k - 1)/2 factors t for odd k, t*t times k/2 - 2 factors t
+    for even k.  Rows with s' < 1 - _BAND count as inside, rows with
+    s' >= 1 + _BAND as outside, and only the rows in between are recounted
+    with ``np.power`` and the same left-to-right sum.  That decides every row
+    as ``np.power`` does.  With u = 2^-53, the proxy takes at most k/2 <= 8
+    roundings, so it is within 8u of t^exponent relatively; ``np.power`` is
+    within 4 ulp <= 8u; and a left-to-right sum of p non-negative terms is
+    within (p - 1) u of their exact sum.  So the row sum s from ``np.power``
+    has |s' - s| <= (2p + 15) u s (terms that underflow add a negligible
+    absolute error), which is below 2^-40 s for p < 4000: a row with
+    s' < 1 - _BAND has s < 1, and a row with s' >= 1 + _BAND has s >= 1.
+    For any other exponent, or p >= 4000, the proxy is the exact power
+    itself and the band is empty.
     """
     m, p = t.shape
-    if exponent == 2.0:
-        t = np.multiply(t, t, out=scratch[:t.size].reshape(m, p))
-    elif exponent != 1.0:
-        t = np.power(t, exponent, out=scratch[:t.size].reshape(m, p))
-    s = t[:, 0]
-    if p > 1:
-        s = np.add(s, t[:, 1], out=scratch[t.size:t.size + m])
-        for j in range(2, p):
-            s += t[:, j]
-    return int(np.count_nonzero(s < 1.0))
+    k = 2.0 * exponent
+    power = scratch[:t.size].reshape(m, p)
+    band = 0.0
+    if exponent == 1.0:
+        power = t
+    elif exponent == 2.0:
+        np.multiply(t, t, out=power)
+    elif 1 <= k <= 16 and k == int(k) and p < 4000:
+        if k % 2:
+            np.sqrt(t, out=power)
+            factors = (int(k) - 1) // 2
+        else:
+            np.multiply(t, t, out=power)
+            factors = int(k) // 2 - 2
+        for _ in range(factors):
+            power *= t
+        band = _BAND
+    else:
+        np.power(t, exponent, out=power)
+    s = _row_sums(power, scratch[t.size:t.size + m])
+    inside = int(np.count_nonzero(s < 1.0 - band))
+    if band and np.count_nonzero(s < 1.0 + band) > inside:
+        near = t[(s >= 1.0 - band) & (s < 1.0 + band)]
+        exact = _row_sums(np.power(near, exponent, out=near), np.empty(len(near)))
+        inside += int(np.count_nonzero(exact < 1.0))
+    return inside
 
 
 _CHUNK = 16384
@@ -106,20 +153,26 @@ def _count_pass(bitgen, samples, shapes, lcm, half):
     block = _CHUNK * longest // lcm * lcm
     blocks = -(-total // block)
     workers = max(1, min(_usable_cpus(), blocks))
-    edges = [min(blocks * i // workers * block, total) for i in range(workers + 1)]
-    # allocated on the calling thread, not in each worker's malloc arena
-    bufs = [(np.empty(2 * n), np.empty(n))
-            for n in (min(block, hi - lo) for lo, hi in zip(edges, edges[1:]))]
+    starts = iter(range(0, total, block))
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def take():
+        with lock:
+            return None if failed.is_set() else next(starts, None)
 
     # each worker's hit counts, or the exception it raised, re-raised below
     results = [None] * workers
 
-    def count(i, lo, hi, buf, gen):
-        draws, sums = buf
+    def count(i, draws, sums, gen):
         try:
             hits = [0] * len(shapes)
-            for start in range(lo, hi, block):
-                n = min(block, hi - start)
+            pos = 0
+            while (start := take()) is not None:
+                if start != pos:
+                    gen.bit_generator.advance(2 * (start - pos))
+                n = min(block, total - start)
+                pos = start + n
                 u = draws[:2 * n]
                 gen.random(out=u)
                 u *= 2.0
@@ -134,15 +187,15 @@ def _count_pass(bitgen, samples, shapes, lcm, half):
                                                 exponent, draws)
             results[i] = hits
         except BaseException as exc:
+            failed.set()
             results[i] = exc
 
-    gens = []
-    for lo in edges[:-1]:
-        copied = copy.deepcopy(bitgen)
-        copied.advance(2 * lo)
-        gens.append(np.random.Generator(copied))
-    threads = [threading.Thread(target=count, args=args)
-               for args in zip(range(workers), edges[:-1], edges[1:], bufs, gens)]
+    # buffers and generators are made on the calling thread, not in each
+    # worker's malloc arena
+    n = min(block, total)
+    threads = [threading.Thread(target=count, args=(
+        i, np.empty(2 * n), np.empty(n), np.random.Generator(copy.deepcopy(bitgen))))
+        for i in range(workers)]
     for t in threads:
         t.start()
     for t in threads:
@@ -171,18 +224,24 @@ def count_inside(rng, samples, shapes, half):
     and each count is the one a separate call with that shape alone gives.
 
     T is drawn in blocks of a whole number of rows of every shape (a
-    multiple of the lcm of the p values), split into W contiguous block
-    ranges, W = min(usable CPUs, blocks), each counted on its own thread by
-    a copy of ``rng``'s bit generator advanced past the draws before the
-    range.  Each double takes exactly one 64-bit output, so every draw and
-    every hit is the serial loop's, and ``rng`` is left where the longest
-    shape's serial loop leaves it.  A shape whose p would push the lcm past
-    ``_CHUNK`` starts another pass over the stream, so a worker holds
-    O(_CHUNK max(p)) doubles for any shapes.  The drawing and the ufunc
-    loops release the GIL.  Worker threads call only ``_pair_sums``,
-    ``_count_block`` and numpy, never a module-level name that a tracer may
-    wrap (such wrappers are not thread-safe): tracing sees one call, on the
-    calling thread, covering all the work.
+    multiple of the lcm of the p values).  W = min(usable CPUs, blocks)
+    threads take the blocks in order from one queue, so each works until the
+    pass ends however the shapes' work falls along the stream.  Each thread
+    has its own copy of ``rng``'s bit generator and advances it past the
+    draws before any block that does not follow its last one.  Each double
+    takes exactly one 64-bit output, so every draw and every hit is the
+    serial loop's whichever thread counts the block, and ``rng`` is left
+    where the longest shape's serial loop leaves it.  A thread that fails
+    stops the queue, and its exception is raised once every thread has
+    ended.  A shape whose p would push the lcm past ``_CHUNK`` starts another
+    pass over the stream, so a worker holds O(_CHUNK max(p)) doubles for any
+    shapes.  Each count takes cheap proxy powers and recounts only the rows
+    whose proxy sum is within ``_BAND`` of 1 (see ``_count_block``).  The
+    drawing and the ufunc loops release the GIL.  Worker threads call only
+    ``_pair_sums``, ``_count_block`` with its helpers and numpy, never a
+    module-level name that a tracer may wrap (such wrappers are not
+    thread-safe): tracing sees one call, on the calling thread, covering all
+    the work.
     """
     bitgen = rng.bit_generator
     hits = [0] * len(shapes)

@@ -420,8 +420,9 @@ def _refuse(config, keys, reason):
             raise SchemaError(f"config field $[{key!r}]: not allowed {reason}")
 
 
-def _to_point(spec, dim):
-    """Decode a point: number, [re, im], or [[re, im], ...]."""
+def _to_point(spec, dim, field):
+    """Decode a point: number, [re, im], or [[re, im], ...].  ``field`` is
+    its config path, such as ``$['point']``, which an error names."""
     if isinstance(spec, (int, float)):
         vec = [complex(spec)]
     elif spec and isinstance(spec[0], (int, float)):
@@ -429,19 +430,20 @@ def _to_point(spec, dim):
     else:
         vec = [complex(p[0], p[1]) for p in spec]
     if len(vec) != dim:
-        raise SchemaError(f"point {spec} has {len(vec)} coordinates, expected {dim}")
+        raise SchemaError(f"config field {field}: point {spec} has {len(vec)} "
+                          f"coordinates, expected {dim}")
     return np.array(vec, dtype=np.complex128)
 
 
-def _boundary_point(dom, spec, band=0.01):
-    """Decode a config point; rescale it onto the boundary along its ray
-    when it is nearly there.
+def _boundary_point(dom, spec, field, band=0.01):
+    """Decode the config point at path ``field``; rescale it onto the
+    boundary along its ray when it is nearly there.
 
     Config files cannot carry boundary coordinates to the 1e-10 membership
     band, so points within |rho| <= band are projected; anything farther
     inside/outside is left alone for classify_boundary to reject.
     """
-    point = _to_point(spec, dom.dim)
+    point = _to_point(spec, dom.dim, field)
     if abs(float(dom.rho(point))) <= band:
         return boundary_point(dom, point)
     return point
@@ -638,9 +640,11 @@ def _run_berezin_profile(config, report):
             raise SchemaError(f"config field $['mass_outside']['quad_order']: "
                               f"{order} cannot integrate |k_z|^2 at N={nn}; "
                               f"need >= {need}")
+        center = _to_point(config["mass_outside"]["center"], dom.dim,
+                           "$['mass_outside']['center']")
+    p0 = _boundary_point(dom, config["point"], "$['point']")
     space = build_space(WeightedMeasure(dom, r), nn)
     sym = Symbol.parse(config["symbol"], dom.dim)
-    p0 = _boundary_point(dom, config["point"])
     t_grid = _to_tgrid(config.get("t_grid"))
     op = toeplitz(space, sym)
     prof = boundary_profile(op, p0, t_grid)
@@ -660,7 +664,6 @@ def _run_berezin_profile(config, report):
                          "tolerance": tol})
     if "mass_outside" in config:
         mo = config["mass_outside"]
-        center = _to_point(mo["center"], dom.dim)
         radius = float(mo["radius"])
         rule = polar_tensor_rule(space.measure, radial_order=order,
                                  angular_order=2 * order)
@@ -705,6 +708,10 @@ def _run_axler_zheng(config, report):
     dom = domain_from_config(config["domain"])
     r = float(config.get("r", 0.0))
     nn = int(config.get("N", 16))
+    strong = [_boundary_point(dom, p, f"$['strong_points'][{i}]")
+              for i, p in enumerate(config["strong_points"])]
+    weak = [_boundary_point(dom, p, f"$['weak_points'][{i}]")
+            for i, p in enumerate(config.get("weak_points", []))]
     space = build_space(WeightedMeasure(dom, r), nn)
     if "operator" in config:
         _refuse(config, ("symbol",), "next to 'operator'")
@@ -713,8 +720,6 @@ def _run_axler_zheng(config, report):
         expr = OperatorExpr.toeplitz(Symbol.parse(config["symbol"], dom.dim))
     else:
         raise SchemaError("axler-zheng needs 'operator' or 'symbol'")
-    strong = [_boundary_point(dom, p) for p in config["strong_points"]]
-    weak = [_boundary_point(dom, p) for p in config.get("weak_points", [])]
     pt_rows = []
     for role, pts, want in (("strong", strong, PointKind.STRONGLY_PSEUDOCONVEX),
                             ("weak", weak, PointKind.WEAKLY_PSEUDOCONVEX)):

@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -66,7 +67,7 @@ def test_series_values_rows_equal_one_series_calls():
 
 
 @pytest.mark.parametrize("p", (1, 2, 3))
-@pytest.mark.parametrize("exponent", (0.5, 1.0, 1.5, 2.0, 4.0))
+@pytest.mark.parametrize("exponent", (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0, 2 / 0.7))
 def test_count_inside_matches_reference_sum(p, exponent):
     u = np.random.default_rng(10 * p + int(4 * exponent)).uniform(-1, 1, (50_000, 2 * p))
     want = np.count_nonzero(
@@ -75,6 +76,38 @@ def test_count_inside_matches_reference_sum(p, exponent):
     got = _accel._count_block(t.reshape(len(u), p), exponent, np.empty(u.size))
     assert 0 < got < len(u)
     assert got == want
+
+
+def _boundary_rows(p, exponent, rows=500, seed=0):
+    """Pair sums whose row sums of powers straddle 1: the first p - 1 of a
+    row uniform, the last solving sum_j t_j**exponent = 1, then moved by
+    -8..8 ulp."""
+    rng = np.random.default_rng(seed)
+    head = rng.uniform(0.0, 1.0, (rows, p - 1)) * (1.0 / p) ** (1.0 / exponent)
+    last = (1.0 - np.sum(head ** exponent, axis=1)) ** (1.0 / exponent)
+    steps = [last]
+    for toward in (np.inf, -np.inf):
+        step = last
+        for _ in range(8):
+            step = np.nextafter(step, toward)
+            steps.append(step)
+    return np.vstack([np.column_stack([head, step]) for step in steps])
+
+
+def test_count_block_decides_rows_on_the_boundary_as_np_power(monkeypatch):
+    # the proxy powers can round a row to the other side of 1; the rows near
+    # it are recounted with np.power, and without that band some come out wrong
+    moved = 0
+    for p in (2, 3):
+        for exponent in (1.5, 2.5, 3.0, 4.0, 8.0):
+            t = _boundary_rows(p, exponent, seed=10 * p + int(2 * exponent))
+            want = np.count_nonzero(np.sum(t ** exponent, axis=1) < 1)
+            assert 0 < want < len(t)
+            assert _accel._count_block(t, exponent, np.empty(2 * t.size)) == want
+            with monkeypatch.context() as patch:
+                patch.setattr(_accel, "_BAND", 0.0)
+                moved += _accel._count_block(t, exponent, np.empty(2 * t.size)) != want
+    assert moved > 0
 
 
 def _generator(seed):
@@ -111,20 +144,46 @@ def test_count_inside_split_draws_the_unblocked_stream(monkeypatch, cpus, p, hal
         assert rng.bit_generator.state == state
 
 
-@pytest.mark.parametrize("cpus", (1, 3))
+def test_count_inside_queue_gives_each_block_to_one_worker(monkeypatch):
+    # eight workers on 313 small blocks, switching threads as often as the
+    # interpreter allows: a block counted twice or skipped moves a count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(_accel, "_CHUNK", 64)
+    shapes = [(1, 1.5), (2, 2.0), (3, 3 / 0.7)]
+    samples = 20011
+    rng = _generator(3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _accel.count_inside(rng, samples, shapes, 0.9)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [_unblocked_hits(3, samples, p, e, 0.9)[0] for p, e in shapes]
+    assert rng.bit_generator.state == _unblocked_hits(3, samples, 3, 1.0, 0.9)[1]
+
+
+@pytest.mark.parametrize("cpus", (1, 2, 3))
 def test_count_inside_reraises_a_worker_exception(monkeypatch, cpus):
-    # a failure on a worker thread surfaces in the caller, and every worker
-    # has ended by then
+    # a failure on a worker thread surfaces in the caller, the other workers
+    # take no further block, and every worker has ended by then
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    count_block = _accel._count_block
+    calls = []
+    lock = threading.Lock()
 
-    def fail(t, exponent, scratch):
-        raise FloatingPointError("block failed")
+    def fail_first(t, exponent, scratch):
+        with lock:
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise FloatingPointError("block failed")
+        return count_block(t, exponent, scratch)
 
-    monkeypatch.setattr(_accel, "_count_block", fail)
+    monkeypatch.setattr(_accel, "_count_block", fail_first)
     threads = threading.active_count()
     with pytest.raises(FloatingPointError, match="block failed"):
-        _accel.count_inside(np.random.default_rng(0), 50_000, [(1, 1.0)], 1.0)
+        _accel.count_inside(np.random.default_rng(0), 50 * _accel._CHUNK, [(1, 1.0)], 1.0)
     assert threading.active_count() == threads
+    assert 1 <= len(calls) <= cpus
 
 
 @pytest.mark.parametrize("cpus", (1, 2, 3))

@@ -440,6 +440,43 @@ def test_mass_outside_it_cannot_compute_exits_1_before_any_work(tmp_path, monkey
     assert not (tmp_path / "c").exists()
 
 
+_BALL2 = {"name": "ball", "n": 2}
+_ON_BALL2 = [[1.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("experiment,config,message", [
+    ("berezin-profile", {**_PROFILE, "mass_outside": {**_MASS, "center": _ON_BALL2}},
+     "config field $['mass_outside']['center']: point [[1.0, 0.0], [0.0, 0.0]] "
+     "has 2 coordinates, expected 1"),
+    ("berezin-profile", {**_PROFILE, "point": _ON_BALL2},
+     "config field $['point']: point [[1.0, 0.0], [0.0, 0.0]] has 2 coordinates, "
+     "expected 1"),
+    ("axler-zheng", {**_AZ, "domain": _BALL2},
+     "config field $['strong_points'][0]: point [1.0, 0.0] has 1 coordinates, "
+     "expected 2"),
+    ("axler-zheng", {**_AZ, "domain": _BALL2, "strong_points": [_ON_BALL2],
+                     "weak_points": [_ON_BALL2, [1.0, 0.0]]},
+     "config field $['weak_points'][1]: point [1.0, 0.0] has 1 coordinates, "
+     "expected 2"),
+])
+def test_point_of_the_wrong_dimension_exits_1_naming_its_field_before_any_work(
+        tmp_path, monkeypatch, experiment, config, message):
+    calls = []
+
+    def spy(name):
+        def called(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} was called")
+        return called
+
+    for name in ("build_space", "boundary_profile", "axler_zheng_report"):
+        monkeypatch.setattr(labcli, name, spy(name))
+    code, err, _ = _cli(tmp_path, "c", experiment, config)
+    assert (code, err) == (1, f"config error: {message}\n")
+    assert calls == []
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("experiment", ["kernel-check", "axler-zheng"])
 def test_seed_flag_is_a_usage_error_where_no_seed_is_read(tmp_path, capsys, experiment):
     cfg = tmp_path / "c.json"

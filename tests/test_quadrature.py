@@ -19,6 +19,7 @@ from berezin_lab import (
     polar_tensor_rule,
     radial_rule,
 )
+from berezin_lab import quadrature
 from berezin_lab.errors import (BoundaryError, CapabilityError, NumericError,
                                 ParameterError)
 
@@ -279,6 +280,17 @@ def test_mc_hit_counts_match_one_unblocked_draw():
     assert chk.lhs == 4.0 * hits / samples
     rhs_hits = _reference_hits(8, samples, 1, 1.0, 1.0)
     assert chk.rhs == s * (4.0 * (rhs_hits / samples))
+
+
+@pytest.mark.parametrize("seed,want", [
+    (42, [7854324, 4845651, 3085059, 1782445, 5719696]),
+    (7, [7852304, 4843672, 3085391, 1782391, 5716162]),
+])
+def test_criterion_3_hit_counts_are_pinned(seed, want):
+    # the constants acceptance run's pairs at its 10^7 samples: a change to
+    # the hit-count kernel must not move a single count
+    pairs = [(1, 1.0), (2, 1.0), (2, 2.0), (3, 2.0), (2, 0.5)]
+    assert quadrature.inflation_hits(pairs, 10_000_000, seed) == want
 
 
 def test_dilation_identity_check():

@@ -6,19 +6,16 @@ __version__ = "0.1.0"
 from ._accel import backend_name
 from .domains import (
     BoundaryClassification,
-    CustomDomain,
     Domain,
     EllipsoidDomain,
     InflatedDomain,
     PointKind,
     boundary_point,
     classify_boundary,
-    complex_hessian,
     domain_from_config,
     inflate,
     inflated_boundary_classification_check,
     make_domain,
-    rho_eval,
 )
 from .quadrature import (
     MCEstimate,
@@ -28,7 +25,6 @@ from .quadrature import (
     dilation_identity_check,
     inflation_constant,
     inflation_constant_mc,
-    integrate,
     monomial_moment,
     monomial_moment_mc,
     monte_carlo_rule,
@@ -39,10 +35,8 @@ from .bergman import (
     WeightedSpace,
     build_space,
     diagonal_comparability_check,
-    inflation_kernel_check,
     kernel_mass_outside,
     multiindices,
-    project,
     slice_inequality_check,
 )
 from .operators import (
@@ -53,7 +47,6 @@ from .operators import (
     boundary_profile,
     decompose_product,
     expr_from_json,
-    expr_to_json,
     hankel_gram,
     materialize,
     product_decomposition_residual,

@@ -1,10 +1,10 @@
-"""Orthonormal bases, weighted Bergman kernels, projections, and checks.
+"""Orthonormal bases, weighted Bergman kernels, and checks.
 
 A :class:`WeightedSpace` is the degree-<=N polynomial model of the weighted
-Bergman space: on Reinhardt domains the monomials are exactly orthogonal and
-the basis is e_alpha = z^alpha / sqrt(m_alpha) with closed-form moments; on
-plug-in domains the monomials are orthogonalized against a quadrature Gram
-matrix.  The truncated kernel is K(z, w) = sum_b e_b(z) conj(e_b(w)).
+Bergman space: on the lab's Reinhardt (ellipsoid) domains the monomials are
+exactly orthogonal and the basis is e_alpha = z^alpha / sqrt(m_alpha) with
+closed-form moments.  The truncated kernel is
+K(z, w) = sum_b e_b(z) conj(e_b(w)).
 
 The space evaluates its kernel itself (``kernel``, ``normalized_kernel``,
 ``truncation_tail_fraction``, ``inside_contract``), at one point of shape
@@ -22,14 +22,12 @@ import numpy as np
 
 from . import _accel
 from .domains import BOUNDARY_TOL_COEFF, _as_points, inflate, inflation_parameters
-from .errors import (BoundaryError, CapabilityError, ConditioningError,
-                     ParameterError)
+from .errors import BoundaryError, CapabilityError, ParameterError
 from .quadrature import (Scheme, WeightedMeasure, inflation_constant,
                          log_monomial_moments, measure_node_weights,
                          polar_tensor_rule, require_full_rule)
 
 DELTA_INTERIOR = 0.02        # accuracy contract: kernel advertised for -rho >= this
-GRAM_EIGENVALUE_FLOOR = 1e-12
 UNDERFLOW_FLOOR = 1e-300
 
 
@@ -55,10 +53,8 @@ class WeightedSpace:
     N : int
         Maximum total monomial degree.
     alphas : (B, n) int array of multiindices.
-    coeffs : complex array of basis coefficients over the monomials.  On
-        closed-moment (Reinhardt) domains a length-B vector of normalizers
-        1/sqrt(m_alpha), so e_b = coeffs[b] * z^alphas[b]; on plug-in domains
-        the (B, B) Gram-orthogonalizing matrix, basis = coeffs @ monomials.
+    coeffs : complex length-B vector of normalizers 1/sqrt(m_alpha), so
+        e_b = coeffs[b] * z^alphas[b].
     gram_residual : float, max |Gram - I| entry over the basis.
     """
 
@@ -80,22 +76,14 @@ class WeightedSpace:
     def dim(self):
         return self.measure.domain.dim
 
-    @property
-    def normalized_monomials(self):
-        """True when the basis is z^alpha / sqrt(m_alpha) with closed-form
-        moments ``log_moments`` (normalizers held as a vector)."""
-        return self.coeffs.ndim == 1
-
     def basis_values(self, points):
         """Matrix e_b(points): shape (B, m)."""
         points = np.asarray(points, dtype=np.complex128)
         if points.ndim == 1:
             points = points[:, None] if self.dim == 1 else points[None, :]
         mon = _accel.monomial_matrix(points, self.alphas)
-        if self.normalized_monomials:
-            mon *= self.coeffs[:, None]
-            return mon
-        return self.coeffs @ mon
+        mon *= self.coeffs[:, None]
+        return mon
 
     def eval_series(self, coefficients, points):
         """Evaluate sum_b coefficients[b] e_b at points (chunked): shape
@@ -104,11 +92,7 @@ class WeightedSpace:
         if points.ndim == 1:
             points = points[:, None] if self.dim == 1 else points[None, :]
         coefficients = np.asarray(coefficients, dtype=np.complex128)
-        if self.normalized_monomials:
-            mono_coeffs = coefficients * self.coeffs
-        else:
-            mono_coeffs = coefficients @ self.coeffs
-        return _accel.series_values(points, self.alphas, mono_coeffs)
+        return _accel.series_values(points, self.alphas, coefficients * self.coeffs)
 
     def _rows(self, z):
         """(points, E, single) for one point (n,) or an (m, n) array, E the
@@ -172,50 +156,19 @@ class WeightedSpace:
                 f"N={self.N} size={self.size}>")
 
 
-def build_space(measure, N, rule=None):
+def build_space(measure, N):
     """Construct the degree-<=N orthonormal basis for a weighted measure.
 
-    Reinhardt ellipsoid domains use closed-form moments (the Gram is the
-    identity analytically; the recorded residual is float rounding only).
-    Other domains require a quadrature rule; the monomial Gram is then
-    orthogonalized through a Hermitian eigendecomposition, and eigenvalues
-    below 1e-12 raise :class:`ConditioningError`.
+    The ellipsoid's closed-form moments normalize the monomials (the Gram is
+    the identity analytically; the recorded residual is float rounding only).
     """
     alphas = multiindices(measure.domain.dim, N)
-    if measure.domain.exponents is not None:
-        logm = log_monomial_moments(measure, alphas)
-        c = np.exp(-0.5 * logm)
-        # orthogonality is analytic; residual records normalizer rounding
-        resid = float(np.max(np.abs(c * c * np.exp(logm) - 1.0)))
-        return WeightedSpace(measure, N, alphas, c.astype(np.complex128), resid,
-                             log_moments=logm)
-    if rule is None:
-        raise CapabilityError(
-            f"domain {measure.domain.name} has no closed-form moments; "
-            "supply a quadrature rule for Gram orthogonalization")
-    mon = _accel.monomial_matrix(rule.nodes, alphas)
-    w = measure_node_weights(measure, rule)
-    gram = (mon * w) @ mon.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
-    evals, vecs = np.linalg.eigh(gram)
-    if evals[0] < GRAM_EIGENVALUE_FLOOR:
-        raise ConditioningError(
-            f"monomial Gram matrix is numerically singular "
-            f"(smallest eigenvalue {evals[0]:.3e}); refine the quadrature rule",
-            smallest_eigenvalue=float(evals[0]))
-    coeffs = (vecs / np.sqrt(evals)).conj().T
-    resid = float(np.max(np.abs(coeffs @ gram @ coeffs.conj().T
-                                - np.eye(len(alphas)))))
-    return WeightedSpace(measure, N, alphas, coeffs, resid)
-
-
-def project(space, f, rule):
-    """Quadrature Bergman projection: coefficients <f, e_b> in the basis."""
-    require_full_rule(rule, "project")
-    vals = np.asarray(f(rule.nodes), dtype=np.complex128)
-    w = measure_node_weights(space.measure, rule)
-    eb = space.basis_values(rule.nodes)
-    return np.conj(eb) @ (w * vals)
+    logm = log_monomial_moments(measure, alphas)
+    c = np.exp(-0.5 * logm)
+    # orthogonality is analytic; residual records normalizer rounding
+    resid = float(np.max(np.abs(c * c * np.exp(logm) - 1.0)))
+    return WeightedSpace(measure, N, alphas, c.astype(np.complex128), resid,
+                         log_moments=logm)
 
 
 def kernel_mass_outside(space, z, center, radius, rule):
@@ -226,24 +179,18 @@ def kernel_mass_outside(space, z, center, radius, rule):
     The quantity that must vanish as z approaches a peak boundary point for
     any fixed neighborhood U of that point.  ``rule`` must be a polar tensor
     rule: its nodes are radial points times torus points, w = s * zeta
-    coordinatewise, so on a space of normalized monomials
-    k_z(w) = sum_b (v_b s^alpha_b) e_b(zeta), v the coefficients of k_z.  The
-    series is evaluated as one set of coefficients per (point, radius) at the
-    torus points, never as a basis x nodes table, and each row rounds as a
-    one-point call does.  Raises :class:`ParameterError` for any other rule,
-    :class:`CapabilityError` for a Gram-orthogonalized space, and
-    :class:`BoundaryError` when a point lies outside the closed domain (see
-    ``inside_contract``).
+    coordinatewise, so k_z(w) = sum_b (v_b s^alpha_b) e_b(zeta), v the
+    coefficients of k_z.  The series is evaluated as one set of coefficients
+    per (point, radius) at the torus points, never as a basis x nodes table,
+    and each row rounds as a one-point call does.  Raises :class:`ParameterError` for any other rule
+    and :class:`BoundaryError` when a point lies outside the closed domain
+    (see ``inside_contract``).
     """
     require_full_rule(rule, "kernel_mass_outside")
     if rule.scheme is not Scheme.POLAR_TENSOR:
         raise ParameterError(
             f"kernel_mass_outside needs a {Scheme.POLAR_TENSOR.value} rule, "
             f"got a {rule.scheme.value} rule")
-    if not space.normalized_monomials:
-        raise CapabilityError(
-            "kernel_mass_outside needs a space of normalized monomials; "
-            f"the basis over {space.measure.domain.name} is Gram-orthogonalized")
     space.inside_contract(z)
     v = space.normalized_kernel(z)
     single = v.ndim == 1
@@ -263,19 +210,9 @@ def kernel_mass_outside(space, z, center, radius, rule):
 # module-level verification checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InflationKernelCheck:
-    base_value: complex
-    inflated_value: complex
-    constant: float
-    residual: float
-
-
 def build_inflated_space(base_space, p):
     """Unweighted space over the inflation of the base domain, same degree."""
     infl_dom = inflate(base_space.measure.domain, p, base_space.measure.r)
-    if infl_dom.exponents is None:
-        raise CapabilityError("inflated moments unavailable for this base domain")
     return build_space(WeightedMeasure(infl_dom, 0.0), base_space.N)
 
 
@@ -292,25 +229,6 @@ def inflation_kernel_residuals(base_space, p, zs, xis, infl_space=None):
     ki = infl_space.kernel(np.hstack([zs, zeros]), np.hstack([xis, zeros]))
     c = inflation_constant(p, base_space.measure.r)
     return np.abs(kb - c * ki) / np.abs(kb), kb, ki
-
-
-def inflation_kernel_check(base_space, p, z, xi, delta=DELTA_INTERIOR):
-    """Compare K^r_base(z, xi) with c_{p,r} K_inflated((z,0), (xi,0)).
-
-    The inflated space is unweighted, one (or p) dimensions up, truncated at
-    the same total degree.  Requires 0 < r <= p; r = 0 needs no inflation and
-    is rejected.
-    """
-    dom = base_space.measure.domain
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.complex128))
-    for pt in (z, xi):
-        if -float(dom.rho(pt)) < delta:
-            raise BoundaryError(
-                f"point {pt} violates the interior accuracy contract (-rho >= {delta})")
-    resid, kb, ki = inflation_kernel_residuals(base_space, p, z[None, :], xi[None, :])
-    c = inflation_constant(int(p), base_space.measure.r)
-    return InflationKernelCheck(complex(kb[0]), complex(ki[0]), c, float(resid[0]))
 
 
 @dataclass(frozen=True)

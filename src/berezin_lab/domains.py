@@ -7,9 +7,7 @@ Every catalog domain is a generalized complex ellipsoid
 with defining function rho(z) = sum_j |z_j|^{q_j} - 1.  The family is closed
 under inflation: attaching p fiber coordinates with exponent 2p/r to E(q)
 gives E(q_1,...,q_n, 2p/r,...,2p/r).  Ellipsoids are Reinhardt, so monomial
-moments have closed forms (see ``quadrature``); arbitrary domains can be
-plugged in through :class:`CustomDomain` at the cost of quadrature-based
-orthogonalization downstream.
+moments have closed forms (see ``quadrature``).
 """
 
 import enum
@@ -42,12 +40,11 @@ class Domain:
     Subclasses provide ``rho``, ``grad_rho`` (Wirtinger gradient d rho/d z_j)
     and ``hessian`` (the complex Hessian form).  ``exponents`` is the tuple of
     ellipsoid exponents when the domain belongs to the E(q) family, else None;
-    its presence is what unlocks closed-form moments.
+    a weighted measure (``quadrature.WeightedMeasure``) needs them.
     """
 
     name = "domain"
     dim = 0
-    bounding_radius = 1.0
     exponents = None
 
     def rho(self, z):
@@ -83,8 +80,6 @@ class EllipsoidDomain(Domain):
         self.exponents = exponents
         self.dim = len(exponents)
         self.name = name or "ellipsoid" + str(exponents)
-        # each |z_j| < 1 inside, so |z| < sqrt(n)
-        self.bounding_radius = float(np.sqrt(self.dim))
 
     def rho(self, z):
         z, single = _as_points(z, self.dim)
@@ -123,30 +118,6 @@ class EllipsoidDomain(Domain):
         return np.diag((q * q / 4.0) * fac).astype(np.complex128)
 
 
-class CustomDomain(Domain):
-    """Plug-in domain defined by user callables (no closed-form moments)."""
-
-    def __init__(self, name, dim, rho, grad_rho, hessian, bounding_radius=1.0):
-        self.name = name
-        self.dim = int(dim)
-        self._rho = rho
-        self._grad = grad_rho
-        self._hess = hessian
-        self.bounding_radius = float(bounding_radius)
-
-    def rho(self, z):
-        return self._rho(np.asarray(z, dtype=np.complex128))
-
-    def grad_rho(self, z):
-        return np.asarray(self._grad(np.asarray(z, dtype=np.complex128)),
-                          dtype=np.complex128)
-
-    def hessian(self, point, x, y):
-        return complex(self._hess(np.asarray(point, dtype=np.complex128),
-                                  np.asarray(x, dtype=np.complex128),
-                                  np.asarray(y, dtype=np.complex128)))
-
-
 def inflation_parameters(p, r):
     """(int p, float r), checking that p >= 1 is an integer and 0 < r <= p."""
     if int(p) != p or p < 1 or not 0.0 < float(r) <= p:
@@ -170,7 +141,6 @@ class InflatedDomain(Domain):
         self.fiber_exponent = 2.0 * p / r
         self.dim = base.dim + p
         self.name = f"{base.name}^({p},{r:g})"
-        self.bounding_radius = float(np.hypot(base.bounding_radius, np.sqrt(p)))
         if base.exponents is not None:
             self.exponents = base.exponents + (self.fiber_exponent,) * p
         self._fiber = EllipsoidDomain((self.fiber_exponent,) * p, name="fiber")
@@ -270,19 +240,6 @@ def domain_from_config(spec):
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def rho_eval(domain, z):
-    """Defining function value; negative inside, zero on boundary, positive out."""
-    val = domain.rho(z)
-    if np.any(~np.isfinite(np.atleast_1d(val))):
-        raise ParameterError("rho evaluated to a non-finite value")
-    return val
-
-
-def complex_hessian(domain, point, x, y):
-    """H_rho(P; X, Y) = sum_{j,k} d^2 rho/dz_j dzbar_k x_j ybar_k."""
-    return domain.hessian(point, x, y)
-
 
 def on_boundary(domain, point, coeff=BOUNDARY_TOL_COEFF):
     point = np.asarray(point, dtype=np.complex128)

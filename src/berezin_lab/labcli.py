@@ -436,17 +436,20 @@ def _to_point(spec, dim, field):
 
 
 def _boundary_point(dom, spec, field, band=0.01):
-    """Decode the config point at path ``field``; rescale it onto the
-    boundary along its ray when it is nearly there.
+    """Decode the config point at path ``field`` and rescale it onto the
+    boundary along its ray.
 
     Config files cannot carry boundary coordinates to the 1e-10 membership
-    band, so points within |rho| <= band are projected; anything farther
-    inside/outside is left alone for classify_boundary to reject.
+    band, so points within |rho| <= band are projected; a point farther
+    inside or outside raises :class:`SchemaError` naming ``field``.
     """
     point = _to_point(spec, dom.dim, field)
-    if abs(float(dom.rho(point))) <= band:
-        return boundary_point(dom, point)
-    return point
+    rho = float(dom.rho(point))
+    if not abs(rho) <= band:       # NaN fails too
+        raise SchemaError(f"config field {field}: point {spec} is not on the "
+                          f"boundary of {dom.name} (rho = {rho:.6g}, outside "
+                          f"|rho| <= {band})")
+    return boundary_point(dom, point)
 
 
 def _to_tgrid(spec):
@@ -484,7 +487,7 @@ def _abs(d):
 
 def _closed_form_kernel(domain, r):
     """(z, w) -> K^r(z, w) for disk and balls, else None."""
-    if domain.exponents is None or any(q != 2.0 for q in domain.exponents):
+    if any(q != 2.0 for q in domain.exponents):
         return None
     n = domain.dim
     const = np.exp(_lgamma(n + 1 + r) - _lgamma(r + 1)) / np.pi ** n

@@ -8,22 +8,21 @@ truncation-safe block of indices with total degree <= N - margin, margin >=
 d; outside that block truncation error is structural, which is why residual
 checks take an explicit ``margin``.
 
-On a Reinhardt closed-moment space operators are weighted shifts
-(``_Shifts``, see below).  A monomial symbol z^gamma zbar^delta is the one
-shift gamma - delta, with exact weights from moment ratios; a
-torus-invariant ("radial") symbol in dimension <= 2 is the zero shift alone,
-contracted on the radial rule's Duffy tensor factors with T_1 = I exactly
-(``_RadialDiagonal``).  ``_form`` picks the form once per call: shifts when
-every Toeplitz symbol is one of these and every Hankel-pair symbol a
-polynomial, else dense matrices, where general symbols take a full
-quadrature Gram orthonormalized against the rule; each formula is written
-once for both.  A ``TruncatedOperator`` keeps the form it was built in: its
-``diagonal`` is the zero shift's weights, never searched for in a matrix,
-and its ``matrix`` is densified on first read.  The identity residuals need
-a closed-moment space (else :class:`CapabilityError`); they take the
-difference of the two sides and its block max in one pass over the shifts,
-and reuse the operators that recur from one identity to the next
-(``_ShiftCache``).
+Every space has normalized monomials over an ellipsoid, so operators are
+weighted shifts (``_Shifts``, see below).  A monomial symbol z^gamma
+zbar^delta is the one shift gamma - delta, with exact weights from moment
+ratios; a torus-invariant ("radial") symbol in dimension <= 2 is the zero
+shift alone, contracted on the radial rule's Duffy tensor factors with
+T_1 = I exactly (``_RadialDiagonal``).  ``_form`` picks the form once per
+call: shifts when every Toeplitz symbol is one of these and every
+Hankel-pair symbol a polynomial, else dense matrices, where general symbols
+take a full quadrature Gram orthonormalized against the rule; each formula
+is written once for both.  A ``TruncatedOperator`` keeps the form it was
+built in: its ``diagonal`` is the zero shift's weights, never searched for
+in a matrix, and its ``matrix`` is densified on first read.  The identity
+residuals take the difference of the two sides and its block max in one
+pass over the shifts, and reuse the operators that recur from one identity
+to the next (``_ShiftCache``).
 """
 
 import operator
@@ -33,7 +32,6 @@ from functools import cached_property
 import numpy as np
 
 from . import _accel
-from .bergman import GRAM_EIGENVALUE_FLOOR
 from .errors import CapabilityError, ConditioningError, ParameterError
 from .quadrature import (finite_node_values, log_monomial_moments,
                          measure_node_weights, polar_tensor_rule, radial_rule,
@@ -41,6 +39,7 @@ from .quadrature import (finite_node_values, log_monomial_moments,
 from .symbols import Symbol
 
 _RADIAL_ORDER = 160
+GRAM_EIGENVALUE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -455,23 +454,24 @@ class _RadialDiagonal:
         return diag
 
 
-def _default_rule(space):
-    if space.measure.domain.exponents is None:
-        raise CapabilityError(
-            f"plug-in domain {space.measure.domain.name} needs an explicit "
-            "quadrature rule: it has no ellipsoid structure to build one from")
+def _default_rule(space, sym):
+    """The polar rule that assembles ``sym`` on the disk; elsewhere a
+    :class:`CapabilityError` naming the limit ``sym`` meets."""
     if space.dim == 1:
         radial = max(128, space.N + 32)
         return polar_tensor_rule(space.measure, radial_order=radial,
                                  angular_order=2 * radial)
-    raise CapabilityError(
-        "general (non-polynomial, non-radial) symbols on higher-dimensional "
-        "domains need an explicit quadrature rule")
+    where = f"{space.measure.domain.name} has dimension {space.dim}"
+    if sym.radial:
+        raise CapabilityError("radial symbols are assembled only in dimension <= 2 "
+                              f"unless a quadrature rule is passed; {where}")
+    raise CapabilityError("general (non-polynomial, non-radial) symbols need an "
+                          f"explicit quadrature rule in dimension >= 2; {where}")
 
 
 def _toeplitz_quad(space, sym, rule):
     if rule is None:
-        rule = _default_rule(space)
+        rule = _default_rule(space, sym)
     require_full_rule(rule, "toeplitz of a general symbol")
     x = space.basis_values(rule.nodes)
     w = measure_node_weights(space.measure, rule)
@@ -525,12 +525,11 @@ class _DenseForm:
 
 def _form(space, toeplitz_symbols, hankel_symbols=(), rule=None):
     """The one place that picks how a call holds its operators: weighted
-    shifts on a space with normalized monomials when every Toeplitz symbol
-    is a polynomial or, in dimension <= 2, torus-invariant, and every
-    Hankel-pair symbol is a polynomial; dense matrices otherwise."""
-    if (space.normalized_monomials
-            and all(s.poly is not None or (s.radial and space.dim <= 2)
-                    for s in toeplitz_symbols)
+    shifts when every Toeplitz symbol is a polynomial or, in dimension <= 2,
+    torus-invariant, and every Hankel-pair symbol is a polynomial; dense
+    matrices otherwise."""
+    if (all(s.poly is not None or (s.radial and space.dim <= 2)
+            for s in toeplitz_symbols)
             and all(s.poly is not None for s in hankel_symbols)):
         return _ShiftForm(space)
     return _DenseForm(space, rule)
@@ -613,13 +612,8 @@ def materialize(expr, space, rule=None):
 
 def _residual_form(space, what, symbols, degree_of, margin):
     """Weighted-shift form for a ``what`` residual over ``symbols``, whose
-    degree ``degree_of`` combines from theirs, after checking the space, the
-    symbols and the margin.  Residuals hold their operators as weighted
-    shifts, so the space must have normalized monomials."""
-    if not space.normalized_monomials:
-        raise CapabilityError(
-            f"{what} residual needs a closed-moment (Reinhardt) space with "
-            "normalized monomials")
+    degree ``degree_of`` combines from theirs, after checking the symbols
+    and the margin."""
     if any(s.poly is None for s in symbols):
         raise ParameterError(f"{what} residual requires polynomial symbols")
     degree = degree_of(s.degree for s in symbols)
@@ -632,7 +626,7 @@ def _residual_form(space, what, symbols, degree_of, margin):
 
 def semi_commutator_residual(space, phi2, phi1, margin):
     """Max-entry residual of T_{phi2} T_{phi1} = T_{phi2 phi1} - H*_{conj(phi2)} H_{phi1}
-    over the truncation-safe block (closed-moment spaces only)."""
+    over the truncation-safe block."""
     form = _residual_form(space, "semi-commutator", (phi2, phi1), max, margin)
     return form.block_max(margin, lambda p, t, h: p - t + h,
                           form.chain((phi2, phi1)), form.toeplitz(phi2 * phi1),
@@ -642,7 +636,7 @@ def semi_commutator_residual(space, phi2, phi1, margin):
 def product_decomposition_residual(space, symbols, margin):
     """Max-entry residual between the direct Toeplitz product and its
     decomposition (one Toeplitz with the product symbol plus Hankel
-    corrections) over the truncation-safe block (closed-moment spaces only)."""
+    corrections) over the truncation-safe block."""
     symbols = list(symbols)
     form = _residual_form(space, "product decomposition", symbols, sum, margin)
     terms = [_product(form, p) for p in decompose_product(symbols).terms]
@@ -814,24 +808,6 @@ def axler_zheng_report(expr, space, strong_points, weak_points, *,
 # ---------------------------------------------------------------------------
 # JSON wire format for operator expressions
 # ---------------------------------------------------------------------------
-
-def expr_to_json(expr):
-    terms = []
-    for product in expr.terms:
-        factors = []
-        for f in product:
-            if f[0] == "toeplitz":
-                factors.append({"toeplitz": {"symbol": f[1].text}})
-            elif f[0] == "hankel_pair":
-                factors.append({"hankelpair": {"psi": f[1].text, "phi": f[2].text}})
-            elif f[0] == "identity":
-                factors.append({"identity": {}})
-            elif f[0] == "scalar":
-                c = f[1]
-                factors.append({"scalar": c.real if c.imag == 0 else [c.real, c.imag]})
-        terms.append({"prod": factors})
-    return {"sum": terms}
-
 
 def expr_from_json(obj, dim):
     if not isinstance(obj, dict) or "sum" not in obj:

@@ -13,8 +13,8 @@ Dirichlet integral over the simplex:
 evaluated through log-gamma to avoid overflow.  The same substitution gives
 the quadrature rules: a Gauss-Jacobi radial grid (tensored through a Duffy
 map onto the simplex for n = 2) crossed with equispaced angular grids, with
-the measure weight divided back out of the stored weights so that
-``integrate`` can apply (-rho)^r explicitly.
+the measure weight divided back out of the stored weights, so that
+``measure_node_weights`` applies (-rho)^r explicitly.
 
 dV is Lebesgue measure on C^n ~ R^{2n} throughout.
 """
@@ -38,19 +38,23 @@ MC_CHUNK = 1_000_000
 
 @dataclass(frozen=True)
 class WeightedMeasure:
-    """The measure (-rho)^r dV on a domain; r >= 0."""
+    """The measure (-rho)^r dV on a domain; r >= 0.  The domain must be an
+    ellipsoid E(q) (``domain.exponents`` set), else :class:`CapabilityError`:
+    the lab's moments, rules and bases all read q."""
 
     domain: object
     r: float = 0.0
 
     def __post_init__(self):
+        if self.domain.exponents is None:
+            raise CapabilityError(
+                f"domain {self.domain.name} has no ellipsoid structure")
         if self.r < 0:
             raise ParameterError(f"weight exponent r must be >= 0, got {self.r}")
         object.__setattr__(self, "r", float(self.r))
 
-    def total_mass(self, rule=None):
-        zero = (0,) * self.domain.dim
-        return monomial_moment(self, zero, rule=rule)
+    def total_mass(self):
+        return monomial_moment(self, (0,) * self.domain.dim)
 
 
 class Scheme(enum.Enum):
@@ -208,9 +212,8 @@ def _polished_rule(x0, alpha, sqb, a, b):
 
 
 def _require_ellipsoid(measure):
-    if measure.domain.exponents is None:
-        raise CapabilityError(
-            f"domain {measure.domain.name} has no ellipsoid structure")
+    """The exponents q of the measure's ellipsoid, as floats (every
+    ``WeightedMeasure`` has them)."""
     return np.asarray(measure.domain.exponents, dtype=float)
 
 
@@ -306,23 +309,22 @@ def radial_rule(measure, order=128):
 
 
 def monte_carlo_rule(measure, samples=1_000_000, seed=42):
-    """Rejection rule: uniform draws on the coordinate bounding box."""
+    """Rejection rule: uniform draws on the unit box |Re z_j|, |Im z_j| < 1,
+    which holds every ellipsoid."""
     dom = measure.domain
     n = dom.dim
-    half = 1.0 if dom.exponents is not None else float(dom.bounding_radius)
     rng = np.random.default_rng(seed)
     kept = []
     total = 0
     while total < samples:
         m = min(MC_CHUNK, samples - total)
-        u = rng.uniform(-half, half, size=(m, 2 * n))
+        u = rng.uniform(-1.0, 1.0, size=(m, 2 * n))
         z = u[:, 0::2] + 1j * u[:, 1::2]
         inside = np.atleast_1d(dom.rho(z)) < 0
         kept.append(z[inside])
         total += m
     nodes = np.concatenate(kept, axis=0)
-    box_vol = (2.0 * half) ** (2 * n)
-    w = np.full(len(nodes), box_vol / samples)
+    w = np.full(len(nodes), 4.0 ** n / samples)
     return QuadratureRule(nodes, w, Scheme.MONTE_CARLO, (samples,),
                           measure.r, seed=seed)
 
@@ -351,12 +353,6 @@ def require_full_rule(rule, what):
             "integrates only torus-invariant functions")
 
 
-def integrate(f, measure, rule):
-    """sum_i w_i f(node_i) (-rho(node_i))^r; deterministic given the rule."""
-    vals = finite_node_values(f, rule.nodes, "integrand")
-    return complex(np.sum(measure_node_weights(measure, rule) * vals))
-
-
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
@@ -373,27 +369,15 @@ def log_monomial_moments(measure, alphas):
             - lg[a.size:])
 
 
-def monomial_moment(measure, alpha, rule=None):
-    """Squared weighted L2 norm of the monomial z^alpha.
-
-    Closed form on ellipsoid (Reinhardt) domains; otherwise computed with the
-    supplied quadrature rule.
-    """
+def monomial_moment(measure, alpha):
+    """Squared weighted L2 norm of the monomial z^alpha, in closed form."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.int64))
     if alpha.shape != (measure.domain.dim,):
         raise ParameterError(
             f"multiindex length {alpha.shape} does not match dim {measure.domain.dim}")
     if np.any(alpha < 0):
         raise ParameterError("multiindex entries must be nonnegative")
-    if measure.domain.exponents is not None:
-        return float(np.exp(log_monomial_moments(measure, alpha[None, :])[0]))
-    if rule is None:
-        raise CapabilityError(
-            f"domain {measure.domain.name} is not Reinhardt-with-closed-moments "
-            "and no quadrature rule was supplied")
-    val = integrate(lambda z: np.prod(np.abs(z) ** (2 * alpha), axis=-1),
-                    measure, rule)
-    return float(val.real)
+    return float(np.exp(log_monomial_moments(measure, alpha[None, :])[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +402,12 @@ class MCEstimate:
 def monomial_moment_mc(measure, alpha, samples=1_000_000, seed=42):
     """Monte Carlo estimate of a monomial moment (cross-check oracle).
 
-    Uniform draws on the coordinate bounding box; the weighted integrand is
-    averaged with its sample standard error.  Reproducible for a fixed seed.
+    Uniform draws on the unit box, as in ``monte_carlo_rule``; the weighted
+    integrand is averaged with its sample standard error.  Reproducible for
+    a fixed seed.
     """
     dom = measure.domain
     n = dom.dim
-    half = 1.0 if dom.exponents is not None else float(dom.bounding_radius)
     rng = np.random.default_rng(seed)
     alpha = np.asarray(alpha, dtype=float)
     total = 0.0
@@ -431,7 +415,7 @@ def monomial_moment_mc(measure, alpha, samples=1_000_000, seed=42):
     done = 0
     while done < samples:
         m = min(MC_CHUNK, samples - done)
-        u = rng.uniform(-half, half, size=(m, 2 * n))
+        u = rng.uniform(-1.0, 1.0, size=(m, 2 * n))
         z = u[:, 0::2] + 1j * u[:, 1::2]
         rho = np.atleast_1d(dom.rho(z))
         inside = rho < 0
@@ -444,7 +428,7 @@ def monomial_moment_mc(measure, alpha, samples=1_000_000, seed=42):
         total += float(f.sum())
         total_sq += float((f * f).sum())
         done += m
-    box = (2.0 * half) ** (2 * n)
+    box = 4.0 ** n
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return MCEstimate(box * mean, box * np.sqrt(var / samples), samples, seed)

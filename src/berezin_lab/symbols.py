@@ -464,19 +464,6 @@ class Symbol:
                 vals += term
         return vals[0] if single else vals
 
-    def sup_norm_estimate(self, domain, samples=512, seed=7):
-        """Max |phi| over a boundary-dense closed-domain sample."""
-        from .domains import sample_boundary
-        rng = np.random.default_rng(seed)
-        pts = [sample_boundary(domain, samples // 2, seed=seed)] \
-            if domain.exponents is not None else []
-        box = rng.uniform(-1, 1, size=(samples, 2 * domain.dim))
-        z = box[:, 0::2] + 1j * box[:, 1::2]
-        inside = np.atleast_1d(domain.rho(z)) < 0
-        pts.append(z[inside])
-        allpts = np.concatenate(pts, axis=0)
-        return float(np.max(np.abs(self(allpts))))
-
     def __repr__(self):
         return f"Symbol({self.text!r}, tag={self.tag.value})"
 

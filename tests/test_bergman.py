@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from berezin_lab import (
-    CustomDomain,
-    Symbol,
     WeightedMeasure,
     build_space,
     diagonal_comparability_check,
@@ -11,36 +9,23 @@ from berezin_lab import (
     inflate,
     inflation_constant,
     inflation_constant_mc,
-    inflation_kernel_check,
     kernel_mass_outside,
     make_domain,
     monte_carlo_rule,
     multiindices,
     polar_tensor_rule,
-    project,
     radial_rule,
     slice_inequality_check,
-    toeplitz,
 )
-from berezin_lab import _accel, operators
-from berezin_lab.bergman import WeightedSpace, build_inflated_space
+from berezin_lab import _accel
+from berezin_lab.bergman import (WeightedSpace, build_inflated_space,
+                                 inflation_kernel_residuals)
 from berezin_lab.quadrature import measure_node_weights
-from berezin_lab.errors import (BoundaryError, CapabilityError,
-                                ConditioningError, ParameterError)
+from berezin_lab.errors import BoundaryError, ParameterError
 
 DISK = make_domain("disk")
 BALL2 = make_domain("ball", n=2)
 EGG2 = make_domain("egg", m=2)
-
-
-def _custom_disk():
-    """The unit disk through callables: no closed moments."""
-    return CustomDomain(
-        "custom-disk", 1,
-        rho=lambda z: np.abs(np.atleast_2d(z)[:, 0]) ** 2 - 1.0
-        if np.ndim(z) > 1 else float(np.abs(z[0]) ** 2 - 1.0),
-        grad_rho=lambda z: np.conj(z),
-        hessian=lambda p, x, y: complex(np.sum(x * np.conj(y))))
 
 
 def disk_space(r, n):
@@ -99,32 +84,11 @@ def _closed_moment_spaces():
 def test_normalizer_vector_matches_dense_form_exactly():
     rng = np.random.default_rng(5)
     for sp, pts in _closed_moment_spaces():
-        assert sp.normalized_monomials and sp.coeffs.shape == (sp.size,)
+        assert sp.coeffs.shape == (sp.size,)
         assert sp.coeffs.dtype == np.complex128
         assert np.array_equal(sp.basis_values(pts), _dense_basis_values(sp, pts))
         v = rng.standard_normal(sp.size) + 1j * rng.standard_normal(sp.size)
         assert np.array_equal(sp.eval_series(v, pts), _dense_eval_series(sp, v, pts))
-
-
-def test_plugin_space_keeps_matrix_and_quadrature_toeplitz(monkeypatch):
-    custom = _custom_disk()
-    rule = polar_tensor_rule(WeightedMeasure(DISK, 0.0), radial_order=64)
-    sp = build_space(WeightedMeasure(custom, 0.0), 8, rule=rule)
-    assert sp.coeffs.shape == (sp.size, sp.size) and not sp.normalized_monomials
-    calls = []
-    quad = operators._toeplitz_quad
-
-    def spy(space, sym, rule):
-        calls.append(sym.text)
-        return quad(space, sym, rule)
-
-    monkeypatch.setattr(operators, "_toeplitz_quad", spy)
-    for text in ("1", "z", "1-abs2(z)"):
-        m = toeplitz(sp, Symbol.parse(text, 1), rule=rule).matrix
-        assert m.shape == (sp.size, sp.size)
-    assert calls == ["1", "z", "1-abs2(z)"]
-    assert np.max(np.abs(toeplitz(sp, Symbol.parse("1", 1), rule=rule).matrix
-                         - np.eye(sp.size))) < 1e-10
 
 
 def test_multiindex_count_egg():
@@ -255,16 +219,12 @@ def test_kernel_mass_outside_evaluates_per_radius_at_the_torus_points(monkeypatc
     assert sum(entries) <= (512 + 256 + 2) * sp.size
 
 
-def test_kernel_mass_outside_refuses_rules_and_spaces_it_cannot_factor():
+def test_kernel_mass_outside_refuses_rules_it_cannot_factor():
     sp = disk_space(0.0, 8)
     rule = monte_carlo_rule(sp.measure, samples=2_000, seed=3)
     with pytest.raises(ParameterError, match="needs a PolarTensor rule, "
                                              "got a MonteCarlo rule"):
         kernel_mass_outside(sp, [0.5], [1.0], 0.3, rule)
-    polar = polar_tensor_rule(WeightedMeasure(DISK, 0.0), radial_order=32)
-    gram = build_space(WeightedMeasure(_custom_disk(), 0.0), 8, rule=polar)
-    with pytest.raises(CapabilityError, match="Gram-orthogonalized"):
-        kernel_mass_outside(gram, [0.5], [1.0], 0.3, polar)
 
 
 @pytest.mark.parametrize("N", [48, 49])
@@ -289,33 +249,10 @@ def test_kernel_mass_outside_rejects_points_outside_the_domain():
         kernel_mass_outside(sp, [1.0 + 1e-6], [1.0], 0.3, rule)
 
 
-def test_project_examples():
-    sp = disk_space(0.0, 12)
-    rule = polar_tensor_rule(sp.measure, radial_order=64)
-    e2 = lambda w: sp.basis_values(w)[2]
-    c = project(sp, e2, rule)
-    assert abs(c[2] - 1.0) < 1e-10
-    c[2] = 0.0
-    assert np.max(np.abs(c)) < 1e-10
-
-    conj_z = lambda w: np.conj(w[:, 0])
-    assert np.max(np.abs(project(sp, conj_z, rule))) < 1e-10
-
-    abs2 = lambda w: np.abs(w[:, 0]) ** 2
-    c = project(sp, abs2, rule)
-    # P(|z|^2) is the constant 1/2
-    val_at_zero = sp.eval_series(c, np.array([[0.0 + 0j]]))[0]
-    assert val_at_zero == pytest.approx(0.5, abs=1e-10)
-
-
 def test_radial_section_rule_is_refused_where_integrands_are_not_radial():
-    # nodes on the real-positive section: with the rule, P(z) came out near
-    # 1.2 at basis indices 0 and 2, where the exact coefficients are 0
+    # nodes on the real-positive section: |k_z|^2 is not torus-invariant
     sp = disk_space(0.0, 8)
     rule = radial_rule(sp.measure, order=64)
-    with pytest.raises(ParameterError, match="project needs a full quadrature "
-                                             "rule: the Radial2D rule"):
-        project(sp, lambda w: w[:, 0], rule)
     with pytest.raises(ParameterError, match="kernel_mass_outside needs a full"):
         kernel_mass_outside(sp, [0.5], [1.0], 0.3, rule)
 
@@ -328,6 +265,7 @@ def test_every_inflation_entry_point_checks_p_and_r_alike(p, r):
              lambda: dilation_identity_check(DISK, p, r, [0.2], samples=100),
              lambda: inflate(DISK, p, r),
              lambda: build_inflated_space(sp, p),
+             lambda: inflation_kernel_residuals(sp, p, [0.2], [0.2]),
              lambda: slice_inequality_check(sp, p, lambda z, w: np.ones(len(w)), [0.2])]
     for call in calls:
         with pytest.raises(ParameterError,
@@ -335,13 +273,11 @@ def test_every_inflation_entry_point_checks_p_and_r_alike(p, r):
             call()
 
 
-def test_project_idempotent():
-    sp = disk_space(1.0, 10)
-    rule = polar_tensor_rule(sp.measure, radial_order=64)
-    f = lambda w: np.exp(w[:, 0]) + np.conj(w[:, 0]) ** 2
-    c1 = project(sp, f, rule)
-    c2 = project(sp, lambda w: sp.eval_series(c1, w), rule)
-    assert np.max(np.abs(c2 - c1)) < 1e-10
+def _project(space, f, rule):
+    """Quadrature Bergman projection: the coefficients <f, e_b> in the basis."""
+    vals = np.asarray(f(rule.nodes), dtype=np.complex128)
+    w = measure_node_weights(space.measure, rule)
+    return np.conj(space.basis_values(rule.nodes)) @ (w * vals)
 
 
 def test_reproducing_property_via_quadrature():
@@ -352,33 +288,27 @@ def test_reproducing_property_via_quadrature():
             z = np.asarray(z, dtype=complex)
             kz = lambda w: sp.eval_series(
                 np.conj(sp.basis_values(z.reshape(1, -1))[:, 0]), w)
-            coeffs = project(sp, kz, rule)
+            coeffs = _project(sp, kz, rule)
             # <K(., z), e_a> = conj(e_a(z))
             want = np.conj(sp.basis_values(z.reshape(1, -1))[:, 0])
             assert np.max(np.abs(coeffs - want)) < 1e-9
 
 
-def test_inflation_kernel_check_examples():
-    sp1 = disk_space(1.0, 48)
-    chk = inflation_kernel_check(sp1, 1, [0.0], [0.0])
-    assert chk.base_value == pytest.approx(2 / np.pi)
-    assert chk.residual < 1e-10
-    chk = inflation_kernel_check(sp1, 1, [0.5], [0.3])
-    assert chk.residual < 1e-8
-    sp2 = disk_space(2.0, 32)
-    chk = inflation_kernel_check(sp2, 2, [0.4], [0.4])
-    assert chk.residual < 1e-6
-
-
-def test_inflation_kernel_check_preconditions():
-    sp0 = disk_space(0.0, 16)
-    with pytest.raises(ParameterError):
-        inflation_kernel_check(sp0, 1, [0.2], [0.2])   # r = 0 excluded
-    sp1 = disk_space(1.0, 16)
-    with pytest.raises(ParameterError):
-        inflation_kernel_check(sp1, 0, [0.2], [0.2])
-    with pytest.raises(BoundaryError):
-        inflation_kernel_check(sp1, 1, [0.999], [0.2])
+@pytest.mark.parametrize("r,p,N,z,xi,tol", [
+    (1.0, 1, 48, [0.0], [0.0], 1e-10),
+    (1.0, 1, 48, [0.5], [0.3], 1e-8),
+    (2.0, 2, 32, [0.4], [0.4], 1e-6),
+])
+def test_inflation_kernel_residuals_examples(r, p, N, z, xi, tol):
+    sp = disk_space(r, N)
+    res, kb, ki = inflation_kernel_residuals(sp, p, [z, [0.0]], [xi, [0.0]])
+    assert res.shape == kb.shape == ki.shape == (2,)
+    assert res[0] < tol and res[1] < 1e-10
+    # K^r(0, 0) on the disk is (r + 1) / pi
+    assert kb[1] == pytest.approx((r + 1.0) / np.pi)
+    assert kb[0] == pytest.approx(sp.kernel(z, xi))
+    assert ki[0] == pytest.approx(inflation_kernel_residuals(sp, p, z, xi)[2][0],
+                                  rel=1e-13)
 
 
 def test_slice_inequality():
@@ -419,32 +349,6 @@ def test_comparability_disk_weights():
     chk = diagonal_comparability_check(sp1, sp2, samples, c=2.0)
     assert chk.within_weight_bounds
     assert 1.0 - 1e-9 <= chk.ratio_min and chk.ratio_max <= 2.0
-
-
-def test_gram_orthogonalized_space_matches_exact():
-    # plug-in domain without closed moments: same unit disk via callables
-    custom = _custom_disk()
-    exact = disk_space(0.0, 8)
-    rule = polar_tensor_rule(exact.measure, radial_order=64)
-    sp = build_space(WeightedMeasure(custom, 0.0), 8, rule=rule)
-    assert sp.gram_residual < 1e-10
-    for z, w in (([0.3], [0.5]), ([0.2 + 0.4j], [-0.6j])):
-        assert sp.kernel(z, w) == pytest.approx(exact.kernel(z, w), rel=1e-10)
-
-
-def test_gram_orthogonalization_conditioning_error():
-    custom = _custom_disk()
-    rule = monte_carlo_rule(WeightedMeasure(DISK, 0.0), samples=8, seed=4)
-    with pytest.raises(ConditioningError) as err:
-        build_space(WeightedMeasure(custom, 0.0), 8, rule=rule)
-    assert err.value.smallest_eigenvalue < 1e-12
-
-
-def test_space_requires_rule_without_closed_moments():
-    custom = CustomDomain("c", 1, rho=lambda z: -1.0, grad_rho=lambda z: z,
-                          hessian=lambda p, x, y: 0.0)
-    with pytest.raises(CapabilityError):
-        build_space(WeightedMeasure(custom, 0.0), 4)
 
 
 def test_multiindices_ordering():

@@ -3,16 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from berezin_lab import (
-    CustomDomain,
+    Domain,
     PointKind,
     boundary_point,
     classify_boundary,
-    complex_hessian,
     domain_from_config,
     inflate,
     inflated_boundary_classification_check,
     make_domain,
-    rho_eval,
 )
 from berezin_lab.domains import sample_boundary
 from berezin_lab.errors import BoundaryError, ParameterError
@@ -24,14 +22,14 @@ POLY4 = make_domain("smoothed_polydisk")
 
 
 def test_rho_examples():
-    assert rho_eval(DISK, [0.0]) == pytest.approx(-1.0)
-    assert rho_eval(BALL2, [0.0, 1.0]) == pytest.approx(0.0)
-    assert rho_eval(EGG2, [2 ** -0.5, 0.0]) == pytest.approx(-0.5)
+    assert DISK.rho([0.0]) == pytest.approx(-1.0)
+    assert BALL2.rho([0.0, 1.0]) == pytest.approx(0.0)
+    assert EGG2.rho([2 ** -0.5, 0.0]) == pytest.approx(-0.5)
 
 
 def test_rho_dimension_mismatch():
     with pytest.raises(ParameterError):
-        rho_eval(DISK, [0.1, 0.2])
+        DISK.rho([0.1, 0.2])
 
 
 def test_rho_sign_sampling():
@@ -91,7 +89,7 @@ def test_boundary_point_stops_bisecting_bit_identically():
 
 def test_hessian_disk_constant():
     for p in (0.0, 0.3 + 0.1j, -0.7j):
-        assert complex_hessian(DISK, [p], [1.0], [1.0]) == pytest.approx(1.0)
+        assert DISK.hessian([p], [1.0], [1.0]) == pytest.approx(1.0)
 
 
 def test_hessian_egg_against_symbolic_oracle():
@@ -114,14 +112,14 @@ def test_hessian_egg_against_symbolic_oracle():
         for (j, k) in ((0, 0), (0, 1), (1, 0), (1, 1)):
             ej = np.eye(2)[j]
             ek = np.eye(2)[k]
-            got = complex_hessian(EGG2, point, ej, ek)
+            got = EGG2.hessian(point, ej, ek)
             want = wirtinger_hessian(j, k, point)
             assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_hessian_egg_examples():
-    assert complex_hessian(EGG2, [0, 1], [1, 0], [1, 0]) == pytest.approx(1.0)
-    assert complex_hessian(EGG2, [1, 0], [0, 1], [0, 1]) == pytest.approx(0.0)
+    assert EGG2.hessian([0, 1], [1, 0], [1, 0]) == pytest.approx(1.0)
+    assert EGG2.hessian([1, 0], [0, 1], [0, 1]) == pytest.approx(0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -130,10 +128,10 @@ def test_hessian_conjugate_symmetry_and_reality(vals):
     p = np.array([vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]])
     x = np.array([vals[4] + 1j * vals[5], 1.0])
     y = np.array([vals[6] + 1j * vals[7], -0.5j])
-    hxy = complex_hessian(EGG2, p, x, y)
-    hyx = complex_hessian(EGG2, p, y, x)
+    hxy = EGG2.hessian(p, x, y)
+    hyx = EGG2.hessian(p, y, x)
     assert hxy == pytest.approx(np.conj(hyx), abs=1e-12)
-    hxx = complex_hessian(EGG2, p, x, x)
+    hxx = EGG2.hessian(p, x, x)
     assert abs(hxx.imag) < 1e-13
 
 
@@ -165,14 +163,29 @@ def test_classify_off_boundary_raises():
         classify_boundary(DISK, [0.5])
 
 
+class _ScaledEgg(Domain):
+    """The egg m=2 with defining function c * rho."""
+
+    name = "scaled-egg"
+    dim = 2
+
+    def __init__(self, c):
+        self.c = c
+
+    def rho(self, z):
+        return self.c * EGG2.rho(z)
+
+    def grad_rho(self, z):
+        return self.c * EGG2.grad_rho(z)
+
+    def hessian(self, point, x, y):
+        return self.c * EGG2.hessian(point, x, y)
+
+
 def test_classify_scale_invariance_of_kind():
     # rescaling the defining function scales the eigenvalue, not the kind
     for c in (0.085, 1.0, 37.0):
-        scaled = CustomDomain(
-            "scaled-egg", 2,
-            rho=lambda z, c=c: c * EGG2.rho(z),
-            grad_rho=lambda z, c=c: c * EGG2.grad_rho(z),
-            hessian=lambda p, x, y, c=c: c * EGG2.hessian(p, x, y))
+        scaled = _ScaledEgg(c)
         strong = classify_boundary(scaled, [0.0, 1.0])
         assert strong.kind is PointKind.STRONGLY_PSEUDOCONVEX
         assert strong.min_tangential_eigenvalue == pytest.approx(c)
@@ -194,7 +207,7 @@ def test_inflate_disk_is_ball():
     infl = inflate(DISK, 1, 1.0)
     assert infl.dim == 2
     assert infl.exponents == (2.0, 2.0)
-    assert rho_eval(infl, [0.5, 0.5]) == pytest.approx(-0.5)
+    assert infl.rho([0.5, 0.5]) == pytest.approx(-0.5)
     # pointwise match with the two-summand formula
     rng = np.random.default_rng(0)
     for _ in range(50):

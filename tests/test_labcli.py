@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from berezin_lab import labcli
-from berezin_lab.errors import SchemaError
+from berezin_lab.errors import CapabilityError, SchemaError
 
 
 def read_files(out_dir):
@@ -461,6 +462,32 @@ _ON_BALL2 = [[1.0, 0.0], [0.0, 0.0]]
 ])
 def test_point_of_the_wrong_dimension_exits_1_naming_its_field_before_any_work(
         tmp_path, monkeypatch, experiment, config, message):
+    _assert_refused_before_any_work(tmp_path, monkeypatch, experiment, config, message)
+
+
+@pytest.mark.parametrize("experiment,config,message", [
+    ("berezin-profile", {**_PROFILE, "point": [0.5, 0.0]},
+     "config field $['point']: point [0.5, 0.0] is not on the boundary of disk "
+     "(rho = -0.75, outside |rho| <= 0.01)"),
+    ("berezin-profile", {**_PROFILE, "point": [2.0, 0.0]},
+     "config field $['point']: point [2.0, 0.0] is not on the boundary of disk "
+     "(rho = 3, outside |rho| <= 0.01)"),
+    ("berezin-profile", {**_PROFILE, "point": [float("nan"), 0.0]},
+     "config field $['point']: point [nan, 0.0] is not on the boundary of disk "
+     "(rho = nan, outside |rho| <= 0.01)"),
+    ("axler-zheng", {**_AZ, "strong_points": [[1.0, 0.0], [0.5, 0.0]]},
+     "config field $['strong_points'][1]: point [0.5, 0.0] is not on the boundary "
+     "of disk (rho = -0.75, outside |rho| <= 0.01)"),
+    ("axler-zheng", {**_AZ, "weak_points": [[0.0, 1.2]]},
+     "config field $['weak_points'][0]: point [0.0, 1.2] is not on the boundary "
+     "of disk (rho = 0.44, outside |rho| <= 0.01)"),
+])
+def test_point_off_the_boundary_exits_1_naming_its_field_before_any_work(
+        tmp_path, monkeypatch, experiment, config, message):
+    _assert_refused_before_any_work(tmp_path, monkeypatch, experiment, config, message)
+
+
+def _assert_refused_before_any_work(tmp_path, monkeypatch, experiment, config, message):
     calls = []
 
     def spy(name):
@@ -475,6 +502,22 @@ def test_point_of_the_wrong_dimension_exits_1_naming_its_field_before_any_work(
     assert (code, err) == (1, f"config error: {message}\n")
     assert calls == []
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("domain,point,name", [
+    ({"name": "ball", "n": 3}, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "ball3"),
+    # a point on the base's axis classifies as weak; this one is strong
+    ({"name": "disk", "inflate": {"p": 2, "r": 1}},
+     [[0.935414, 0.0], [0.5, 0.0], [0.5, 0.0]], "disk^(2,1)"),
+])
+def test_radial_symbol_in_dimension_3_is_refused_naming_the_dimension(tmp_path, domain,
+                                                                     point, name):
+    config = {"domain": domain, "N": 6, "symbol": "max(0, 1-abs(z1)/0.5)",
+              "strong_points": [point], "out": str(tmp_path)}
+    message = ("radial symbols are assembled only in dimension <= 2 unless a "
+               f"quadrature rule is passed; {name} has dimension 3")
+    with pytest.raises(CapabilityError, match=f"^{re.escape(message)}$"):
+        labcli.run("axler-zheng", config)
 
 
 @pytest.mark.parametrize("experiment", ["kernel-check", "axler-zheng"])

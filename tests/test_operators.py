@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 import sys
 import tracemalloc
 import warnings
@@ -10,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from berezin_lab import (
-    CustomDomain,
     OperatorExpr,
     Symbol,
     TruncatedOperator,
@@ -22,7 +22,6 @@ from berezin_lab import (
     build_space,
     decompose_product,
     expr_from_json,
-    expr_to_json,
     hankel_gram,
     make_domain,
     materialize,
@@ -32,11 +31,12 @@ from berezin_lab import (
     toeplitz,
 )
 from berezin_lab import _accel, labcli
-from berezin_lab.bergman import GRAM_EIGENVALUE_FLOOR, WeightedSpace
+from berezin_lab.bergman import WeightedSpace
 from berezin_lab.errors import (BoundaryError, CapabilityError, ConditioningError,
                                 NumericError, ParameterError)
 from berezin_lab.labcli import _monomial_symbols
-from berezin_lab.operators import _RADIAL_ORDER, DEFAULT_T_GRID, HP, T
+from berezin_lab.operators import (_RADIAL_ORDER, DEFAULT_T_GRID,
+                                   GRAM_EIGENVALUE_FLOOR, HP, T)
 from berezin_lab.quadrature import (finite_node_values, log_monomial_moments,
                                     measure_node_weights, polar_tensor_rule,
                                     radial_rule)
@@ -50,17 +50,6 @@ def disk_space(r, n):
 
 def sym(text, dim=1):
     return Symbol.parse(text, dim)
-
-
-def custom_disk_space(n, rule):
-    """The unit disk through callables: no closed moments, Gram-orthogonalized."""
-    custom = CustomDomain(
-        "custom-disk", 1,
-        rho=lambda z: np.abs(np.atleast_2d(z)[:, 0]) ** 2 - 1.0
-        if np.ndim(z) > 1 else float(np.abs(z[0]) ** 2 - 1.0),
-        grad_rho=lambda z: np.conj(z),
-        hessian=lambda p, x, y: complex(np.sum(x * np.conj(y))))
-    return build_space(WeightedMeasure(custom, 0.0), n, rule=rule)
 
 
 def test_toeplitz_identity_symbol():
@@ -145,6 +134,18 @@ def test_toeplitz_general_symbol_refuses_a_radial_section_rule():
     with pytest.raises(ParameterError, match="toeplitz of a general symbol needs "
                                              "a full quadrature rule"):
         toeplitz(sp, sym("dist(0.5)"), rule=radial_rule(sp.measure, order=64))
+
+
+@pytest.mark.parametrize("domain,n,name", [
+    ({"n": 2}, 2, "ball2"), ({"n": 3}, 3, "ball3")])
+def test_toeplitz_general_symbol_without_rule_is_refused_naming_the_dimension(domain, n,
+                                                                             name):
+    # dist is phase-dependent, so no radial or polynomial path assembles it
+    sp = build_space(WeightedMeasure(make_domain("ball", **domain), 0.0), 4)
+    message = ("general (non-polynomial, non-radial) symbols need an explicit "
+               f"quadrature rule in dimension >= 2; {name} has dimension {n}")
+    with pytest.raises(CapabilityError, match=f"^{re.escape(message)}$"):
+        toeplitz(sp, Symbol.parse("dist(0.5)", n))
 
 
 def test_toeplitz_general_quadrature_matches_exact():
@@ -450,35 +451,6 @@ def test_shift_path_matches_dense_factor_products(dim, n, texts):
             assert np.max(np.abs(direct - ref[id(psi)] @ ref[id(phi)])) < 1e-14
 
 
-def test_plugin_space_dense_algebra_and_residuals_need_closed_moments():
-    rule = polar_tensor_rule(WeightedMeasure(DISK, 0.0), radial_order=64)
-    sp = custom_disk_space(8, rule)
-    exact = disk_space(0.0, 8)
-    z, zb = sym("z"), sym("conj(z)")
-    # the plug-in basis spans the same polynomials in another orthonormal
-    # basis, so the matrices agree up to unitary similarity
-    def svals(m):
-        return np.linalg.svd(m, compute_uv=False)
-
-    assert np.max(np.abs(svals(hankel_gram(sp, zb, zb, rule=rule))
-                         - svals(hankel_gram(exact, zb, zb)))) < 1e-10
-    expr = decompose_product([zb, z])
-    assert np.max(np.abs(svals(materialize(expr, sp, rule=rule).matrix)
-                         - svals(materialize(expr, exact).matrix))) < 1e-10
-    for call in (lambda: semi_commutator_residual(sp, zb, z, 1),
-                 lambda: product_decomposition_residual(sp, [zb, z], 2)):
-        with pytest.raises(CapabilityError, match="closed-moment .Reinhardt."):
-            call()
-
-
-def test_plugin_space_toeplitz_without_rule_asks_for_one():
-    sp = custom_disk_space(8, polar_tensor_rule(WeightedMeasure(DISK, 0.0),
-                                                radial_order=64))
-    with pytest.raises(CapabilityError, match="plug-in domain custom-disk needs "
-                                              "an explicit quadrature rule"):
-        toeplitz(sp, sym("z"))
-
-
 def test_composition_through_truncated_index():
     # T_z e_N leaves the truncation, so (T_conj(z) T_z)[N, N] is 0 while
     # T_abs2(z)[N, N] is not
@@ -746,7 +718,9 @@ def test_az_report_requires_strong_points():
 def test_expr_json_roundtrip_and_errors():
     s1, s2 = sym("conj(z)"), sym("z")
     expr = decompose_product([s1, s2])
-    obj = expr_to_json(expr)
+    obj = {"sum": [{"prod": [{"toeplitz": {"symbol": "(conj(z))*(z)"}}]},
+                   {"prod": [{"scalar": -1.0},
+                             {"hankelpair": {"psi": "conj(z)", "phi": "z"}}]}]}
     sp = disk_space(0.0, 16)
     back = expr_from_json(obj, 1)
     m1 = materialize(expr, sp).matrix

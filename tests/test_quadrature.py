@@ -11,7 +11,6 @@ from berezin_lab import (
     inflate,
     inflation_constant,
     inflation_constant_mc,
-    integrate,
     make_domain,
     monomial_moment,
     monomial_moment_mc,
@@ -20,11 +19,19 @@ from berezin_lab import (
     radial_rule,
 )
 from berezin_lab import quadrature
+from berezin_lab.domains import Domain
 from berezin_lab.errors import (BoundaryError, CapabilityError, NumericError,
                                 ParameterError)
 
 DISK = make_domain("disk")
 BALL2 = make_domain("ball", n=2)
+
+
+def integrate(f, measure, rule):
+    """sum_i w_i f(node_i) (-rho(node_i))^r, the rule's sum of f against the
+    measure; raises NumericError naming a node where f is not finite."""
+    vals = quadrature.finite_node_values(f, rule.nodes, "integrand")
+    return complex(np.sum(quadrature.measure_node_weights(measure, rule) * vals))
 
 
 def disk_moment_quad_oracle(k, r):
@@ -64,12 +71,16 @@ def test_moment_argument_errors():
         WeightedMeasure(DISK, -0.5)
 
 
-def test_custom_domain_needs_rule():
-    from berezin_lab import CustomDomain
-    blob = CustomDomain("blob", 1, rho=lambda z: np.atleast_1d(np.abs(z[..., 0]) ** 2 - 1),
-                        grad_rho=lambda z: np.conj(z), hessian=lambda p, x, y: 1.0)
-    with pytest.raises(CapabilityError):
-        monomial_moment(WeightedMeasure(blob, 0.0), [0])
+def test_measure_needs_an_ellipsoid_domain():
+    class Blob(Domain):
+        name = "blob"
+        dim = 1
+
+    with pytest.raises(CapabilityError, match="^domain blob has no ellipsoid structure$"):
+        WeightedMeasure(Blob(), 0.0)
+    # an inflation has exponents only when its base does
+    with pytest.raises(CapabilityError, match=r"^domain blob\^\(1,1\) has no ellipsoid"):
+        WeightedMeasure(inflate(Blob(), 1, 1.0), 0.0)
 
 
 def test_moments_decreasing_along_coordinate_chains():

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from berezin_lab import Symbol, SymbolTag, make_domain
+from berezin_lab import Symbol, SymbolTag
 from berezin_lab.errors import ParameterError
 
 
@@ -78,14 +78,6 @@ def test_conj_and_product():
     prod = z * zb
     assert prod.tag is SymbolTag.POLYNOMIAL and prod.degree == 2
     assert np.allclose(prod(pts), np.abs(pts[:, 0]) ** 2)
-
-
-def test_sup_norm_estimate():
-    disk = make_domain("disk")
-    sym = Symbol.parse("abs2(z)", 1)
-    est = sym.sup_norm_estimate(disk)
-    assert 0.9 <= est <= 1.0 + 1e-9
-    assert np.isfinite(est)
 
 
 def test_parser_errors():

@@ -11,10 +11,10 @@ checks take an explicit ``margin``.
 Every space has normalized monomials over an ellipsoid, so operators are
 weighted shifts (``_Shifts``, see below).  A monomial symbol z^gamma
 zbar^delta is the one shift gamma - delta, with exact weights from moment
-ratios; a torus-invariant ("radial") symbol in dimension <= 2 is the zero
-shift alone, contracted on the radial rule's Duffy tensor factors with
-T_1 = I exactly (``_RadialDiagonal``).  ``_form`` picks the form once per
-call: shifts when every Toeplitz symbol is one of these and every
+ratios; a torus-invariant ("radial") symbol is the zero shift alone, in any
+dimension contracted level by level on the radial rule's stick-breaking
+factors with T_1 = I exactly (``_RadialDiagonal``).  ``_form`` picks the
+form once per call: shifts when every Toeplitz symbol is one of these and every
 Hankel-pair symbol a polynomial, else dense matrices, where general symbols
 take a full quadrature Gram orthonormalized against the rule; each formula
 is written once for both.  A ``TruncatedOperator`` keeps the form it was
@@ -405,45 +405,48 @@ class _ShiftForm:
 # ---------------------------------------------------------------------------
 
 class _RadialDiagonal:
-    """Diagonal Toeplitz weights of torus-invariant symbols on one space
-    (dimension <= 2): entry alpha is sum |z^alpha|^2 w phi over sum
-    |z^alpha|^2 w on the radial rule, both by its Duffy tensor structure.
+    """Diagonal Toeplitz weights of torus-invariant symbols on one space:
+    entry alpha is sum |z^alpha|^2 w phi over sum |z^alpha|^2 w on the
+    radial rule, both by its stick-breaking tensor structure.
 
-    Node (a, b) of the rule has t1 = u1[a], t2 = (1-u1[a]) u2[b] with
-    t_j = |z_j|^{q_j}, so |z^alpha|^2 = R[alpha1, a] S[alpha2, a] V[alpha2, b]
-    with real power tables R[k] = |z1|^{2k}, S[k] = (1-u1)^{2k/q2} and
-    V[k] = u2^{2k/q2}.  A sum over the nodes of |z^alpha|^2 m[a, b] is then
-    two small matmuls, R (S o (m V^T)^T)^T read at (alpha1, alpha2):
-    O(order * N) memory, no basis x nodes array.  Dimension 1 is the same
-    contraction with S and V all ones and alpha2 = 0.  The real and imaginary
-    parts of w phi go through the same real kernel as the denominator, so
-    T_1 = I exactly.  Holds arrays only, not the space.
+    With t_j = |z_j|^{q_j}, t_1 = u_1 and t_j = u_j prod_{i<j} (1 - u_i),
+    |z^alpha|^2 = prod_j U_j[alpha_j] prod_{i<j} S_ij[alpha_j] over real
+    power tables U_j[k] = u_j^{2k/q_j} and S_ij[k] = (1-u_i)^{2k/q_j}.  A sum
+    over the nodes of |z^alpha|^2 m is then one contraction per level,
+    innermost first: X U_n^T, then U_i (S_i o X^T)^T batched over the outer
+    node indices, S_i the product of the S_ij over the inner degrees; in
+    dimension 2, R (S o (m V^T)^T)^T.  No basis x nodes array.  The real
+    and imaginary parts of w phi go through the same real kernel as the
+    denominator, so T_1 = I exactly.  Holds arrays only, not the space.
     """
 
     def __init__(self, space):
         self.rule = rule = radial_rule(space.measure, order=_RADIAL_ORDER)
         q = space.measure.domain.exponents
-        u1 = rule.factors[0]
-        N = space.N
-        r1 = (u1 ** (1.0 / q[0])) ** 2
-        if space.dim == 1:
-            self.r = _accel._power_tables(r1[:, None], [N])[0]
-            self.s = np.ones((1, len(u1)))
-            self.v = np.ones((1, 1))
-            self.at = (space.alphas[:, 0], np.zeros(space.size, dtype=np.int64))
-        else:
-            u2 = rule.factors[1]
-            s1 = ((1.0 - u1) ** (1.0 / q[1])) ** 2
-            self.r, self.s = _accel._power_tables(np.column_stack([r1, s1]), [N, N])
-            self.v = _accel._power_tables(((u2 ** (1.0 / q[1])) ** 2)[:, None], [N])[0]
-            self.at = (space.alphas[:, 0], space.alphas[:, 1])
-        self.w = measure_node_weights(space.measure, rule).reshape(len(u1), -1)
+        N, n = space.N, len(q)
+        self.levels = []      # (U_i, S_i) per level i; the innermost has no S
+        for i, u in enumerate(rule.factors):
+            bases = [(u ** (1.0 / q[i])) ** 2]
+            bases += [((1.0 - u) ** (1.0 / q[j])) ** 2 for j in range(i + 1, n)]
+            power, *sticks = _accel._power_tables(np.column_stack(bases), [N] * len(bases))
+            stick = sticks[0] if sticks else None
+            for more in sticks[1:]:
+                stick = (stick[:, None, :] * more[None, :, :]).reshape(-1, len(u))
+            self.levels.append((power, stick))
+        self.at = np.ravel_multi_index(space.alphas.T, (N + 1,) * n)
+        self.w = measure_node_weights(space.measure, rule).reshape((_RADIAL_ORDER,) * n)
         self.den = self.contract(self.w)
 
     def contract(self, m):
-        """sum_{a,b} |z^alpha|^2 m[a, b] for each basis alpha; ``m`` real."""
-        q = self.s * (m @ self.v.T).T
-        return (self.r @ q.T)[self.at]
+        """sum over the nodes of |z^alpha|^2 m for each basis alpha; ``m``
+        real, one axis per level."""
+        x = (m.reshape(-1, m.shape[-1]) @ self.levels[-1][0].T).reshape(*m.shape[:-1], -1)
+        # power @ (stick o x^T)^T with the product held degree-major: another
+        # BLAS layout of the same sum moves last bits of the dimension-2 diagonals
+        for power, stick in reversed(self.levels[:-1]):
+            x = power @ np.swapaxes(stick * np.swapaxes(x, -1, -2), -1, -2)
+            x = x.reshape(*x.shape[:-2], -1)
+        return x[self.at]
 
     def __call__(self, sym):
         """The diagonal of T_sym, complex, one entry per basis index."""
@@ -454,24 +457,21 @@ class _RadialDiagonal:
         return diag
 
 
-def _default_rule(space, sym):
-    """The polar rule that assembles ``sym`` on the disk; elsewhere a
-    :class:`CapabilityError` naming the limit ``sym`` meets."""
+def _default_rule(space):
+    """The polar rule that assembles a general symbol on the disk; elsewhere
+    a :class:`CapabilityError` naming the domain's dimension."""
     if space.dim == 1:
         radial = max(128, space.N + 32)
         return polar_tensor_rule(space.measure, radial_order=radial,
                                  angular_order=2 * radial)
-    where = f"{space.measure.domain.name} has dimension {space.dim}"
-    if sym.radial:
-        raise CapabilityError("radial symbols are assembled only in dimension <= 2 "
-                              f"unless a quadrature rule is passed; {where}")
     raise CapabilityError("general (non-polynomial, non-radial) symbols need an "
-                          f"explicit quadrature rule in dimension >= 2; {where}")
+                          "explicit quadrature rule in dimension >= 2; "
+                          f"{space.measure.domain.name} has dimension {space.dim}")
 
 
 def _toeplitz_quad(space, sym, rule):
     if rule is None:
-        rule = _default_rule(space, sym)
+        rule = _default_rule(space)
     require_full_rule(rule, "toeplitz of a general symbol")
     x = space.basis_values(rule.nodes)
     w = measure_node_weights(space.measure, rule)
@@ -525,11 +525,9 @@ class _DenseForm:
 
 def _form(space, toeplitz_symbols, hankel_symbols=(), rule=None):
     """The one place that picks how a call holds its operators: weighted
-    shifts when every Toeplitz symbol is a polynomial or, in dimension <= 2,
-    torus-invariant, and every Hankel-pair symbol is a polynomial; dense
-    matrices otherwise."""
-    if (all(s.poly is not None or (s.radial and space.dim <= 2)
-            for s in toeplitz_symbols)
+    shifts when every Toeplitz symbol is a polynomial or torus-invariant, and
+    every Hankel-pair symbol is a polynomial; dense matrices otherwise."""
+    if (all(s.poly is not None or s.radial for s in toeplitz_symbols)
             and all(s.poly is not None for s in hankel_symbols)):
         return _ShiftForm(space)
     return _DenseForm(space, rule)

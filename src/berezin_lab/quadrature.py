@@ -11,10 +11,11 @@ Dirichlet integral over the simplex:
     a_j = (2 alpha_j + 2) / q_j,
 
 evaluated through log-gamma to avoid overflow.  The same substitution gives
-the quadrature rules: a Gauss-Jacobi radial grid (tensored through a Duffy
-map onto the simplex for n = 2) crossed with equispaced angular grids, with
-the measure weight divided back out of the stored weights, so that
-``measure_node_weights`` applies (-rho)^r explicitly.
+the quadrature rules: a stick-breaking map of the unit cube onto the simplex
+factors the Dirichlet weight into one Gauss-Jacobi rule per coordinate, in
+any dimension, and the full rule crosses that radial grid with equispaced
+angular grids.  The measure weight is divided back out of the stored
+weights, so that ``measure_node_weights`` applies (-rho)^r explicitly.
 
 dV is Lebesgue measure on C^n ~ R^{2n} throughout.
 """
@@ -22,7 +23,7 @@ dV is Lebesgue measure on C^n ~ R^{2n} throughout.
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class WeightedMeasure:
 
 class Scheme(enum.Enum):
     POLAR_TENSOR = "PolarTensor"
-    RADIAL2D = "Radial2D"
+    RADIAL = "Radial"
     MONTE_CARLO = "MonteCarlo"
 
 
@@ -75,9 +76,9 @@ class QuadratureRule:
                                  # only for torus-invariant integrands
     negrho: np.ndarray = None    # exact -rho at the nodes when known by
                                  # construction (avoids |sqrt(t)|^2 round-off)
-    factors: tuple = None        # Radial2D: the 1-D Duffy factors, (t,) for
-                                 # n = 1 or (u1, u2) for n = 2, where node
-                                 # a*len(u2)+b has t1 = u1[a], t2 = (1-u1[a]) u2[b].
+    factors: tuple = None        # Radial: the n stick-breaking factors u_j, each
+                                 # of length O = order; node i_1 O^(n-1) + ... + i_n
+                                 # has u_j = factors[j][i_j] (see _stick_breaking).
                                  # PolarTensor: (radial, torus), real (R, n) radii
                                  # and complex (A^n, n) phases, where node
                                  # k*A^n+j is radial[k] * torus[j]
@@ -228,84 +229,73 @@ def polar_tensor_rule(measure, radial_order=128, angular_order=None):
     """
     q = _require_ellipsoid(measure)
     n = len(q)
-    r = measure.r
     if angular_order is None:
         angular_order = 2 * radial_order
     if n > 2:
         raise CapabilityError(f"polar tensor rule supports n <= 2, got n = {n}")
-    theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
-    phase = np.exp(1j * theta)
-    if n == 1:
-        t, wt = _jac01(radial_order, r, 2.0 / q[0] - 1.0)
-        radial = (t ** (1.0 / q[0]))[:, None]
-        torus = phase[:, None]
-        w = wt / q[0] * (2.0 * np.pi / angular_order) / (1.0 - t) ** r
-        negrho = 1.0 - t
-    else:
-        if radial_order ** 2 * angular_order ** 2 > 2 * 10 ** 7:
-            raise ParameterError(
-                "full tensor rule for n=2 would exceed 2e7 nodes; "
-                "lower the orders or use radial_rule/monte_carlo_rule")
-        t1, t2, wr, negrho, _ = _simplex_radial(q, r, radial_order)
-        radial = np.column_stack([t1 ** (1.0 / q[0]), t2 ** (1.0 / q[1])])
-        # torus point j1*A+j2 is (phase[j1], phase[j2])
-        torus = np.column_stack([np.repeat(phase, angular_order),
-                                 np.tile(phase, angular_order)])
-        w = wr * (2.0 * np.pi / angular_order) ** 2
+    radial, w, negrho, _ = _stick_breaking(q, measure.r, radial_order, angular_order)
+    phase = np.exp(1j * (2.0 * np.pi * np.arange(angular_order) / angular_order))
+    # torus point j_1 A^(n-1) + ... + j_n is (phase[j_1], ..., phase[j_n])
+    torus = np.stack(np.meshgrid(*[phase] * n, indexing="ij"), axis=-1).reshape(-1, n)
     nodes = (radial[:, None, :] * torus[None, :, :]).reshape(-1, n)
     per_radius = len(torus)
+    w = w * (2.0 * np.pi / angular_order) ** n
     return QuadratureRule(nodes, np.repeat(w, per_radius), Scheme.POLAR_TENSOR,
-                          (radial_order, angular_order), r,
+                          (radial_order, angular_order), measure.r,
                           negrho=np.repeat(negrho, per_radius),
                           factors=(radial, torus))
 
 
-def _simplex_radial(q, r, order):
-    """Duffy-mapped Gauss-Jacobi grid on the t-simplex for n = 2.
+def _stick_breaking(q, r, order, angular=1):
+    """Gauss-Jacobi grid on the t-simplex, t_j = |z_j|^{q_j}, in any dimension.
 
-    Returns flattened t1, t2, weights (with the measure weight (1-t1-t2)^r
-    divided out), -rho = 1 - t1 - t2 at the nodes, and the 1-D factors
-    (u1, u2) of the grid.
+    Stick-breaking, t_1 = u_1 and t_j = u_j prod_{i<j} (1 - u_i), maps the
+    unit cube onto the simplex with -rho = prod_j (1 - u_j), and splits the
+    weight prod_j t_j^{a_j-1} (1 - sum t)^r dt, a_j = 2/q_j, into one Jacobi
+    weight per level, u_j ~ (1-u)^{r + sum_{i>j} a_i} u^{a_j-1}.  Returns
+    |z_j| = t_j^{1/q_j} as an (order^n, n) array, the weights
+    prod w_j / prod q_j over (-rho)^r, -rho, and the factors (u_1, ..., u_n).
+    Raises ParameterError, before allocating, when the rule with ``angular``
+    points per coordinate on each radial node would pass 2e7 nodes.
     """
-    a1 = 2.0 / q[0]
-    a2 = 2.0 / q[1]
-    # t1 = u1, t2 = (1-u1) u2; Jacobian (1-u1); weight t1^{a1-1} t2^{a2-1} (1-t)^r
-    u1, w1 = _jac01(order, a2 + r, a1 - 1.0)
-    u2, w2 = _jac01(order, r, a2 - 1.0)
-    t1 = np.repeat(u1, order)
-    t2 = (1.0 - np.repeat(u1, order)) * np.tile(u2, order)
-    w = np.outer(w1, w2).ravel() / (q[0] * q[1])
-    negrho = (1.0 - np.repeat(u1, order)) * (1.0 - np.tile(u2, order))
+    n = len(q)
+    count = (order * angular) ** n
+    if count > 2 * 10 ** 7:
+        raise ParameterError(f"a tensor rule in dimension {n} would have {count:.3g} "
+                             "nodes, more than 2e7; lower the orders or use "
+                             "monte_carlo_rule")
+    a = 2.0 / q
+    radii = np.empty((order,) * n + (n,))
+    factors = []
+    stick = w = 1.0
+    for j in range(n):
+        u, wu = _jac01(order, r + float(np.sum(a[j + 1:])), a[j] - 1.0)
+        factors.append(u)
+        axis = (-1,) + (1,) * (n - 1 - j)      # level j runs along grid axis j
+        u, wu = u.reshape(axis), wu.reshape(axis)
+        radii[..., j] = (stick * u) ** (1.0 / q[j])
+        stick = stick * (1.0 - u)
+        w = w * wu
+    negrho = stick.ravel()
+    w = w.ravel() / math.prod(q)
     if r > 0:
         w = w / negrho ** r
-    return t1, t2, w, negrho, (u1, u2)
+    return radii.reshape(-1, n), w, negrho, tuple(factors)
 
 
 def radial_rule(measure, order=128):
     """Radial-section rule: exact angular integration folded into the weights.
 
     Nodes lie on the real-positive modulus section, so the rule integrates
-    only torus-invariant functions correctly (scheme Radial2D).  The rule
-    keeps its 1-D Duffy factors, so |z^alpha|^2 at the nodes factors into
-    per-coordinate power tables (see ``QuadratureRule.factors``).
+    only torus-invariant functions correctly (scheme Radial).  The rule
+    keeps its 1-D stick-breaking factors, so |z^alpha|^2 at the nodes
+    factors into per-level power tables (see ``QuadratureRule.factors``).
     """
     q = _require_ellipsoid(measure)
-    n = len(q)
-    r = measure.r
-    if n == 1:
-        t, wt = _jac01(order, r, 2.0 / q[0] - 1.0)
-        nodes = (t ** (1.0 / q[0])).astype(np.complex128).reshape(-1, 1)
-        w = (2.0 * np.pi / q[0]) * wt / (1.0 - t) ** r
-        return QuadratureRule(nodes, w, Scheme.RADIAL2D, (order,), r,
-                              radial_only=True, negrho=1.0 - t, factors=(t,))
-    if n == 2:
-        t1, t2, w, negrho, factors = _simplex_radial(q, r, order)
-        nodes = np.column_stack([t1 ** (1.0 / q[0]), t2 ** (1.0 / q[1])])
-        w = (2.0 * np.pi) ** 2 * w
-        return QuadratureRule(nodes.astype(np.complex128), w, Scheme.RADIAL2D,
-                              (order,), r, radial_only=True, negrho=negrho,
-                              factors=factors)
-    raise CapabilityError(f"radial rule supports n <= 2, got n = {n}")
+    radii, w, negrho, factors = _stick_breaking(q, measure.r, order)
+    return QuadratureRule(radii.astype(np.complex128), (2.0 * np.pi) ** len(q) * w,
+                          Scheme.RADIAL, (order,), measure.r, radial_only=True,
+                          negrho=negrho, factors=factors)
 
 
 def monte_carlo_rule(measure, samples=1_000_000, seed=42):

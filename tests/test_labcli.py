@@ -4,7 +4,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from berezin_lab import labcli
-from berezin_lab.errors import CapabilityError, SchemaError
+from berezin_lab.errors import SchemaError
 
 
 def read_files(out_dir):
@@ -504,20 +503,20 @@ def _assert_refused_before_any_work(tmp_path, monkeypatch, experiment, config, m
     assert not (tmp_path / "c").exists()
 
 
-@pytest.mark.parametrize("domain,point,name", [
-    ({"name": "ball", "n": 3}, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "ball3"),
+@pytest.mark.parametrize("domain,point", [
+    pytest.param({"name": "ball", "n": 3}, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                 id="ball3"),
     # a point on the base's axis classifies as weak; this one is strong
-    ({"name": "disk", "inflate": {"p": 2, "r": 1}},
-     [[0.935414, 0.0], [0.5, 0.0], [0.5, 0.0]], "disk^(2,1)"),
+    pytest.param({"name": "disk", "inflate": {"p": 2, "r": 1}},
+                 [[0.935414, 0.0], [0.5, 0.0], [0.5, 0.0]], id="disk^(2,1)"),
 ])
-def test_radial_symbol_in_dimension_3_is_refused_naming_the_dimension(tmp_path, domain,
-                                                                     point, name):
+def test_radial_symbol_in_dimension_3_runs_to_a_report(tmp_path, domain, point):
     config = {"domain": domain, "N": 6, "symbol": "max(0, 1-abs(z1)/0.5)",
               "strong_points": [point], "out": str(tmp_path)}
-    message = ("radial symbols are assembled only in dimension <= 2 unless a "
-               f"quadrature rule is passed; {name} has dimension 3")
-    with pytest.raises(CapabilityError, match=f"^{re.escape(message)}$"):
-        labcli.run("axler-zheng", config)
+    report = labcli.run("axler-zheng", config)
+    assert report.verdicts["verdict"] == "consistent"
+    assert report.verdicts["classification"] == "compact"
+    assert (tmp_path / "axler_zheng_report.json").exists()
 
 
 @pytest.mark.parametrize("experiment", ["kernel-check", "axler-zheng"])

@@ -23,6 +23,7 @@ from berezin_lab import (
     decompose_product,
     expr_from_json,
     hankel_gram,
+    inflate,
     make_domain,
     materialize,
     product_decomposition_residual,
@@ -30,7 +31,7 @@ from berezin_lab import (
     tail_norm,
     toeplitz,
 )
-from berezin_lab import _accel, labcli
+from berezin_lab import _accel, labcli, operators
 from berezin_lab.bergman import WeightedSpace
 from berezin_lab.errors import (BoundaryError, CapabilityError, ConditioningError,
                                 NumericError, ParameterError)
@@ -104,15 +105,60 @@ def test_toeplitz_radial_matches_dense_monomial_reference(name, kw, r, n, text):
     assert np.max(np.abs(np.diagonal(m) - want) / np.abs(want)) <= 1e-14
 
 
+@pytest.fixture(scope="module")
+def shared_space():
+    """``space(name, kw, r, n)``: one space per argument tuple for this
+    module's radial tests.  The space keeps its radial diagonal, so each
+    dimension-3 radial rule (160^3 = 4.1 M nodes) is built once."""
+    spaces = {}
+
+    def space(name, kw, r, n):
+        key = (name, tuple(sorted(kw.items())), r, n)
+        if key not in spaces:
+            spaces[key] = build_space(WeightedMeasure(make_domain(name, **kw), r), n)
+        return spaces[key]
+
+    yield space
+    spaces.clear()
+
+
 @pytest.mark.parametrize("name,kw,r,n", [("disk", {}, 1.0, 48),
                                          ("ball", {"n": 2}, 0.0, 24),
-                                         ("smoothed_polydisk", {}, 0.0, 16)])
-def test_toeplitz_radial_of_one_is_exact_identity(name, kw, r, n):
+                                         ("smoothed_polydisk", {}, 0.0, 16),
+                                         ("ball", {"n": 3}, 0.0, 10)])
+def test_toeplitz_radial_of_one_is_exact_identity(shared_space, name, kw, r, n):
     # radial and not a polynomial, and 1 on the whole domain
-    dom = make_domain(name, **kw)
-    sp = build_space(WeightedMeasure(dom, r), n)
-    m = toeplitz(sp, sym("max(1, abs(z))", dom.dim)).matrix
+    sp = shared_space(name, kw, r, n)
+    m = toeplitz(sp, sym("max(1, abs(z))", sp.measure.domain.dim)).matrix
     assert np.array_equal(m, np.eye(sp.size))
+
+
+@pytest.mark.parametrize("r", (0.0, 1.0))
+def test_ball3_radial_diagonal_is_the_exact_moment_ratio(shared_space, r):
+    # abs(z1)*abs(z1) is |z1|^2 but not a polynomial symbol, so it takes the
+    # radial path: <T e_alpha, e_alpha> = m_{alpha+e1} / m_alpha
+    # = (alpha1 + 1) / (|alpha| + 4 + r) on ball3
+    sp = shared_space("ball", {"n": 3}, r, 10)
+    s = sym("abs(z1)*abs(z1)", 3)
+    assert s.poly is None and s.radial
+    diagonal = toeplitz(sp, s).diagonal
+    a = sp.alphas
+    assert np.max(np.abs(diagonal - (a[:, 0] + 1) / (a.sum(axis=1) + 4 + r))) <= 1e-13
+
+
+def test_radial_bump_on_inflated_ball2_assembles_in_shift_form(shared_space, monkeypatch):
+    def no_dense_form(*args):
+        raise AssertionError("a dense form was built")
+
+    monkeypatch.setattr(operators, "_DenseForm", no_dense_form)
+    # ball2 inflated with p = 1, r = 1 has ball3's exponents (2, 2, 2), so
+    # its radial rule and diagonal are ball3's
+    sp = build_space(WeightedMeasure(inflate(make_domain("ball", n=2), 1, 1.0), 0.0), 10)
+    bump = sym("max(0, 1-abs(z1)/0.5)", 3)
+    op = toeplitz(sp, bump)
+    assert op.diagonal is not None
+    assert np.array_equal(op.diagonal,
+                          toeplitz(shared_space("ball", {"n": 3}, 0.0, 10), bump).diagonal)
 
 
 def test_toeplitz_radial_builds_no_basis_by_nodes_array():
@@ -146,6 +192,14 @@ def test_toeplitz_general_symbol_without_rule_is_refused_naming_the_dimension(do
                f"quadrature rule in dimension >= 2; {name} has dimension {n}")
     with pytest.raises(CapabilityError, match=f"^{re.escape(message)}$"):
         toeplitz(sp, Symbol.parse("dist(0.5)", n))
+
+
+def test_radial_symbol_in_dimension_4_is_refused_before_its_rule_is_built():
+    # order 160 in dimension 4 would be 6.6e8 nodes
+    sp = build_space(WeightedMeasure(inflate(make_domain("ball", n=2), 2, 1.0), 0.0), 2)
+    with pytest.raises(ParameterError, match=r"^a tensor rule in dimension 4 would have "
+                                             r"6\.55e\+08 nodes"):
+        toeplitz(sp, Symbol.parse("max(0, 1-abs(z1)/0.5)", 4))
 
 
 def test_toeplitz_general_quadrature_matches_exact():

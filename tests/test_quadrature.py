@@ -25,6 +25,8 @@ from berezin_lab.errors import (BoundaryError, CapabilityError, NumericError,
 
 DISK = make_domain("disk")
 BALL2 = make_domain("ball", n=2)
+BALL3 = make_domain("ball", n=3)
+DISK_2_1 = inflate(DISK, 2, 1.0)        # exponents (2, 4, 4)
 
 
 def integrate(f, measure, rule):
@@ -114,18 +116,24 @@ def test_polar_tensor_disk_exactness():
 
 def _polar_tensor_reference(measure, radial_order, angular_order):
     """(nodes, weights, negrho) of the polar tensor rule as built before it
-    kept its radial and torus factors: one broadcast product per coordinate."""
-    from berezin_lab.quadrature import _jac01, _simplex_radial
+    kept its radial and torus factors: one broadcast product per coordinate,
+    on the n = 1 Gauss-Jacobi grid or the n = 2 Duffy grid t1 = u1,
+    t2 = (1-u1) u2."""
+    from berezin_lab.quadrature import _jac01
     q = np.asarray(measure.domain.exponents, dtype=float)
     r = measure.r
     theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
     if len(q) == 1:
         t, wt = _jac01(radial_order, r, 2.0 / q[0] - 1.0)
         nodes = ((t ** (1.0 / q[0]))[:, None] * np.exp(1j * theta)[None, :]).reshape(-1, 1)
-        base = wt / q[0] * (2.0 * np.pi / angular_order)
-        return (nodes, np.repeat(base / (1.0 - t) ** r, angular_order),
-                np.repeat(1.0 - t, angular_order))
-    t1, t2, wr, negrho, _ = _simplex_radial(q, r, radial_order)
+        base = wt / q[0] / (1.0 - t) ** r * (2.0 * np.pi / angular_order)
+        return (nodes, np.repeat(base, angular_order), np.repeat(1.0 - t, angular_order))
+    u1, w1 = _jac01(radial_order, 2.0 / q[1] + r, 2.0 / q[0] - 1.0)
+    u2, w2 = _jac01(radial_order, r, 2.0 / q[1] - 1.0)
+    t1 = np.repeat(u1, radial_order)
+    t2 = (1.0 - t1) * np.tile(u2, radial_order)
+    negrho = (1.0 - t1) * (1.0 - np.tile(u2, radial_order))
+    wr = np.outer(w1, w2).ravel() / (q[0] * q[1]) / negrho ** r
     phase = np.exp(1j * theta)
     shape = (len(t1), angular_order, angular_order)
     z1 = np.broadcast_to((t1 ** (1.0 / q[0]))[:, None, None] * phase[None, :, None], shape)
@@ -203,18 +211,32 @@ def test_radial_rule_matches_full_rule_for_radial_integrands():
 
 
 def test_radial_rule_nodes_are_its_duffy_factors():
-    for dom in (DISK, make_domain("egg", m=2)):
+    # stick-breaking: t_1 = u_1, t_j = u_j prod_{i<j} (1 - u_i), and -rho is
+    # the stick left over, prod_j (1 - u_j)
+    for dom in (DISK, make_domain("egg", m=2), BALL3, DISK_2_1):
         q = dom.exponents
         rule = radial_rule(WeightedMeasure(dom, 0.5), order=12)
-        if dom.dim == 1:
-            (t,) = rule.factors
-            assert np.array_equal(rule.nodes[:, 0], t ** (1.0 / q[0]))
-            continue
-        u1, u2 = rule.factors
-        t1 = np.repeat(u1, len(u2))
-        t2 = (1.0 - t1) * np.tile(u2, len(u1))
-        assert np.array_equal(rule.nodes[:, 0], t1 ** (1.0 / q[0]))
-        assert np.array_equal(rule.nodes[:, 1], t2 ** (1.0 / q[1]))
+        assert len(rule) == 12 ** dom.dim
+        grid = np.meshgrid(*rule.factors, indexing="ij")
+        stick = 1.0
+        for j, u in enumerate(grid):
+            assert np.array_equal(rule.nodes[:, j], ((stick * u) ** (1.0 / q[j])).ravel())
+            stick = stick * (1.0 - u)
+        assert np.array_equal(rule.negrho, stick.ravel())
+
+
+@pytest.mark.parametrize("r", (0.0, 1.0))
+def test_ball3_radial_rule_integrates_monomials_exactly(r):
+    # |z^alpha|^2 on ball3 is a polynomial of degree |alpha| in each
+    # stick-breaking level, so order 8 integrates |alpha| <= 15 exactly
+    meas = WeightedMeasure(BALL3, r)
+    rule = radial_rule(meas, order=8)
+    assert rule.scheme is Scheme.RADIAL and rule.radial_only
+    for alpha in ((0, 0, 0), (1, 0, 0), (0, 0, 2), (2, 3, 1), (5, 0, 4), (3, 7, 5)):
+        got = integrate(lambda z, a=alpha: np.prod(np.abs(z) ** (2 * np.array(a)), axis=1),
+                        meas, rule)
+        want = monomial_moment(meas, alpha)
+        assert abs(got.real - want) / want < 1e-12, alpha
 
 
 def test_radial_rule_factors_are_read_only():
@@ -224,6 +246,18 @@ def test_radial_rule_factors_are_read_only():
     assert np.array_equal(rule.weights, again.weights)
     with pytest.raises(ValueError):
         rule.factors[0][0] = 0.5
+
+
+def test_tensor_rules_refuse_what_they_cannot_hold_before_building():
+    # order 160 in dimension 4 would be 6.6e8 nodes, about 42 GB of complex nodes
+    with pytest.raises(ParameterError, match=r"^a tensor rule in dimension 4 would have "
+                                             r"6\.55e\+08 nodes, more than 2e7"):
+        radial_rule(WeightedMeasure(inflate(BALL2, 2, 1.0), 0.0), order=160)
+    with pytest.raises(ParameterError, match=r"^a tensor rule in dimension 2 would have "
+                                             r"2\.5e\+07 nodes"):
+        polar_tensor_rule(WeightedMeasure(BALL2, 0.0), 100, 50)
+    with pytest.raises(CapabilityError, match="^polar tensor rule supports n <= 2, got n = 3$"):
+        polar_tensor_rule(WeightedMeasure(BALL3, 0.0), 4, 4)
 
 
 def test_monte_carlo_rule_reproducible_and_interior():
@@ -345,17 +379,16 @@ def test_total_mass_positive():
 
 def _catalog_jacobi_pairs():
     """The (a, b) of every 1-D Gauss-Jacobi factor the rules build for the
-    disk, ball2, egg m in {2, 3} and the smoothed polydisk at r in {0, 0.5, 1, 2}
-    (see ``polar_tensor_rule`` and ``_simplex_radial``)."""
+    disk, ball2, ball3, egg m in {2, 3}, the smoothed polydisk and the disk
+    inflated with p = 2, r = 1, at r in {0, 0.5, 1, 2}: one stick-breaking
+    level j per coordinate, (r + sum_{i>j} a_i, a_j - 1) with a_j = 2/q_j
+    (see ``_stick_breaking``)."""
     pairs = set()
-    for name, params in (("disk", {}), ("ball", {"n": 2}), ("egg", {"m": 2}),
-                         ("egg", {"m": 3}), ("smoothed_polydisk", {})):
-        q = make_domain(name, **params).exponents
+    for dom in (DISK, BALL2, BALL3, make_domain("egg", m=2), make_domain("egg", m=3),
+                make_domain("smoothed_polydisk"), DISK_2_1):
+        a = 2.0 / np.asarray(dom.exponents, dtype=float)
         for r in (0.0, 0.5, 1.0, 2.0):
-            if len(q) == 1:
-                pairs.add((r, 2.0 / q[0] - 1.0))
-            else:
-                pairs.update({(2.0 / q[1] + r, 2.0 / q[0] - 1.0), (r, 2.0 / q[1] - 1.0)})
+            pairs.update((r + float(np.sum(a[j + 1:])), a[j] - 1.0) for j in range(len(a)))
     return sorted(pairs)
 
 

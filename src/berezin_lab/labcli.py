@@ -86,13 +86,18 @@ def canonical_config_hash(config):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+_NATIVE = (str, float, int)     # exact types only: bool is an int subclass
+
+
 def _jsonify(obj):
     """JSON-native copy of a report value: containers recursively, numpy
-    scalars as Python ones, anything else that is not a number as text."""
+    scalars as Python ones, anything else that is not a number as text.
+    Items that are already str, float or int (not bool) are taken as they
+    are, without a call."""
     if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
+        return {k: v if type(v) in _NATIVE else _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return [v if type(v) in _NATIVE else _jsonify(v) for v in obj]
     if obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, (bool, np.bool_)):
@@ -105,7 +110,8 @@ def _jsonify(obj):
 
 
 def _fmt_cell(x):
-    """CSV text of a JSON-native cell."""
+    """CSV text of a JSON-native cell; the csv writer writes a str, float or
+    int (not bool) cell as this does."""
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, float):
@@ -115,19 +121,21 @@ def _fmt_cell(x):
 
 def emit(report, out_dir):
     """Write one CSV file per table and a JSON report mirroring them all;
-    returns every path written.  Each cell is converted once, to its JSON
-    value, and the CSV text is made from that."""
+    returns every path written.  A table whose cells are all str, float or
+    int (not bool) is written as it is; in any other table each cell is
+    converted once, to its JSON value, and the CSV text is made from that."""
     os.makedirs(out_dir, exist_ok=True)
     prefix = report.experiment.replace("-", "_")
-    tables = {name: {"columns": t.columns, "rows": _jsonify(t.rows)}
-              for name, t in report.tables.items()}
-    written = []
-    for name, table in tables.items():
+    tables, written = {}, []
+    for name, t in report.tables.items():
+        native = all(type(x) in _NATIVE for row in t.rows for x in row)
+        rows = t.rows if native else _jsonify(t.rows)
+        tables[name] = {"columns": t.columns, "rows": rows}
         path = os.path.join(out_dir, f"{prefix}_{name}.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(table["columns"])
-            writer.writerows([_fmt_cell(x) for x in row] for row in table["rows"])
+            writer.writerow(t.columns)
+            writer.writerows(rows if native else ([_fmt_cell(x) for x in row] for row in rows))
         written.append(path)
     path = os.path.join(out_dir, f"{prefix}_report.json")
     payload = {
@@ -136,9 +144,10 @@ def emit(report, out_dir):
         "verdicts": _jsonify(report.verdicts),
         "warnings": list(report.warnings),
     }
-    # compact, so that json's C encoder writes it (indent forces pure Python)
+    # compact, so that json's C encoder writes it (indent forces pure Python);
+    # rows hold only scalars, so the payload has no cycle to check for
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        fh.write(json.dumps(payload, sort_keys=True, check_circular=False) + "\n")
     written.append(path)
     return written
 
@@ -688,6 +697,10 @@ def _run_semi_commutator(config, report):
     nn = int(config.get("N", 32))
     degree = int(config.get("degree", 2))
     tol = float(config.get("tolerance", 1e-9))
+    if nn < 3 * degree:
+        # the triples' margin 3 * degree must leave indices of degree <= N - margin
+        raise SchemaError(f"config field $['N']: {nn} leaves no truncation-safe index "
+                          f"for the degree-{degree} triples; need >= {3 * degree}")
     space = build_space(WeightedMeasure(dom, r), nn)
     syms = _monomial_symbols(dom.dim, degree)
     rows = []

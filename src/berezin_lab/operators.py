@@ -21,8 +21,12 @@ is written once for both.  A ``TruncatedOperator`` keeps the form it was
 built in: its ``diagonal`` is the zero shift's weights, never searched for
 in a matrix, and its ``matrix`` is densified on first read.  The identity
 residuals take the difference of the two sides and its block max in one
-pass over the shifts, and reuse the operators that recur from one identity
-to the next (``_ShiftCache``).
+pass over the shifts, over an index array of the truncation-safe block kept
+per (margin, shift), and reuse the operators that recur from one identity
+to the next (``_ShiftForm``): among them the Hankel pairs H*_psi H_phi of
+the current leading factor psi, whose H-symbol phi is a product such as the
+tail s_2 ... s_m of a decomposition; that memo is dropped when psi changes,
+so it never holds more than the distinct tails of one leading factor.
 """
 
 import operator
@@ -40,6 +44,7 @@ from .symbols import Symbol
 
 _RADIAL_ORDER = 160
 GRAM_EIGENVALUE_FLOOR = 1e-12
+_MAX = np.maximum.reduce     # ndarray.max without its Python wrapper
 
 
 @dataclass(frozen=True)
@@ -154,14 +159,16 @@ class _ShiftIndex:
     reference cycle with it and are freed with it."""
 
     def __init__(self, space):
-        self.alphas = space.alphas
+        self.columns = space.alphas.T
+        self.degrees = space.degrees
         self.N = space.N
         self.size = space.size
         stride = space.N + 1
         n = space.alphas.shape[1]
         self.strides = stride ** np.arange(n, dtype=np.int64)
+        self.flat = space.alphas @ self.strides
         self.inverse = np.full(stride ** n, -1, dtype=np.int64)
-        self.inverse[space.alphas @ self.strides] = np.arange(space.size)
+        self.inverse[self.flat] = np.arange(space.size)
         self.zero = np.zeros(space.size)
         self.zero.flags.writeable = False
         self.cache = {}
@@ -171,35 +178,14 @@ class _ShiftIndex:
         truncation, ``tgt[alpha]`` its basis index (0 where not valid)."""
         hit = self.cache.get(shift)
         if hit is None:
-            shifted = self.alphas + np.asarray(shift, dtype=np.int64)
-            valid = np.all(shifted >= 0, axis=1) & (shifted.sum(axis=1) <= self.N)
+            valid = self.degrees <= self.N - sum(shift)
+            for column, s in zip(self.columns, shift):
+                if s < 0:
+                    valid &= column >= -s
             tgt = np.zeros(self.size, dtype=np.int64)
-            tgt[valid] = self.inverse[shifted[valid] @ self.strides]
+            tgt[valid] = self.inverse[self.flat[valid] + int(np.dot(shift, self.strides))]
             hit = self.cache[shift] = (tgt, valid)
         return hit
-
-
-class _ShiftCache:
-    """What a space's weighted-shift algebra reuses across calls, held by
-    the space.  Operators are keyed by polynomial keys (``Symbol.key``) and
-    point only to the ``_ShiftIndex``, so nothing here refers back to the
-    space.  Only operators whose number stays small are kept: one per
-    distinct polynomial, Hankel pairs of two operand symbols, and the last
-    leading pair product; never one per identity."""
-
-    __slots__ = ("index", "radial", "toeplitz", "hankel", "last_pair", "keep",
-                 "blocks", "moments")
-
-    def __init__(self, space):
-        self.index = _ShiftIndex(space)
-        self.radial = None   # _RadialDiagonal, built for the first radial symbol
-        self.toeplitz = {}   # key -> T_s
-        self.hankel = {}     # (key phi, key psi) -> H*_psi H_phi, phi an operand
-        self.last_pair = None  # ((key a, key b), T_a T_b) of the last chain
-        self.keep = {}       # margin -> truncation-safe index mask
-        self.blocks = {}     # (margin, shift) -> mask of the alpha with alpha and
-                             #   alpha+shift truncation-safe, False if none
-        self.moments = {}    # gamma -> log m_{alpha+gamma} for every alpha
 
 
 def _shift_order(shift):
@@ -227,7 +213,7 @@ class _Shifts:
         """
         index, a, b = self.index, self.w.items(), other.w
         out = {}
-        for sb in sorted(b, key=_shift_order):
+        for sb in sorted(b, key=_shift_order) if len(b) > 1 else b:
             wb = b[sb]
             tgt = index.targets(sb)[0]
             for sa, wa in a:
@@ -277,17 +263,39 @@ class _Shifts:
 
 
 class _ShiftForm:
-    """Factors as weighted shifts (Reinhardt spaces).
+    """Factors as weighted shifts (Reinhardt spaces), with what the space's
+    weighted-shift algebra reuses across calls: one per space, held by it
+    (``_shift_form``).  It keeps the space's arrays and measure but not the
+    space, and its operators point only to its ``_ShiftIndex``, so nothing
+    here refers back to the space and all of it is freed with the space.
+    Operators are keyed by polynomial keys (``Symbol.key``), and only those
+    whose number stays small are kept: one per distinct polynomial, Hankel
+    pairs of two operand symbols, the Hankel pairs of the current leading
+    factor, and the last leading pair product; never one per identity.
 
-    ``operands`` are the symbols of the calling identity: Hankel pairs whose
-    H-symbol is one of them are kept in the space's cache.
+    ``operands`` are the symbols of the identity being checked, set by each
+    call: Hankel pairs whose H-symbol is one of them are kept with the space.
     """
 
-    def __init__(self, space, operands=()):
-        if getattr(space, "_shift_cache", None) is None:
-            space._shift_cache = _ShiftCache(space)
-        self.space, self.cache, self.operands = space, space._shift_cache, operands
-        self.index = self.cache.index
+    __slots__ = ("measure", "N", "alphas", "degrees", "log_moments", "size", "dim",
+                 "index", "operands", "_radial", "_toeplitz", "_hankel", "_lead",
+                 "_last_pair", "_blocks", "_moments")
+
+    def __init__(self, space):
+        self.measure, self.N, self.alphas = space.measure, space.N, space.alphas
+        self.degrees, self.log_moments = space.degrees, space.log_moments
+        self.size, self.dim = space.size, space.dim
+        self.index = _ShiftIndex(space)
+        self.operands = ()
+        self._radial = None    # _RadialDiagonal, built for the first radial symbol
+        self._toeplitz = {}    # key -> T_s
+        self._hankel = {}      # (key phi, key psi) -> H*_psi H_phi, phi an operand
+        self._lead = None      # (key psi, {key phi: H*_psi H_phi}), phi not an
+                               #   operand, for the last psi only
+        self._last_pair = None  # ((key a, key b), T_a T_b) of the last chain
+        self._blocks = {}      # margin -> {shift: indices of the alpha with alpha
+                               #   and alpha+shift truncation-safe, None if none}
+        self._moments = {}     # gamma -> log m_{alpha+gamma} for every alpha
 
     def toeplitz(self, sym):
         """T_sym: the radial diagonal for a non-polynomial symbol (not
@@ -299,30 +307,29 @@ class _ShiftForm:
         arithmetic on x + 0j gives the same values as real arithmetic on x,
         and real weights take half the memory and time."""
         if sym.poly is None:
-            if self.cache.radial is None:
-                self.cache.radial = _RadialDiagonal(self.space)
-            return _Shifts(self.index, {(0,) * self.space.dim: self.cache.radial(sym)})
-        cache = self.cache.toeplitz
+            if self._radial is None:
+                self._radial = _RadialDiagonal(self)  # reads measure, N, alphas
+            return _Shifts(self.index, {(0,) * self.dim: self._radial(sym)})
+        cache = self._toeplitz
         hit = cache.get(sym.key)
         if hit is not None:
             return hit
-        space, index = self.space, self.index
-        logm = space.log_moments
+        index, logm = self.index, self.log_moments
         real = all(c.imag == 0 for c in sym.poly.values())
         out = {}
         for (gamma, delta), c in sym.poly.items():
             shift = tuple(g - d for g, d in zip(gamma, delta))
             tgt, valid = index.targets(shift)
-            if not np.any(valid):
+            cols = valid.nonzero()[0]
+            if not len(cols):
                 continue
-            cols = np.flatnonzero(valid)
             rows = tgt[cols]
-            logext = self.cache.moments.get(gamma)
+            logext = self._moments.get(gamma)
             if logext is None:
                 # computed row by row: these rows equal a call over cols alone
-                logext = self.cache.moments[gamma] = log_monomial_moments(
-                    space.measure, space.alphas + np.asarray(gamma, dtype=np.int64))
-            w = out.setdefault(shift, np.zeros(space.size,
+                logext = self._moments[gamma] = log_monomial_moments(
+                    self.measure, self.alphas + np.asarray(gamma, dtype=np.int64))
+            w = out.setdefault(shift, np.zeros(self.size,
                                                dtype=np.float64 if real else np.complex128))
             w[cols] += (c.real if real else c) * np.exp(logext[cols] - 0.5 * logm[cols]
                                                         - 0.5 * logm[rows])
@@ -338,42 +345,51 @@ class _ShiftForm:
             return self.toeplitz(symbols[0])
         first, second = symbols[0], symbols[1]
         pair = (first.key, second.key)
-        last = self.cache.last_pair
+        last = self._last_pair
         if last is not None and last[0] == pair:
             acc = last[1]
         else:
             acc = self.toeplitz(first) @ self.toeplitz(second)
-            self.cache.last_pair = (pair, acc)
+            self._last_pair = (pair, acc)
         for s in symbols[2:]:
             acc = acc @ self.toeplitz(s)
         return acc
 
     def hankel(self, phi, psi):
-        """H*_psi H_phi, kept in the space's cache when phi is an operand."""
-        if phi not in self.operands:          # Symbol equality is identity
-            return _hankel_pair(self, phi, psi)
-        pair = (phi.key, psi.key)
-        hit = self.cache.hankel.get(pair)
+        """H*_psi H_phi, kept with the space when phi is an operand.
+        Any other phi, such as the tail product s_2 ... s_m of a
+        decomposition, goes to a memo that holds the pairs of one psi and is
+        dropped when psi changes: a sweep varies the leading factor slowest,
+        so its tails repeat under one psi, and the memo never holds more than
+        the distinct tails of one leading factor."""
+        if phi in self.operands:              # Symbol equality is identity
+            memo, key = self._hankel, (phi.key, psi.key)
+        else:
+            lead = self._lead
+            if lead is None or lead[0] != psi.key:
+                lead = self._lead = (psi.key, {})
+            memo, key = lead[1], phi.key
+        hit = memo.get(key)
         if hit is None:
-            hit = self.cache.hankel[pair] = _hankel_pair(self, phi, psi)
+            hit = memo[key] = _hankel_pair(self, phi, psi)
         return hit
 
     def identity(self):
-        return _Shifts(self.index, {(0,) * self.space.dim:
-                                    np.ones(self.space.size, dtype=np.complex128)})
+        return _Shifts(self.index, {(0,) * self.dim: np.ones(self.size, dtype=np.complex128)})
 
     def zero(self):
         return _Shifts(self.index, {})
 
-    def keep(self, margin):
-        """Mask of the truncation-safe indices, total degree <= N - margin."""
-        keep = self.cache.keep.get(margin)
-        if keep is None:
-            keep = self.space.degrees <= self.space.N - margin
-            if not np.any(keep):
+    def blocks(self, margin):
+        """The truncation-safe block of one margin, filled in shift by shift:
+        {shift: indices of the alpha with alpha and alpha+shift of total
+        degree <= N - margin, None if there are none}."""
+        blocks = self._blocks.get(margin)
+        if blocks is None:
+            if not np.any(self.degrees <= self.N - margin):
                 raise ParameterError(f"margin {margin} leaves no truncation-safe indices")
-            self.cache.keep[margin] = keep
-        return keep
+            blocks = self._blocks[margin] = {}
+        return blocks
 
     def block_max(self, margin, combine, *ops):
         """max |combine(w_1, ..., w_k)| over the truncation-safe block (0.0
@@ -381,23 +397,33 @@ class _ShiftForm:
         shift, zeros if it has none.  The combination runs one shift at a
         time and builds no operator, and each entry goes through the same
         arithmetic as ``combine`` applied to whole operators."""
-        blocks, zero = self.cache.blocks, self.index.zero
+        blocks, zero = self.blocks(margin), self.index.zero
+        ws = [op.w for op in ops]
         best = 0.0
-        for s in set().union(*[op.w for op in ops]):
-            block = blocks.get((margin, s))
-            if block is None:
-                keep = self.keep(margin)
-                tgt, valid = self.index.targets(s)
-                block = valid & keep & keep[tgt]
-                block = blocks[margin, s] = block if block.any() else False
+        for s in set().union(*ws):
+            block = blocks.get(s, False)
             if block is False:
+                keep = self.degrees <= self.N - margin
+                tgt, valid = self.index.targets(s)
+                block = np.flatnonzero(valid & keep & keep[tgt])
+                block = blocks[s] = block if len(block) else None
+            if block is None:
                 continue
-            top = float(np.abs(combine(*[op.w.get(s, zero) for op in ops])[block]).max())
+            top = float(_MAX(abs(combine(*[w.get(s, zero) for w in ws])[block])))
             if top > best or top != top:      # a NaN entry wins, as in np.max
                 best = top
         return best
 
     adjoint = staticmethod(_Shifts.adjoint)
+
+
+def _shift_form(space, operands=()):
+    """The space's ``_ShiftForm``, built on first use, set for ``operands``."""
+    form = getattr(space, "_shift_form", None)
+    if form is None:
+        form = space._shift_form = _ShiftForm(space)
+    form.operands = operands
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +555,7 @@ def _form(space, toeplitz_symbols, hankel_symbols=(), rule=None):
     every Hankel-pair symbol is a polynomial; dense matrices otherwise."""
     if (all(s.poly is not None or s.radial for s in toeplitz_symbols)
             and all(s.poly is not None for s in hankel_symbols)):
-        return _ShiftForm(space)
+        return _shift_form(space)
     return _DenseForm(space, rule)
 
 
@@ -612,13 +638,14 @@ def _residual_form(space, what, symbols, degree_of, margin):
     """Weighted-shift form for a ``what`` residual over ``symbols``, whose
     degree ``degree_of`` combines from theirs, after checking the symbols
     and the margin."""
-    if any(s.poly is None for s in symbols):
+    degrees = [s.degree for s in symbols]
+    if None in degrees:
         raise ParameterError(f"{what} residual requires polynomial symbols")
-    degree = degree_of(s.degree for s in symbols)
+    degree = degree_of(degrees)
     if margin < degree:
         raise ParameterError(f"margin {margin} is below the symbol degree {degree}")
-    form = _ShiftForm(space, operands=symbols)
-    form.keep(margin)
+    form = _shift_form(space, symbols)
+    form.blocks(margin)
     return form
 
 
@@ -637,8 +664,7 @@ def product_decomposition_residual(space, symbols, margin):
     corrections) over the truncation-safe block."""
     symbols = list(symbols)
     form = _residual_form(space, "product decomposition", symbols, sum, margin)
-    terms = [_product(form, p) for p in decompose_product(symbols).terms]
-    scals = [scal for scal, _ in terms]
+    scals, ops = zip(*[_product(form, p) for p in decompose_product(symbols).terms])
 
     def direct_minus_sum(direct, *ws):
         # left-to-right sum of scal * w; a scalar of +-1 adds or subtracts w,
@@ -652,8 +678,7 @@ def product_decomposition_residual(space, symbols, margin):
                 total = w if total is None else total + w
         return direct - total
 
-    return form.block_max(margin, direct_minus_sum, form.chain(symbols),
-                          *[op for _, op in terms])
+    return form.block_max(margin, direct_minus_sum, form.chain(symbols), *ops)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ of structure are detected on the parse tree and drive fast paths downstream:
 """
 
 import enum
+import operator
 from functools import cached_property
 
 import numpy as np
@@ -232,11 +233,12 @@ def _poly_mul(p, q):
     out = {}
     for (a1, b1), c1 in p.items():
         for (a2, b2), c2 in q.items():
-            key = (tuple(x + y for x, y in zip(a1, a2)),
-                   tuple(x + y for x, y in zip(b1, b2)))
-            out[key] = out.get(key, 0.0) + c1 * c2
-            if out[key] == 0:
-                del out[key]
+            key = (tuple(map(operator.add, a1, a2)), tuple(map(operator.add, b1, b2)))
+            c = out.get(key, 0.0) + c1 * c2
+            if c == 0:
+                out.pop(key, None)
+            else:
+                out[key] = c
     return out
 
 

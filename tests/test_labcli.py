@@ -495,12 +495,56 @@ def _assert_refused_before_any_work(tmp_path, monkeypatch, experiment, config, m
             raise AssertionError(f"{name} was called")
         return called
 
-    for name in ("build_space", "boundary_profile", "axler_zheng_report"):
+    for name in ("build_space", "boundary_profile", "axler_zheng_report",
+                 "semi_commutator_residual", "product_decomposition_residual"):
         monkeypatch.setattr(labcli, name, spy(name))
     code, err, _ = _cli(tmp_path, "c", experiment, config)
     assert (code, err) == (1, f"config error: {message}\n")
     assert calls == []
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"domain": DISK, "N": 5, "degree": 2},
+     "config field $['N']: 5 leaves no truncation-safe index for the degree-2 "
+     "triples; need >= 6"),
+    ({"domain": {"name": "ball", "n": 2}, "N": 2, "degree": 1},
+     "config field $['N']: 2 leaves no truncation-safe index for the degree-1 "
+     "triples; need >= 3"),
+])
+def test_semi_commutator_n_below_three_degrees_exits_1_naming_n_before_any_work(
+        tmp_path, monkeypatch, config, message):
+    _assert_refused_before_any_work(tmp_path, monkeypatch, "semi-commutator", config,
+                                    message)
+
+
+def test_semi_commutator_at_n_equal_to_three_degrees_runs(tmp_path):
+    code, err, csvs = _cli(tmp_path, "c", "semi-commutator",
+                           {"domain": DISK, "N": 6, "degree": 2})
+    assert (code, err) == (0, "")
+    assert sorted(csvs) == ["semi_commutator_pairs.csv", "semi_commutator_triples.csv"]
+
+
+def test_emit_writes_native_and_numpy_cells_byte_for_byte(tmp_path):
+    report = labcli.Report("moments", {"experiment": "moments"})
+    report.tables["mixed"] = labcli.Table(
+        ["flag", "x", "k", "none", "name", "y"],
+        [[True, np.float64(0.1), np.int64(-3), None, "a,b", 1e-300],
+         [False, np.float64("nan"), np.int64(7), None, 'q"x', -0.0],
+         [np.bool_(True), np.float32(0.5), 2 ** 70, "", "plain", float("inf")]])
+    paths = labcli.emit(report, str(tmp_path))
+    assert [os.path.basename(p) for p in paths] == ["moments_mixed.csv",
+                                                    "moments_report.json"]
+    assert read_files(tmp_path) == {
+        "moments_mixed.csv":
+            b'flag,x,k,none,name,y\n1,0.1,-3,None,"a,b",1e-300\n'
+            b'0,nan,7,None,"q""x",-0.0\n1,0.5,1180591620717411303424,,plain,inf\n',
+        "moments_report.json":
+            b'{"metadata": {"experiment": "moments"}, "tables": {"mixed": '
+            b'{"columns": ["flag", "x", "k", "none", "name", "y"], "rows": '
+            b'[[true, 0.1, -3, null, "a,b", 1e-300], [false, NaN, 7, null, '
+            b'"q\\"x", -0.0], [true, 0.5, 1180591620717411303424, "", "plain", '
+            b'Infinity]]}}, "verdicts": {}, "warnings": []}\n'}
 
 
 @pytest.mark.parametrize("domain,point", [
@@ -511,7 +555,10 @@ def _assert_refused_before_any_work(tmp_path, monkeypatch, experiment, config, m
                  [[0.935414, 0.0], [0.5, 0.0], [0.5, 0.0]], id="disk^(2,1)"),
 ])
 def test_radial_symbol_in_dimension_3_runs_to_a_report(tmp_path, domain, point):
-    config = {"domain": domain, "N": 6, "symbol": "max(0, 1-abs(z1)/0.5)",
+    # sum |z_j|^2 >= 1 near the whole boundary of both domains, so the
+    # symbol vanishes there and compact is the right verdict at every N
+    config = {"domain": domain, "N": 6,
+              "symbol": "max(0, 0.8 - abs2(z1) - abs2(z2) - abs2(z3))",
               "strong_points": [point], "out": str(tmp_path)}
     report = labcli.run("axler-zheng", config)
     assert report.verdicts["verdict"] == "consistent"

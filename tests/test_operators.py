@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import re
 import sys
@@ -419,6 +420,55 @@ def test_residuals_on_a_warm_space_equal_a_fresh_space(symbols):
     margin = sum(s.degree for s in symbols)
     assert (product_decomposition_residual(warm, symbols, margin)
             == product_decomposition_residual(fresh(), symbols, margin))
+
+
+# sha256 of the repr of every residual, pairs table then triples table, one
+# per line: the 252 and 3,600 residuals of the criterion-4 configs
+_C4_RESIDUAL_DIGESTS = {
+    "c4-disk-r0": ({"name": "disk"}, 48,
+                   "915f8b4b9d4e5f71b36090b29eb938868ba2b652557de8df1f255a8c0747ba3a"),
+    "c4-ball2": ({"name": "ball", "n": 2}, 32,
+                 "3d5c429dba7f40c8a4ba0696eb4de8bb80673a95607e6fcf83186384eca7bafd"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_C4_RESIDUAL_DIGESTS))
+def test_criterion_4_residuals_keep_their_bits(label):
+    domain, n, digest = _C4_RESIDUAL_DIGESTS[label]
+    report = labcli.run("semi-commutator", {"domain": domain, "r": 0.0, "N": n,
+                                            "degree": 2, "tolerance": 1e-9}, write=False)
+    rows = report.tables["pairs"].rows + report.tables["triples"].rows
+    text = "\n".join(repr(row[-1]) for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _ball2_triple_residuals(order):
+    """Residuals of every degree-2 ball2 triple at N=32 on a fresh space, keyed by
+    the indices (i3, i2, i1) of [s3, s2, s1], visited with the index named
+    first in ``order`` outermost."""
+    space = build_space(WeightedMeasure(make_domain("ball", n=2), 0.0), 32)
+    syms = _monomial_symbols(2, 2)
+    out = {}
+    for idx in itertools.product(range(len(syms)), repeat=3):
+        i3, i2, i1 = (idx[order.index(k)] for k in ("s3", "s2", "s1"))
+        out[i3, i2, i1] = product_decomposition_residual(
+            space, [syms[i3], syms[i2], syms[i1]], 6)
+    return space, syms, out
+
+
+def test_leading_factor_memo_changes_hits_never_values():
+    _, _, standard = _ball2_triple_residuals(("s3", "s2", "s1"))
+    _, _, inner_first = _ball2_triple_residuals(("s1", "s2", "s3"))
+    assert list(map(repr, standard.values())) == [repr(inner_first[k]) for k in standard]
+
+
+def test_leading_factor_memo_holds_the_tails_of_one_factor():
+    space, syms, _ = _ball2_triple_residuals(("s3", "s2", "s1"))
+    psi, memo = space._shift_form._lead
+    tails = {(s2 * s1).key for s2 in syms for s1 in syms}
+    assert len(tails) == 70
+    assert psi == syms[-1].conj().key
+    assert set(memo) == tails
 
 
 def test_residual_caches_are_freed_with_their_space():

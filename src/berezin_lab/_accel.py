@@ -30,6 +30,12 @@ def _power_tables(points, kmax):
     return tables
 
 
+# entries (basis size x points) of one basis-by-points table: the blocks of
+# ``monomial_blocks`` and the chunks of ``series_values`` hold at most this
+# many (1 MiB of complex128)
+BLOCK_ENTRIES = 2 ** 16
+
+
 def monomial_matrix(points, alphas):
     """Matrix z**alphas[b] at each point: shape (len(alphas), len(points))."""
     points = np.ascontiguousarray(points, dtype=np.complex128)
@@ -42,6 +48,33 @@ def monomial_matrix(points, alphas):
     for j in range(1, points.shape[1]):
         out *= tables[j][alphas[:, j]]
     return out
+
+
+def monomial_blocks(points, alphas):
+    """(start, stop, monomial_matrix(points[start:stop], alphas)) for blocks
+    of consecutive points, in order.  Each block's table holds at most
+    ``BLOCK_ENTRIES`` entries, but at least three points.  The power tables
+    are built once for all the points and each block gathers its columns from
+    them, with the bits ``monomial_matrix`` gives.
+
+    A block holds one point only when ``points`` does: numpy sums a (B, 1)
+    table pairwise but a (B, k >= 2) one row by row, so the blocks' column
+    sums then equal those of the whole table.
+    """
+    points = np.ascontiguousarray(points, dtype=np.complex128)
+    alphas = np.asarray(alphas, dtype=np.int64)
+    tables = _power_tables(points, alphas.max(axis=0))
+    m = len(points)
+    width = max(3, BLOCK_ENTRIES // len(alphas))
+    start = 0
+    while start < m:
+        # never leave a lone point for the last block
+        stop = min(m, start + width - (m - start - width == 1))
+        out = tables[0][alphas[:, 0], start:stop]
+        for j in range(1, points.shape[1]):
+            out *= tables[j][alphas[:, j], start:stop]
+        yield start, stop, out
+        start = stop
 
 
 def _pair_sums(u, out):
@@ -257,14 +290,16 @@ def count_inside(rng, samples, shapes, half):
     return hits
 
 
-def series_values(points, alphas, coeffs, chunk=_CHUNK):
+def series_values(points, alphas, coeffs, chunk=None):
     """Evaluate sum_b coeffs[b] * z**alphas[b] at each point, chunked.
 
     ``coeffs`` is one series (B,), giving shape (m,), or k series (k, B),
-    giving (k, m).  Each chunk's monomial matrix is built once and freed
-    before the next, so peak memory stays at chunk * len(alphas) entries
-    regardless of the node count; every series takes its own vector product
-    with it, so each row rounds as a one-series call does.
+    giving (k, m).  Each chunk of ``chunk`` points (by default the most
+    multiples of 32, at least one, that keep chunk * len(alphas) within
+    ``BLOCK_ENTRIES``) has its monomial matrix built once and freed before
+    the next, so peak memory stays at chunk * len(alphas) entries regardless
+    of the node count; every series takes its own vector product with it, so
+    each row rounds as a one-series call does.
     """
     points = np.asarray(points, dtype=np.complex128)
     if points.ndim == 1:
@@ -272,6 +307,14 @@ def series_values(points, alphas, coeffs, chunk=_CHUNK):
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     rows = np.atleast_2d(coeffs)
     m = points.shape[0]
+    if chunk is None:
+        # OpenBLAS's gemv takes each thread's share of the points four at a
+        # time and rounds a ragged tail of one to three points differently:
+        # on two threads a 76-point chunk moves the last two points of each
+        # half.  Chunks of a multiple of 32 points leave no such tail on up
+        # to eight evenly split threads, so a point rounds as in any other
+        # chunk of a multiple of 32 points.
+        chunk = max(1, BLOCK_ENTRIES // len(alphas) // 32) * 32
     out = np.empty((len(rows), m), dtype=np.complex128)
     for start in range(0, m, chunk):
         mon = monomial_matrix(points[start:start + chunk], alphas)

@@ -8,8 +8,9 @@ K(z, w) = sum_b e_b(z) conj(e_b(w)).
 
 The space evaluates its kernel itself (``kernel``, ``normalized_kernel``,
 ``truncation_tail_fraction``, ``inside_contract``), at one point of shape
-(n,) or at an (m, n) array of points: one basis evaluation per call, and a
-scalar or one value per point back.  Kernel evaluations are advertised for
+(n,) or at an (m, n) array of points: one basis evaluation per call (the
+kernel's in point blocks of bounded size), and a scalar or one value per
+point back.  Kernel evaluations are advertised for
 -rho(z) >= DELTA_INTERIOR; nearer the boundary values are still returned,
 with the last-degree share of K(z, z) available as a truncation-error
 heuristic.
@@ -103,13 +104,40 @@ class WeightedSpace:
 
     def kernel(self, z, w):
         """K(z_i, w_i) = sum_b e_b(z_i) conj(e_b(w_i)) for paired points:
-        a complex for one point each, else an array of shape (m,)."""
+        a complex for one point each, else an array of shape (m,).
+
+        ``z`` and ``w`` must hold the same number of points; any other pairing
+        raises :class:`ParameterError`.  The points go through in the blocks
+        of ``_accel.monomial_blocks``, whose basis tables hold at most
+        ``_accel.BLOCK_ENTRIES`` entries each, and each block's column sums
+        go into one (m,) result.  Every value has the bits of the one-table
+        sum ``np.sum(ez * np.conj(ew), axis=0)``, which two numpy traps
+        decide:
+
+        1. Operand order.  numpy elides the conjugate temporary of
+           ``ez * np.conj(ew)`` when it holds at least 256 KiB, and then
+           computes ``conj(ew) * ez``, whose rounding (FMA) differs.  So the
+           order follows the size of the whole call's table, not the
+           block's.
+        2. Single-column sums.  numpy sums a (B, 1) column pairwise but a
+           (B, k >= 2) table row by row.  So a block holds one point only
+           when the call does.
+        """
         zs, single = _as_points(z, self.dim)
-        ez = self.basis_values(zs)
-        ew = self.basis_values(_as_points(w, self.dim)[0])
-        # ez is named, not a temporary: numpy would multiply a temporary in
-        # place, through a loop that rounds differently
-        k = np.sum(ez * np.conj(ew), axis=0)
+        ws = _as_points(w, self.dim)[0]
+        if zs.shape != ws.shape:
+            raise ParameterError(f"kernel pairs z and w point by point, got points "
+                                 f"of shape {zs.shape} and {ws.shape}")
+        swapped = 16 * self.size * len(zs) >= 256 * 1024
+        coeffs = self.coeffs[:, None]
+        k = np.empty(len(zs), dtype=np.complex128)
+        for (start, stop, ez), (_, _, cw) in zip(_accel.monomial_blocks(zs, self.alphas),
+                                                 _accel.monomial_blocks(ws, self.alphas)):
+            ez *= coeffs
+            cw *= coeffs
+            np.conj(cw, out=cw)
+            np.multiply(*((cw, ez) if swapped else (ez, cw)), out=cw)
+            np.sum(cw, axis=0, out=k[start:stop])
         return complex(k[0]) if single else k
 
     def normalized_kernel(self, z):
@@ -181,10 +209,14 @@ def kernel_mass_outside(space, z, center, radius, rule):
     rule: its nodes are radial points times torus points, w = s * zeta
     coordinatewise, so k_z(w) = sum_b (v_b s^alpha_b) e_b(zeta), v the
     coefficients of k_z.  The series is evaluated as one set of coefficients
-    per (point, radius) at the torus points, never as a basis x nodes table,
-    and each row rounds as a one-point call does.  Raises :class:`ParameterError` for any other rule
-    and :class:`BoundaryError` when a point lies outside the closed domain
-    (see ``inside_contract``).
+    per radius at the torus points, never as a basis x nodes table.  It goes
+    one point z at a time, and for each point a block of radii at a time,
+    each block's series table holding at most ``_accel.BLOCK_ENTRIES``
+    values; the node distances go a block of as many nodes at a time.  A
+    call holds one node-length vector of |k_z|^2, and each point's mass
+    rounds as a one-point call does.  Raises :class:`ParameterError` for any
+    other rule and :class:`BoundaryError` when a point lies outside the
+    closed domain (see ``inside_contract``).
     """
     require_full_rule(rule, "kernel_mass_outside")
     if rule.scheme is not Scheme.POLAR_TENSOR:
@@ -194,15 +226,26 @@ def kernel_mass_outside(space, z, center, radius, rule):
     space.inside_contract(z)
     v = space.normalized_kernel(z)
     single = v.ndim == 1
-    v = np.atleast_2d(v)
     radial, torus = rule.factors
-    radial_powers = _accel.monomial_matrix(radial, space.alphas)
-    rows = (v[:, None, :] * radial_powers.T[None]).reshape(-1, space.size)
-    dens = np.abs(space.eval_series(rows, torus).reshape(len(v), -1)) ** 2
+    # rows by radius, contiguous for the series' vector products
+    radial_powers = np.ascontiguousarray(_accel.monomial_matrix(radial, space.alphas).T)
     center = np.atleast_1d(np.asarray(center, dtype=np.complex128))
     w = measure_node_weights(space.measure, rule)
-    outside = np.linalg.norm(rule.nodes - center[None, :], axis=1) >= radius
-    masses = [np.sum(w * d * outside) for d in dens]
+    block = _accel.BLOCK_ENTRIES
+    outside = np.empty(len(rule.nodes), dtype=bool)
+    for i in range(0, len(outside), block):
+        nodes = rule.nodes[i:i + block]
+        outside[i:i + block] = np.linalg.norm(nodes - center, axis=1) >= radius
+    per = len(torus)
+    step = max(1, block // per)
+    d = np.empty(len(outside))
+    masses = []
+    for vz in np.atleast_2d(v):
+        for i in range(0, len(radial_powers), step):
+            series = space.eval_series(vz * radial_powers[i:i + step], torus)
+            d[i * per:(i + step) * per] = np.abs(series.ravel())
+        np.square(d, out=d)
+        masses.append(np.sum(w * d * outside))
     return float(masses[0]) if single else np.array(masses)
 
 

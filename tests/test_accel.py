@@ -1,7 +1,6 @@
 import os
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,18 +25,13 @@ def test_monomial_matrix_against_direct_power():
     assert np.allclose(got, want, rtol=1e-13)
 
 
-def test_monomial_matrix_in_table_order_takes_no_copy():
+def test_monomial_matrix_in_table_order_takes_no_copy(traced_peak):
     # a disk basis 0..N is the power table's own row order: a 16,384-node
     # chunk at N = 192 is a 50.6 MB result, which the fancy-indexed copy of
     # the table used to double
     pts = rand_points(16384, 1, seed=2)
     alphas = np.arange(193, dtype=np.int64).reshape(-1, 1)
-    tracemalloc.start()
-    try:
-        got = _accel.monomial_matrix(pts, alphas)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: _accel.monomial_matrix(pts, alphas))
     assert peak <= 1.1 * got.nbytes
     assert np.array_equal(got, _accel._power_tables(pts, [192])[0][alphas[:, 0]])
     shuffled = alphas[::-1]
@@ -64,6 +58,39 @@ def test_series_values_rows_equal_one_series_calls():
     want = np.stack([_accel.series_values(pts, alphas, c, chunk=64) for c in coeffs])
     assert got.shape == (3, 1000)
     assert np.array_equal(got, want)
+
+
+def _ball2_case():
+    # ball2 at N = 40 (B = 861): a chunk of 16,384 points was a 225 MB table
+    alphas = np.array([[a, d - a] for d in range(41) for a in range(d + 1)],
+                      dtype=np.int64)
+    return alphas, rand_points(1000, 2, seed=7)
+
+
+def _c6_torus_case():
+    # criterion 6's series: the disk at N = 192 on a 512-point torus, which
+    # was one chunk
+    phase = np.exp(2j * np.pi * np.arange(512) / 512)
+    return np.arange(193, dtype=np.int64).reshape(-1, 1), phase[:, None]
+
+
+@pytest.mark.parametrize("case", [_ball2_case, _c6_torus_case])
+def test_series_values_chunks_hold_at_most_the_block_budget(monkeypatch, case):
+    alphas, pts = case()
+    coeffs = np.linspace(1, 0.1, len(alphas)).astype(complex)
+    whole = _accel.series_values(pts, alphas, coeffs, chunk=len(pts))
+    entries = []
+    build = _accel.monomial_matrix
+
+    def spy(points, alphas):
+        out = build(points, alphas)
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(_accel, "monomial_matrix", spy)
+    assert np.array_equal(_accel.series_values(pts, alphas, coeffs), whole)
+    assert sum(entries) == len(pts) * len(alphas)
+    assert max(entries) <= _accel.BLOCK_ENTRIES
 
 
 @pytest.mark.parametrize("p", (1, 2, 3))
@@ -213,7 +240,8 @@ def test_count_inside_one_pass_counts_each_shape_as_its_own_stream(
 
 
 @pytest.mark.parametrize("cpus", (1, 2, 3))
-def test_count_inside_splits_coprime_p_into_passes_of_a_few_blocks(monkeypatch, cpus):
+def test_count_inside_splits_coprime_p_into_passes_of_a_few_blocks(monkeypatch, cpus,
+                                                                  traced_peak):
     # lcm(97, 89) = 8633 fits in a block, and with 83 it would be 716,539
     coprime = [(97, 1.0), (89, 2.0), (83, 83 / 0.7)]
     assert [group for group, _ in _accel._passes(coprime)] == [[0, 1], [2]]
@@ -227,12 +255,7 @@ def test_count_inside_splits_coprime_p_into_passes_of_a_few_blocks(monkeypatch, 
     # the first copy of a bit generator imports numpy.random's pickle helpers
     _accel.count_inside(_generator(0), 1000, shapes, 0.9)
     rng = _generator(6)
-    tracemalloc.start()
-    try:
-        got = _accel.count_inside(rng, samples, shapes, 0.9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: _accel.count_inside(rng, samples, shapes, 0.9))
     # each worker holds 3 doubles per pair sum of one block, at most 16 * 7
     # pair sums, where the longest shape's draws at once are 11.2 MB
     assert peak <= cpus * 3 * 8 * 16 * 7 + 2 ** 16

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from berezin_lab import (
     radial_rule,
     slice_inequality_check,
 )
-from berezin_lab import _accel
+from berezin_lab import _accel, labcli
 from berezin_lab.bergman import (WeightedSpace, build_inflated_space,
                                  inflation_kernel_residuals)
 from berezin_lab.quadrature import measure_node_weights
@@ -144,6 +146,106 @@ def test_kernel_truncation_geometric_decay():
     assert all(r < 0.2 for r in ratios)   # |z w| = 0.64 per extra degree block
 
 
+def _unblocked_kernel(sp, zs, ws):
+    """The one-table kernel sum, with numpy's own operand order (the
+    conjugate temporary is elided from 256 KiB)."""
+    ez = sp.basis_values(zs)
+    ew = sp.basis_values(ws)
+    return np.sum(ez * np.conj(ew), axis=0)
+
+
+def _random_points(m, n, scale, seed):
+    rng = np.random.default_rng(seed)
+    return scale * (rng.uniform(-1, 1, (m, n)) + 1j * rng.uniform(-1, 1, (m, n)))
+
+
+def test_kernel_blocks_keep_the_bits_of_the_one_table_sum():
+    # crit 2.1's space: B = 6545, so a block holds 10 points at the budget,
+    # and 2 * 10 + 1 points would leave a lone last point (blocks 10, 9, 2)
+    infl = build_inflated_space(disk_space(2.0, 32), 2)
+    width = _accel.BLOCK_ENTRIES // infl.size
+    zs = _random_points(2 * width + 1, 3, 0.3, 20)
+    ws = _random_points(2 * width + 1, 3, 0.3, 21)
+    assert np.array_equal(infl.kernel(zs, ws), _unblocked_kernel(infl, zs, ws))
+    assert infl.kernel(zs[0], ws[0]) == complex(_unblocked_kernel(infl, zs[:1], ws[:1])[0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 9, 10])
+def test_kernel_small_blocks_keep_the_bits_of_the_one_table_sum(monkeypatch, m):
+    # below 256 KiB numpy keeps ez * conj(ew) in order; blocks of 4 points
+    sp = disk_space(1.0, 64)
+    monkeypatch.setattr(_accel, "BLOCK_ENTRIES", 4 * sp.size)
+    zs, ws = _random_points(m, 1, 0.6, 22), _random_points(m, 1, 0.6, 23)
+    assert np.array_equal(sp.kernel(zs, ws), _unblocked_kernel(sp, zs, ws))
+
+
+@pytest.mark.parametrize("w_shape", [(2, 1), (1, 1)])
+def test_kernel_refuses_points_it_cannot_pair(w_shape):
+    sp = disk_space(0.0, 8)
+    with pytest.raises(ParameterError, match=rf"got points of shape \(3, 1\) and "
+                                             rf"\({w_shape[0]}, 1\)"):
+        sp.kernel(np.full((3, 1), 0.5), np.full(w_shape, 0.2))
+
+
+_C1 = {"domain": {"name": "disk"}, "N": 64, "grid_points": 10, "radius": 0.8,
+       "phase": 0.3, "tolerance": 1e-8}
+_C2 = {"domain": {"name": "disk"}, "grid_points": 8, "radius": 0.6, "phase": 0.2}
+# sha256 of the repr of every kernel value the criterion 1 and 2 runs
+# compute, taken before kernel evaluated its points in blocks
+_KERNEL_DIGESTS = {
+    "c1-r0": ("kernel-check", dict(_C1, r=0.0),
+              "1a3db9096a1f74ced77b8f7ecdc1d8205e78fbb817a68f4c410862331f232472"),
+    "c1-r1": ("kernel-check", dict(_C1, r=1.0),
+              "302ecfb147ae999a07d253f08f3732ca54024a3e745a42a60fe7571dfcf34ddc"),
+    "c1-r2": ("kernel-check", dict(_C1, r=2.0),
+              "34d0d6c10206b6e836a899afcc84faeeeb1cd684d8615cfadc45103ff9769615"),
+    "c2-p1": ("inflation-check", dict(_C2, r=1.0, p=1, N=48, tolerance=1e-8),
+              "dc25a0a1f81de7156917b20f11dd93c98e985d4ac65156f9172f8ac575190fc1"),
+    "c2-p2": ("inflation-check", dict(_C2, r=2.0, p=2, N=32, tolerance=1e-6),
+              "b94e789de08ad061de9084c4fd7f4127b7dc52467332c08dc61bfb369801d09b"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_KERNEL_DIGESTS))
+def test_criteria_1_and_2_kernel_values_keep_their_bits(monkeypatch, label):
+    experiment, config, digest = _KERNEL_DIGESTS[label]
+    values = []
+    kernel = WeightedSpace.kernel
+
+    def spy(self, z, w):
+        values.append(kernel(self, z, w))
+        return values[-1]
+
+    monkeypatch.setattr(WeightedSpace, "kernel", spy)
+    labcli.run(experiment, config, write=False)
+    text = "\n".join(repr(complex(k)) for ks in values for k in ks)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_inflated_kernel_of_criterion_2_stays_within_10_mb_traced(traced_peak):
+    # three 6545 x 64 complex tables at once were 20.7 MB
+    experiment, config, _ = _KERNEL_DIGESTS["c2-p2"]
+    labcli.run(experiment, config, write=False)
+    report, peak = traced_peak(lambda: labcli.run(experiment, config, write=False))
+    assert report.verdicts["pass"]
+    assert peak <= 10e6
+
+
+_C6 = {"domain": {"name": "disk"}, "r": 0.0, "N": 192, "symbol": "1",
+       "point": [1.0, 0.0], "t_grid": [0.95, 0.99],
+       "mass_outside": {"center": [1.0, 0.0], "radius": 0.3, "quad_order": 256,
+                        "tolerance": 0.1}}
+
+
+def test_criterion_6_off_mass_keeps_its_bits_within_13_mb_traced(traced_peak):
+    # both points' 131,072-node |k_z|^2 at once were 16.1 MB
+    labcli.run("berezin-profile", _C6, write=False)
+    report, peak = traced_peak(lambda: labcli.run("berezin-profile", _C6, write=False))
+    masses = [repr(row[1]) for row in report.tables["mass_outside"].rows]
+    assert masses == ["0.03751089950513965", "0.0038025289006614763"]
+    assert peak <= 13e6
+
+
 def test_normalized_kernel_unit_norm_and_center():
     sp = disk_space(0.0, 24)
     for z in ([0.3], [0.8j], [-0.5 + 0.4j]):
@@ -176,6 +278,20 @@ def test_kernel_mass_outside_batched_equals_per_point():
     assert list(batched) == single
 
 
+@pytest.mark.parametrize("dom,N,orders,pts,center", [
+    (DISK, 48, (64, 128), [[0.5], [0.9j], [0.95]], [1.0]),
+    (BALL2, 6, (6, 10), [[0.5, 0.3j], [0.0, 0.0]], [0.6, 0.0])])
+def test_kernel_mass_outside_blocks_move_no_bits(monkeypatch, dom, N, orders, pts,
+                                                 center):
+    sp = build_space(WeightedMeasure(dom, 0.0), N)
+    rule = polar_tensor_rule(sp.measure, *orders)
+    pts = np.array(pts, dtype=np.complex128)
+    whole = kernel_mass_outside(sp, pts, center, 0.5, rule)
+    # blocks of 5 radii, the last one short, and of 5 radii's nodes
+    monkeypatch.setattr(_accel, "BLOCK_ENTRIES", 5 * len(rule.factors[1]) + 1)
+    assert list(kernel_mass_outside(sp, pts, center, 0.5, rule)) == list(whole)
+
+
 def _direct_mass_outside(sp, z, center, radius, rule):
     """sum w |k_z|^2 over the rule nodes outside the ball, each node's
     series evaluated at the node itself."""
@@ -203,7 +319,9 @@ def test_kernel_mass_outside_matches_the_direct_sum_over_nodes(dom, r, N, orders
 
 
 def test_kernel_mass_outside_evaluates_per_radius_at_the_torus_points(monkeypatch):
-    # the c6 criterion's size: N = 192, 256 radii x 512 torus points, 2 points
+    # the c6 criterion's size: N = 192, 256 radii x 512 torus points, 2 points;
+    # one torus table per point and block of radii, never a basis x nodes
+    # table (131,072 nodes)
     sp = disk_space(0.0, 192)
     rule = polar_tensor_rule(sp.measure, radial_order=256, angular_order=512)
     entries = []
@@ -216,7 +334,8 @@ def test_kernel_mass_outside_evaluates_per_radius_at_the_torus_points(monkeypatc
 
     monkeypatch.setattr(_accel, "monomial_matrix", spy)
     kernel_mass_outside(sp, np.array([[0.95], [0.99]]), [1.0], 0.3, rule)
-    assert sum(entries) <= (512 + 256 + 2) * sp.size
+    blocks = -(-256 // (_accel.BLOCK_ENTRIES // 512))
+    assert sum(entries) <= (2 * blocks * 512 + 256 + 2) * sp.size
 
 
 def test_kernel_mass_outside_refuses_rules_it_cannot_factor():

@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import re
 import sys
-import tracemalloc
 import warnings
 import weakref
 
@@ -162,15 +161,10 @@ def test_radial_bump_on_inflated_ball2_assembles_in_shift_form(shared_space, mon
                           toeplitz(shared_space("ball", {"n": 3}, 0.0, 10), bump).diagonal)
 
 
-def test_toeplitz_radial_builds_no_basis_by_nodes_array():
+def test_toeplitz_radial_builds_no_basis_by_nodes_array(traced_peak):
     # B = 861 and 25,600 radial nodes: a complex monomial matrix would be 353 MB
     sp = build_space(WeightedMeasure(make_domain("smoothed_polydisk"), 0.0), 40)
-    tracemalloc.start()
-    try:
-        toeplitz(sp, sym("max(0, 1-(1-abs(z2))/0.3)", 2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: toeplitz(sp, sym("max(0, 1-(1-abs(z2))/0.3)", 2)))
     assert peak < 50e6
 
 
@@ -750,19 +744,14 @@ def test_berezin_of_a_diagonal_operator_equals_the_dense_form_bitwise(domain, n,
     assert np.array_equal(berezin(op, zs), berezin(dense, zs))
 
 
-def test_az_report_on_a_radial_symbol_builds_no_dense_matrix():
+def test_az_report_on_a_radial_symbol_builds_no_dense_matrix(traced_peak):
     # B = 861: the dense B x B complex matrix alone would be 11.9 MB
     dom = make_domain("smoothed_polydisk")
     sp = build_space(WeightedMeasure(dom, 0.0), 40)
     b = (1 - 0.1 ** 8) ** (1 / 8)
     expr = OperatorExpr.toeplitz(sym("max(0, 1-(1-abs(z2))/0.3)", 2))
-    tracemalloc.start()
-    try:
-        rep = axler_zheng_report(expr, sp, [[b, 0.1], [1j * b, 0.1j]], [[0.0, 1.0]],
-                                 tail_k=8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(lambda: axler_zheng_report(
+        expr, sp, [[b, 0.1], [1j * b, 0.1j]], [[0.0, 1.0]], tail_k=8))
     assert rep.classification == "localized"
     assert peak < sp.size ** 2 * 16
 

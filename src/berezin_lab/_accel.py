@@ -18,21 +18,25 @@ def backend_name():
 
 def _power_tables(points, kmax):
     """Tables P[j][k, i] = points[i, j]**k built by iterated multiplication,
-    in the dtype of ``points``."""
+    in the dtype of ``points``.  Each row is multiplied into place: the
+    tables are rebuilt for every block of points a caller evaluates, where
+    the per-row call overhead is most of their cost."""
     m, n = points.shape
     tables = []
     for j in range(n):
         t = np.empty((kmax[j] + 1, m), dtype=points.dtype)
         t[0] = 1.0
-        for k in range(1, kmax[j] + 1):
-            t[k] = t[k - 1] * points[:, j]
+        col = points[:, j]
+        for prev, row in zip(t[:-1], t[1:]):
+            np.multiply(prev, col, out=row)
         tables.append(t)
     return tables
 
 
-# entries (basis size x points) of one basis-by-points table: the blocks of
-# ``monomial_blocks`` and the chunks of ``series_values`` hold at most this
-# many (1 MiB of complex128)
+# entries (basis size x points) of one basis-by-points table, 1 MiB of
+# complex128: the point blocks of ``WeightedSpace.kernel`` and the chunks of
+# ``series_values`` hold at most this many, or their minimum number of points
+# (3 and 32) when the basis is larger
 BLOCK_ENTRIES = 2 ** 16
 
 
@@ -48,33 +52,6 @@ def monomial_matrix(points, alphas):
     for j in range(1, points.shape[1]):
         out *= tables[j][alphas[:, j]]
     return out
-
-
-def monomial_blocks(points, alphas):
-    """(start, stop, monomial_matrix(points[start:stop], alphas)) for blocks
-    of consecutive points, in order.  Each block's table holds at most
-    ``BLOCK_ENTRIES`` entries, but at least three points.  The power tables
-    are built once for all the points and each block gathers its columns from
-    them, with the bits ``monomial_matrix`` gives.
-
-    A block holds one point only when ``points`` does: numpy sums a (B, 1)
-    table pairwise but a (B, k >= 2) one row by row, so the blocks' column
-    sums then equal those of the whole table.
-    """
-    points = np.ascontiguousarray(points, dtype=np.complex128)
-    alphas = np.asarray(alphas, dtype=np.int64)
-    tables = _power_tables(points, alphas.max(axis=0))
-    m = len(points)
-    width = max(3, BLOCK_ENTRIES // len(alphas))
-    start = 0
-    while start < m:
-        # never leave a lone point for the last block
-        stop = min(m, start + width - (m - start - width == 1))
-        out = tables[0][alphas[:, 0], start:stop]
-        for j in range(1, points.shape[1]):
-            out *= tables[j][alphas[:, j], start:stop]
-        yield start, stop, out
-        start = stop
 
 
 def _pair_sums(u, out):
@@ -300,6 +277,12 @@ def series_values(points, alphas, coeffs, chunk=None):
     the next, so peak memory stays at chunk * len(alphas) entries regardless
     of the node count; every series takes its own vector product with it, so
     each row rounds as a one-series call does.
+
+    The default chunks give the bits of one chunk of all the points when
+    OpenBLAS runs on 1, 2, 4 or 8 threads and every thread's share of the
+    whole call is a multiple of four points; the benchmark and the tests pin
+    at most two threads.  On other thread counts a point may round
+    differently from one chunking to another.
     """
     points = np.asarray(points, dtype=np.complex128)
     if points.ndim == 1:
@@ -311,9 +294,9 @@ def series_values(points, alphas, coeffs, chunk=None):
         # OpenBLAS's gemv takes each thread's share of the points four at a
         # time and rounds a ragged tail of one to three points differently:
         # on two threads a 76-point chunk moves the last two points of each
-        # half.  Chunks of a multiple of 32 points leave no such tail on up
-        # to eight evenly split threads, so a point rounds as in any other
-        # chunk of a multiple of 32 points.
+        # half.  Chunks of a multiple of 32 points leave no such tail on 1,
+        # 2, 4 or 8 threads (32 points do not split evenly on 3, 5, 6 or 7),
+        # so there a point rounds as in any other such chunk.
         chunk = max(1, BLOCK_ENTRIES // len(alphas) // 32) * 32
     out = np.empty((len(rows), m), dtype=np.complex128)
     for start in range(0, m, chunk):

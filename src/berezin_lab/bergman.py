@@ -30,6 +30,11 @@ from .quadrature import (Scheme, WeightedMeasure, inflation_constant,
 
 DELTA_INTERIOR = 0.02        # accuracy contract: kernel advertised for -rho >= this
 UNDERFLOW_FLOOR = 1e-300
+# numpy's NPY_MIN_ELIDE_BYTES: from this size of an operand, a CPython numpy
+# build that can check its caller's stack (glibc's backtrace) reuses a
+# temporary operand's buffer for the result, swapping a commutative
+# product's operands; ``WeightedSpace.kernel`` mirrors that order
+_NUMPY_ELIDE_BYTES = 256 * 1024
 
 
 def multiindices(dim, max_degree):
@@ -107,18 +112,18 @@ class WeightedSpace:
         a complex for one point each, else an array of shape (m,).
 
         ``z`` and ``w`` must hold the same number of points; any other pairing
-        raises :class:`ParameterError`.  The points go through in the blocks
-        of ``_accel.monomial_blocks``, whose basis tables hold at most
-        ``_accel.BLOCK_ENTRIES`` entries each, and each block's column sums
+        raises :class:`ParameterError`.  The points go through in blocks whose
+        basis tables hold at most ``_accel.BLOCK_ENTRIES`` entries each, or
+        three points when the basis is larger, and each block's column sums
         go into one (m,) result.  Every value has the bits of the one-table
         sum ``np.sum(ez * np.conj(ew), axis=0)``, which two numpy traps
         decide:
 
         1. Operand order.  numpy elides the conjugate temporary of
-           ``ez * np.conj(ew)`` when it holds at least 256 KiB, and then
-           computes ``conj(ew) * ez``, whose rounding (FMA) differs.  So the
-           order follows the size of the whole call's table, not the
-           block's.
+           ``ez * np.conj(ew)`` when it holds at least
+           ``_NUMPY_ELIDE_BYTES``, and then computes ``conj(ew) * ez``, whose
+           rounding (FMA) differs.  So the order follows the size of the
+           whole call's table, not the block's.
         2. Single-column sums.  numpy sums a (B, 1) column pairwise but a
            (B, k >= 2) table row by row.  So a block holds one point only
            when the call does.
@@ -128,16 +133,20 @@ class WeightedSpace:
         if zs.shape != ws.shape:
             raise ParameterError(f"kernel pairs z and w point by point, got points "
                                  f"of shape {zs.shape} and {ws.shape}")
-        swapped = 16 * self.size * len(zs) >= 256 * 1024
-        coeffs = self.coeffs[:, None]
-        k = np.empty(len(zs), dtype=np.complex128)
-        for (start, stop, ez), (_, _, cw) in zip(_accel.monomial_blocks(zs, self.alphas),
-                                                 _accel.monomial_blocks(ws, self.alphas)):
-            ez *= coeffs
-            cw *= coeffs
+        m = len(zs)
+        swapped = 16 * self.size * m >= _NUMPY_ELIDE_BYTES
+        width = max(3, _accel.BLOCK_ENTRIES // self.size)
+        k = np.empty(m, dtype=np.complex128)
+        start = 0
+        while start < m:
+            # never leave a lone point for the last block
+            stop = min(m, start + width - (m - start - width == 1))
+            ez = self.basis_values(zs[start:stop])
+            cw = self.basis_values(ws[start:stop])
             np.conj(cw, out=cw)
             np.multiply(*((cw, ez) if swapped else (ez, cw)), out=cw)
             np.sum(cw, axis=0, out=k[start:stop])
+            start = stop
         return complex(k[0]) if single else k
 
     def normalized_kernel(self, z):
@@ -212,7 +221,8 @@ def kernel_mass_outside(space, z, center, radius, rule):
     per radius at the torus points, never as a basis x nodes table.  It goes
     one point z at a time, and for each point a block of radii at a time,
     each block's series table holding at most ``_accel.BLOCK_ENTRIES``
-    values; the node distances go a block of as many nodes at a time.  A
+    values, or one radius's when the torus is larger; the node distances go
+    ``_accel.BLOCK_ENTRIES`` nodes at a time.  A
     call holds one node-length vector of |k_z|^2, and each point's mass
     rounds as a one-point call does.  Raises :class:`ParameterError` for any
     other rule and :class:`BoundaryError` when a point lies outside the
@@ -231,13 +241,13 @@ def kernel_mass_outside(space, z, center, radius, rule):
     radial_powers = np.ascontiguousarray(_accel.monomial_matrix(radial, space.alphas).T)
     center = np.atleast_1d(np.asarray(center, dtype=np.complex128))
     w = measure_node_weights(space.measure, rule)
-    block = _accel.BLOCK_ENTRIES
+    nodes_at_once = _accel.BLOCK_ENTRIES
     outside = np.empty(len(rule.nodes), dtype=bool)
-    for i in range(0, len(outside), block):
-        nodes = rule.nodes[i:i + block]
-        outside[i:i + block] = np.linalg.norm(nodes - center, axis=1) >= radius
+    for i in range(0, len(outside), nodes_at_once):
+        nodes = rule.nodes[i:i + nodes_at_once]
+        outside[i:i + nodes_at_once] = np.linalg.norm(nodes - center, axis=1) >= radius
     per = len(torus)
-    step = max(1, block // per)
+    step = max(1, _accel.BLOCK_ENTRIES // per)
     d = np.empty(len(outside))
     masses = []
     for vz in np.atleast_2d(v):

@@ -6,9 +6,7 @@ __version__ = "0.1.0"
 from ._accel import backend_name
 from .domains import (
     BoundaryClassification,
-    Domain,
     EllipsoidDomain,
-    InflatedDomain,
     PointKind,
     boundary_point,
     classify_boundary,

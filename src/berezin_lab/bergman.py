@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .domains import BOUNDARY_TOL_COEFF, _as_points, inflate, inflation_parameters
+from .domains import (BOUNDARY_TOL_COEFF, EllipsoidDomain, _as_points, inflate,
+                      inflation_parameters)
 from .errors import BoundaryError, CapabilityError, ParameterError
 from .quadrature import (Scheme, WeightedMeasure, inflation_constant,
                          log_monomial_moments, measure_node_weights,
@@ -306,7 +307,6 @@ def slice_inequality_check(base_space, p, G, z, fiber_order=96):
     s = -float(dom.rho(z))
     if s <= 0:
         raise BoundaryError(f"point {z} is not strictly inside {dom.name}")
-    from .domains import EllipsoidDomain
     fiber = EllipsoidDomain((2.0 * p / r,) * p, name="fiber")
     frule = polar_tensor_rule(WeightedMeasure(fiber, 0.0), radial_order=fiber_order,
                               angular_order=2 * fiber_order if p == 1 else 64)

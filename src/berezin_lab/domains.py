@@ -1,13 +1,14 @@
 """Model pseudoconvex domains, Levi-form boundary classification, inflation.
 
-Every catalog domain is a generalized complex ellipsoid
+Every domain is a generalized complex ellipsoid (:class:`EllipsoidDomain`)
 
     E(q) = { z in C^n : |z_1|^{q_1} + ... + |z_n|^{q_n} < 1 },
 
 with defining function rho(z) = sum_j |z_j|^{q_j} - 1.  The family is closed
 under inflation: attaching p fiber coordinates with exponent 2p/r to E(q)
-gives E(q_1,...,q_n, 2p/r,...,2p/r).  Ellipsoids are Reinhardt, so monomial
-moments have closed forms (see ``quadrature``).
+gives E(q_1,...,q_n, 2p/r,...,2p/r), which is what ``inflate`` returns.
+Ellipsoids are Reinhardt, so monomial moments have closed forms (see
+``quadrature``).
 """
 
 import enum
@@ -34,32 +35,6 @@ class BoundaryClassification:
     tolerance_used: float
 
 
-class Domain:
-    """A bounded domain with defining function, immutable after construction.
-
-    Subclasses provide ``rho``, ``grad_rho`` (Wirtinger gradient d rho/d z_j)
-    and ``hessian`` (the complex Hessian form).  ``exponents`` is the tuple of
-    ellipsoid exponents when the domain belongs to the E(q) family, else None;
-    a weighted measure (``quadrature.WeightedMeasure``) needs them.
-    """
-
-    name = "domain"
-    dim = 0
-    exponents = None
-
-    def rho(self, z):
-        raise NotImplementedError
-
-    def grad_rho(self, z):
-        raise NotImplementedError
-
-    def hessian(self, point, x, y):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.name} dim={self.dim}>"
-
-
 def _as_points(z, dim):
     z = np.asarray(z, dtype=np.complex128)
     single = z.ndim == 1
@@ -70,8 +45,9 @@ def _as_points(z, dim):
     return z, single
 
 
-class EllipsoidDomain(Domain):
-    """Generalized complex ellipsoid E(q) with rho = sum |z_j|^{q_j} - 1."""
+class EllipsoidDomain:
+    """Generalized complex ellipsoid E(q) with rho = sum |z_j|^{q_j} - 1,
+    its Wirtinger gradient d rho/d z_j and its complex Hessian (diagonal)."""
 
     def __init__(self, exponents, name=None):
         exponents = tuple(float(q) for q in exponents)
@@ -80,6 +56,9 @@ class EllipsoidDomain(Domain):
         self.exponents = exponents
         self.dim = len(exponents)
         self.name = name or "ellipsoid" + str(exponents)
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self.name} dim={self.dim}>"
 
     def rho(self, z):
         z, single = _as_points(z, self.dim)
@@ -97,18 +76,6 @@ class EllipsoidDomain(Domain):
         g = (q / 2.0) * fac * np.conj(z)
         return g[0] if single else g
 
-    def hessian(self, point, x, y):
-        # the complex Hessian of E(q) is diagonal: (q^2/4) |z_j|^{q-2}
-        point = np.asarray(point, dtype=np.complex128)
-        x = np.asarray(x, dtype=np.complex128)
-        y = np.asarray(y, dtype=np.complex128)
-        q = np.asarray(self.exponents)
-        absz = np.abs(point)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fac = np.where(absz > 0, absz ** (q - 2.0), np.where(q == 2.0, 1.0, 0.0))
-        diag = (q * q / 4.0) * fac
-        return complex(np.sum(diag * x * np.conj(y)))
-
     def hessian_matrix(self, point):
         point = np.asarray(point, dtype=np.complex128)
         q = np.asarray(self.exponents)
@@ -123,53 +90,6 @@ def inflation_parameters(p, r):
     if int(p) != p or p < 1 or not 0.0 < float(r) <= p:
         raise ParameterError(f"inflation needs an integer p >= 1 and 0 < r <= p, got p={p}, r={r}")
     return int(p), float(r)
-
-
-class InflatedDomain(Domain):
-    """Hartogs-type inflation: base domain plus p fiber coordinates.
-
-    rho(z, w) = rho_base(z) + sum_{j<=p} |w_j|^{2p/r}, requiring 0 < r <= p
-    so the fiber exponent 2p/r is at least 2 and the composite boundary stays
-    C^2 wherever the base is.
-    """
-
-    def __init__(self, base, p, r):
-        p, r = inflation_parameters(p, r)
-        self.base = base
-        self.p = p
-        self.r = r
-        self.fiber_exponent = 2.0 * p / r
-        self.dim = base.dim + p
-        self.name = f"{base.name}^({p},{r:g})"
-        if base.exponents is not None:
-            self.exponents = base.exponents + (self.fiber_exponent,) * p
-        self._fiber = EllipsoidDomain((self.fiber_exponent,) * p, name="fiber")
-
-    def rho(self, z):
-        z, single = _as_points(z, self.dim)
-        nb = self.base.dim
-        val = self.base.rho(z[:, :nb]) + (self._fiber.rho(z[:, nb:]) + 1.0)
-        val = np.atleast_1d(val)
-        return float(val[0]) if single else val
-
-    def grad_rho(self, z):
-        z, single = _as_points(z, self.dim)
-        nb = self.base.dim
-        out = np.empty_like(z)
-        base_g = np.atleast_2d(self.base.grad_rho(z[:, :nb]) if not single
-                               else self.base.grad_rho(z[0, :nb]))
-        out[:, :nb] = base_g
-        out[:, nb:] = np.atleast_2d(self._fiber.grad_rho(z[:, nb:]))
-        return out[0] if single else out
-
-    def hessian(self, point, x, y):
-        # z and w decouple, so the cross blocks vanish
-        point = np.asarray(point, dtype=np.complex128)
-        x = np.asarray(x, dtype=np.complex128)
-        y = np.asarray(y, dtype=np.complex128)
-        nb = self.base.dim
-        return (complex(self.base.hessian(point[:nb], x[:nb], y[:nb]))
-                + self._fiber.hessian(point[nb:], x[nb:], y[nb:]))
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +170,7 @@ def on_boundary(domain, point, coeff=BOUNDARY_TOL_COEFF):
 def _tangential_hessian(domain, point):
     """Levi form restricted to the complex tangent space at a boundary point."""
     n = domain.dim
-    if hasattr(domain, "hessian_matrix"):
-        h = domain.hessian_matrix(point)
-    else:
-        basis = np.eye(n, dtype=np.complex128)
-        h = np.array([[domain.hessian(point, basis[j], basis[k])
-                       for k in range(n)] for j in range(n)])
+    h = domain.hessian_matrix(point)
     g = np.asarray(domain.grad_rho(point), dtype=np.complex128)
     gnorm = float(np.linalg.norm(g))
     if gnorm <= 1e-12 * (1.0 + float(np.linalg.norm(point))):
@@ -300,8 +215,13 @@ def classify_boundary(domain, point, tol=None):
 
 
 def inflate(base, p, r):
-    """Attach p fiber coordinates with exponent 2p/r; requires 0 < r <= p."""
-    return InflatedDomain(base, p, r)
+    """The ellipsoid E(q) with p fiber coordinates of exponent 2p/r attached,
+    E(q, 2p/r, ..., 2p/r).  Requires an integer p >= 1 and 0 < r <= p, so the
+    fiber exponent is at least 2 and the boundary stays C^2 wherever the
+    base's is."""
+    p, r = inflation_parameters(p, r)
+    return EllipsoidDomain(base.exponents + (2.0 * p / r,) * p,
+                           name=f"{base.name}^({p},{r:g})")
 
 
 def boundary_point(domain, direction):
@@ -336,28 +256,28 @@ class InflationBoundaryReport:
     samples: int
 
 
-def inflated_boundary_classification_check(infl, z0, samples, seed=0,
+def inflated_boundary_classification_check(base, p, r, z0, samples, seed=0,
                                            shrink=0.05):
-    """Sample inflated-boundary points near a strong base point and classify.
+    """Sample boundary points of ``inflate(base, p, r)`` near a strong base
+    point and classify them.
 
     Points (z, w) on the inflated boundary are drawn with z = (1-u) z0 for
     u in (0, shrink] and w on the fiber sphere with every w_k != 0; all are
     expected strongly pseudoconvex.
     """
-    if not isinstance(infl, InflatedDomain):
-        raise ParameterError("first argument must be an InflatedDomain")
+    p, r = inflation_parameters(p, r)
+    infl = inflate(base, p, r)
     z0 = np.asarray(z0, dtype=np.complex128)
-    base_cls = classify_boundary(infl.base, z0)
+    base_cls = classify_boundary(base, z0)
     if base_cls.kind is not PointKind.STRONGLY_PSEUDOCONVEX:
         raise ParameterError(f"base point {z0} is not strongly pseudoconvex")
     rng = np.random.default_rng(seed)
-    p, r = infl.p, infl.r
     n_strong = 0
     lam_min = np.inf
     for _ in range(samples):
         u = rng.uniform(0.0, shrink)
         z = (1.0 - u) * z0
-        s = -float(infl.base.rho(z))
+        s = -float(base.rho(z))
         # simplex split of the fiber radius; resample to keep every w_k != 0
         t = rng.dirichlet(np.ones(p))
         while np.any(t < 1e-12):
@@ -379,8 +299,6 @@ def sample_boundary(domain, count, seed=0):
     includes the coordinate-axis points, where weak points live on eggs
     and smoothed polydisks.
     """
-    if domain.exponents is None:
-        raise ParameterError("sample_boundary needs an ellipsoid domain")
     rng = np.random.default_rng(seed)
     n = domain.dim
     q = np.asarray(domain.exponents)

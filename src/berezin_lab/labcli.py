@@ -488,6 +488,18 @@ def _ray_pairs(dim, radius, phase, n_grid):
     return tz, tw, tz[:, None] * u, tw[:, None] * u
 
 
+def _ray_radius(dom, config, default):
+    """The config's ``radius``, refused unless the far end of the ray grid
+    (``_ray_pairs``) lies inside ``dom``, where rho does not depend on the
+    phase."""
+    radius = float(config.get("radius", default))
+    rho = float(dom.rho(radius * (np.ones(dom.dim) / np.sqrt(dom.dim))))
+    if not rho < 0:       # NaN fails too
+        raise SchemaError(f"config field $['radius']: the ray grid's far point "
+                          f"is not inside {dom.name} (rho = {rho:.6g})")
+    return radius
+
+
 def _abs(d):
     """|d| by libm's hypot, as Python's abs rounds it (numpy's vectorized
     complex abs differs in the last bit on some values)."""
@@ -549,7 +561,7 @@ def _run_kernel_check(config, report):
     dom = domain_from_config(config["domain"])
     r = float(config.get("r", 0.0))
     n_grid = int(config.get("grid_points", 10))
-    radius = float(config.get("radius", 0.8))
+    radius = _ray_radius(dom, config, 0.8)
     phase = float(config.get("phase", 0.3))
     tol = float(config.get("tolerance", 1e-8))
     nn = int(config.get("N", 64))
@@ -578,7 +590,7 @@ def _run_inflation_check(config, report):
     p = int(config["p"])
     nn = int(config.get("N", 32))
     n_grid = int(config.get("grid_points", 8))
-    radius = float(config.get("radius", 0.6))
+    radius = _ray_radius(dom, config, 0.6)
     phase = float(config.get("phase", 0.2))
     tol = float(config.get("tolerance", 1e-8))
     space = build_space(WeightedMeasure(dom, r), nn)
@@ -854,14 +866,22 @@ def _build_parser():
     return parser
 
 
+def _refuse_constant(name):
+    """``json`` reads NaN, Infinity and -Infinity; RFC 8259 JSON has none."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         print(f"config parse error in {args.config}: line {exc.lineno} "
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"config parse error in {args.config}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"cannot read config {args.config}: {exc}", file=sys.stderr)

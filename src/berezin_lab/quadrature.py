@@ -39,17 +39,13 @@ MC_CHUNK = 1_000_000
 
 @dataclass(frozen=True)
 class WeightedMeasure:
-    """The measure (-rho)^r dV on a domain; r >= 0.  The domain must be an
-    ellipsoid E(q) (``domain.exponents`` set), else :class:`CapabilityError`:
-    the lab's moments, rules and bases all read q."""
+    """The measure (-rho)^r dV on an ellipsoid E(q); r >= 0.  The lab's
+    moments, rules and bases all read q (``domain.exponents``)."""
 
     domain: object
     r: float = 0.0
 
     def __post_init__(self):
-        if self.domain.exponents is None:
-            raise CapabilityError(
-                f"domain {self.domain.name} has no ellipsoid structure")
         if self.r < 0:
             raise ParameterError(f"weight exponent r must be >= 0, got {self.r}")
         object.__setattr__(self, "r", float(self.r))
@@ -60,7 +56,8 @@ class WeightedMeasure:
 
 class Scheme(enum.Enum):
     POLAR_TENSOR = "PolarTensor"
-    RADIAL = "Radial"
+    RADIAL = "Radial"            # nodes on the real-positive section; valid
+                                 # only for torus-invariant integrands
     MONTE_CARLO = "MonteCarlo"
 
 
@@ -72,8 +69,6 @@ class QuadratureRule:
     orders: tuple
     r: float                     # weight exponent the rule was built for
     seed: int = None             # MonteCarlo only
-    radial_only: bool = False    # nodes on the real-positive section; valid
-                                 # only for torus-invariant integrands
     negrho: np.ndarray = None    # exact -rho at the nodes when known by
                                  # construction (avoids |sqrt(t)|^2 round-off)
     factors: tuple = None        # Radial: the n stick-breaking factors u_j, each
@@ -212,12 +207,6 @@ def _polished_rule(x0, alpha, sqb, a, b):
     return u, wu
 
 
-def _require_ellipsoid(measure):
-    """The exponents q of the measure's ellipsoid, as floats (every
-    ``WeightedMeasure`` has them)."""
-    return np.asarray(measure.domain.exponents, dtype=float)
-
-
 def polar_tensor_rule(measure, radial_order=128, angular_order=None):
     """Full polar tensor rule for an ellipsoid domain with n <= 2.
 
@@ -227,7 +216,7 @@ def polar_tensor_rule(measure, radial_order=128, angular_order=None):
     coordinatewise, and the rule keeps the two factors (see
     ``QuadratureRule.factors``).
     """
-    q = _require_ellipsoid(measure)
+    q = np.asarray(measure.domain.exponents)
     n = len(q)
     if angular_order is None:
         angular_order = 2 * radial_order
@@ -291,11 +280,11 @@ def radial_rule(measure, order=128):
     keeps its 1-D stick-breaking factors, so |z^alpha|^2 at the nodes
     factors into per-level power tables (see ``QuadratureRule.factors``).
     """
-    q = _require_ellipsoid(measure)
+    q = np.asarray(measure.domain.exponents)
     radii, w, negrho, factors = _stick_breaking(q, measure.r, order)
     return QuadratureRule(radii.astype(np.complex128), (2.0 * np.pi) ** len(q) * w,
-                          Scheme.RADIAL, (order,), measure.r, radial_only=True,
-                          negrho=negrho, factors=factors)
+                          Scheme.RADIAL, (order,), measure.r, negrho=negrho,
+                          factors=factors)
 
 
 def monte_carlo_rule(measure, samples=1_000_000, seed=42):
@@ -337,7 +326,7 @@ def require_full_rule(rule, what):
     """Raise :class:`ParameterError` when ``rule`` is a radial-section rule:
     it integrates only torus-invariant functions, and ``what`` integrates
     functions that are not."""
-    if rule.radial_only:
+    if rule.scheme is Scheme.RADIAL:
         raise ParameterError(
             f"{what} needs a full quadrature rule: the {rule.scheme.value} rule "
             "integrates only torus-invariant functions")
@@ -349,7 +338,7 @@ def require_full_rule(rule, what):
 
 def log_monomial_moments(measure, alphas):
     """log of int |z^alpha|^2 (-rho)^r dV for an array of multiindices."""
-    q = _require_ellipsoid(measure)
+    q = np.asarray(measure.domain.exponents)
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
     a = (2.0 * alphas + 2.0) / q
     lg = _lgamma(np.concatenate([a.ravel(), np.sum(a, axis=1) + measure.r + 1.0]))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from berezin_lab import (
-    Domain,
+    EllipsoidDomain,
     PointKind,
     boundary_point,
     classify_boundary,
@@ -87,9 +87,15 @@ def test_boundary_point_stops_bisecting_bit_identically():
             assert counting.calls < 80
 
 
+def _levi(domain, point, x, y):
+    """The complex Hessian form sum_jk H_jk x_j conj(y_k) at ``point``."""
+    return complex(np.asarray(x) @ domain.hessian_matrix(point) @ np.conj(y))
+
+
 def test_hessian_disk_constant():
     for p in (0.0, 0.3 + 0.1j, -0.7j):
-        assert DISK.hessian([p], [1.0], [1.0]) == pytest.approx(1.0)
+        assert DISK.hessian_matrix([p])[0, 0] == pytest.approx(1.0)
+        assert _levi(DISK, [p], [1.0], [1.0]) == pytest.approx(1.0)
 
 
 def test_hessian_egg_against_symbolic_oracle():
@@ -109,17 +115,18 @@ def test_hessian_egg_against_symbolic_oracle():
 
     for point in ([0.0, 1.0], [1.0, 0.0], [0.3 + 0.2j, 0.5 - 0.4j]):
         point = np.asarray(point, dtype=complex)
+        h = EGG2.hessian_matrix(point)
         for (j, k) in ((0, 0), (0, 1), (1, 0), (1, 1)):
             ej = np.eye(2)[j]
             ek = np.eye(2)[k]
-            got = EGG2.hessian(point, ej, ek)
             want = wirtinger_hessian(j, k, point)
-            assert got == pytest.approx(want, abs=1e-12)
+            assert h[j, k] == pytest.approx(want, abs=1e-12)
+            assert _levi(EGG2, point, ej, ek) == pytest.approx(want, abs=1e-12)
 
 
 def test_hessian_egg_examples():
-    assert EGG2.hessian([0, 1], [1, 0], [1, 0]) == pytest.approx(1.0)
-    assert EGG2.hessian([1, 0], [0, 1], [0, 1]) == pytest.approx(0.0)
+    assert _levi(EGG2, [0, 1], [1, 0], [1, 0]) == pytest.approx(1.0)
+    assert _levi(EGG2, [1, 0], [0, 1], [0, 1]) == pytest.approx(0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -128,10 +135,10 @@ def test_hessian_conjugate_symmetry_and_reality(vals):
     p = np.array([vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]])
     x = np.array([vals[4] + 1j * vals[5], 1.0])
     y = np.array([vals[6] + 1j * vals[7], -0.5j])
-    hxy = EGG2.hessian(p, x, y)
-    hyx = EGG2.hessian(p, y, x)
+    hxy = _levi(EGG2, p, x, y)
+    hyx = _levi(EGG2, p, y, x)
     assert hxy == pytest.approx(np.conj(hyx), abs=1e-12)
-    hxx = EGG2.hessian(p, x, x)
+    hxx = _levi(EGG2, p, x, x)
     assert abs(hxx.imag) < 1e-13
 
 
@@ -163,7 +170,7 @@ def test_classify_off_boundary_raises():
         classify_boundary(DISK, [0.5])
 
 
-class _ScaledEgg(Domain):
+class _ScaledEgg:
     """The egg m=2 with defining function c * rho."""
 
     name = "scaled-egg"
@@ -178,8 +185,8 @@ class _ScaledEgg(Domain):
     def grad_rho(self, z):
         return self.c * EGG2.grad_rho(z)
 
-    def hessian(self, point, x, y):
-        return self.c * EGG2.hessian(point, x, y)
+    def hessian_matrix(self, point):
+        return self.c * EGG2.hessian_matrix(point)
 
 
 def test_classify_scale_invariance_of_kind():
@@ -219,8 +226,8 @@ def test_inflate_disk_is_ball():
 
 
 def test_inflate_exponent_and_parameter_errors():
-    assert inflate(DISK, 2, 2.0).fiber_exponent == pytest.approx(2.0)
-    assert inflate(DISK, 2, 1.0).fiber_exponent == pytest.approx(4.0)
+    assert inflate(DISK, 2, 2.0).exponents == (2.0, 2.0, 2.0)
+    assert inflate(DISK, 2, 1.0).exponents == (2.0, 4.0, 4.0)
     with pytest.raises(ParameterError):
         inflate(DISK, 1, 0.0)
     with pytest.raises(ParameterError):
@@ -230,22 +237,48 @@ def test_inflate_exponent_and_parameter_errors():
 
 
 def test_inflated_boundary_classification_disk():
-    infl = inflate(DISK, 1, 1.0)
-    rep = inflated_boundary_classification_check(infl, [1.0], samples=100, seed=1)
+    rep = inflated_boundary_classification_check(DISK, 1, 1.0, [1.0], samples=100, seed=1)
     assert rep.fraction_strong == 1.0
     assert rep.min_tangential_eigenvalue > 0
 
 
 def test_inflated_boundary_classification_egg():
-    infl = inflate(EGG2, 1, 1.0)
-    rep = inflated_boundary_classification_check(infl, [0.0, 1.0], samples=60, seed=2)
+    rep = inflated_boundary_classification_check(EGG2, 1, 1.0, [0.0, 1.0], samples=60,
+                                                  seed=2)
     assert rep.fraction_strong == 1.0
 
 
 def test_inflated_boundary_check_rejects_weak_base_point():
-    infl = inflate(EGG2, 1, 1.0)
     with pytest.raises(ParameterError):
-        inflated_boundary_classification_check(infl, [1.0, 0.0], samples=10)
+        inflated_boundary_classification_check(EGG2, 1, 1.0, [1.0, 0.0], samples=10)
+
+
+CATALOG = [({"name": "disk"}, (2.0,)),
+           ({"name": "ball", "n": 1}, (2.0,)),
+           ({"name": "ball", "n": 2}, (2.0, 2.0)),
+           ({"name": "ball", "n": 3}, (2.0, 2.0, 2.0)),
+           ({"name": "egg", "m": 2}, (2.0, 4.0)),
+           ({"name": "egg", "m": 3}, (2.0, 6.0)),
+           ({"name": "smoothed_polydisk"}, (8.0, 8.0)),
+           ({"name": "ellipsoid", "exponents": [2.0, 5.0]}, (2.0, 5.0))]
+INFLATIONS = [(None, ()), ({"p": 1, "r": 1.0}, (2.0,)), ({"p": 2, "r": 1.0}, (4.0, 4.0)),
+              ({"p": 3, "r": 2.0}, (3.0, 3.0, 3.0))]
+
+
+def test_every_domain_is_an_ellipsoid_and_the_inflated_disk_is_the_ball():
+    for spec, exponents in CATALOG:
+        for inflation, fiber in INFLATIONS:
+            cfg = spec if inflation is None else {**spec, "inflate": inflation}
+            dom = domain_from_config(cfg)
+            assert type(dom) is EllipsoidDomain, cfg
+            assert dom.exponents == exponents + fiber, cfg
+            assert dom.dim == len(exponents + fiber), cfg
+    # one pass over all coordinates: inflate(disk, 1, 1) is ball2 bit for bit
+    infl = inflate(DISK, 1, 1.0)
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-1, 1, size=(20_000, 2)) + 1j * rng.uniform(-1, 1, size=(20_000, 2))
+    assert np.array_equal(infl.rho(z), BALL2.rho(z))
+    assert all(infl.rho(p) == BALL2.rho(p) for p in z[:200])
 
 
 def test_domain_from_config():

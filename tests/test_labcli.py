@@ -471,9 +471,6 @@ def test_point_of_the_wrong_dimension_exits_1_naming_its_field_before_any_work(
     ("berezin-profile", {**_PROFILE, "point": [2.0, 0.0]},
      "config field $['point']: point [2.0, 0.0] is not on the boundary of disk "
      "(rho = 3, outside |rho| <= 0.01)"),
-    ("berezin-profile", {**_PROFILE, "point": [float("nan"), 0.0]},
-     "config field $['point']: point [nan, 0.0] is not on the boundary of disk "
-     "(rho = nan, outside |rho| <= 0.01)"),
     ("axler-zheng", {**_AZ, "strong_points": [[1.0, 0.0], [0.5, 0.0]]},
      "config field $['strong_points'][1]: point [0.5, 0.0] is not on the boundary "
      "of disk (rho = -0.75, outside |rho| <= 0.01)"),
@@ -486,7 +483,47 @@ def test_point_off_the_boundary_exits_1_naming_its_field_before_any_work(
     _assert_refused_before_any_work(tmp_path, monkeypatch, experiment, config, message)
 
 
-def _assert_refused_before_any_work(tmp_path, monkeypatch, experiment, config, message):
+_ON_EGG2 = {"domain": {"name": "egg", "m": 2}, "r": 1.0, "p": 1}
+
+
+@pytest.mark.parametrize("experiment,config,message", [
+    ("kernel-check", {"domain": DISK, "radius": 1.0},
+     "config field $['radius']: the ray grid's far point is not inside disk (rho = 0)"),
+    ("kernel-check", {"domain": DISK, "radius": 1.5},
+     "config field $['radius']: the ray grid's far point is not inside disk (rho = 1.25)"),
+    ("kernel-check", {"domain": _BALL2, "radius": 1.2},
+     "config field $['radius']: the ray grid's far point is not inside ball2 (rho = 0.44)"),
+    ("inflation-check", {**_ON_EGG2, "radius": 1.2},
+     "config field $['radius']: the ray grid's far point is not inside egg2 "
+     "(rho = 0.2384)"),
+])
+def test_ray_grid_outside_the_domain_exits_1_naming_radius_before_any_work(
+        tmp_path, monkeypatch, experiment, config, message):
+    _assert_refused_before_any_work(tmp_path, monkeypatch, experiment, config, message)
+
+
+@pytest.mark.parametrize("experiment,config,message", [
+    ("berezin-profile", {**_PROFILE, "point": [float("nan"), 0.0]},
+     "config field $['point']: point [nan, 0.0] is not on the boundary of disk "
+     "(rho = nan, outside |rho| <= 0.01)"),
+    ("kernel-check", {"domain": DISK, "radius": float("nan")},
+     "config field $['radius']: the ray grid's far point is not inside disk (rho = nan)"),
+    ("inflation-check", {**_ON_EGG2, "radius": float("nan")},
+     "config field $['radius']: the ray grid's far point is not inside egg2 (rho = nan)"),
+])
+def test_nan_from_a_python_caller_is_refused_naming_its_field_before_any_work(
+        monkeypatch, experiment, config, message):
+    # a config file cannot carry NaN (it is no JSON number); a caller of run can
+    calls = _spy_on_work(monkeypatch)
+    with pytest.raises(SchemaError) as err:
+        labcli.run(experiment, config, write=False)
+    assert str(err.value) == message
+    assert calls == []
+
+
+def _spy_on_work(monkeypatch):
+    """Make every entry point of a run's work record its name and raise;
+    returns the list of names called."""
     calls = []
 
     def spy(name):
@@ -498,10 +535,42 @@ def _assert_refused_before_any_work(tmp_path, monkeypatch, experiment, config, m
     for name in ("build_space", "boundary_profile", "axler_zheng_report",
                  "semi_commutator_residual", "product_decomposition_residual"):
         monkeypatch.setattr(labcli, name, spy(name))
+    return calls
+
+
+def _assert_refused_before_any_work(tmp_path, monkeypatch, experiment, config, message):
+    calls = _spy_on_work(monkeypatch)
     code, err, _ = _cli(tmp_path, "c", experiment, config)
     assert (code, err) == (1, f"config error: {message}\n")
     assert calls == []
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("experiment,config", [
+    ("axler-zheng", {**_AZ, "t_grid": {"start": 0.5, "stop": "@", "count": 3}}),
+    ("berezin-profile", {**_PROFILE, "t_grid": ["@"]}),
+    ("axler-zheng", {**_AZ, "thresholds": {"berezin": "@"}}),
+])
+def test_non_json_number_constants_exit_1_at_parse(tmp_path, capsys, experiment, config,
+                                                   constant):
+    # Python's json reads NaN, Infinity and -Infinity; RFC 8259 JSON has none
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config).replace('"@"', constant))
+    code = labcli.main([experiment, "--config", str(path), "--out", str(tmp_path / "c")])
+    err = capsys.readouterr().err
+    assert (code, err) == (1, f"config parse error in {path}: {constant} is not a "
+                              "JSON number\n")
+    assert not (tmp_path / "c").exists()
+
+
+def test_config_not_in_utf8_exits_1_at_parse(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_bytes(b'{"domain": {"name": "disk\xff"}, "count": 4}')
+    assert labcli.main(["classify", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config parse error in {path}: 'utf-8' codec can't decode")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("config,message", [

@@ -19,7 +19,6 @@ from berezin_lab import (
     radial_rule,
 )
 from berezin_lab import quadrature
-from berezin_lab.domains import Domain
 from berezin_lab.errors import (BoundaryError, CapabilityError, NumericError,
                                 ParameterError)
 
@@ -71,18 +70,6 @@ def test_moment_argument_errors():
         monomial_moment(meas, [-1])
     with pytest.raises(ParameterError):
         WeightedMeasure(DISK, -0.5)
-
-
-def test_measure_needs_an_ellipsoid_domain():
-    class Blob(Domain):
-        name = "blob"
-        dim = 1
-
-    with pytest.raises(CapabilityError, match="^domain blob has no ellipsoid structure$"):
-        WeightedMeasure(Blob(), 0.0)
-    # an inflation has exponents only when its base does
-    with pytest.raises(CapabilityError, match=r"^domain blob\^\(1,1\) has no ellipsoid"):
-        WeightedMeasure(inflate(Blob(), 1, 1.0), 0.0)
 
 
 def test_moments_decreasing_along_coordinate_chains():
@@ -203,7 +190,7 @@ def test_integrate_reports_bad_node():
 def test_radial_rule_matches_full_rule_for_radial_integrands():
     meas = WeightedMeasure(make_domain("egg", m=2), 1.0)
     rad = radial_rule(meas, order=96)
-    assert rad.radial_only
+    assert rad.scheme is Scheme.RADIAL
     f = lambda z: np.abs(z[:, 0]) ** 2 * np.abs(z[:, 1]) ** 4
     got = integrate(f, meas, rad)
     want = monomial_moment(meas, [1, 2])
@@ -231,7 +218,7 @@ def test_ball3_radial_rule_integrates_monomials_exactly(r):
     # stick-breaking level, so order 8 integrates |alpha| <= 15 exactly
     meas = WeightedMeasure(BALL3, r)
     rule = radial_rule(meas, order=8)
-    assert rule.scheme is Scheme.RADIAL and rule.radial_only
+    assert rule.scheme is Scheme.RADIAL
     for alpha in ((0, 0, 0), (1, 0, 0), (0, 0, 2), (2, 3, 1), (5, 0, 4), (3, 7, 5)):
         got = integrate(lambda z, a=alpha: np.prod(np.abs(z) ** (2 * np.array(a)), axis=1),
                         meas, rule)

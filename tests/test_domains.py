@@ -12,7 +12,7 @@ from berezin_lab import (
     inflated_boundary_classification_check,
     make_domain,
 )
-from berezin_lab.domains import sample_boundary
+from berezin_lab.domains import _ray_root, on_boundary, sample_boundary
 from berezin_lab.errors import BoundaryError, ParameterError
 
 DISK = make_domain("disk")
@@ -67,6 +67,8 @@ def _bisect_200(domain, d):
 class _CountingRho:
     def __init__(self, domain):
         self.domain = domain
+        self.exponents = domain.exponents
+        self.dim = domain.dim
         self.calls = 0
 
     def rho(self, z):
@@ -77,14 +79,53 @@ class _CountingRho:
 def test_boundary_point_stops_bisecting_bit_identically():
     rng = np.random.default_rng(11)
     for dom in (DISK, BALL2, make_domain("ball", n=3), EGG2,
-                make_domain("egg", m=3), POLY4):
-        for _ in range(40):
+                make_domain("egg", m=3), POLY4, inflate(DISK, 2, 1.0),
+                inflate(EGG2, 3, 2.0), EllipsoidDomain((0.5, 3.0, 7.3))):
+        for k in range(40):
             d = rng.normal(size=dom.dim) + 1j * rng.normal(size=dom.dim)
-            d *= rng.uniform(0.1, 3.0) / np.linalg.norm(d)
+            if k % 4 == 0 and dom.dim > 1:
+                d[rng.integers(dom.dim)] = 0.0
+            d *= 10.0 ** rng.uniform(-6.0, 6.0) / np.linalg.norm(d)
             counting = _CountingRho(dom)
             got = boundary_point(counting, d)
             assert np.array_equal(got, _bisect_200(dom, d))
-            assert counting.calls < 80
+            assert counting.calls <= 20
+
+
+def test_ray_root_solves_the_ray_equation():
+    rng = np.random.default_rng(2)
+    for q in ((2.0, 2.0), (8.0, 8.0, 8.0), (2.0, 4.0), (0.5, 3.0, 7.3)):
+        for _ in range(20):
+            a = np.abs(rng.normal(size=len(q))) * 10.0 ** rng.uniform(-6.0, 6.0)
+            s = _ray_root(q, a.tolist())
+            assert sum((s * x) ** e for x, e in zip(a, q)) == pytest.approx(1.0, abs=1e-14)
+            if len(set(q)) == 1:
+                want = np.sum(a ** q[0]) ** (-1.0 / q[0])
+                assert s == pytest.approx(want, rel=1e-15)
+
+
+def test_boundary_point_refuses_non_finite_and_zero_directions():
+    for d in ((np.nan, 0.5), (0.5, np.inf), (complex(0.5, -np.inf), 0.0),
+              (complex(np.nan, 1.0), 1.0)):
+        with pytest.raises(ParameterError, match="finite"):
+            boundary_point(BALL2, d)
+    for d in ((0.0, 0.0), (1e-8, -1e-8j)):
+        with pytest.raises(ParameterError, match="nonzero"):
+            boundary_point(BALL2, d)
+    with pytest.raises(ParameterError):
+        boundary_point(BALL2, (1.0, 0.0, 0.0))
+    # just past the zero threshold the ray still reaches the boundary
+    assert on_boundary(BALL2, boundary_point(BALL2, (2e-8, 0.0)))
+
+
+def test_boundary_point_on_boundary_for_huge_directions():
+    rng = np.random.default_rng(5)
+    for dom in (DISK, BALL2, EGG2, POLY4, EllipsoidDomain((0.5, 3.0, 7.3))):
+        for scale in (1e20, 1e100, 1e200, 1e250):
+            d = rng.normal(size=dom.dim) + 1j * rng.normal(size=dom.dim)
+            d *= scale / np.linalg.norm(d)
+            assert on_boundary(dom, boundary_point(dom, d))
+    assert on_boundary(BALL2, boundary_point(BALL2, (1e300, 1e300)))
 
 
 def _levi(domain, point, x, y):

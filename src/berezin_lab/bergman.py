@@ -27,7 +27,7 @@ from .domains import (BOUNDARY_TOL_COEFF, EllipsoidDomain, _as_points, inflate,
 from .errors import BoundaryError, CapabilityError, ParameterError
 from .quadrature import (Scheme, WeightedMeasure, inflation_constant,
                          log_monomial_moments, measure_node_weights,
-                         polar_tensor_rule, require_full_rule)
+                         polar_tensor_rule)
 
 DELTA_INTERIOR = 0.02        # accuracy contract: kernel advertised for -rho >= this
 UNDERFLOW_FLOOR = 1e-300
@@ -177,11 +177,12 @@ class WeightedSpace:
         for one point, else one per point.  Raises :class:`BoundaryError`
         naming the first point outside the closed domain, rho(z) >
         BOUNDARY_TOL_COEFF (1 + |z|^2), where the kernel is not defined (the
-        truncated series would still return a number there)."""
+        truncated series would still return a number there), or not finite."""
         pts, single = _as_points(z, self.dim)
         domain = self.measure.domain
         rho = np.atleast_1d(domain.rho(pts[0] if single else pts))
-        outside = rho > BOUNDARY_TOL_COEFF * (1.0 + np.sum(np.abs(pts) ** 2, axis=1))
+        outside = ~np.all(np.isfinite(pts), axis=1)
+        outside |= rho > BOUNDARY_TOL_COEFF * (1.0 + np.sum(np.abs(pts) ** 2, axis=1))
         if np.any(outside):
             i = int(np.argmax(outside))
             raise BoundaryError(f"point {pts[i]} lies outside {domain.name} "
@@ -229,7 +230,6 @@ def kernel_mass_outside(space, z, center, radius, rule):
     other rule and :class:`BoundaryError` when a point lies outside the
     closed domain (see ``inside_contract``).
     """
-    require_full_rule(rule, "kernel_mass_outside")
     if rule.scheme is not Scheme.POLAR_TENSOR:
         raise ParameterError(
             f"kernel_mass_outside needs a {Scheme.POLAR_TENSOR.value} rule, "

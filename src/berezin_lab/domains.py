@@ -52,8 +52,8 @@ class EllipsoidDomain:
 
     def __init__(self, exponents, name=None):
         exponents = tuple(float(q) for q in exponents)
-        if not exponents or any(q <= 0 for q in exponents):
-            raise ParameterError(f"exponents must be positive, got {exponents}")
+        if not exponents or not all(0 < q < math.inf for q in exponents):
+            raise ParameterError(f"exponents must be positive and finite, got {exponents}")
         self.exponents = exponents
         self.dim = len(exponents)
         self.name = name or "ellipsoid" + str(exponents)
@@ -102,10 +102,18 @@ _DOMAIN_PARAMS = {"disk": (), "ball": ("n",), "egg": ("m",),
                   "smoothed_polydisk": ("m",), "ellipsoid": ("exponents",)}
 
 
+def _catalog_choice(name, params, key, default, allowed):
+    """The integer parameter ``key`` of a catalog domain; 2.7 or NaN is refused."""
+    value = params.get(key, default)
+    if value not in allowed:
+        raise ParameterError(f"{name} is cataloged for {key} in {set(allowed)}, got {value!r}")
+    return int(value)
+
+
 def make_domain(name, **params):
     """Build a catalog domain by name.
 
-    Names: ``disk``; ``ball`` (n <= 3); ``egg`` (m in {2, 3});
+    Names: ``disk``; ``ball`` (n in {1, 2, 3}); ``egg`` (m in {2, 3});
     ``smoothed_polydisk`` (m = 4); ``ellipsoid`` (free exponent list).
     A parameter the named domain does not take raises ParameterError.
     """
@@ -121,19 +129,13 @@ def make_domain(name, **params):
     if name == "disk":
         return EllipsoidDomain((2.0,), name="disk")
     if name == "ball":
-        n = int(params.get("n", 2))
-        if not 1 <= n <= 3:
-            raise ParameterError(f"ball is cataloged for n <= 3, got n={n}")
+        n = _catalog_choice(name, params, "n", 2, (1, 2, 3))
         return EllipsoidDomain((2.0,) * n, name=f"ball{n}")
     if name == "egg":
-        m = int(params.get("m", 2))
-        if m not in (2, 3):
-            raise ParameterError(f"egg is cataloged for m in {{2,3}}, got m={m}")
+        m = _catalog_choice(name, params, "m", 2, (2, 3))
         return EllipsoidDomain((2.0, 2.0 * m), name=f"egg{m}")
     if name == "smoothed_polydisk":
-        m = int(params.get("m", 4))
-        if m != 4:
-            raise ParameterError(f"smoothed_polydisk is cataloged for m=4, got m={m}")
+        m = _catalog_choice(name, params, "m", 4, (4,))
         return EllipsoidDomain((2.0 * m, 2.0 * m), name="smoothed_polydisk")
     if name == "ellipsoid":
         exps = params.get("exponents")

@@ -21,14 +21,6 @@ class CapabilityError(LabError):
     """Requested computation is not available for this domain/measure."""
 
 
-class ConditioningError(LabError):
-    """A Gram matrix is numerically singular; carries the offending eigenvalue."""
-
-    def __init__(self, message, smallest_eigenvalue):
-        super().__init__(message)
-        self.smallest_eigenvalue = smallest_eigenvalue
-
-
 class NumericError(LabError):
     """A numeric evaluation produced NaN/Inf; carries the offending node if known."""
 

@@ -871,11 +871,18 @@ def _refuse_constant(name):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite_float(text):
+    """``json`` reads 1e309 as inf; a config number must be finite."""
+    if math.isinf(float(text)):
+        raise ValueError(f"{text} is not a finite JSON number")
+    return float(text)
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh, parse_constant=_refuse_constant)
+            config = json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         print(f"config parse error in {args.config}: line {exc.lineno} "
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)

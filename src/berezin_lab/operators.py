@@ -8,18 +8,17 @@ truncation-safe block of indices with total degree <= N - margin, margin >=
 d; outside that block truncation error is structural, which is why residual
 checks take an explicit ``margin``.
 
-Every space has normalized monomials over an ellipsoid, so operators are
-weighted shifts (``_Shifts``, see below).  A monomial symbol z^gamma
-zbar^delta is the one shift gamma - delta, with exact weights from moment
-ratios; a torus-invariant ("radial") symbol is the zero shift alone, in any
-dimension contracted level by level on the radial rule's stick-breaking
-factors with T_1 = I exactly (``_RadialDiagonal``).  ``_form`` picks the
-form once per call: shifts when every Toeplitz symbol is one of these and every
-Hankel-pair symbol a polynomial, else dense matrices, where general symbols
-take a full quadrature Gram orthonormalized against the rule; each formula
-is written once for both.  A ``TruncatedOperator`` keeps the form it was
-built in: its ``diagonal`` is the zero shift's weights, never searched for
-in a matrix, and its ``matrix`` is densified on first read.  The identity
+Every space has normalized monomials over an ellipsoid, so every Toeplitz
+factor is a weighted shift operator (``_Shifts``, see below).  A monomial
+symbol z^gamma zbar^delta is the one shift gamma - delta, with exact weights
+from moment ratios; a torus-invariant ("radial") symbol is the zero shift
+alone, contracted level by level on the radial rule's stick-breaking factors
+with T_1 = I exactly (``_RadialDiagonal``); on the disk any other symbol's
+angular Fourier mode k is shift k, through the same contraction.  ``_form``
+picks dense matrices only for Hankel pairs of non-polynomial symbols; each
+formula is written once for both forms.  A ``TruncatedOperator`` keeps the
+form it was built in: its ``diagonal`` is the zero shift's weights, never
+searched for in a matrix, and its ``matrix`` is densified on first read.  The identity
 residuals take the difference of the two sides and its block max in one
 pass over the shifts, over an index array of the truncation-safe block kept
 per (margin, shift), and reuse the operators that recur from one identity
@@ -29,6 +28,7 @@ tail s_2 ... s_m of a decomposition; that memo is dropped when psi changes,
 so it never holds more than the distinct tails of one leading factor.
 """
 
+import cmath
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,14 +36,12 @@ from functools import cached_property
 import numpy as np
 
 from . import _accel
-from .errors import CapabilityError, ConditioningError, ParameterError
+from .errors import CapabilityError, NumericError, ParameterError
 from .quadrature import (finite_node_values, log_monomial_moments,
-                         measure_node_weights, polar_tensor_rule, radial_rule,
-                         require_full_rule)
+                         measure_node_weights, radial_rule)
 from .symbols import Symbol
 
 _RADIAL_ORDER = 160
-GRAM_EIGENVALUE_FLOOR = 1e-12
 _MAX = np.maximum.reduce     # ndarray.max without its Python wrapper
 
 
@@ -298,22 +296,27 @@ class _ShiftForm:
         self._moments = {}     # gamma -> log m_{alpha+gamma} for every alpha
 
     def toeplitz(self, sym):
-        """T_sym: the radial diagonal for a non-polynomial symbol (not
-        cached, as its key is None), else closed-form weights: monomial
-        z^gamma zbar^delta contributes c_alpha c_beta m_{alpha+gamma} at shift
-        gamma - delta, summed in the symbol's order, cached by the symbol's key.
-
-        The weights are real (float64) when every coefficient is: complex
-        arithmetic on x + 0j gives the same values as real arithmetic on x,
-        and real weights take half the memory and time."""
+        """T_sym: for a non-polynomial symbol the radial diagonal or, on the
+        disk, its angular Fourier modes (not cached: its key is None); else
+        monomial z^gamma zbar^delta adds c_alpha c_beta m_{alpha+gamma} at
+        shift gamma - delta, in the symbol's order, cached by its key.  The
+        weights are real (float64) when every coefficient is, which gives the
+        values of complex arithmetic on x + 0j at half the memory and time."""
         if sym.poly is None:
+            if not sym.radial and self.dim > 1:
+                raise CapabilityError(
+                    "general (non-polynomial, non-radial) symbols are assembled only on "
+                    f"the disk; {self.measure.domain.name} has dimension {self.dim}")
             if self._radial is None:
                 self._radial = _RadialDiagonal(self)  # reads measure, N, alphas
-            return _Shifts(self.index, {(0,) * self.dim: self._radial(sym)})
+            return _Shifts(self.index, {(0,) * self.dim: self._radial(sym)} if sym.radial
+                           else self._radial.modes(sym))
         cache = self._toeplitz
         hit = cache.get(sym.key)
         if hit is not None:
             return hit
+        if not all(map(cmath.isfinite, sym.poly.values())):
+            raise NumericError(f"symbol {sym.text!r} has a non-finite coefficient")
         index, logm = self.index, self.log_moments
         real = all(c.imag == 0 for c in sym.poly.values())
         out = {}
@@ -433,7 +436,8 @@ def _shift_form(space, operands=()):
 class _RadialDiagonal:
     """Diagonal Toeplitz weights of torus-invariant symbols on one space:
     entry alpha is sum |z^alpha|^2 w phi over sum |z^alpha|^2 w on the
-    radial rule, both by its stick-breaking tensor structure.
+    radial rule, both by its stick-breaking tensor structure; on the disk,
+    also the shifts of any continuous symbol (``modes``).
 
     With t_j = |z_j|^{q_j}, t_1 = u_1 and t_j = u_j prod_{i<j} (1 - u_i),
     |z^alpha|^2 = prod_j U_j[alpha_j] prod_{i<j} S_ij[alpha_j] over real
@@ -482,61 +486,42 @@ class _RadialDiagonal:
         diag.imag = self.contract(self.w * phi.imag) / self.den
         return diag
 
-
-def _default_rule(space):
-    """The polar rule that assembles a general symbol on the disk; elsewhere
-    a :class:`CapabilityError` naming the domain's dimension."""
-    if space.dim == 1:
-        radial = max(128, space.N + 32)
-        return polar_tensor_rule(space.measure, radial_order=radial,
-                                 angular_order=2 * radial)
-    raise CapabilityError("general (non-polynomial, non-radial) symbols need an "
-                          "explicit quadrature rule in dimension >= 2; "
-                          f"{space.measure.domain.name} has dimension {space.dim}")
-
-
-def _toeplitz_quad(space, sym, rule):
-    if rule is None:
-        rule = _default_rule(space)
-    require_full_rule(rule, "toeplitz of a general symbol")
-    x = space.basis_values(rule.nodes)
-    w = measure_node_weights(space.measure, rule)
-    phi = finite_node_values(sym, rule.nodes, "symbol")
-    gram = (x * w) @ x.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
-    wmat = (x * (w * phi)) @ x.conj().T
-    evals, vecs = np.linalg.eigh(gram)
-    if evals[0] < GRAM_EIGENVALUE_FLOOR:
-        raise ConditioningError(
-            f"quadrature Gram matrix of the basis is numerically singular "
-            f"(smallest eigenvalue {evals[0]:.3e}); refine the quadrature rule",
-            smallest_eigenvalue=float(evals[0]))
-    ghalf = (vecs / np.sqrt(evals)) @ vecs.conj().T
-    return (ghalf @ wmat @ ghalf).T.copy()
+    def modes(self, sym):
+        """{(k,): weights of shift k} of T_sym on the disk, k in [-N, N]:
+        <T e_a, e_{a+k}> is the contraction of w s^|k| phi_k at min(a, a+k)
+        over sqrt(den_a den_{a+k}), phi_k(s) the k-th Fourier coefficient of
+        sym on the circle of radius s, by FFT over 2 max(128, N + 32) phases."""
+        N, s = len(self.den) - 1, self.rule.nodes[:, 0].real
+        phases = 2 * max(128, N + 32)
+        ring = np.exp(2j * np.pi / phases * np.arange(phases))
+        phi = finite_node_values(sym, (s[:, None] * ring).reshape(-1, 1), "symbol")
+        hat = np.fft.fft(phi.reshape(len(s), phases), axis=1) / phases
+        out = {}
+        for k in range(-N, N + 1):     # a negative k is column A + k of hat
+            n, ws = N + 1 - abs(k), self.w * s ** abs(k)
+            x = self.contract(ws * hat[:, k].real) + 1j * self.contract(ws * hat[:, k].imag)
+            w = out[(k,)] = np.zeros(N + 1, dtype=np.complex128)
+            w[max(0, -k):][:n] = x[:n] / np.sqrt(self.den[:n] * self.den[-n:])
+        return out
 
 
-def toeplitz(space, sym, rule=None):
+def toeplitz(space, sym):
     """Truncated Toeplitz operator P_N M_phi on the basis."""
-    return TruncatedOperator(_form(space, (sym,), rule=rule).toeplitz(sym), space)
+    return TruncatedOperator(_shift_form(space).toeplitz(sym), space)
 
 
 @dataclass
 class _DenseForm:
-    """Factors as dense matrices: Hankel pairs from the public
-    ``hankel_gram``, Toeplitz factors by exact per-symbol assembly."""
+    """Factors as dense matrices, for Hankel pairs of non-polynomial symbols:
+    Hankel pairs from the public ``hankel_gram``, Toeplitz factors densified."""
 
     space: object
-    rule: object
 
     def toeplitz(self, sym):
-        """The shift form's T_sym densified when it takes sym, else by quadrature."""
-        form = _form(self.space, (sym,))
-        if isinstance(form, _ShiftForm):
-            return form.toeplitz(sym).dense()
-        return _toeplitz_quad(self.space, sym, self.rule)
+        return _shift_form(self.space).toeplitz(sym).dense()
 
     def hankel(self, phi, psi):
-        return hankel_gram(self.space, phi, psi, rule=self.rule)
+        return hankel_gram(self.space, phi, psi)
 
     def identity(self):
         return np.eye(self.space.size, dtype=np.complex128)
@@ -549,14 +534,12 @@ class _DenseForm:
         return m.conj().T
 
 
-def _form(space, toeplitz_symbols, hankel_symbols=(), rule=None):
-    """The one place that picks how a call holds its operators: weighted
-    shifts when every Toeplitz symbol is a polynomial or torus-invariant, and
-    every Hankel-pair symbol is a polynomial; dense matrices otherwise."""
-    if (all(s.poly is not None or s.radial for s in toeplitz_symbols)
-            and all(s.poly is not None for s in hankel_symbols)):
+def _form(space, hankel_symbols):
+    """How a call holds its operators: weighted shifts unless a Hankel-pair
+    symbol is not a polynomial, then dense matrices."""
+    if all(s.poly is not None for s in hankel_symbols):
         return _shift_form(space)
-    return _DenseForm(space, rule)
+    return _DenseForm(space)
 
 
 def _hankel_pair(form, phi, psi):
@@ -565,7 +548,7 @@ def _hankel_pair(form, phi, psi):
             - form.adjoint(form.toeplitz(psi)) @ form.toeplitz(phi))
 
 
-def hankel_gram(space, phi, psi, rule=None):
+def hankel_gram(space, phi, psi):
     """Matrix of H*_psi H_phi: [beta, alpha] = <H_phi e_alpha, H_psi e_beta>.
 
     Computed as the Gram of the product symbol minus the projected part,
@@ -573,20 +556,12 @@ def hankel_gram(space, phi, psi, rule=None):
     psi = phi.  For holomorphic polynomial phi the block of degrees
     <= N - deg(phi) vanishes.
     """
-    form = _form(space, (), (phi, psi), rule)
-    return TruncatedOperator(_hankel_pair(form, phi, psi), space).matrix
+    return TruncatedOperator(_hankel_pair(_form(space, (phi, psi)), phi, psi), space).matrix
 
 
 # ---------------------------------------------------------------------------
 # materialization
 # ---------------------------------------------------------------------------
-
-def _expr_symbols(expr):
-    """(Toeplitz symbols, Hankel-pair symbols) of an expression."""
-    factors = [f for product in expr.terms for f in product]
-    return ([f[1] for f in factors if f[0] == "toeplitz"],
-            [s for f in factors if f[0] == "hankel_pair" for s in f[1:]])
-
 
 def _product(form, product):
     """(scal, left-to-right product of the other factors) for one term."""
@@ -618,7 +593,7 @@ def _sum_of_products(form, expr):
     return total
 
 
-def materialize(expr, space, rule=None):
+def materialize(expr, space):
     """Evaluate an operator expression on the truncated space.
 
     Products multiply factors in the written order; scalar factors
@@ -626,7 +601,8 @@ def materialize(expr, space, rule=None):
     the form ``_form`` picked: weighted shifts (one weight vector per
     multiindex shift, see the module docstring) or a dense matrix.
     """
-    form = _form(space, *_expr_symbols(expr), rule=rule)
+    form = _form(space, [s for product in expr.terms for f in product
+                         if f[0] == "hankel_pair" for s in f[1:]])
     return TruncatedOperator(_sum_of_products(form, expr), space)
 
 
@@ -768,7 +744,7 @@ _DECREASING_WINDOW = 5
 
 def axler_zheng_report(expr, space, strong_points, weak_points, *,
                        t_grid=DEFAULT_T_GRID, tail_k=None, berezin_threshold=0.1,
-                       tail_threshold=0.5, rule=None):
+                       tail_threshold=0.5):
     """Two-sided compactness diagnostic for an operator expression.
 
     Reports (a) terminal Berezin values along radial paths at strongly
@@ -791,7 +767,7 @@ def axler_zheng_report(expr, space, strong_points, weak_points, *,
         tail_k = space.N // 2
     if not 0 <= tail_k <= space.N:
         raise ParameterError(f"tail_k={tail_k} outside [0, {space.N}]")
-    op = materialize(expr, space, rule=rule)
+    op = materialize(expr, space)
 
     strong_profiles = tuple(
         (np.asarray(p, dtype=np.complex128), tuple(boundary_profile(op, p, t_grid)))

@@ -322,16 +322,6 @@ def finite_node_values(f, nodes, what):
     return vals
 
 
-def require_full_rule(rule, what):
-    """Raise :class:`ParameterError` when ``rule`` is a radial-section rule:
-    it integrates only torus-invariant functions, and ``what`` integrates
-    functions that are not."""
-    if rule.scheme is Scheme.RADIAL:
-        raise ParameterError(
-            f"{what} needs a full quadrature rule: the {rule.scheme.value} rule "
-            "integrates only torus-invariant functions")
-
-
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ of structure are detected on the parse tree and drive fast paths downstream:
   abs/abs2 of a monomial.
 """
 
+import cmath
 import enum
 import operator
 from functools import cached_property
@@ -230,6 +231,8 @@ def _poly_add(p, q, sign=1.0):
 
 
 def _poly_mul(p, q):
+    if not p or not q:      # a zero factor: 0 * c is NaN for a c not finite, as evaluated
+        return {key: complex(c) * 0 for key, c in (p or q).items() if not cmath.isfinite(c)}
     out = {}
     for (a1, b1), c1 in p.items():
         for (a2, b2), c2 in q.items():

@@ -340,10 +340,13 @@ def test_kernel_mass_outside_evaluates_per_radius_at_the_torus_points(monkeypatc
 
 def test_kernel_mass_outside_refuses_rules_it_cannot_factor():
     sp = disk_space(0.0, 8)
-    rule = monte_carlo_rule(sp.measure, samples=2_000, seed=3)
-    with pytest.raises(ParameterError, match="needs a PolarTensor rule, "
-                                             "got a MonteCarlo rule"):
-        kernel_mass_outside(sp, [0.5], [1.0], 0.3, rule)
+    # a Radial rule's nodes lie on the real-positive section, where |k_z|^2
+    # is not torus-invariant
+    for rule in (monte_carlo_rule(sp.measure, samples=2_000, seed=3),
+                 radial_rule(sp.measure, order=64)):
+        with pytest.raises(ParameterError, match="needs a PolarTensor rule, "
+                                                 f"got a {rule.scheme.value} rule"):
+            kernel_mass_outside(sp, [0.5], [1.0], 0.3, rule)
 
 
 @pytest.mark.parametrize("N", [48, 49])
@@ -364,16 +367,9 @@ def test_kernel_mass_outside_rejects_points_outside_the_domain():
     sp = disk_space(0.0, 16)
     rule = polar_tensor_rule(sp.measure, radial_order=32, angular_order=64)
     kernel_mass_outside(sp, [1.0], [1.0], 0.3, rule)        # boundary point: allowed
-    with pytest.raises(BoundaryError, match="outside disk"):
-        kernel_mass_outside(sp, [1.0 + 1e-6], [1.0], 0.3, rule)
-
-
-def test_radial_section_rule_is_refused_where_integrands_are_not_radial():
-    # nodes on the real-positive section: |k_z|^2 is not torus-invariant
-    sp = disk_space(0.0, 8)
-    rule = radial_rule(sp.measure, order=64)
-    with pytest.raises(ParameterError, match="kernel_mass_outside needs a full"):
-        kernel_mass_outside(sp, [0.5], [1.0], 0.3, rule)
+    for z in (1.0 + 1e-6, np.inf, np.nan, complex(0.0, np.inf)):
+        with pytest.raises(BoundaryError, match="outside disk"):
+            kernel_mass_outside(sp, [z], [1.0], 0.3, rule)
 
 
 @pytest.mark.parametrize("p,r", [(1.5, 1.0), (0, 0.5), (1, 1.5), (2, 0.0)])

@@ -343,6 +343,18 @@ def test_domain_from_config():
         make_domain("ball", n=4)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: make_domain("ball", n=2.7), lambda: make_domain("ball", n=float("nan")),
+    lambda: make_domain("egg", m=2.5), lambda: make_domain("smoothed_polydisk", m=4.9),
+    lambda: EllipsoidDomain((2.0, float("nan"))), lambda: EllipsoidDomain((2.0, float("inf"))),
+    lambda: make_domain("ellipsoid", exponents=[float("inf")])],
+    ids=["ball-2.7", "ball-nan", "egg-2.5", "polydisk-4.9", "exponent-nan",
+         "exponent-inf", "ellipsoid-inf"])
+def test_catalog_parameters_are_checked_not_truncated(make):
+    with pytest.raises(ParameterError):
+        make()
+
+
 def test_sample_boundary_on_boundary():
     for dom in (EGG2, POLY4):
         pts = sample_boundary(dom, 32, seed=5)

@@ -546,7 +546,14 @@ def _assert_refused_before_any_work(tmp_path, monkeypatch, experiment, config, m
     assert not (tmp_path / "c").exists()
 
 
-@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+# Python's json reads NaN, Infinity and -Infinity, which RFC 8259 JSON does
+# not have, and reads 1e309 as inf
+_NOT_NUMBERS = {"NaN": "a JSON number", "Infinity": "a JSON number",
+                "-Infinity": "a JSON number", "1e309": "a finite JSON number",
+                "-1e309": "a finite JSON number"}
+
+
+@pytest.mark.parametrize("constant", list(_NOT_NUMBERS))
 @pytest.mark.parametrize("experiment,config", [
     ("axler-zheng", {**_AZ, "t_grid": {"start": 0.5, "stop": "@", "count": 3}}),
     ("berezin-profile", {**_PROFILE, "t_grid": ["@"]}),
@@ -554,14 +561,19 @@ def _assert_refused_before_any_work(tmp_path, monkeypatch, experiment, config, m
 ])
 def test_non_json_number_constants_exit_1_at_parse(tmp_path, capsys, experiment, config,
                                                    constant):
-    # Python's json reads NaN, Infinity and -Infinity; RFC 8259 JSON has none
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config).replace('"@"', constant))
     code = labcli.main([experiment, "--config", str(path), "--out", str(tmp_path / "c")])
     err = capsys.readouterr().err
-    assert (code, err) == (1, f"config parse error in {path}: {constant} is not a "
-                              "JSON number\n")
+    assert (code, err) == (1, f"config parse error in {path}: {constant} is not "
+                              f"{_NOT_NUMBERS[constant]}\n")
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("symbol", ["1e309*abs2(z)", "1e200*1e200*z", "0*1e309 + z"])
+def test_polynomial_symbol_with_a_non_finite_coefficient_exits_1(tmp_path, symbol):
+    code, err, _ = _cli(tmp_path, "c", "axler-zheng", {**_AZ, "symbol": symbol})
+    assert (code, err) == (1, f"error: symbol {symbol!r} has a non-finite coefficient\n")
 
 
 def test_config_not_in_utf8_exits_1_at_parse(tmp_path, capsys):

@@ -21,6 +21,7 @@ from berezin_lab import (
     boundary_profile,
     build_space,
     decompose_product,
+    domain_from_config,
     expr_from_json,
     hankel_gram,
     inflate,
@@ -33,14 +34,12 @@ from berezin_lab import (
 )
 from berezin_lab import _accel, labcli, operators
 from berezin_lab.bergman import WeightedSpace
-from berezin_lab.errors import (BoundaryError, CapabilityError, ConditioningError,
-                                NumericError, ParameterError)
+from berezin_lab.errors import (BoundaryError, CapabilityError, NumericError,
+                                ParameterError)
 from berezin_lab.labcli import _monomial_symbols
-from berezin_lab.operators import (_RADIAL_ORDER, DEFAULT_T_GRID,
-                                   GRAM_EIGENVALUE_FLOOR, HP, T)
+from berezin_lab.operators import _RADIAL_ORDER, DEFAULT_T_GRID, HP, T
 from berezin_lab.quadrature import (finite_node_values, log_monomial_moments,
-                                    measure_node_weights, polar_tensor_rule,
-                                    radial_rule)
+                                    measure_node_weights, radial_rule)
 
 DISK = make_domain("disk")
 
@@ -168,23 +167,20 @@ def test_toeplitz_radial_builds_no_basis_by_nodes_array(traced_peak):
     assert peak < 50e6
 
 
-def test_toeplitz_general_symbol_refuses_a_radial_section_rule():
-    # the rule integrates only torus-invariant functions: dist(0.5) came out
-    # 0.77 off the default rule's matrix
-    sp = disk_space(0.0, 8)
-    with pytest.raises(ParameterError, match="toeplitz of a general symbol needs "
-                                             "a full quadrature rule"):
-        toeplitz(sp, sym("dist(0.5)"), rule=radial_rule(sp.measure, order=64))
-
-
 @pytest.mark.parametrize("domain,n,name", [
-    ({"n": 2}, 2, "ball2"), ({"n": 3}, 3, "ball3")])
-def test_toeplitz_general_symbol_without_rule_is_refused_naming_the_dimension(domain, n,
-                                                                             name):
-    # dist is phase-dependent, so no radial or polynomial path assembles it
-    sp = build_space(WeightedMeasure(make_domain("ball", **domain), 0.0), 4)
-    message = ("general (non-polynomial, non-radial) symbols need an explicit "
-               f"quadrature rule in dimension >= 2; {name} has dimension {n}")
+    ({"name": "ball", "n": 2}, 2, "ball2"), ({"name": "ball", "n": 3}, 3, "ball3"),
+    ({"name": "egg", "m": 2}, 2, "egg2")])
+def test_toeplitz_general_symbol_without_rule_is_refused_naming_the_dimension(
+        monkeypatch, domain, n, name):
+    # dist is phase-dependent, so no radial or polynomial path assembles it;
+    # it is refused before a rule is built (ball3's radial rule is 4.1 M nodes)
+    def no_rule(*args, **kwargs):
+        raise AssertionError("a quadrature rule was built")
+
+    monkeypatch.setattr(operators, "radial_rule", no_rule)
+    sp = build_space(WeightedMeasure(domain_from_config(domain), 0.0), 4)
+    message = ("general (non-polynomial, non-radial) symbols are assembled only on "
+               f"the disk; {name} has dimension {n}")
     with pytest.raises(CapabilityError, match=f"^{re.escape(message)}$"):
         toeplitz(sp, Symbol.parse("dist(0.5)", n))
 
@@ -198,10 +194,54 @@ def test_radial_symbol_in_dimension_4_is_refused_before_its_rule_is_built():
 
 
 def test_toeplitz_general_quadrature_matches_exact():
-    sp = disk_space(0.0, 12)
-    exact = toeplitz(sp, sym("re(z)")).matrix
-    forced_general = toeplitz(sp, sym("re(z) + 0*abs(z)*re(z)")).matrix
-    assert np.max(np.abs(exact - forced_general)) < 1e-10
+    # polynomials disguised as general symbols take the angular Fourier
+    # modes, whose quadrature is exact on them up to rounding
+    for N, r in itertools.product((12, 48, 96), (0.0, 1.0)):
+        sp = disk_space(r, N)
+        for exact, general in (("re(z)", "re(z) + 0*abs(z)*re(z)"),
+                               ("z*z*conj(z)", "z*z*conj(z) + 0*abs(z)")):
+            diff = toeplitz(sp, sym(general)).matrix - toeplitz(sp, sym(exact)).matrix
+            assert np.max(np.abs(diff)) < 1e-12, (N, r, general)
+        one = toeplitz(sp, sym("1 + 0*re(z)*abs(z)")).matrix
+        assert np.max(np.abs(one - np.eye(sp.size))) < 1e-14, (N, r)
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0])
+def test_toeplitz_general_symbol_equals_the_dense_sum_on_the_same_nodes(r):
+    # shift k is the angular Fourier mode k of phi on the radial rule's radii
+    # times A = 2 max(128, N + 32) phases: the same sum as a basis x nodes
+    # table on those nodes, normalized by the rule's diagonal Gram
+    N = 24
+    sp = disk_space(r, N)
+    rule = radial_rule(sp.measure, order=_RADIAL_ORDER)
+    phases = 2 * max(128, N + 32)
+    ring = np.exp(2j * np.pi * np.arange(phases) / phases)
+    nodes = (rule.nodes[:, :1] * ring).reshape(-1, 1)
+    w = np.repeat(measure_node_weights(sp.measure, rule), phases) / phases
+    x = sp.basis_values(nodes)
+    gram = np.sum(w * np.abs(x) ** 2, axis=1)
+    for text in ("max(0, 1-dist(-1)/0.8)", "conj(z)*dist(0.3)",
+                 "im(z)*abs(z) + 2*z*z*dist(-0.5)"):
+        # [beta, alpha] = sum w phi e_alpha conj(e_beta)
+        want = (x.conj() * (w * sym(text)(nodes))) @ x.T / np.sqrt(np.outer(gram, gram))
+        assert np.max(np.abs(toeplitz(sp, sym(text)).matrix - want)) < 1e-13, text
+
+
+def test_toeplitz_general_symbol_builds_no_basis_by_nodes_array(traced_peak):
+    # 257 shifts of length 129 and a 160 x 320 grid of symbol values; a basis
+    # x nodes table on that grid alone would be 106 MB
+    sp = disk_space(0.0, 128)
+    _, peak = traced_peak(lambda: toeplitz(sp, sym("max(0, 1-dist(-1)/0.8)")))
+    assert peak < 50e6
+
+
+@pytest.mark.parametrize("text", ["1e309*abs2(z)", "1e200*1e200*z", "0*1e309 + z"])
+def test_toeplitz_polynomial_with_a_non_finite_coefficient_raises(text):
+    sp = disk_space(0.0, 8)
+    for _ in range(2):          # nothing is cached: the second call raises too
+        with pytest.raises(NumericError, match=re.escape(f"symbol {text!r} has a "
+                                                         "non-finite coefficient")):
+            toeplitz(sp, sym(text))
 
 
 def test_toeplitz_norm_bound_and_linearity_and_adjoint():
@@ -602,6 +642,9 @@ def test_boundary_profile_harmonic_and_flags():
     ident = TruncatedOperator(np.eye(sp.size, dtype=complex), sp)
     prof = boundary_profile(ident, [1.0], [0.3, 0.6, 0.9])
     assert all(s.value.real == pytest.approx(1.0, abs=1e-12) for s in prof)
+    for t in ("inf", "nan"):     # not finite, so not in the domain
+        with pytest.raises(BoundaryError, match=rf"^point \[{t}"):
+            boundary_profile(op, [1.0], [0.5, float(t)])
 
 
 def test_boundary_profile_decreasing_weighted_defect():
@@ -790,7 +833,7 @@ def test_az_report_contradictory_when_profile_stops_early():
     import berezin_lab.operators as ops
     orig = ops.materialize
 
-    def fake_materialize(e, space, rule=None):
+    def fake_materialize(e, space):
         return TruncatedOperator(m, space)
 
     ops.materialize = fake_materialize
@@ -829,16 +872,6 @@ def test_expr_json_roundtrip_and_errors():
     assert m[0, 0] == 2.0j
 
 
-def test_toeplitz_quadrature_singular_gram_raises():
-    # 16 nodes cannot resolve 41 basis functions: the Gram is singular
-    measure = WeightedMeasure(DISK, 0.0)
-    sp = build_space(measure, 40)
-    rule = polar_tensor_rule(measure, radial_order=4, angular_order=4)
-    with pytest.raises(ConditioningError) as info:
-        toeplitz(sp, sym("max(0, re(z))"), rule=rule)
-    assert info.value.smallest_eigenvalue < GRAM_EIGENVALUE_FLOOR
-
-
 def test_toeplitz_hermitian_for_real_symbols():
     sp = disk_space(1.0, 20)
     for text in ("1-abs2(z)", "re(z)", "im(z)*2"):
@@ -847,7 +880,7 @@ def test_toeplitz_hermitian_for_real_symbols():
 
 
 @pytest.mark.parametrize("text", [
-    "1/im(z)",          # general path: the default polar rule has nodes with im z = 0
+    "1/im(z)",          # general path: its phase-0 nodes have im z = 0
     "abs(z)/0",         # radial path
 ])
 def test_toeplitz_symbol_not_finite_at_node_raises(text):

@@ -844,7 +844,7 @@ def run(experiment, config, write=True):
 # CLI
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
+class _ArgParser(argparse.ArgumentParser):
     """argparse with usage errors on exit code 1 (2 means a failing verdict)."""
 
     def error(self, message):
@@ -853,7 +853,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    parser = _Parser(
+    parser = _ArgParser(
         prog="berezin-lab",
         description="Weighted Bergman-space experiment runner")
     sub = parser.add_subparsers(dest="experiment", required=True)
@@ -878,11 +878,18 @@ def _finite_float(text):
     return float(text)
 
 
+def _float_sized_int(text):
+    """An integer literal too large for a float is refused like 1e309."""
+    _finite_float(text)
+    return int(text)
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
+            config = json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float,
+                               parse_int=_float_sized_int)
     except json.JSONDecodeError as exc:
         print(f"config parse error in {args.config}: line {exc.lineno} "
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)

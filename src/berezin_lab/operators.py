@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _accel
-from .errors import CapabilityError, NumericError, ParameterError
+from .errors import BoundaryError, CapabilityError, NumericError, ParameterError
 from .quadrature import (finite_node_values, log_monomial_moments,
                          measure_node_weights, radial_rule)
 from .symbols import Symbol
@@ -690,6 +690,8 @@ def boundary_profile(op, p0, t_grid):
     """
     p0 = np.atleast_1d(np.asarray(p0, dtype=np.complex128))
     ts = np.asarray(t_grid, dtype=np.float64)
+    if not np.all(np.isfinite(ts)):
+        raise BoundaryError(f"point [{ts[~np.isfinite(ts)][0]}] * p0 is not finite")
     zs = ts[:, None] * p0
     inside = op.space.inside_contract(zs)
     vals = berezin(op, zs)

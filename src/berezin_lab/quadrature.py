@@ -66,9 +66,6 @@ class QuadratureRule:
     nodes: np.ndarray            # (m, n) complex, strictly interior
     weights: np.ndarray          # (m,) positive
     scheme: Scheme
-    orders: tuple
-    r: float                     # weight exponent the rule was built for
-    seed: int = None             # MonteCarlo only
     negrho: np.ndarray = None    # exact -rho at the nodes when known by
                                  # construction (avoids |sqrt(t)|^2 round-off)
     factors: tuple = None        # Radial: the n stick-breaking factors u_j, each
@@ -230,7 +227,6 @@ def polar_tensor_rule(measure, radial_order=128, angular_order=None):
     per_radius = len(torus)
     w = w * (2.0 * np.pi / angular_order) ** n
     return QuadratureRule(nodes, np.repeat(w, per_radius), Scheme.POLAR_TENSOR,
-                          (radial_order, angular_order), measure.r,
                           negrho=np.repeat(negrho, per_radius),
                           factors=(radial, torus))
 
@@ -283,8 +279,7 @@ def radial_rule(measure, order=128):
     q = np.asarray(measure.domain.exponents)
     radii, w, negrho, factors = _stick_breaking(q, measure.r, order)
     return QuadratureRule(radii.astype(np.complex128), (2.0 * np.pi) ** len(q) * w,
-                          Scheme.RADIAL, (order,), measure.r, negrho=negrho,
-                          factors=factors)
+                          Scheme.RADIAL, negrho=negrho, factors=factors)
 
 
 def monte_carlo_rule(measure, samples=1_000_000, seed=42):
@@ -304,8 +299,7 @@ def monte_carlo_rule(measure, samples=1_000_000, seed=42):
         total += m
     nodes = np.concatenate(kept, axis=0)
     w = np.full(len(nodes), 4.0 ** n / samples)
-    return QuadratureRule(nodes, w, Scheme.MONTE_CARLO, (samples,),
-                          measure.r, seed=seed)
+    return QuadratureRule(nodes, w, Scheme.MONTE_CARLO)
 
 
 def finite_node_values(f, nodes, what):

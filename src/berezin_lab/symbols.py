@@ -3,8 +3,13 @@
 Symbols are parsed from strings over: float literals, variables z1..zn (z is
 an alias for z1), ``+ - * /`` and parentheses, and the functions ``conj``,
 ``re``, ``im``, ``abs``, ``abs2``, ``sqrt``, ``max``, ``min``, and
-``dist(c1, ..., cn)`` (Euclidean distance to a constant point).  Two pieces
-of structure are detected on the parse tree and drive fast paths downstream:
+``dist(c1, ..., cn)`` (Euclidean distance to a constant point).  Python's
+expression parser (``ast.parse``) reads the string and a whitelist keeps only
+these forms, so ``**``, comparisons, ``if``, keyword arguments, trailing
+commas, comments, hex, octal, underscore and leading-zero integers, ``2j``,
+non-ASCII characters other than whitespace and nesting deeper than
+``MAX_DEPTH`` levels raise :class:`ParameterError`.  Two pieces of structure
+are detected on the parse tree and drive fast paths downstream:
 
 * a polynomial-in-(z, zbar) expansion, when one exists (re/im/conj/abs2
   expand; abs/sqrt/max/min/dist do not);
@@ -12,9 +17,13 @@ of structure are detected on the parse tree and drive fast paths downstream:
   abs/abs2 of a monomial.
 """
 
+import ast
 import cmath
 import enum
 import operator
+import re
+import string
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -29,133 +38,79 @@ class SymbolTag(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# tiny recursive-descent parser; AST nodes are tuples
+# parsing: Python's parse tree, whitelisted into tuple AST nodes
 #   ("num", c) ("var", j) ("call", name, [args]) ("+", a, b) ("-", a, b)
 #   ("*", a, b) ("/", a, b) ("neg", a)
 # ---------------------------------------------------------------------------
 
 _FUNCTIONS = {"conj": 1, "re": 1, "im": 1, "abs": 1, "abs2": 1, "sqrt": 1,
               "max": 2, "min": 2, "dist": None}
+MAX_DEPTH = 200     # nesting levels; Python's parser allows as many parentheses
+_CHARS = frozenset(string.ascii_letters + string.digits + "_ .+-*/(),")
+_DECIMAL = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/(),":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in ".eE"
-                                     or (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            try:
-                tokens.append(("num", float(text[i:j])))
-            except ValueError:
-                raise ParameterError(f"malformed number {text[i:j]!r} in symbol "
-                                     f"{text!r}") from None
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        else:
+def _parse(text, dim):
+    """The tuple AST of a symbol string.  Whitespace runs become one space,
+    so the source is one line of ASCII and column offsets index it."""
+    src = " ".join(text.split())
+    for ch in src:
+        if ch not in _CHARS:
             raise ParameterError(f"unexpected character {ch!r} in symbol {text!r}")
-    return tokens
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = ast.parse(src, mode="eval")
+    except RecursionError:
+        raise ParameterError(f"symbol {text!r} nests deeper than {MAX_DEPTH} levels") from None
+    except (SyntaxError, ValueError) as exc:
+        raise ParameterError(f"malformed symbol {text!r}: {getattr(exc, 'msg', exc)}") from None
+    return _convert(tree.body, src, dim, 1)
 
 
-class _Parser:
-    def __init__(self, tokens, dim):
-        self.tokens = tokens
-        self.pos = 0
-        self.dim = dim
+def _convert(node, src, dim, depth):
+    if depth > MAX_DEPTH:
+        raise ParameterError(f"symbol {src!r} nests deeper than {MAX_DEPTH} levels")
+    depth += 1
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return (_BINOPS[type(node.op)], _convert(node.left, src, dim, depth),
+                _convert(node.right, src, dim, depth))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.USub, ast.UAdd):
+        operand = _convert(node.operand, src, dim, depth)
+        return ("neg", operand) if isinstance(node.op, ast.USub) else operand
+    if isinstance(node, ast.Name):
+        return ("var", _var_index(node.id, dim))
+    literal = src[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.Constant) and _DECIMAL.fullmatch(literal):
+        return ("num", complex(float(literal)))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args
+            and not node.keywords
+            and "," not in src[node.args[-1].end_col_offset:node.end_col_offset]):
+        name = node.func.id
+        if name not in _FUNCTIONS:
+            raise ParameterError(f"unknown function {name!r}")
+        args = [_convert(a, src, dim, depth) for a in node.args]
+        arity = _FUNCTIONS[name]
+        if arity is not None and len(args) != arity:
+            raise ParameterError(f"{name} takes {arity} argument(s)")
+        if name == "dist":
+            for a in args:
+                _const_value(a)   # coordinates must be constants
+        return ("call", name, args)
+    raise ParameterError(f"{literal!r} is not in the symbol grammar (symbol {src!r})")
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None:
-            raise ParameterError("unexpected end of symbol expression")
-        if expected is not None and tok != expected:
-            raise ParameterError(f"expected {expected!r}, found {tok!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        if self.peek() is not None:
-            raise ParameterError(f"trailing tokens after expression: {self.peek()!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            node = (op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            node = (op, node, self.factor())
-        return node
-
-    def factor(self):
-        tok = self.peek()
-        if tok == "+":
-            self.take()
-            return self.factor()
-        if tok == "-":
-            self.take()
-            return ("neg", self.factor())
-        return self.atom()
-
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            node = self.expr()
-            self.take(")")
-            return node
-        if isinstance(tok, tuple) and tok[0] == "num":
-            return ("num", complex(tok[1]))
-        if isinstance(tok, tuple) and tok[0] == "name":
-            name = tok[1]
-            if self.peek() == "(":
-                self.take("(")
-                args = [self.expr()]
-                while self.peek() == ",":
-                    self.take(",")
-                    args.append(self.expr())
-                self.take(")")
-                if name not in _FUNCTIONS:
-                    raise ParameterError(f"unknown function {name!r}")
-                arity = _FUNCTIONS[name]
-                if arity is not None and len(args) != arity:
-                    raise ParameterError(f"{name} takes {arity} argument(s)")
-                if name == "dist":
-                    for a in args:
-                        _const_value(a)   # coordinates must be constants
-                return ("call", name, args)
-            return ("var", self._var_index(name))
-        raise ParameterError(f"unexpected token {tok!r}")
-
-    def _var_index(self, name):
-        if name == "z":
-            return 0
-        if name.startswith("z") and name[1:].isdigit():
-            j = int(name[1:]) - 1
-            if not 0 <= j < self.dim:
-                raise ParameterError(f"variable {name} out of range for dim {self.dim}")
-            return j
-        raise ParameterError(f"unknown identifier {name!r}")
+def _var_index(name, dim):
+    if name == "z":
+        return 0
+    if name.startswith("z") and name[1:].isdigit():
+        j = int(name[1:]) - 1
+        if not 0 <= j < dim:
+            raise ParameterError(f"variable {name} out of range for dim {dim}")
+        return j
+    raise ParameterError(f"unknown identifier {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +163,9 @@ def _const_value(node):
         return -_const_value(node[1])
     if node[0] in "+-*/":
         a, b = _const_value(node[1]), _const_value(node[2])
-        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[node[0]]
+        if node[0] == "/" and b == 0:
+            raise ParameterError("division by zero in a constant")
+        return _ARITH[node[0]](a, b)
     raise ParameterError("dist() coordinates must be constants")
 
 
@@ -246,7 +203,7 @@ def _poly_mul(p, q):
 
 
 def _poly_conj(p):
-    return {(b, a): np.conj(c) for (a, b), c in p.items()}
+    return {(b, a): c.conjugate() for (a, b), c in p.items()}
 
 
 def _expand(node, dim):
@@ -333,25 +290,52 @@ def _is_radial(node):
     return False   # dist is generally phase-dependent
 
 
+def _balanced(op, nodes):
+    """``nodes`` joined by the binary ``op``, as a tree of depth O(log len)."""
+    if len(nodes) == 1:
+        return nodes[0]
+    mid = len(nodes) // 2
+    return (op, _balanced(op, nodes[:mid]), _balanced(op, nodes[mid:]))
+
+
+def _poly_ast(poly):
+    """The AST of sum c z^alpha conj(z)^beta, in the dict's order."""
+    terms = [_balanced("*", [("num", c)]
+                       + [("var", j) for j, k in enumerate(a) for _ in range(k)]
+                       + [("call", "conj", [("var", j)]) for j, k in enumerate(b)
+                          for _ in range(k)])
+             for (a, b), c in poly.items()]
+    return _balanced("+", terms) if terms else ("num", 0j)
+
+
+def _poly_text(poly):
+    parts = []
+    for (a, b), c in sorted(poly.items()):
+        mono = "*".join([f"z{j+1}" for j, k in enumerate(a) for _ in range(k)]
+                        + [f"conj(z{j+1})" for j, k in enumerate(b) for _ in range(k)])
+        parts.append(f"({c})" + ("*" + mono if mono else ""))
+    return "+".join(parts) if parts else "0"
+
+
+def _torus_invariant(poly):
+    return all(a == b for (a, b) in poly)
+
+
 class Symbol:
     """A continuous symbol on the closed domain.
 
-    Built from a grammar string (``Symbol.parse``), a polynomial dict
-    (``Symbol.from_monomials``), or a constant.  Callable on point arrays of
-    shape (m, dim); evaluation is vectorized numpy.
+    Built from a grammar string (``Symbol.parse``) or a polynomial dict
+    (``Symbol.from_monomials``).  Every symbol has a tuple AST; ``poly`` is
+    its polynomial dict, or None when it is not a polynomial.  Callable on
+    point arrays of shape (m, dim); evaluation is vectorized numpy.
     """
 
-    def __init__(self, dim, ast=None, poly=None, radial=None, text=None):
+    def __init__(self, dim, ast, poly, radial, text):
         self.dim = int(dim)
         self.ast = ast
-        if poly is None and ast is not None:
-            poly = _expand(ast, dim)
         self.poly = poly
-        if radial is None:
-            radial = _is_radial(ast) if ast is not None else \
-                all(a == b for (a, b) in (poly or {}))
         self.radial = bool(radial)
-        self.text = text if text is not None else self._synth_text()
+        self.text = text
         self._conj = None
         self._table = None        # _ProductTable this symbol multiplies through
         self._interned = False    # reachable from a table, so never holds one
@@ -359,27 +343,13 @@ class Symbol:
     # -- constructors -------------------------------------------------------
     @classmethod
     def parse(cls, text, dim):
-        ast = _Parser(_tokenize(text), dim).parse()
-        return cls(dim, ast=ast, text=text)
+        tree = _parse(text, dim)
+        return cls(dim, tree, _expand(tree, dim), _is_radial(tree), text)
 
     @classmethod
     def from_monomials(cls, poly, dim):
         poly = {(tuple(a), tuple(b)): complex(c) for (a, b), c in poly.items()}
-        return cls(dim, ast=None, poly=poly)
-
-    @classmethod
-    def constant(cls, c, dim):
-        return cls(dim, ast=("num", complex(c)), text=repr(c))
-
-    def _synth_text(self):
-        if self.poly is None:
-            return "<symbol>"
-        parts = []
-        for (a, b), c in sorted(self.poly.items()):
-            mono = "*".join([f"z{j+1}" for j, k in enumerate(a) for _ in range(k)]
-                            + [f"conj(z{j+1})" for j, k in enumerate(b) for _ in range(k)])
-            parts.append(f"({c})" + ("*" + mono if mono else ""))
-        return "+".join(parts) if parts else "0"
+        return cls(dim, _poly_ast(poly), poly, _torus_invariant(poly), _poly_text(poly))
 
     # -- structure ----------------------------------------------------------
     @property
@@ -412,12 +382,9 @@ class Symbol:
     def conj(self):
         """The complex conjugate symbol, built once per symbol."""
         if self._conj is None:
-            if self.ast is not None:
-                c = Symbol(self.dim, ast=("call", "conj", [self.ast]),
-                           text=f"conj({self.text})")
-            else:
-                c = Symbol(self.dim, poly=_poly_conj(self.poly), radial=self.radial,
-                           text=f"conj({self.text})")
+            c = Symbol(self.dim, ("call", "conj", [self.ast]),
+                       None if self.poly is None else _poly_conj(self.poly),
+                       self.radial, f"conj({self.text})")
             c._table, c._interned = self._table, self._interned
             self._conj = c
         return self._conj
@@ -428,20 +395,18 @@ class Symbol:
         is the same Symbol and no polynomial is expanded twice."""
         if not isinstance(other, Symbol):
             return NotImplemented
-        if self.poly is not None and other.poly is not None:
-            table = self._table or other._table
-            if table is None:
-                if self._interned and other._interned:
-                    return _poly_product(self, other)
-                table = _ProductTable()
-            for s in (self, other):
-                if s._table is None and not s._interned:
-                    s._table = table
-            return table.product(self, other)
-        if self.ast is not None and other.ast is not None:
-            return Symbol(self.dim, ast=("*", self.ast, other.ast),
-                          text=f"({self.text})*({other.text})")
-        raise ParameterError("cannot multiply symbols without a common representation")
+        if self.poly is None or other.poly is None:
+            return Symbol(self.dim, ("*", self.ast, other.ast), None,
+                          self.radial and other.radial, f"({self.text})*({other.text})")
+        table = self._table or other._table
+        if table is None:
+            if self._interned and other._interned:
+                return _poly_product(self, other)
+            table = _ProductTable()
+        for s in (self, other):
+            if s._table is None and not s._interned:
+                s._table = table
+        return table.product(self, other)
 
     # -- evaluation ----------------------------------------------------------
     def __call__(self, points):
@@ -453,20 +418,7 @@ class Symbol:
             pts = pts[None, :] if self.dim > 1 else pts[:, None]
         if pts.shape[1] != self.dim:
             raise ParameterError(f"points have dim {pts.shape[1]}, symbol has {self.dim}")
-        if self.ast is not None:
-            vals = _eval(self.ast, pts)
-        else:
-            vals = np.zeros(pts.shape[0], dtype=np.complex128)
-            conj_pts = np.conj(pts)
-            for (a, b), c in self.poly.items():
-                term = np.full(pts.shape[0], c)
-                for j, k in enumerate(a):
-                    if k:
-                        term = term * pts[:, j] ** k
-                for j, k in enumerate(b):
-                    if k:
-                        term = term * conj_pts[:, j] ** k
-                vals += term
+        vals = _eval(self.ast, pts)
         return vals[0] if single else vals
 
     def __repr__(self):
@@ -476,7 +428,9 @@ class Symbol:
 def _poly_product(a, b):
     """Product of two polynomial symbols; torus invariance is read off the
     product polynomial."""
-    return Symbol(a.dim, poly=_poly_mul(a.poly, b.poly), text=f"({a.text})*({b.text})")
+    poly = _poly_mul(a.poly, b.poly)
+    return Symbol(a.dim, ("*", a.ast, b.ast), poly, _torus_invariant(poly),
+                  f"({a.text})*({b.text})")
 
 
 class _ProductTable:

@@ -547,13 +547,16 @@ def _assert_refused_before_any_work(tmp_path, monkeypatch, experiment, config, m
 
 
 # Python's json reads NaN, Infinity and -Infinity, which RFC 8259 JSON does
-# not have, and reads 1e309 as inf
+# not have, reads 1e309 as inf, and reads integers of any size
+_BIG_INT = "1" + "0" * 400
 _NOT_NUMBERS = {"NaN": "a JSON number", "Infinity": "a JSON number",
                 "-Infinity": "a JSON number", "1e309": "a finite JSON number",
-                "-1e309": "a finite JSON number"}
+                "-1e309": "a finite JSON number", _BIG_INT: "a finite JSON number",
+                "-" + _BIG_INT: "a finite JSON number"}
 
 
-@pytest.mark.parametrize("constant", list(_NOT_NUMBERS))
+@pytest.mark.parametrize("constant", list(_NOT_NUMBERS),
+                         ids=lambda c: c.replace(_BIG_INT, "1e400-integer"))
 @pytest.mark.parametrize("experiment,config", [
     ("axler-zheng", {**_AZ, "t_grid": {"start": 0.5, "stop": "@", "count": 3}}),
     ("berezin-profile", {**_PROFILE, "t_grid": ["@"]}),
@@ -574,6 +577,16 @@ def test_non_json_number_constants_exit_1_at_parse(tmp_path, capsys, experiment,
 def test_polynomial_symbol_with_a_non_finite_coefficient_exits_1(tmp_path, symbol):
     code, err, _ = _cli(tmp_path, "c", "axler-zheng", {**_AZ, "symbol": symbol})
     assert (code, err) == (1, f"error: symbol {symbol!r} has a non-finite coefficient\n")
+
+
+@pytest.mark.parametrize("symbol", [
+    "(" * 500 + "z" + ")" * 500, "+".join(["z"] * 3000), "-" * 3000 + "z",
+    "abs(" * 400 + "z" + ")" * 400, "z²", "dist(1/0)",
+], ids=["parentheses", "long-sum", "unary-chain", "nested-calls", "superscript", "zero-div"])
+def test_symbol_outside_the_grammar_exits_1_with_one_error_line(tmp_path, symbol):
+    code, err, _ = _cli(tmp_path, "c", "berezin-profile", {**_PROFILE, "symbol": symbol})
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_config_not_in_utf8_exits_1_at_parse(tmp_path, capsys):

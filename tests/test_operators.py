@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from berezin_lab import (
     OperatorExpr,
     Symbol,
+    SymbolTag,
     TruncatedOperator,
     WeightedMeasure,
     axler_zheng_report,
@@ -381,6 +382,17 @@ def test_shift_and_dense_materialization_agree():
     sp = build_space(WeightedMeasure(ball, 0.0), 10)
     s1, s2 = Symbol.parse("z1*conj(z2)", 2), Symbol.parse("conj(z1)", 2)
     expr = decompose_product([s2, s1])
+    shift = materialize(expr, sp).matrix
+    assert np.max(np.abs(shift - dense_materialize(expr, sp))) < 1e-14
+
+
+def test_decomposition_with_a_general_factor_matches_dense_factor_products():
+    # z*z is a polynomial product and abs(z) a general symbol: their product
+    # and the Hankel pairs with H-symbol z*abs(z) go through the AST
+    sp = disk_space(0.0, 24)
+    z, a = sym("z"), sym("abs(z)")
+    expr = decompose_product([z, z, a])
+    assert expr.terms[0][0][1].tag is SymbolTag.GENERAL
     shift = materialize(expr, sp).matrix
     assert np.max(np.abs(shift - dense_materialize(expr, sp))) < 1e-14
 

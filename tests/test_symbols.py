@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from berezin_lab import Symbol, SymbolTag
+from berezin_lab import Symbol, SymbolTag, symbols
 from berezin_lab.errors import ParameterError
 
 
@@ -80,23 +80,6 @@ def test_conj_and_product():
     assert np.allclose(prod(pts), np.abs(pts[:, 0]) ** 2)
 
 
-def test_parser_errors():
-    with pytest.raises(ParameterError):
-        Symbol.parse("q + 1", 1)
-    with pytest.raises(ParameterError):
-        Symbol.parse("foo(z)", 1)
-    with pytest.raises(ParameterError):
-        Symbol.parse("z2", 1)
-    with pytest.raises(ParameterError):
-        Symbol.parse("z*", 1)
-    with pytest.raises(ParameterError):
-        Symbol.parse("max(1)", 1)
-    with pytest.raises(ParameterError):
-        Symbol.parse("dist(z)", 1)       # dist needs constant coordinates
-    with pytest.raises(ParameterError):
-        Symbol.parse("1 + ) ", 1)
-
-
 def test_points_dimension_check():
     sym = Symbol.parse("z1+z2", 2)
     with pytest.raises(ParameterError):
@@ -126,3 +109,120 @@ def test_product_tables_form_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+Z, Z2 = ("var", 0), ("var", 1)
+
+
+def num(c):
+    return ("num", complex(c))
+
+
+def call(name, *args):
+    return ("call", name, list(args))
+
+
+def _nested(kind, depth):
+    node = Z
+    for _ in range(depth):
+        node = (kind, node)
+    return node
+
+
+# the tuple AST of each string, as the grammar has always read it
+_GRAMMAR_TABLE = [
+    ("z", 1, Z),
+    ("z2", 2, Z2),
+    ("z01", 1, Z),
+    ("1+2*z", 1, ("+", num(1), ("*", num(2), Z))),
+    ("(1+2)*z", 1, ("*", ("+", num(1), num(2)), Z)),
+    ("z-1-2", 1, ("-", ("-", Z, num(1)), num(2))),
+    ("z/2/4", 1, ("/", ("/", Z, num(2)), num(4))),
+    ("1-z*z/3", 1, ("-", num(1), ("/", ("*", Z, Z), num(3)))),
+    ("-z*z", 1, ("*", ("neg", Z), Z)),
+    ("z*-z", 1, ("*", Z, ("neg", Z))),
+    ("--z", 1, ("neg", ("neg", Z))),
+    ("+z", 1, Z),
+    ("-+-z", 1, ("neg", ("neg", Z))),
+    ("1 - -z", 1, ("-", num(1), ("neg", Z))),
+    ("dist(-1, 0)", 2, call("dist", ("neg", num(1)), num(0))),
+    ("dist(-0.5, -(1+2))", 2, call("dist", ("neg", num(0.5)),
+                                   ("neg", ("+", num(1), num(2))))),
+    ("dist(2*-1)", 1, call("dist", ("*", num(2), ("neg", num(1))))),
+    ("dist(1*0, 1-0)", 2, call("dist", ("*", num(1), num(0)), ("-", num(1), num(0)))),
+    ("7", 1, num(7)),
+    ("00", 1, num(0)),
+    ("1.", 1, num(1)),
+    (".5", 1, num(0.5)),
+    ("00.5", 1, num(0.5)),
+    ("1.5e3", 1, num(1500)),
+    ("2E-2", 1, num(0.02)),
+    ("1e+2", 1, num(100)),
+    ("1" + "0" * 400, 1, num(float("inf"))),      # refused at assembly, not here
+    ("conj(z)", 1, call("conj", Z)),
+    ("abs2(z1*conj(z2))", 2, call("abs2", ("*", Z, call("conj", Z2)))),
+    ("max(0, 1-(1-abs(z2))/0.3)", 2,
+     call("max", num(0), ("-", num(1), ("/", ("-", num(1), call("abs", Z2)), num(0.3))))),
+    ("min(re(z), im(z))", 1, call("min", call("re", Z), call("im", Z))),
+    ("sqrt(abs (z))", 1, call("sqrt", call("abs", Z))),
+    (" \t z \n +  1 ", 1, ("+", Z, num(1))),
+    ("-" * 199 + "z", 1, _nested("neg", 199)),     # MAX_DEPTH levels
+]
+
+
+@pytest.mark.parametrize("text,dim,want", _GRAMMAR_TABLE, ids=lambda v: str(v)[:24])
+def test_parser_reads_the_frozen_grammar_table(text, dim, want):
+    assert Symbol.parse(text, dim).ast == want
+
+
+_REFUSED = [
+    "z**2", "z < 1", "z == z", "z if z else 1", "max(z, a=1)", "max(**z)", "abs(*z)",
+    "max(z, 1,)", "abs(z,)", "z # c", "0x1", "0o7", "0b1", "1_0", "007", "-01", "2j",
+    "z²", "٣", "é", "ｚ", "z.real", "(z, z)", "z and z", "not z", "z // 2", "...", "None",
+    "True", "await z", "(yield z)", "abs(z for z in z)", "dist()", "abs(z)(1)", "1(2)",
+    "", "   ", "z*", "1 + ) ", "1.5.3", "1e", "2z", "abs", "q + 1", "foo(z)", "z0", "z3",
+    "max(1)", "dist(z)", "dist(1/0, 0)",
+    # nesting: Python's parser gives up, or the tree passes MAX_DEPTH levels
+    "(" * 500 + "z" + ")" * 500, "+".join(["z"] * 3000), "-" * 3000 + "z",
+    "abs(" * 400 + "z" + ")" * 400, "-" * 200 + "z", "+".join(["z"] * 201),
+]
+
+
+@pytest.mark.parametrize("text", _REFUSED, ids=lambda v: repr(v[:24]))
+def test_parser_errors(text):
+    with pytest.raises(ParameterError):
+        Symbol.parse(text, 2)
+
+
+def test_parser_depth_cap_is_the_module_constant():
+    assert symbols.MAX_DEPTH == 200
+    deepest = "abs(" * (symbols.MAX_DEPTH - 1) + "z" + ")" * (symbols.MAX_DEPTH - 1)
+    assert Symbol.parse(deepest, 1).radial
+    with pytest.raises(ParameterError, match="nests deeper than 200 levels"):
+        Symbol.parse("-" + deepest, 1)
+
+
+def test_polynomial_times_general_symbol_is_a_general_symbol():
+    p = Symbol.from_monomials({((1,), (0,)): 2.0, ((0,), (1,)): 1j}, 1)
+    a = Symbol.parse("abs(z)", 1)
+    pts = rand_points(1, seed=7)
+    for prod, want in ((p * a, (2 * pts[:, 0] + 1j * np.conj(pts[:, 0])) * np.abs(pts[:, 0])),
+                       (a * p.conj(), np.abs(pts[:, 0]) * (2 * np.conj(pts[:, 0])
+                                                         - 1j * pts[:, 0]))):
+        assert prod.tag is SymbolTag.GENERAL and prod.poly is None
+        assert np.allclose(prod(pts), want, atol=1e-14)
+    assert (Symbol.from_monomials({((1,), (1,)): 1.0}, 1) * a).tag is SymbolTag.RADIAL
+
+
+def test_symbols_built_from_polynomials_evaluate_through_a_shallow_tree():
+    # more terms, and a higher degree, than Python's recursion limit
+    exps = itertools.islice(itertools.product(range(7), repeat=4), 1500)
+    poly = {(e[:2], e[2:]): 1.0 / (1 + sum(e)) for e in exps}
+    pts = rand_points(2, seed=9)
+    zb = np.conj(pts)
+    want = sum(c * np.prod(pts ** a * zb ** b, axis=1) for (a, b), c in poly.items())
+    assert np.allclose(Symbol.from_monomials(poly, 2)(pts), want, atol=1e-13)
+    u = np.exp(1j * np.linspace(0.0, 6.0, 8))      # |u| = 1, so u^1100 is not tiny
+    high = Symbol.from_monomials({((1100, 0), (0, 0)): 1.0}, 2)
+    assert np.allclose(high(np.column_stack([u, u])), u ** 1100, rtol=1e-10)
+    assert Symbol.from_monomials({}, 2)(pts).tolist() == [0j] * len(pts)

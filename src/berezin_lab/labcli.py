@@ -714,20 +714,15 @@ def _run_semi_commutator(config, report):
         raise SchemaError(f"config field $['N']: {nn} leaves no truncation-safe index "
                           f"for the degree-{degree} triples; need >= {3 * degree}")
     space = build_space(WeightedMeasure(dom, r), nn)
-    syms = _monomial_symbols(dom.dim, degree)
-    rows = []
-    worst = 0.0
-    for s2, s1 in itertools.product(syms, syms):
-        resid = semi_commutator_residual(space, s2, s1, degree)
-        worst = max(worst, resid)
-        rows.append([s2.text, s1.text, resid])
-    report.tables["pairs"] = Table(["sym2", "sym1", "residual"], rows)
-    rows = []
-    for s3, s2, s1 in itertools.product(syms, syms, syms):
-        resid = product_decomposition_residual(space, [s3, s2, s1], 3 * degree)
-        worst = max(worst, resid)
-        rows.append([s3.text, s2.text, s1.text, resid])
-    report.tables["triples"] = Table(["sym3", "sym2", "sym1", "residual"], rows)
+    syms, worst = _monomial_symbols(dom.dim, degree), 0.0
+    for name, k, margin, residual in (("pairs", 2, degree, semi_commutator_residual),
+                                      ("triples", 3, 3 * degree, product_decomposition_residual)):
+        identities = list(itertools.product(syms, repeat=k))
+        residuals = residual(space, identities, margin)
+        report.tables[name] = Table([f"sym{j}" for j in range(k, 0, -1)] + ["residual"],
+                                    [[*(s.text for s in x), res]
+                                     for x, res in zip(identities, residuals)])
+        worst = max([worst, *residuals])
     report.verdicts = {"pass": bool(worst < tol), "max_residual": worst,
                        "tolerance": tol}
 

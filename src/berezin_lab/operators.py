@@ -18,17 +18,19 @@ angular Fourier mode k is shift k, through the same contraction.  ``_form``
 picks dense matrices only for Hankel pairs of non-polynomial symbols; each
 formula is written once for both forms.  A ``TruncatedOperator`` keeps the
 form it was built in: its ``diagonal`` is the zero shift's weights, never
-searched for in a matrix, and its ``matrix`` is densified on first read.  The identity
-residuals take the difference of the two sides and its block max in one
-pass over the shifts, over an index array of the truncation-safe block kept
-per (margin, shift), and reuse the operators that recur from one identity
-to the next (``_ShiftForm``): among them the Hankel pairs H*_psi H_phi of
-the current leading factor psi, whose H-symbol phi is a product such as the
-tail s_2 ... s_m of a decomposition; that memo is dropped when psi changes,
-so it never holds more than the distinct tails of one leading factor.
+searched for in a matrix, and its ``matrix`` is densified on first read.  The
+identity residuals take a list of identities and evaluate them as one array
+program: in an identity of monomial symbols every operator is one weighted
+shift, so its residual is products of rows gathered from a table of
+monomial weights and one of shift targets, built once a call, as read off
+``decompose_product``'s term list; a polynomial identity is the
+coefficient-weighted sum of its monomial ones (the residual is multilinear).
 """
 
 import cmath
+import functools
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,7 +44,6 @@ from .quadrature import (finite_node_values, log_monomial_moments,
 from .symbols import Symbol
 
 _RADIAL_ORDER = 160
-_MAX = np.maximum.reduce     # ndarray.max without its Python wrapper
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,8 @@ def decompose_product(symbols):
 # An operator is a _Shifts: a dict {shift s: w} of weight vectors (float64 or
 # complex128) of length B, w[alpha] = <T e_alpha, e_{alpha+s}>, zero where alpha+s leaves the
 # truncation; the matrix entry [alpha+s, alpha] is w[alpha].  Weight vectors
-# may be shared with the per-space caches, so operations build new arrays and
-# never write into their inputs.
+# may be shared between operators (a sum keeps its operands' vectors), so
+# operations build new arrays and never write into their inputs.
 # ---------------------------------------------------------------------------
 
 class _ShiftIndex:
@@ -195,12 +196,11 @@ class _Shifts:
     """Weighted-shift operator (see above) with the ndarray operations the
     formulas use (``@ + -``, scalar ``*``), plus ``adjoint`` and ``dense``."""
 
-    __slots__ = ("index", "w", "_adjoint")
+    __slots__ = ("index", "w")
 
     def __init__(self, index, w):
         self.index = index
         self.w = w
-        self._adjoint = None
 
     def __matmul__(self, other):
         """A @ B (B applied first); entry products are A-value * B-value.
@@ -239,16 +239,13 @@ class _Shifts:
         return _Shifts(self.index, {s: w * scal for s, w in self.w.items()})
 
     def adjoint(self):
-        """The adjoint, built once per operator."""
-        if self._adjoint is None:
-            out = {}
-            for s, w in self.w.items():
-                tgt, valid = self.index.targets(s)
-                v = np.zeros(self.index.size, dtype=w.dtype)
-                v[tgt[valid]] = np.conj(w[valid])
-                out[tuple(-x for x in s)] = v
-            self._adjoint = _Shifts(self.index, out)
-        return self._adjoint
+        out = {}
+        for s, w in self.w.items():
+            tgt, valid = self.index.targets(s)
+            v = np.zeros(self.index.size, dtype=w.dtype)
+            v[tgt[valid]] = np.conj(w[valid])
+            out[tuple(-x for x in s)] = v
+        return _Shifts(self.index, out)
 
     def dense(self):
         nb = self.index.size
@@ -266,42 +263,28 @@ class _ShiftForm:
     (``_shift_form``).  It keeps the space's arrays and measure but not the
     space, and its operators point only to its ``_ShiftIndex``, so nothing
     here refers back to the space and all of it is freed with the space.
-    Operators are keyed by polynomial keys (``Symbol.key``), and only those
-    whose number stays small are kept: one per distinct polynomial, Hankel
-    pairs of two operand symbols, the Hankel pairs of the current leading
-    factor, and the last leading pair product; never one per identity.
-
-    ``operands`` are the symbols of the identity being checked, set by each
-    call: Hankel pairs whose H-symbol is one of them are kept with the space.
+    It keeps no operator and nothing per identity: the shift targets, the
+    log moments and the radial rule are what recurs.
     """
 
     __slots__ = ("measure", "N", "alphas", "degrees", "log_moments", "size", "dim",
-                 "index", "operands", "_radial", "_toeplitz", "_hankel", "_lead",
-                 "_last_pair", "_blocks", "_moments")
+                 "index", "_radial", "_moments")
 
     def __init__(self, space):
         self.measure, self.N, self.alphas = space.measure, space.N, space.alphas
         self.degrees, self.log_moments = space.degrees, space.log_moments
         self.size, self.dim = space.size, space.dim
         self.index = _ShiftIndex(space)
-        self.operands = ()
         self._radial = None    # _RadialDiagonal, built for the first radial symbol
-        self._toeplitz = {}    # key -> T_s
-        self._hankel = {}      # (key phi, key psi) -> H*_psi H_phi, phi an operand
-        self._lead = None      # (key psi, {key phi: H*_psi H_phi}), phi not an
-                               #   operand, for the last psi only
-        self._last_pair = None  # ((key a, key b), T_a T_b) of the last chain
-        self._blocks = {}      # margin -> {shift: indices of the alpha with alpha
-                               #   and alpha+shift truncation-safe, None if none}
         self._moments = {}     # gamma -> log m_{alpha+gamma} for every alpha
 
     def toeplitz(self, sym):
         """T_sym: for a non-polynomial symbol the radial diagonal or, on the
-        disk, its angular Fourier modes (not cached: its key is None); else
-        monomial z^gamma zbar^delta adds c_alpha c_beta m_{alpha+gamma} at
-        shift gamma - delta, in the symbol's order, cached by its key.  The
-        weights are real (float64) when every coefficient is, which gives the
-        values of complex arithmetic on x + 0j at half the memory and time."""
+        disk, its angular Fourier modes; else monomial z^gamma zbar^delta
+        adds c_alpha c_beta m_{alpha+gamma} at shift gamma - delta, in the
+        symbol's order.  The weights are real (float64) when every
+        coefficient is, which gives the values of complex arithmetic on
+        x + 0j at half the memory and time."""
         if sym.poly is None:
             if not sym.radial and self.dim > 1:
                 raise CapabilityError(
@@ -311,14 +294,8 @@ class _ShiftForm:
                 self._radial = _RadialDiagonal(self)  # reads measure, N, alphas
             return _Shifts(self.index, {(0,) * self.dim: self._radial(sym)} if sym.radial
                            else self._radial.modes(sym))
-        cache = self._toeplitz
-        hit = cache.get(sym.key)
-        if hit is not None:
-            return hit
-        if not all(map(cmath.isfinite, sym.poly.values())):
-            raise NumericError(f"symbol {sym.text!r} has a non-finite coefficient")
         index, logm = self.index, self.log_moments
-        real = all(c.imag == 0 for c in sym.poly.values())
+        real = all(c.imag == 0 for c in _finite(sym).poly.values())
         out = {}
         for (gamma, delta), c in sym.poly.items():
             shift = tuple(g - d for g, d in zip(gamma, delta))
@@ -336,46 +313,23 @@ class _ShiftForm:
                                                dtype=np.float64 if real else np.complex128))
             w[cols] += (c.real if real else c) * np.exp(logext[cols] - 0.5 * logm[cols]
                                                         - 0.5 * logm[rows])
-        hit = cache[sym.key] = _Shifts(index, out)
-        return hit
+        return _Shifts(index, out)
 
-    def chain(self, symbols):
-        """T_{s_1} ... T_{s_m}, multiplied left to right.  The product of the
-        first two factors is kept for the next call: a sweep varies the last
-        factor fastest, so consecutive identities share it, and one kept
-        product costs no memory that grows with the sweep."""
-        if len(symbols) == 1:
-            return self.toeplitz(symbols[0])
-        first, second = symbols[0], symbols[1]
-        pair = (first.key, second.key)
-        last = self._last_pair
-        if last is not None and last[0] == pair:
-            acc = last[1]
-        else:
-            acc = self.toeplitz(first) @ self.toeplitz(second)
-            self._last_pair = (pair, acc)
-        for s in symbols[2:]:
-            acc = acc @ self.toeplitz(s)
-        return acc
+    def weight_row(self, adjoint, exponents):
+        """The weights at shift gamma - delta of T_{z^gamma zbar^delta} or, if
+        ``adjoint``, of the adjoint of its conjugate's; exponents (*gamma, *delta)."""
+        mono = tuple(exponents[:self.dim]), tuple(exponents[self.dim:])
+        t = self.toeplitz(Symbol.from_monomials({mono[::-1] if adjoint else mono: 1.0}, self.dim))
+        return (t.adjoint() if adjoint else t).w.get(tuple(map(operator.sub, *mono)),
+                                                     self.index.zero)
+
+    def target_row(self, shift):
+        """Where ``shift`` sends each basis index, -1 where it leaves the truncation."""
+        tgt, valid = self.index.targets(shift)
+        return np.where(valid, tgt, -1)
 
     def hankel(self, phi, psi):
-        """H*_psi H_phi, kept with the space when phi is an operand.
-        Any other phi, such as the tail product s_2 ... s_m of a
-        decomposition, goes to a memo that holds the pairs of one psi and is
-        dropped when psi changes: a sweep varies the leading factor slowest,
-        so its tails repeat under one psi, and the memo never holds more than
-        the distinct tails of one leading factor."""
-        if phi in self.operands:              # Symbol equality is identity
-            memo, key = self._hankel, (phi.key, psi.key)
-        else:
-            lead = self._lead
-            if lead is None or lead[0] != psi.key:
-                lead = self._lead = (psi.key, {})
-            memo, key = lead[1], phi.key
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = _hankel_pair(self, phi, psi)
-        return hit
+        return _hankel_pair(self, phi, psi)
 
     def identity(self):
         return _Shifts(self.index, {(0,) * self.dim: np.ones(self.size, dtype=np.complex128)})
@@ -383,49 +337,21 @@ class _ShiftForm:
     def zero(self):
         return _Shifts(self.index, {})
 
-    def blocks(self, margin):
-        """The truncation-safe block of one margin, filled in shift by shift:
-        {shift: indices of the alpha with alpha and alpha+shift of total
-        degree <= N - margin, None if there are none}."""
-        blocks = self._blocks.get(margin)
-        if blocks is None:
-            if not np.any(self.degrees <= self.N - margin):
-                raise ParameterError(f"margin {margin} leaves no truncation-safe indices")
-            blocks = self._blocks[margin] = {}
-        return blocks
-
-    def block_max(self, margin, combine, *ops):
-        """max |combine(w_1, ..., w_k)| over the truncation-safe block (0.0
-        when it is empty), where w_i is the weight vector of ``ops[i]`` at one
-        shift, zeros if it has none.  The combination runs one shift at a
-        time and builds no operator, and each entry goes through the same
-        arithmetic as ``combine`` applied to whole operators."""
-        blocks, zero = self.blocks(margin), self.index.zero
-        ws = [op.w for op in ops]
-        best = 0.0
-        for s in set().union(*ws):
-            block = blocks.get(s, False)
-            if block is False:
-                keep = self.degrees <= self.N - margin
-                tgt, valid = self.index.targets(s)
-                block = np.flatnonzero(valid & keep & keep[tgt])
-                block = blocks[s] = block if len(block) else None
-            if block is None:
-                continue
-            top = float(_MAX(abs(combine(*[w.get(s, zero) for w in ws])[block])))
-            if top > best or top != top:      # a NaN entry wins, as in np.max
-                best = top
-        return best
-
     adjoint = staticmethod(_Shifts.adjoint)
 
 
-def _shift_form(space, operands=()):
-    """The space's ``_ShiftForm``, built on first use, set for ``operands``."""
+def _finite(sym):
+    """``sym``, after checking that its coefficients are finite."""
+    if not all(map(cmath.isfinite, sym.poly.values())):
+        raise NumericError(f"symbol {sym.text!r} has a non-finite coefficient")
+    return sym
+
+
+def _shift_form(space):
+    """The space's ``_ShiftForm``, built on first use."""
     form = getattr(space, "_shift_form", None)
     if form is None:
         form = space._shift_form = _ShiftForm(space)
-    form.operands = operands
     return form
 
 
@@ -610,51 +536,134 @@ def materialize(expr, space):
 # identity checks on truncation-safe blocks
 # ---------------------------------------------------------------------------
 
-def _residual_form(space, what, symbols, degree_of, margin):
-    """Weighted-shift form for a ``what`` residual over ``symbols``, whose
-    degree ``degree_of`` combines from theirs, after checking the symbols
-    and the margin."""
-    degrees = [s.degree for s in symbols]
-    if None in degrees:
-        raise ParameterError(f"{what} residual requires polynomial symbols")
-    degree = degree_of(degrees)
-    if margin < degree:
-        raise ParameterError(f"margin {margin} is below the symbol degree {degree}")
-    form = _shift_form(space, symbols)
-    form.blocks(margin)
-    return form
+def _residuals(space, what, identities, degree_of, margin, combine):
+    """One float per identity (a list of polynomial symbols): the max over the
+    truncation-safe block of |combine(chain, terms)|, for the Toeplitz chain
+    and the products of ``decompose_product``'s terms without scalars.  A
+    polynomial identity is the coefficient-weighted sum of its monomial ones
+    (the residual is multilinear), summed per total shift before the max.
+    Monomials are coded by their exponents' digits in base 2N + 1, so that a
+    product's code is the sum of its factors' (no exponent exceeds 2N)."""
+    identities = [list(symbols) for symbols in identities]
+    for degrees in ([s.degree for s in symbols] for symbols in identities):
+        if None in degrees:
+            raise ParameterError(f"{what} residual requires polynomial symbols")
+        if margin < degree_of(degrees):
+            raise ParameterError(f"margin {margin} is below the symbol degree {degree_of(degrees)}")
+    form = _shift_form(space)
+    keep = form.degrees <= form.N - margin
+    if not keep.any():
+        raise ParameterError(f"margin {margin} leaves no truncation-safe indices")
+    radix = (2 * form.N + 1) ** np.arange(2 * form.dim)
+    distinct = dict.fromkeys(itertools.chain(*identities))
+    coefs = {s: list(_finite(s).poly.values()) for s in distinct}
+    codes = {s: [int(np.dot((*a, *b), radix)) for a, b in s.poly] for s in distinct}
+    out = np.zeros(len(identities))
+    for m in set(map(len, identities)):
+        outputs, coefs_m, monomials = [], [], []
+        for i, symbols in enumerate(identities):
+            if len(symbols) == m:   # its monomial identities, the last symbol's fastest
+                coefs_m += map(math.prod, itertools.product(*map(coefs.get, symbols)))
+                monomials += itertools.chain(*itertools.product(*map(codes.get, symbols)))
+                outputs += [i] * (len(coefs_m) - len(outputs))
+        if outputs:     # arrays replace the lists before the tables are built
+            outputs, coefs_m, monomials = map(np.array, (outputs, coefs_m, monomials))
+            _batch_residuals(form, outputs, coefs_m, monomials.reshape(len(outputs), m), radix,
+                             keep, combine, out)
+    return out.tolist()
 
 
-def semi_commutator_residual(space, phi2, phi1, margin):
+def _decomposition(m):
+    """The chain T_{s_1} ... T_{s_m} and ``decompose_product``'s terms without
+    scalars, each factor as the inputs it multiplies (0/1 per input, read off
+    the indicator monomials z_1, ..., z_m): (r,) for T_s and (r of phi psi,
+    r of psi, r of phi) for H*_{conj psi} H_phi."""
+    zs = [Symbol.from_monomials({(tuple(int(i == j) for j in range(m)), (0,) * m): 1.0}, m)
+          for i in range(m)]
+
+    def inputs(s):
+        return next(iter(s.poly))[0]
+    return [[(inputs(f[1]),) if f[0] == "toeplitz" else
+             (inputs(f[2] * f[1]), inputs(f[1]), inputs(f[2])) for f in term if f[0] != "scalar"]
+            for term in [tuple(map(T, zs)), *decompose_product(zs).terms]]
+
+
+def _batch_residuals(form, outputs, coefs, codes, radix, keep, combine, out):
+    """Raise ``out[i]`` to the residuals of monomial identities of one length,
+    given by their identity ``outputs``, ``coefs`` and monomial ``codes``.
+    One table holds, at shift gamma - delta, the weights of T_{z^gamma
+    zbar^delta} or of the adjoint of its conjugate's, one row per factor
+    monomial; another per shift its targets, -1 where alpha + shift leaves
+    the truncation.  Whole identities go in chunks of about
+    ``_accel.BLOCK_ENTRIES // 8`` entries per temporary, and every entry
+    takes the arithmetic of ``_Shifts`` in the same order."""
+    chain, *terms = structure = _decomposition(codes.shape[1])
+    needed = list(dict.fromkeys(k for term in structure for f in term
+                                for k in zip((False, True, False), f)))   # (adjoint?, inputs)
+    keys, rows = np.unique(np.stack([codes @ r * 2 + adj for adj, r in needed], 1),
+                           return_inverse=True)
+    exps = keys[:, None] // 2 // radix % radix[1]           # (*gamma, *delta) of each row
+    shifts, shift_of = np.unique(exps[:, :form.dim] - exps[:, form.dim:], axis=0,
+                                 return_inverse=True)
+    weights, targets = np.empty((len(keys), form.size)), np.empty((len(shifts), form.size), int)
+    for j, (key, e) in enumerate(zip(keys.tolist(), exps.tolist())):  # no list of rows
+        weights[j] = form.weight_row(key % 2, e)
+    for j, shift in enumerate(shifts.tolist()):
+        targets[j] = form.target_row(tuple(shift))
+    rows, size, block = rows.reshape(len(codes), -1), form.size, np.flatnonzero(keep)
+    shift_of, span = shift_of.ravel() * size, targets.size   # flat row starts
+    first = np.flatnonzero(np.diff(outputs, prepend=-1))     # each identity's first row
+    per_chunk = max(1, _accel.BLOCK_ENTRIES // 8 // len(block))
+    cuts = [*first[np.flatnonzero(np.diff(first // per_chunk, prepend=-1))], len(outputs)]
+    for a, b in zip(cuts, cuts[1:]):
+        row = {key: rows[a:b, j:j + 1] for j, key in enumerate(needed)}
+        moved = {(): block}     # the block moved by the shifts along a path of factors
+
+        def take(key, path):    # rows ``key`` at the block moved along ``path``, in order
+            for i in range(len(path)):
+                if path[:i + 1] not in moved:
+                    step = shift_of[row[False, path[i]]]
+                    moved[path[:i + 1]] = targets.take(step + moved[path[:i]])
+            return weights.take(row[key] * size + moved[path])
+
+        def product(factors):
+            # left to right: entry alpha of A @ B is A at tgt_B(alpha) times B at alpha
+            value = None
+            for j, f in enumerate(factors):
+                path = tuple(g[0] for g in factors[:j:-1])     # the factors right of f
+                v = take((False, f[0]), path)
+                if len(f) == 3:     # H*_{conj psi} H_phi = T_{phi psi} - adj(T_{conj psi}) T_phi
+                    v = v - take((True, f[1]), path + (f[2],)) * take((False, f[2]), path)
+                value = v if value is None else value * v
+            return value
+
+        c = coefs[a:b, None]
+        residual = combine(product(chain), map(product, terms)) * (c if c.imag.any() else c.real)
+        total = shift_of[row[False, terms[0][0][0]][:, 0]]     # of T_{s_1 ... s_m}
+        group, inverse = np.unique(outputs[a:b] * span + total, return_inverse=True)
+        if len(group) < len(residual):  # sum the monomial identities of one total shift
+            sums = np.zeros((len(group), len(block)), residual.dtype)
+            np.add.at(sums, inverse, residual)
+            residual = sums
+        tgt = targets.take(group[:, None] % span + block)
+        np.maximum.at(out, group // span,
+                      np.where((tgt >= 0) & keep[tgt], np.abs(residual), 0.0).max(axis=1))
+
+
+def semi_commutator_residual(space, pairs, margin):
     """Max-entry residual of T_{phi2} T_{phi1} = T_{phi2 phi1} - H*_{conj(phi2)} H_{phi1}
-    over the truncation-safe block."""
-    form = _residual_form(space, "semi-commutator", (phi2, phi1), max, margin)
-    return form.block_max(margin, lambda p, t, h: p - t + h,
-                          form.chain((phi2, phi1)), form.toeplitz(phi2 * phi1),
-                          form.hankel(phi1, phi2.conj()))
+    over the truncation-safe block, one per (phi2, phi1) in ``pairs``."""
+    return _residuals(space, "semi-commutator", pairs, max, margin,
+                      lambda direct, terms: direct - next(terms) + next(terms))
 
 
-def product_decomposition_residual(space, symbols, margin):
+def product_decomposition_residual(space, symbol_lists, margin):
     """Max-entry residual between the direct Toeplitz product and its
-    decomposition (one Toeplitz with the product symbol plus Hankel
-    corrections) over the truncation-safe block."""
-    symbols = list(symbols)
-    form = _residual_form(space, "product decomposition", symbols, sum, margin)
-    scals, ops = zip(*[_product(form, p) for p in decompose_product(symbols).terms])
-
-    def direct_minus_sum(direct, *ws):
-        # left-to-right sum of scal * w; a scalar of +-1 adds or subtracts w,
-        # which gives the same values as multiplying by it
-        total = None
-        for w, scal in zip(ws, scals):
-            if scal == -1:
-                total = -w if total is None else total - w
-            else:
-                w = w if scal == 1 else w * scal
-                total = w if total is None else total + w
-        return direct - total
-
-    return form.block_max(margin, direct_minus_sum, form.chain(symbols), *ops)
+    decomposition (one Toeplitz with the product symbol minus Hankel
+    corrections) over the truncation-safe block, one per list of symbols
+    in ``symbol_lists``."""
+    return _residuals(space, "product decomposition", symbol_lists, sum, margin,
+                      lambda direct, terms: direct - functools.reduce(operator.sub, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -819,17 +828,28 @@ def expr_from_json(obj, dim):
             raise ParameterError('each term must be {"prod": [...]}')
         factors = []
         for f in prod["prod"]:
+            if not isinstance(f, dict):
+                raise ParameterError(f"operator factor {f!r} is not an object")
             if "toeplitz" in f:
-                factors.append(T(Symbol.parse(f["toeplitz"]["symbol"], dim)))
+                factors.append(T(_json_symbol(f, "toeplitz", "symbol", dim)))
             elif "hankelpair" in f:
-                factors.append(HP(Symbol.parse(f["hankelpair"]["psi"], dim),
-                                  Symbol.parse(f["hankelpair"]["phi"], dim)))
+                factors.append(HP(_json_symbol(f, "hankelpair", "psi", dim),
+                                  _json_symbol(f, "hankelpair", "phi", dim)))
             elif "identity" in f:
                 factors.append(IDENTITY)
             elif "scalar" in f:
                 v = f["scalar"]
+                if isinstance(v, list) and len(v) != 2:
+                    raise ParameterError(f"scalar {v!r} is neither a number nor [re, im]")
                 factors.append(SC(complex(v[0], v[1]) if isinstance(v, list) else complex(v)))
             else:
                 raise ParameterError(f"unknown operator factor {f!r}")
         terms.append(tuple(factors))
     return OperatorExpr(tuple(terms))
+
+
+def _json_symbol(factor, kind, name, dim):
+    """The symbol ``factor[kind][name]``, refusing a factor without one."""
+    if not isinstance(factor[kind], dict) or name not in factor[kind]:
+        raise ParameterError(f"{kind} factor {factor!r} has no {name!r}")
+    return Symbol.parse(factor[kind][name], dim)

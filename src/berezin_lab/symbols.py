@@ -343,6 +343,8 @@ class Symbol:
     # -- constructors -------------------------------------------------------
     @classmethod
     def parse(cls, text, dim):
+        if not isinstance(text, str):
+            raise ParameterError(f"symbol {text!r} is not a string")
         tree = _parse(text, dim)
         return cls(dim, tree, _expand(tree, dim), _is_radial(tree), text)
 

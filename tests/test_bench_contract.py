@@ -34,15 +34,17 @@ def test_tiny_sweep_fires_every_identity_sweep_span(tmp_path):
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
-        labcli.run("semi-commutator", {"domain": {"name": "disk"}, "r": 0.0, "N": 8,
-                                       "degree": 1, "out": str(tmp_path)})
+        report = labcli.run("semi-commutator", {"domain": {"name": "disk"}, "r": 0.0, "N": 8,
+                                                "degree": 1, "out": str(tmp_path)})
     finally:
         tracer.uninstall()
     assert tracer.missing("identity-sweep") == []
     n = 3                                   # 1, z, conj(z)
     summary = tracer.summary()
-    assert summary["operators.semi_commutator_residual.calls"] == n ** 2
-    assert summary["operators.product_decomposition_residual.calls"] == n ** 3
+    assert summary["operators.semi_commutator_residual.calls"] == 1    # one batch per table
+    assert summary["operators.product_decomposition_residual.calls"] == 1
+    assert len(report.tables["pairs"].rows) == n ** 2
+    assert len(report.tables["triples"].rows) == n ** 3
 
 
 def test_tiny_oracles_fires_every_oracles_span(tmp_path):

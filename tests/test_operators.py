@@ -282,13 +282,16 @@ def test_hankel_gram_psd_for_real_symbol():
 
 def test_semi_commutator_examples():
     sp = disk_space(0.0, 24)
-    assert semi_commutator_residual(sp, sym("conj(z)"), sym("z"), 1) < 1e-10
-    assert semi_commutator_residual(sp, sym("z"), sym("conj(z)"), 1) < 1e-10
-    assert semi_commutator_residual(sp, sym("1"), sym("1"), 1) == 0.0
+    z, zb = sym("z"), sym("conj(z)")
+    assert max(semi_commutator_residual(sp, [(zb, z), (z, zb)], 1)) < 1e-10
+    assert semi_commutator_residual(sp, [(sym("1"), sym("1"))], 1) == [0.0]
+    assert semi_commutator_residual(sp, [], 1) == []
     with pytest.raises(ParameterError):
-        semi_commutator_residual(sp, sym("z*z"), sym("z"), 1)
+        semi_commutator_residual(sp, [(z, z), (sym("z*z"), z)], 1)
     with pytest.raises(ParameterError):
-        semi_commutator_residual(sp, sym("max(0,1-abs(z))"), sym("z"), 4)
+        semi_commutator_residual(sp, [(sym("max(0,1-abs(z))"), z)], 4)
+    with pytest.raises(NumericError, match="non-finite coefficient"):
+        product_decomposition_residual(sp, [[z, sym("1e200*1e200*z"), zb]], 3)
 
 
 def test_semi_commutator_invariant_sweep():
@@ -296,15 +299,13 @@ def test_semi_commutator_invariant_sweep():
     syms = _monomial_symbols(1, 3)
     for r in (0.0, 1.0, 2.0):
         sp = disk_space(r, 24)
-        worst = max(semi_commutator_residual(sp, s2, s1, 3)
-                    for s2 in syms for s1 in syms)
+        worst = max(semi_commutator_residual(sp, itertools.product(syms, syms), 3))
         assert worst < 1e-9
     # ball spot-check at small truncation
     ball = make_domain("ball", n=2)
     spb = build_space(WeightedMeasure(ball, 0.0), 12)
     symsb = _monomial_symbols(2, 2)
-    worst = max(semi_commutator_residual(spb, s2, s1, 2)
-                for s2 in symsb[:8] for s1 in symsb[:8])
+    worst = max(semi_commutator_residual(spb, itertools.product(symsb[:8], symsb[:8]), 2))
     assert worst < 1e-9
 
 
@@ -356,7 +357,7 @@ def test_materialize_decomposition_matches_direct_product():
              for k in (2, 2, 3, 3, 3)]
     for symbols in lists:
         margin = sum(s.degree for s in symbols)
-        assert product_decomposition_residual(sp, symbols, max(margin, 1)) < 1e-9
+        assert product_decomposition_residual(sp, [symbols], max(margin, 1))[0] < 1e-9
 
 
 def dense_materialize(expr, space):
@@ -404,6 +405,7 @@ def test_semi_commutator_matches_dense_recomputation_exactly(domain, r, n):
     sp = build_space(WeightedMeasure(dom, r), n)
     syms = _monomial_symbols(dom.dim, 2)
     keep = sp.degrees <= sp.N - 2
+    got = iter(semi_commutator_residual(sp, itertools.product(syms, syms), 2))
     for s2 in syms:
         for s1 in syms:
             t2 = toeplitz(sp, s2).matrix
@@ -413,7 +415,7 @@ def test_semi_commutator_matches_dense_recomputation_exactly(domain, r, n):
             hg = (toeplitz(sp, s1 * psi.conj()).matrix
                   - toeplitz(sp, psi).matrix.conj().T @ toeplitz(sp, s1).matrix)
             dense = np.max(np.abs((t2 @ t1 - t21 + hg)[np.ix_(keep, keep)]))
-            assert semi_commutator_residual(sp, s2, s1, 2) == dense
+            assert next(got) == dense
 
 
 @pytest.mark.parametrize("domain,n", [("disk", 24), ("ball", 12)])
@@ -427,12 +429,13 @@ def test_product_decomposition_matches_dense_recomputation_exactly(domain, n):
     def t(s):
         return toeplitz(sp, s).matrix
 
+    got = iter(product_decomposition_residual(sp, itertools.product(syms, repeat=3), 3))
     for s3, s2, s1 in itertools.product(syms, repeat=3):
         direct = t(s3) @ t(s2) @ t(s1)
         decomposition = (t(s3 * s2 * s1) - t(s3) @ hankel_gram(sp, s1, s2.conj())
                          - hankel_gram(sp, s2 * s1, s3.conj()))
         dense = np.max(np.abs((direct - decomposition)[block]))
-        assert product_decomposition_residual(sp, [s3, s2, s1], 3) == dense
+        assert next(got) == dense
 
 
 _WARM = {dim: build_space(WeightedMeasure(make_domain("disk") if dim == 1
@@ -461,11 +464,11 @@ def test_residuals_on_a_warm_space_equal_a_fresh_space(symbols):
 
     s3, s2, s1 = symbols
     margin = max(s2.degree, s1.degree)
-    assert (semi_commutator_residual(warm, s2, s1, margin)
-            == semi_commutator_residual(fresh(), s2, s1, margin))
+    assert (semi_commutator_residual(warm, [(s2, s1)], margin)
+            == semi_commutator_residual(fresh(), [(s2, s1)], margin))
     margin = sum(s.degree for s in symbols)
-    assert (product_decomposition_residual(warm, symbols, margin)
-            == product_decomposition_residual(fresh(), symbols, margin))
+    assert (product_decomposition_residual(warm, [symbols], margin)
+            == product_decomposition_residual(fresh(), [symbols], margin))
 
 
 # sha256 of the repr of every residual, pairs table then triples table, one
@@ -488,33 +491,54 @@ def test_criterion_4_residuals_keep_their_bits(label):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def _ball2_triple_residuals(order):
-    """Residuals of every degree-2 ball2 triple at N=32 on a fresh space, keyed by
-    the indices (i3, i2, i1) of [s3, s2, s1], visited with the index named
-    first in ``order`` outermost."""
-    space = build_space(WeightedMeasure(make_domain("ball", n=2), 0.0), 32)
+def test_residual_batches_are_permutation_and_chunk_invariant(monkeypatch):
+    # every identity's residual is its own: a permuted batch gives the permuted
+    # residuals, and a batch of one or batches cut into small chunks give the
+    # same bits as the full batch
+    sp = build_space(WeightedMeasure(make_domain("ball", n=2), 0.0), 16)
     syms = _monomial_symbols(2, 2)
-    out = {}
-    for idx in itertools.product(range(len(syms)), repeat=3):
-        i3, i2, i1 = (idx[order.index(k)] for k in ("s3", "s2", "s1"))
-        out[i3, i2, i1] = product_decomposition_residual(
-            space, [syms[i3], syms[i2], syms[i1]], 6)
-    return space, syms, out
+    poly = [Symbol.from_monomials({((1, 0), (0, 0)): 0.5 - 2j, ((0, 0), (0, 1)): 1j}, 2),
+            Symbol.from_monomials({((0, 1), (1, 0)): -1.0, ((0, 0), (0, 0)): 1.5 + 0.25j}, 2)]
+    triples = [list(t) for t in itertools.product(syms[:5] + poly, repeat=3)]
+    full = product_decomposition_residual(sp, triples, 6)
+    order = np.random.default_rng(3).permutation(len(triples))
+    assert product_decomposition_residual(sp, [triples[i] for i in order], 6) == [
+        full[i] for i in order]
+    for i in (0, len(triples) // 2, len(triples) - 1):
+        assert product_decomposition_residual(sp, [triples[i]], 6) == [full[i]]
+    pairs = [t[:2] for t in triples]
+    pair_full = semi_commutator_residual(sp, pairs, 4)
+    monkeypatch.setattr(_accel, "BLOCK_ENTRIES", 8 * 3 * sp.size)    # a few rows a chunk
+    assert product_decomposition_residual(sp, triples, 6) == full
+    assert semi_commutator_residual(sp, pairs, 4) == pair_full
+    mixed = [triples[0], triples[1][:2], triples[2][:1], triples[3]]
+    assert product_decomposition_residual(sp, mixed, 6) == [
+        product_decomposition_residual(sp, [t], 6)[0] for t in mixed]
 
 
-def test_leading_factor_memo_changes_hits_never_values():
-    _, _, standard = _ball2_triple_residuals(("s3", "s2", "s1"))
-    _, _, inner_first = _ball2_triple_residuals(("s1", "s2", "s3"))
-    assert list(map(repr, standard.values())) == [repr(inner_first[k]) for k in standard]
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2]).flatmap(lambda d: st.lists(_poly_symbols(d), min_size=3,
+                                                          max_size=3)))
+def test_polynomial_residuals_match_dense_recomputation(symbols):
+    # multi-monomial symbols with complex coefficients: each residual is the
+    # coefficient-weighted sum of monomial ones, against the dense matrices of
+    # decompose_product and the direct product over the safe block
+    space = _WARM[symbols[0].dim]
 
+    def dense_residual(symbols, margin, expr):
+        direct = np.eye(space.size, dtype=complex)
+        for s in symbols:
+            direct = direct @ toeplitz(space, s).matrix
+        keep = space.degrees <= space.N - margin
+        return np.max(np.abs((direct - dense_materialize(expr, space))[np.ix_(keep, keep)]))
 
-def test_leading_factor_memo_holds_the_tails_of_one_factor():
-    space, syms, _ = _ball2_triple_residuals(("s3", "s2", "s1"))
-    psi, memo = space._shift_form._lead
-    tails = {(s2 * s1).key for s2 in syms for s1 in syms}
-    assert len(tails) == 70
-    assert psi == syms[-1].conj().key
-    assert set(memo) == tails
+    s3, s2, s1 = symbols
+    margin = max(s2.degree, s1.degree)
+    got = semi_commutator_residual(space, [(s2, s1)], margin)[0]
+    assert abs(got - dense_residual([s2, s1], margin, decompose_product([s2, s1]))) < 1e-14
+    margin = sum(s.degree for s in symbols)
+    got = product_decomposition_residual(space, [symbols], margin)[0]
+    assert abs(got - dense_residual(symbols, margin, decompose_product(symbols))) < 1e-14
 
 
 def test_residual_caches_are_freed_with_their_space():
@@ -523,8 +547,8 @@ def test_residual_caches_are_freed_with_their_space():
     gc.disable()
     try:
         sp = build_space(WeightedMeasure(make_domain("ball", n=2), 0.0), 8)
-        semi_commutator_residual(sp, syms[1], syms[3], 1)
-        product_decomposition_residual(sp, syms[1:4], 3)
+        semi_commutator_residual(sp, [syms[1:3]], 1)
+        product_decomposition_residual(sp, [syms[1:4]], 3)
         space, product = weakref.ref(sp), weakref.ref(syms[1] * syms[3])
         del sp
         assert space() is None
@@ -882,6 +906,26 @@ def test_expr_json_roundtrip_and_errors():
                                              {"identity": {}}]}]}, 1)
     m = materialize(scal, sp).matrix
     assert m[0, 0] == 2.0j
+
+
+def _factors(*factors):
+    return {"sum": [{"prod": list(factors)}]}
+
+
+@pytest.mark.parametrize("call,piece", [
+    (lambda: Symbol.parse(3, 1), "symbol 3 is not a string"),
+    (lambda: expr_from_json(_factors("identity"), 1), "factor 'identity' is not an object"),
+    (lambda: expr_from_json(_factors({"toeplitz": {}}), 1), "has no 'symbol'"),
+    (lambda: expr_from_json(_factors({"toeplitz": "z"}), 1), "has no 'symbol'"),
+    (lambda: expr_from_json(_factors({"hankelpair": {"phi": "z"}}), 1), "has no 'psi'"),
+    (lambda: expr_from_json(_factors({"hankelpair": {"psi": "z"}}), 1), "has no 'phi'"),
+    (lambda: expr_from_json(_factors({"scalar": [1]}), 1), "scalar [1] is neither"),
+    (lambda: expr_from_json(_factors({"scalar": [1, 2, 3]}), 1), "scalar [1, 2, 3] is neither"),
+], ids=["symbol-not-str", "factor-not-object", "toeplitz-no-symbol", "toeplitz-not-object",
+        "hankelpair-no-psi", "hankelpair-no-phi", "scalar-of-one", "scalar-of-three"])
+def test_malformed_library_input_raises_parameter_error_naming_it(call, piece):
+    with pytest.raises(ParameterError, match=re.escape(piece)):
+        call()
 
 
 def test_toeplitz_hermitian_for_real_symbols():

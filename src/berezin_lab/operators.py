@@ -31,6 +31,7 @@ import cmath
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -146,46 +147,12 @@ def decompose_product(symbols):
 #
 # An operator is a _Shifts: a dict {shift s: w} of weight vectors (float64 or
 # complex128) of length B, w[alpha] = <T e_alpha, e_{alpha+s}>, zero where alpha+s leaves the
-# truncation; the matrix entry [alpha+s, alpha] is w[alpha].  Weight vectors
-# may be shared between operators (a sum keeps its operands' vectors), so
+# truncation; the matrix entry [alpha+s, alpha] is w[alpha].  It also holds
+# its space's _ShiftForm, which knows where each shift sends each basis index
+# and holds nothing that points back to the space.  Weight vectors may be
+# shared between operators (a sum keeps its operands' vectors), so
 # operations build new arrays and never write into their inputs.
 # ---------------------------------------------------------------------------
-
-class _ShiftIndex:
-    """Where each multiindex shift sends each basis index of one truncated
-    space, cached per shift.  It keeps the space's arrays but not the space,
-    so the operators cached on the space, which point here, form no
-    reference cycle with it and are freed with it."""
-
-    def __init__(self, space):
-        self.columns = space.alphas.T
-        self.degrees = space.degrees
-        self.N = space.N
-        self.size = space.size
-        stride = space.N + 1
-        n = space.alphas.shape[1]
-        self.strides = stride ** np.arange(n, dtype=np.int64)
-        self.flat = space.alphas @ self.strides
-        self.inverse = np.full(stride ** n, -1, dtype=np.int64)
-        self.inverse[self.flat] = np.arange(space.size)
-        self.zero = np.zeros(space.size)
-        self.zero.flags.writeable = False
-        self.cache = {}
-
-    def targets(self, shift):
-        """(tgt, valid): ``valid[alpha]`` when alpha+shift stays in the
-        truncation, ``tgt[alpha]`` its basis index (0 where not valid)."""
-        hit = self.cache.get(shift)
-        if hit is None:
-            valid = self.degrees <= self.N - sum(shift)
-            for column, s in zip(self.columns, shift):
-                if s < 0:
-                    valid &= column >= -s
-            tgt = np.zeros(self.size, dtype=np.int64)
-            tgt[valid] = self.inverse[self.flat[valid] + int(np.dot(shift, self.strides))]
-            hit = self.cache[shift] = (tgt, valid)
-        return hit
-
 
 def _shift_order(shift):
     """Sort key placing alpha+shift in basis order (degree, then lex) for any alpha."""
@@ -196,10 +163,10 @@ class _Shifts:
     """Weighted-shift operator (see above) with the ndarray operations the
     formulas use (``@ + -``, scalar ``*``), plus ``adjoint`` and ``dense``."""
 
-    __slots__ = ("index", "w")
+    __slots__ = ("form", "w")
 
-    def __init__(self, index, w):
-        self.index = index
+    def __init__(self, form, w):
+        self.form = form
         self.w = w
 
     def __matmul__(self, other):
@@ -209,11 +176,11 @@ class _Shifts:
         in ascending order of the intermediate index (the order a row-sorted
         sparse product uses), whatever the dict order of the shifts.
         """
-        index, a, b = self.index, self.w.items(), other.w
+        form, a, b = self.form, self.w.items(), other.w
         out = {}
         for sb in sorted(b, key=_shift_order) if len(b) > 1 else b:
             wb = b[sb]
-            tgt = index.targets(sb)[0]
+            tgt = form.targets(sb)[0]
             for sa, wa in a:
                 s = tuple(map(operator.add, sa, sb))
                 term = wa[tgt] * wb
@@ -221,37 +188,37 @@ class _Shifts:
                     out[s] += term
                 else:
                     out[s] = term
-        return _Shifts(index, out)
+        return _Shifts(form, out)
 
     def __add__(self, other):
         out = dict(self.w)
         for s, w in other.w.items():
             out[s] = out.get(s, 0) + w
-        return _Shifts(self.index, out)
+        return _Shifts(self.form, out)
 
     def __sub__(self, other):
         out = dict(self.w)
         for s, w in other.w.items():
             out[s] = out.get(s, 0) - w
-        return _Shifts(self.index, out)
+        return _Shifts(self.form, out)
 
     def __rmul__(self, scal):
-        return _Shifts(self.index, {s: w * scal for s, w in self.w.items()})
+        return _Shifts(self.form, {s: w * scal for s, w in self.w.items()})
 
     def adjoint(self):
         out = {}
         for s, w in self.w.items():
-            tgt, valid = self.index.targets(s)
-            v = np.zeros(self.index.size, dtype=w.dtype)
+            tgt, valid = self.form.targets(s)
+            v = np.zeros(self.form.size, dtype=w.dtype)
             v[tgt[valid]] = np.conj(w[valid])
             out[tuple(-x for x in s)] = v
-        return _Shifts(self.index, out)
+        return _Shifts(self.form, out)
 
     def dense(self):
-        nb = self.index.size
+        nb = self.form.size
         mat = np.zeros((nb, nb), dtype=np.complex128)
         for s, w in self.w.items():
-            tgt, valid = self.index.targets(s)
+            tgt, valid = self.form.targets(s)
             cols = np.flatnonzero(valid)
             mat[tgt[cols], cols] += w[cols]
         return mat
@@ -261,22 +228,43 @@ class _ShiftForm:
     """Factors as weighted shifts (Reinhardt spaces), with what the space's
     weighted-shift algebra reuses across calls: one per space, held by it
     (``_shift_form``).  It keeps the space's arrays and measure but not the
-    space, and its operators point only to its ``_ShiftIndex``, so nothing
-    here refers back to the space and all of it is freed with the space.
-    It keeps no operator and nothing per identity: the shift targets, the
-    log moments and the radial rule are what recurs.
+    space, and its operators point only to it, so nothing here refers back
+    to the space and all of it is freed with the space.  It keeps no
+    operator and nothing per identity: the shift targets, the log moments
+    and the radial rule are what recurs.
     """
 
     __slots__ = ("measure", "N", "alphas", "degrees", "log_moments", "size", "dim",
-                 "index", "_radial", "_moments")
+                 "strides", "flat", "inverse", "zeros", "_targets", "_radial", "_moments")
 
     def __init__(self, space):
         self.measure, self.N, self.alphas = space.measure, space.N, space.alphas
         self.degrees, self.log_moments = space.degrees, space.log_moments
         self.size, self.dim = space.size, space.dim
-        self.index = _ShiftIndex(space)
+        stride = space.N + 1
+        self.strides = stride ** np.arange(self.dim, dtype=np.int64)
+        self.flat = self.alphas @ self.strides
+        self.inverse = np.full(stride ** self.dim, -1, dtype=np.int64)
+        self.inverse[self.flat] = np.arange(self.size)
+        self.zeros = np.zeros(self.size)    # the weights of an absent shift
+        self.zeros.flags.writeable = False
+        self._targets = {}     # shift -> targets(shift)
         self._radial = None    # _RadialDiagonal, built for the first radial symbol
         self._moments = {}     # gamma -> log m_{alpha+gamma} for every alpha
+
+    def targets(self, shift):
+        """(tgt, valid): ``valid[alpha]`` when alpha+shift stays in the
+        truncation, ``tgt[alpha]`` its basis index (0 where not valid)."""
+        hit = self._targets.get(shift)
+        if hit is None:
+            valid = self.degrees <= self.N - sum(shift)
+            for column, s in zip(self.alphas.T, shift):
+                if s < 0:
+                    valid &= column >= -s
+            tgt = np.zeros(self.size, dtype=np.int64)
+            tgt[valid] = self.inverse[self.flat[valid] + int(np.dot(shift, self.strides))]
+            hit = self._targets[shift] = (tgt, valid)
+        return hit
 
     def toeplitz(self, sym):
         """T_sym: for a non-polynomial symbol the radial diagonal or, on the
@@ -292,14 +280,14 @@ class _ShiftForm:
                     f"the disk; {self.measure.domain.name} has dimension {self.dim}")
             if self._radial is None:
                 self._radial = _RadialDiagonal(self)  # reads measure, N, alphas
-            return _Shifts(self.index, {(0,) * self.dim: self._radial(sym)} if sym.radial
+            return _Shifts(self, {(0,) * self.dim: self._radial(sym)} if sym.radial
                            else self._radial.modes(sym))
-        index, logm = self.index, self.log_moments
+        logm = self.log_moments
         real = all(c.imag == 0 for c in _finite(sym).poly.values())
         out = {}
         for (gamma, delta), c in sym.poly.items():
             shift = tuple(g - d for g, d in zip(gamma, delta))
-            tgt, valid = index.targets(shift)
+            tgt, valid = self.targets(shift)
             cols = valid.nonzero()[0]
             if not len(cols):
                 continue
@@ -313,7 +301,7 @@ class _ShiftForm:
                                                dtype=np.float64 if real else np.complex128))
             w[cols] += (c.real if real else c) * np.exp(logext[cols] - 0.5 * logm[cols]
                                                         - 0.5 * logm[rows])
-        return _Shifts(index, out)
+        return _Shifts(self, out)
 
     def weight_row(self, adjoint, exponents):
         """The weights at shift gamma - delta of T_{z^gamma zbar^delta} or, if
@@ -321,21 +309,21 @@ class _ShiftForm:
         mono = tuple(exponents[:self.dim]), tuple(exponents[self.dim:])
         t = self.toeplitz(Symbol.from_monomials({mono[::-1] if adjoint else mono: 1.0}, self.dim))
         return (t.adjoint() if adjoint else t).w.get(tuple(map(operator.sub, *mono)),
-                                                     self.index.zero)
+                                                     self.zeros)
 
     def target_row(self, shift):
         """Where ``shift`` sends each basis index, -1 where it leaves the truncation."""
-        tgt, valid = self.index.targets(shift)
+        tgt, valid = self.targets(shift)
         return np.where(valid, tgt, -1)
 
     def hankel(self, phi, psi):
         return _hankel_pair(self, phi, psi)
 
     def identity(self):
-        return _Shifts(self.index, {(0,) * self.dim: np.ones(self.size, dtype=np.complex128)})
+        return _Shifts(self, {(0,) * self.dim: np.ones(self.size, dtype=np.complex128)})
 
     def zero(self):
-        return _Shifts(self.index, {})
+        return _Shifts(self, {})
 
     adjoint = staticmethod(_Shifts.adjoint)
 
@@ -820,16 +808,18 @@ def axler_zheng_report(expr, space, strong_points, weak_points, *,
 # ---------------------------------------------------------------------------
 
 def expr_from_json(obj, dim):
-    if not isinstance(obj, dict) or "sum" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("sum"), list):
         raise ParameterError('operator expression must be {"sum": [...]}')
     terms = []
     for prod in obj["sum"]:
-        if not isinstance(prod, dict) or "prod" not in prod:
+        if not isinstance(prod, dict) or not isinstance(prod.get("prod"), list):
             raise ParameterError('each term must be {"prod": [...]}')
         factors = []
         for f in prod["prod"]:
             if not isinstance(f, dict):
                 raise ParameterError(f"operator factor {f!r} is not an object")
+            if len(f) != 1:
+                raise ParameterError(f"operator factor {f!r} does not have exactly one key")
             if "toeplitz" in f:
                 factors.append(T(_json_symbol(f, "toeplitz", "symbol", dim)))
             elif "hankelpair" in f:
@@ -839,9 +829,10 @@ def expr_from_json(obj, dim):
                 factors.append(IDENTITY)
             elif "scalar" in f:
                 v = f["scalar"]
-                if isinstance(v, list) and len(v) != 2:
+                parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
+                if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in parts):
                     raise ParameterError(f"scalar {v!r} is neither a number nor [re, im]")
-                factors.append(SC(complex(v[0], v[1]) if isinstance(v, list) else complex(v)))
+                factors.append(SC(complex(*parts)))
             else:
                 raise ParameterError(f"unknown operator factor {f!r}")
         terms.append(tuple(factors))

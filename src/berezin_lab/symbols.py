@@ -336,9 +336,6 @@ class Symbol:
         self.poly = poly
         self.radial = bool(radial)
         self.text = text
-        self._conj = None
-        self._table = None        # _ProductTable this symbol multiplies through
-        self._interned = False    # reachable from a table, so never holds one
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -371,44 +368,25 @@ class Symbol:
             return 0
         return max(sum(a) + sum(b) for a, b in self.poly)
 
-    @cached_property
-    def key(self):
-        """Hashable polynomial key: the (alpha, beta, coeff) monomials in the
-        dict's order (which downstream sums follow), or None for a
-        non-polynomial symbol.  Computed once; ``poly`` is never mutated."""
-        if self.poly is None:
-            return None
-        return tuple((a, b, complex(c)) for (a, b), c in self.poly.items())
-
     # -- algebra -------------------------------------------------------------
     def conj(self):
-        """The complex conjugate symbol, built once per symbol."""
-        if self._conj is None:
-            c = Symbol(self.dim, ("call", "conj", [self.ast]),
-                       None if self.poly is None else _poly_conj(self.poly),
-                       self.radial, f"conj({self.text})")
-            c._table, c._interned = self._table, self._interned
-            self._conj = c
-        return self._conj
+        """The complex conjugate symbol."""
+        return Symbol(self.dim, ("call", "conj", [self.ast]),
+                      None if self.poly is None else _poly_conj(self.poly),
+                      self.radial, f"conj({self.text})")
 
     def __mul__(self, other):
-        """Product symbol.  Polynomial products go through a
-        :class:`_ProductTable` shared with the operands, so a repeated product
-        is the same Symbol and no polynomial is expanded twice."""
+        """Product symbol.  A polynomial product is read off its product
+        polynomial: its AST (of logarithmic depth, however many factors) and
+        its torus invariance; its text stays the factored one."""
         if not isinstance(other, Symbol):
             return NotImplemented
+        text = f"({self.text})*({other.text})"
         if self.poly is None or other.poly is None:
             return Symbol(self.dim, ("*", self.ast, other.ast), None,
-                          self.radial and other.radial, f"({self.text})*({other.text})")
-        table = self._table or other._table
-        if table is None:
-            if self._interned and other._interned:
-                return _poly_product(self, other)
-            table = _ProductTable()
-        for s in (self, other):
-            if s._table is None and not s._interned:
-                s._table = table
-        return table.product(self, other)
+                          self.radial and other.radial, text)
+        poly = _poly_mul(self.poly, other.poly)
+        return Symbol(self.dim, _poly_ast(poly), poly, _torus_invariant(poly), text)
 
     # -- evaluation ----------------------------------------------------------
     def __call__(self, points):
@@ -426,37 +404,3 @@ class Symbol:
     def __repr__(self):
         return f"Symbol({self.text!r}, tag={self.tag.value})"
 
-
-def _poly_product(a, b):
-    """Product of two polynomial symbols; torus invariance is read off the
-    product polynomial."""
-    poly = _poly_mul(a.poly, b.poly)
-    return Symbol(a.dim, ("*", a.ast, b.ast), poly, _torus_invariant(poly),
-                  f"({a.text})*({b.text})")
-
-
-class _ProductTable:
-    """Polynomial products of the symbols that have been multiplied together,
-    interned by key: one Symbol per distinct polynomial (its text is that of
-    the product that first built it), looked up by the operands' keys.
-
-    The operands hold the table; the products it holds, and everything
-    derived from them, are marked interned and never hold a table, so there
-    is no reference cycle and the table is freed with its operands.
-    """
-
-    __slots__ = ("by_pair", "by_key")
-
-    def __init__(self):
-        self.by_pair = {}   # (left key, right key) -> product
-        self.by_key = {}    # product key -> product
-
-    def product(self, a, b):
-        pair = (a.key, b.key)
-        hit = self.by_pair.get(pair)
-        if hit is None:
-            made = _poly_product(a, b)
-            hit = self.by_key.setdefault(made.key, made)
-            hit._interned = True
-            self.by_pair[pair] = hit
-        return hit

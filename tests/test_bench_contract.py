@@ -72,6 +72,27 @@ def test_tiny_oracles_fires_every_oracles_span(tmp_path):
     assert tracer.missing("oracles") == []
 
 
+def test_tiny_localization_fires_every_localization_span(tmp_path):
+    from berezin_lab import labcli
+    disk = {"name": "disk"}
+    runs = [
+        ("axler-zheng", {"domain": disk, "r": 0.0, "N": 8,
+                         "operator": {"sum": [{"prod": [
+                             {"hankelpair": {"psi": "abs(z)", "phi": "abs(z)"}}]}]},
+                         "strong_points": [[1.0, 0.0]], "weak_points": []}),
+        ("berezin-profile", {"domain": disk, "r": 0.0, "N": 8, "symbol": "z",
+                             "point": [1.0, 0.0], "t_grid": [0.5, 0.9]}),
+    ]
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        for i, (experiment, config) in enumerate(runs):
+            labcli.run(experiment, dict(config, out=str(tmp_path / str(i))))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing("localization") == []
+
+
 def test_traced_spans_stay_on_the_calling_thread(tmp_path, monkeypatch):
     # the Monte Carlo hit count splits its blocks over worker threads (three
     # here, whatever the host has); the tracer's span stack is not

@@ -549,11 +549,9 @@ def test_residual_caches_are_freed_with_their_space():
         sp = build_space(WeightedMeasure(make_domain("ball", n=2), 0.0), 8)
         semi_commutator_residual(sp, [syms[1:3]], 1)
         product_decomposition_residual(sp, [syms[1:4]], 3)
-        space, product = weakref.ref(sp), weakref.ref(syms[1] * syms[3])
+        space = weakref.ref(sp)
         del sp
         assert space() is None
-        del syms
-        assert product() is None        # the product table goes with its operands
     finally:
         gc.enable()
 
@@ -921,8 +919,19 @@ def _factors(*factors):
     (lambda: expr_from_json(_factors({"hankelpair": {"psi": "z"}}), 1), "has no 'phi'"),
     (lambda: expr_from_json(_factors({"scalar": [1]}), 1), "scalar [1] is neither"),
     (lambda: expr_from_json(_factors({"scalar": [1, 2, 3]}), 1), "scalar [1, 2, 3] is neither"),
+    (lambda: expr_from_json(_factors({"scalar": None}), 1), "scalar None is neither"),
+    (lambda: expr_from_json(_factors({"scalar": {"a": 1}}), 1), "scalar {'a': 1} is neither"),
+    (lambda: expr_from_json(_factors({"scalar": [1, "a"]}), 1), "scalar [1, 'a'] is neither"),
+    (lambda: expr_from_json(_factors({"scalar": "2"}), 1), "scalar '2' is neither"),
+    (lambda: expr_from_json(_factors({"scalar": True}), 1), "scalar True is neither"),
+    (lambda: expr_from_json(_factors({"toeplitz": {"symbol": "z"}, "identity": {}}), 1),
+     "'identity': {}} does not have exactly one key"),
+    (lambda: expr_from_json({"sum": 5}, 1), 'must be {"sum": [...]}'),
+    (lambda: expr_from_json({"sum": [{"prod": 5}]}, 1), 'must be {"prod": [...]}'),
 ], ids=["symbol-not-str", "factor-not-object", "toeplitz-no-symbol", "toeplitz-not-object",
-        "hankelpair-no-psi", "hankelpair-no-phi", "scalar-of-one", "scalar-of-three"])
+        "hankelpair-no-psi", "hankelpair-no-phi", "scalar-of-one", "scalar-of-three",
+        "scalar-none", "scalar-object", "scalar-pair-of-text", "scalar-text", "scalar-bool",
+        "factor-of-two-kinds", "sum-not-list", "prod-not-list"])
 def test_malformed_library_input_raises_parameter_error_naming_it(call, piece):
     with pytest.raises(ParameterError, match=re.escape(piece)):
         call()

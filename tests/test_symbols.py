@@ -1,5 +1,6 @@
-import gc
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -86,29 +87,31 @@ def test_points_dimension_check():
         sym(rand_points(3))
 
 
-def test_polynomial_products_are_interned():
+def test_products_and_conjugates_are_read_off_their_polynomials():
     z1, w = Symbol.parse("z1", 2), Symbol.parse("conj(z2)", 2)
-    zw = z1 * w
-    assert zw.poly == {((1, 0), (0, 1)): 1.0}
-    assert z1 * w is zw and w * z1 is zw      # one Symbol per polynomial
-    assert (zw * z1).key == (z1 * zw).key
-    assert z1.conj() is z1.conj()
-    assert z1.conj().conj().key == z1.key
-    assert (z1 * z1.conj()).radial             # read off the product polynomial
+    assert (z1 * w).poly == (w * z1).poly == {((1, 0), (0, 1)): 1.0}
+    assert (z1 * w).text == "(z1)*(conj(z2))"       # the factored text
+    assert z1.conj().conj().poly == z1.poly
+    assert (z1 * z1.conj()).radial              # read off the product polynomial
+    assert not (z1 * w).radial
+    a, b = Symbol.parse("abs(z2)", 2), Symbol.parse("re(z1)*abs(z2)", 2)
+    assert (z1 * z1.conj() * a).poly is None and (z1 * z1.conj() * a).radial
+    assert (z1 * a).poly is None and not (z1 * a).radial
+    assert (z1 * z1.conj() * b).poly is None and not (z1 * z1.conj() * b).radial
 
 
-def test_product_tables_form_no_reference_cycles():
-    gc.collect()
-    gc.disable()
-    try:
-        syms = [Symbol.from_monomials({((a,), (b,)): c}, 1)
-                for a, b, c in ((0, 0, 2.0), (1, 0, 1.0), (0, 1, 0.5j), (1, 1, 1.0))]
-        for a, b, c in itertools.product(syms, repeat=3):
-            (a * b * c).conj() * a * (b.conj() * a).conj()
-        del syms, a, b, c
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+def test_long_polynomial_products_evaluate_through_their_polynomial():
+    z = Symbol.parse("z", 1)
+    chain = functools.reduce(operator.mul, [z] * 1200)   # deeper than the recursion limit
+    assert chain.degree == 1200 and chain(0.5) == 0j
+    p, q = Symbol.parse("z1 - 2*conj(z2) + 0.5", 2), Symbol.parse("re(z1)*z2", 2)
+    pts = rand_points(2, seed=11)
+    vp = pts[:, 0] - 2 * np.conj(pts[:, 1]) + 0.5
+    vq = pts[:, 0].real * pts[:, 1]
+    for prod, want in ((p * q, vp * vq), (q * p.conj(), vq * np.conj(vp)),
+                       (p * q * p, vp * vq * vp)):
+        assert prod.tag is SymbolTag.POLYNOMIAL
+        assert np.max(np.abs(prod(pts) - want)) < 1e-12
 
 
 Z, Z2 = ("var", 0), ("var", 1)

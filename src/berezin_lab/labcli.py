@@ -421,6 +421,27 @@ def validate_config(experiment, config):
 # config helpers
 # ---------------------------------------------------------------------------
 
+# The most a space's basis may take: a run whose N asks for more is refused
+# before anything is built.  A basis function costs about
+# _BASIS_FUNCTION_BYTES, for the space's arrays and the Python lists
+# ``multiindices`` builds them from (build_space peaks at 163-174 bytes a
+# function on ball2 and ball3).
+BASIS_BUDGET_BYTES = 2 ** 31
+_BASIS_FUNCTION_BYTES = 256
+
+
+def _max_degree(config, dim, default):
+    """config['N'] (else ``default``), refused when its basis in ``dim``
+    variables, C(N + dim, dim) functions, exceeds ``BASIS_BUDGET_BYTES``."""
+    nn = int(config.get("N", default))
+    size = math.comb(nn + dim, dim)
+    if size * _BASIS_FUNCTION_BYTES > BASIS_BUDGET_BYTES:
+        raise SchemaError(f"config field $['N']: {nn} asks for C({nn} + {dim}, {dim}) = {size} "
+                          f"basis functions, over the {BASIS_BUDGET_BYTES}-byte budget at "
+                          f"{_BASIS_FUNCTION_BYTES} bytes each")
+    return nn
+
+
 def _refuse(config, keys, reason):
     """Raise SchemaError naming the first of ``keys`` set in ``config``,
     where the run would otherwise ignore it."""
@@ -564,7 +585,7 @@ def _run_kernel_check(config, report):
     radius = _ray_radius(dom, config, 0.8)
     phase = float(config.get("phase", 0.3))
     tol = float(config.get("tolerance", 1e-8))
-    nn = int(config.get("N", 64))
+    nn = _max_degree(config, dom.dim, 64)
     closed = _closed_form_kernel(dom, r)
     if closed is None:
         raise ParameterError(
@@ -588,7 +609,7 @@ def _run_inflation_check(config, report):
     dom = domain_from_config(config["domain"])
     r = float(config["r"])
     p = int(config["p"])
-    nn = int(config.get("N", 32))
+    nn = _max_degree(config, dom.dim + p, 32)    # the inflated space's dim + p variables
     n_grid = int(config.get("grid_points", 8))
     radius = _ray_radius(dom, config, 0.6)
     phase = float(config.get("phase", 0.2))
@@ -626,7 +647,7 @@ def _run_moments(config, report):
                 raise SchemaError(f"multiindex {a} has wrong length for {dom.name}")
     else:
         alphas = [tuple(int(x) for x in a)
-                  for a in multiindices(dom.dim, int(config.get("N", 8)))]
+                  for a in multiindices(dom.dim, _max_degree(config, dom.dim, 8))]
     mc = bool(config.get("mc", False))
     if not mc:
         _refuse(config, ("samples", "seed"), "without 'mc': true")
@@ -653,7 +674,7 @@ def _run_berezin_profile(config, report):
         _refuse(config, ("tolerance",), "without 'expect_limit'")
     dom = domain_from_config(config["domain"])
     r = float(config.get("r", 0.0))
-    nn = int(config.get("N", 96 if dom.dim == 1 else 16))
+    nn = _max_degree(config, dom.dim, 96 if dom.dim == 1 else 16)
     if dom.dim != 1:
         _refuse(config, ("mass_outside",), f"on a {dom.dim}-dimensional domain")
     if "mass_outside" in config:
@@ -706,7 +727,7 @@ def _run_berezin_profile(config, report):
 def _run_semi_commutator(config, report):
     dom = domain_from_config(config["domain"])
     r = float(config.get("r", 0.0))
-    nn = int(config.get("N", 32))
+    nn = _max_degree(config, dom.dim, 32)
     degree = int(config.get("degree", 2))
     tol = float(config.get("tolerance", 1e-9))
     if nn < 3 * degree:
@@ -730,7 +751,7 @@ def _run_semi_commutator(config, report):
 def _run_axler_zheng(config, report):
     dom = domain_from_config(config["domain"])
     r = float(config.get("r", 0.0))
-    nn = int(config.get("N", 16))
+    nn = _max_degree(config, dom.dim, 16)
     strong = [_boundary_point(dom, p, f"$['strong_points'][{i}]")
               for i, p in enumerate(config["strong_points"])]
     weak = [_boundary_point(dom, p, f"$['weak_points'][{i}]")

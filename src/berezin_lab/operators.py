@@ -22,15 +22,18 @@ searched for in a matrix, and its ``matrix`` is densified on first read.  The
 identity residuals take a list of identities and evaluate them as one array
 program: in an identity of monomial symbols every operator is one weighted
 shift, so its residual is products of rows gathered from a table of
-monomial weights and one of shift targets, built once a call, as read off
-``decompose_product``'s term list; a polynomial identity is the
-coefficient-weighted sum of its monomial ones (the residual is multilinear).
+monomial weights, built once a call with array ops from the closed form, as
+read off ``decompose_product``'s term list.  Each factor is read at the
+targets of the whole shift of the factors to its right, one gather from a
+table of shift targets, and each such read is gathered once per chunk of
+identities.  A polynomial identity is the coefficient-weighted sum of its
+monomial ones (the residual is multilinear), expanded with array ops chunk
+by chunk.
 """
 
 import cmath
 import functools
 import itertools
-import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -230,12 +233,13 @@ class _ShiftForm:
     (``_shift_form``).  It keeps the space's arrays and measure but not the
     space, and its operators point only to it, so nothing here refers back
     to the space and all of it is freed with the space.  It keeps no
-    operator and nothing per identity: the shift targets, the log moments
-    and the radial rule are what recurs.
+    operator and nothing per identity: the shift targets and the radial
+    rule are what recurs.  Monomial Toeplitz weights have one closed form,
+    ``monomial_weights``, for ``toeplitz`` and the identity residuals alike.
     """
 
     __slots__ = ("measure", "N", "alphas", "degrees", "log_moments", "size", "dim",
-                 "strides", "flat", "inverse", "zeros", "_targets", "_radial", "_moments")
+                 "strides", "flat", "inverse", "_targets", "_radial")
 
     def __init__(self, space):
         self.measure, self.N, self.alphas = space.measure, space.N, space.alphas
@@ -246,11 +250,8 @@ class _ShiftForm:
         self.flat = self.alphas @ self.strides
         self.inverse = np.full(stride ** self.dim, -1, dtype=np.int64)
         self.inverse[self.flat] = np.arange(self.size)
-        self.zeros = np.zeros(self.size)    # the weights of an absent shift
-        self.zeros.flags.writeable = False
         self._targets = {}     # shift -> targets(shift)
         self._radial = None    # _RadialDiagonal, built for the first radial symbol
-        self._moments = {}     # gamma -> log m_{alpha+gamma} for every alpha
 
     def targets(self, shift):
         """(tgt, valid): ``valid[alpha]`` when alpha+shift stays in the
@@ -282,7 +283,6 @@ class _ShiftForm:
                 self._radial = _RadialDiagonal(self)  # reads measure, N, alphas
             return _Shifts(self, {(0,) * self.dim: self._radial(sym)} if sym.radial
                            else self._radial.modes(sym))
-        logm = self.log_moments
         real = all(c.imag == 0 for c in _finite(sym).poly.values())
         out = {}
         for (gamma, delta), c in sym.poly.items():
@@ -291,25 +291,29 @@ class _ShiftForm:
             cols = valid.nonzero()[0]
             if not len(cols):
                 continue
-            rows = tgt[cols]
-            logext = self._moments.get(gamma)
-            if logext is None:
-                # computed row by row: these rows equal a call over cols alone
-                logext = self._moments[gamma] = log_monomial_moments(
-                    self.measure, self.alphas + np.asarray(gamma, dtype=np.int64))
             w = out.setdefault(shift, np.zeros(self.size,
                                                dtype=np.float64 if real else np.complex128))
-            w[cols] += (c.real if real else c) * np.exp(logext[cols] - 0.5 * logm[cols]
-                                                        - 0.5 * logm[rows])
+            ext = self.log_moments_at(np.array([gamma]))[0]
+            w[cols] += (c.real if real else c) * self.monomial_weights(ext[cols], cols, tgt[cols])
         return _Shifts(self, out)
 
-    def weight_row(self, adjoint, exponents):
-        """The weights at shift gamma - delta of T_{z^gamma zbar^delta} or, if
-        ``adjoint``, of the adjoint of its conjugate's; exponents (*gamma, *delta)."""
-        mono = tuple(exponents[:self.dim]), tuple(exponents[self.dim:])
-        t = self.toeplitz(Symbol.from_monomials({mono[::-1] if adjoint else mono: 1.0}, self.dim))
-        return (t.adjoint() if adjoint else t).w.get(tuple(map(operator.sub, *mono)),
-                                                     self.zeros)
+    def log_moments_at(self, gammas):
+        """log m_{alpha+gamma} for every alpha, one row per gamma, in blocks of
+        at most ``_accel.BLOCK_ENTRIES // 8`` entries (a row does not depend
+        on the others)."""
+        out = np.empty((len(gammas), self.size))
+        step = max(1, _accel.BLOCK_ENTRIES // 8 // self.size)
+        for a in range(0, len(gammas), step):
+            shifted = (gammas[a:a + step, None] + self.alphas).reshape(-1, self.dim)
+            out[a:a + step] = log_monomial_moments(self.measure, shifted).reshape(-1, self.size)
+        return out
+
+    def monomial_weights(self, ext, src, dst):
+        """<T e_src, e_dst> of T_{z^gamma zbar^delta} for dst = src + gamma - delta
+        in the truncation, entrywise over index arrays, from ``ext`` = log
+        m_{src+gamma}: exp(log m_{src+gamma} - log m_src / 2 - log m_dst / 2)."""
+        logm = self.log_moments
+        return np.exp(ext - 0.5 * logm[src] - 0.5 * logm[dst])
 
     def target_row(self, shift):
         """Where ``shift`` sends each basis index, -1 where it leaves the truncation."""
@@ -525,123 +529,203 @@ def materialize(expr, space):
 # ---------------------------------------------------------------------------
 
 def _residuals(space, what, identities, degree_of, margin, combine):
-    """One float per identity (a list of polynomial symbols): the max over the
-    truncation-safe block of |combine(chain, terms)|, for the Toeplitz chain
-    and the products of ``decompose_product``'s terms without scalars.  A
-    polynomial identity is the coefficient-weighted sum of its monomial ones
-    (the residual is multilinear), summed per total shift before the max.
-    Monomials are coded by their exponents' digits in base 2N + 1, so that a
-    product's code is the sum of its factors' (no exponent exceeds 2N)."""
-    identities = [list(symbols) for symbols in identities]
-    for degrees in ([s.degree for s in symbols] for symbols in identities):
-        if None in degrees:
-            raise ParameterError(f"{what} residual requires polynomial symbols")
-        if margin < degree_of(degrees):
-            raise ParameterError(f"margin {margin} is below the symbol degree {degree_of(degrees)}")
+    """One float per identity (a sequence of polynomial symbols): the max over
+    the truncation-safe block of |combine(chain, terms)|, for the Toeplitz
+    chain and the products of ``decompose_product``'s terms without scalars.
+    ``degree_of`` (``np.maximum`` or ``np.add``) reduces an identity's symbol
+    degrees to the margin it needs.  A polynomial identity is the
+    coefficient-weighted sum of its monomial ones (the residual is
+    multilinear), summed per total shift before the max.  Monomials are coded
+    by their exponents' digits in base 2N + 1, so that a product's code is the
+    sum of its factors' (no exponent exceeds 2N)."""
+    identities = list(map(tuple, identities))
+    ids = {s: i for i, s in enumerate(dict.fromkeys(itertools.chain(*identities)))}
+    flat = np.fromiter(map(ids.__getitem__, itertools.chain(*identities)), np.intp)
+    lengths = np.fromiter(map(len, identities), np.intp, len(identities))
+    if identities:
+        if not lengths.all():
+            raise ParameterError(f"{what} residual needs at least one symbol per identity")
+        degrees = np.array([-1 if s.degree is None else s.degree for s in ids], np.intp)[flat]
+        starts = np.cumsum(lengths) - lengths
+        polynomial = np.minimum.reduceat(degrees, starts) >= 0
+        need = degree_of.reduceat(degrees, starts)
+        bad = np.flatnonzero(~polynomial | (need > margin))     # the first one raises
+        if len(bad):
+            i = bad[0]
+            raise ParameterError(f"{what} residual requires polynomial symbols" if not polynomial[i]
+                                 else f"margin {margin} is below the symbol degree {need[i]}")
     form = _shift_form(space)
     keep = form.degrees <= form.N - margin
     if not keep.any():
         raise ParameterError(f"margin {margin} leaves no truncation-safe indices")
     radix = (2 * form.N + 1) ** np.arange(2 * form.dim)
-    distinct = dict.fromkeys(itertools.chain(*identities))
-    coefs = {s: list(_finite(s).poly.values()) for s in distinct}
-    codes = {s: [int(np.dot((*a, *b), radix)) for a, b in s.poly] for s in distinct}
+    polys = [_finite(s).poly for s in ids]
+    count = np.fromiter(map(len, polys), np.intp, len(polys))
+    exps = np.array([e for p in polys for a, b in p for e in (*a, *b)], np.int64)
+    monomials = (count, np.cumsum(count) - count, exps.reshape(-1, 2 * form.dim) @ radix,
+                 np.array([c for p in polys for c in p.values()], np.complex128))
     out = np.zeros(len(identities))
-    for m in set(map(len, identities)):
-        outputs, coefs_m, monomials = [], [], []
-        for i, symbols in enumerate(identities):
-            if len(symbols) == m:   # its monomial identities, the last symbol's fastest
-                coefs_m += map(math.prod, itertools.product(*map(coefs.get, symbols)))
-                monomials += itertools.chain(*itertools.product(*map(codes.get, symbols)))
-                outputs += [i] * (len(coefs_m) - len(outputs))
-        if outputs:     # arrays replace the lists before the tables are built
-            outputs, coefs_m, monomials = map(np.array, (outputs, coefs_m, monomials))
-            _batch_residuals(form, outputs, coefs_m, monomials.reshape(len(outputs), m), radix,
-                             keep, combine, out)
+    for m in sorted(set(lengths.tolist())):
+        of_m = lengths == m
+        _batch_residuals(form, np.flatnonzero(of_m), flat[np.repeat(of_m, lengths)].reshape(-1, m),
+                         monomials, radix, keep, combine, out)
     return out.tolist()
+
+
+def _monomial_identities(ids, monomials):
+    """The monomial identities of the identities ``ids`` (symbol ids, one row
+    each), in order, the last symbol's monomials fastest: each one's row in
+    ``ids``, its monomial codes, and its coefficient, the product of its
+    monomials' taken left to right.  ``monomials`` is (count, start, code,
+    coef): each symbol's number of monomials and first index into the codes
+    and coefficients of all symbols' monomials."""
+    count, start, code, coef = monomials
+    counts = count[ids]
+    per = counts.prod(axis=1)
+    owner = np.repeat(np.arange(len(ids)), per)
+    digits = np.arange(len(owner)) - np.repeat(np.cumsum(per) - per, per)   # mixed radix
+    at = np.empty((len(owner), ids.shape[1]), np.intp)
+    for j in range(ids.shape[1] - 1, -1, -1):
+        c = counts[owner, j]
+        at[:, j] = start[ids[owner, j]] + digits % c
+        digits //= c
+    return owner, code[at], functools.reduce(operator.mul, coef[at].T)
 
 
 def _decomposition(m):
     """The chain T_{s_1} ... T_{s_m} and ``decompose_product``'s terms without
-    scalars, each factor as the inputs it multiplies (0/1 per input, read off
-    the indicator monomials z_1, ..., z_m): (r,) for T_s and (r of phi psi,
-    r of psi, r of phi) for H*_{conj psi} H_phi."""
+    scalars, each as the reads of its factors, left to right.  A read is
+    (key, moved): row key = (adjoint?, inputs) of T_s, or of the adjoint of
+    T_{conj s}, for s the product of the inputs, taken at the block moved by
+    the whole shift of the inputs ``moved`` right of the factor (sets of
+    inputs as bit masks, read off the indicator monomials z_1, ..., z_m).
+    T_s is one read; H*_{conj psi} H_phi = T_{phi psi} - adj(T_{conj psi})
+    T_phi is three, the adjoint moved by phi as well."""
     zs = [Symbol.from_monomials({(tuple(int(i == j) for j in range(m)), (0,) * m): 1.0}, m)
           for i in range(m)]
 
     def inputs(s):
-        return next(iter(s.poly))[0]
-    return [[(inputs(f[1]),) if f[0] == "toeplitz" else
-             (inputs(f[2] * f[1]), inputs(f[1]), inputs(f[2])) for f in term if f[0] != "scalar"]
-            for term in [tuple(map(T, zs)), *decompose_product(zs).terms]]
+        return sum(e << i for i, e in enumerate(next(iter(s.poly))[0]))
+
+    def reads(term):
+        out, moved = [], 0
+        for f in reversed([f for f in term if f[0] != "scalar"]):
+            whole = inputs(f[1] if f[0] == "toeplitz" else f[2] * f[1])
+            out.append((((False, whole), moved),) if f[0] == "toeplitz" else
+                       (((False, whole), moved), ((True, inputs(f[1])), moved | inputs(f[2])),
+                        ((False, inputs(f[2])), moved)))
+            moved |= whole
+        return out[::-1]
+    return [reads(term) for term in [tuple(map(T, zs)), *decompose_product(zs).terms]]
 
 
-def _batch_residuals(form, outputs, coefs, codes, radix, keep, combine, out):
-    """Raise ``out[i]`` to the residuals of monomial identities of one length,
-    given by their identity ``outputs``, ``coefs`` and monomial ``codes``.
+def _cuts(first, size):
+    """Cuts before each identity whose first monomial row ``first`` starts a
+    new run of ``size`` rows, and at the end: runs of whole identities."""
+    return [*np.flatnonzero(np.diff(first // size, prepend=-1)).tolist(), len(first)]
+
+
+def _batch_residuals(form, index, ids, monomials, radix, keep, combine, out):
+    """Raise ``out[index[i]]`` to the residual of the identity of symbol ids
+    ``ids[i]``, all of one length m, over its monomial identities.
+
     One table holds, at shift gamma - delta, the weights of T_{z^gamma
-    zbar^delta} or of the adjoint of its conjugate's, one row per factor
-    monomial; another per shift its targets, -1 where alpha + shift leaves
-    the truncation.  Whole identities go in chunks of about
-    ``_accel.BLOCK_ENTRIES // 8`` entries per temporary, and every entry
-    takes the arithmetic of ``_Shifts`` in the same order."""
-    chain, *terms = structure = _decomposition(codes.shape[1])
-    needed = list(dict.fromkeys(k for term in structure for f in term
-                                for k in zip((False, True, False), f)))   # (adjoint?, inputs)
-    keys, rows = np.unique(np.stack([codes @ r * 2 + adj for adj, r in needed], 1),
-                           return_inverse=True)
+    zbar^delta} or of the adjoint of its conjugate's, one row per key a
+    monomial identity reads (collected in a first pass); another per shift
+    its targets, -1 where alpha + shift leaves the truncation.  A read takes
+    its row at the targets of the whole shift of the inputs right of its
+    factor, one gather from the target row of their product's key, and each
+    (key, moved) pair is gathered once a chunk.  ``_Shifts.__matmul__``
+    composes one target gather per factor instead: the positions agree while
+    every partial shift stays in the truncation, and where one leaves it the
+    first factor to leave weighs 0 at a position both agree on, so the
+    product is +-0 either way and its |.| the same.  Whole identities go in
+    chunks of about ``_accel.BLOCK_ENTRIES // 8`` entries per temporary, and
+    every entry takes the arithmetic of ``_Shifts`` in the same order."""
+    m, size, dim = ids.shape[1], form.size, form.dim
+    chain, *terms = structure = _decomposition(m)
+    reads = [r for product in structure for factor in product for r in factor]
+    needed = list(dict.fromkeys([key for key, _ in reads]
+                                + [(False, moved) for _, moved in reads if moved]))
+    column = {key: j for j, key in enumerate(needed)}
+    inputs = np.array([r for _, r in needed]) >> np.arange(m)[:, None] & 1    # (m, keys)
+    adjoint = np.array([a for a, _ in needed])
+    per = monomials[0][ids].prod(axis=1)        # monomial identities per identity
+    blocks = _cuts(np.cumsum(per) - per, max(1, _accel.BLOCK_ENTRIES // 8 // len(needed)))
+    keys = np.zeros(0, np.int64)                # the code of each row's monomial, * 2 + adjoint?
+    for a, b in zip(blocks, blocks[1:]):
+        # deduplicated by hand: np.unique without an inverse imports numpy.ma (MBs of RSS)
+        keys = np.sort(np.concatenate(
+            [keys, (_monomial_identities(ids[a:b], monomials)[1] @ inputs * 2 + adjoint).ravel()]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+    if not len(keys):
+        return
     exps = keys[:, None] // 2 // radix % radix[1]           # (*gamma, *delta) of each row
-    shifts, shift_of = np.unique(exps[:, :form.dim] - exps[:, form.dim:], axis=0,
+    shifts, shift_of = np.unique(exps[:, :dim] - exps[:, dim:], axis=0, return_inverse=True)
+    shift_of = shift_of.ravel()
+    targets = np.array([form.target_row(tuple(shift)) for shift in shifts.tolist()])
+    # the adjoint of T_{conj mono} at beta is T_{conj mono} at its target alpha
+    adj = keys % 2 == 1
+    gammas, gamma_of = np.unique(np.where(adj[:, None], exps[:, dim:], exps[:, :dim]), axis=0,
                                  return_inverse=True)
-    weights, targets = np.empty((len(keys), form.size)), np.empty((len(shifts), form.size), int)
-    for j, (key, e) in enumerate(zip(keys.tolist(), exps.tolist())):  # no list of rows
-        weights[j] = form.weight_row(key % 2, e)
-    for j, shift in enumerate(shifts.tolist()):
-        targets[j] = form.target_row(tuple(shift))
-    rows, size, block = rows.reshape(len(codes), -1), form.size, np.flatnonzero(keep)
-    shift_of, span = shift_of.ravel() * size, targets.size   # flat row starts
-    first = np.flatnonzero(np.diff(outputs, prepend=-1))     # each identity's first row
-    per_chunk = max(1, _accel.BLOCK_ENTRIES // 8 // len(block))
-    cuts = [*first[np.flatnonzero(np.diff(first // per_chunk, prepend=-1))], len(outputs)]
-    for a, b in zip(cuts, cuts[1:]):
-        row = {key: rows[a:b, j:j + 1] for j, key in enumerate(needed)}
-        moved = {(): block}     # the block moved by the shifts along a path of factors
+    ext, gamma_of = form.log_moments_at(gammas), gamma_of.ravel()
+    weights, step = np.zeros((len(keys), size)), max(1, _accel.BLOCK_ENTRIES // 8 // size)
+    for a in range(0, len(keys), step):
+        row, col = np.nonzero(targets[shift_of[a:a + step]] >= 0)
+        row += a
+        tgt = targets[shift_of[row], col]
+        src, dst = np.where(adj[row], tgt, col), np.where(adj[row], col, tgt)
+        weights[row, col] = form.monomial_weights(ext[gamma_of[row], src], src, dst)
+    nb = int(keep.sum())    # the basis is in degree order: the block is its first nb indices
+    ok = (targets[:, :nb] >= 0) & keep[targets[:, :nb]]     # per total shift, where it counts
+    several, total = (per > 1).any(), column[False, 2 ** m - 1]
+    per_chunk = max(1, _accel.BLOCK_ENTRIES // 8 // nb)
+    for a, b in zip(blocks, blocks[1:]):
+        owner, codes, coefs = _monomial_identities(ids[a:b], monomials)
+        rows = np.searchsorted(keys, codes @ inputs * 2 + adjoint)
+        starts, moves = rows * size, shift_of[rows]     # flat row starts, row shifts
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        cuts = [*first[_cuts(first, per_chunk)[:-1]].tolist(), len(owner)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            got, at = {}, {}
 
-        def take(key, path):    # rows ``key`` at the block moved along ``path``, in order
-            for i in range(len(path)):
-                if path[:i + 1] not in moved:
-                    step = shift_of[row[False, path[i]]]
-                    moved[path[:i + 1]] = targets.take(step + moved[path[:i]])
-            return weights.take(row[key] * size + moved[path])
+            def take(key, moved):   # row ``key`` at the block moved by the inputs ``moved``
+                if (key, moved) not in got:
+                    j = column[key]
+                    if not moved:   # whole rows: a row gather beats an entry gather
+                        got[key, moved] = weights.take(rows[lo:hi, j], axis=0)[:, :nb]
+                    else:
+                        if moved not in at:
+                            at[moved] = targets.take(moves[lo:hi, column[False, moved]],
+                                                     axis=0)[:, :nb]
+                        got[key, moved] = weights.take(starts[lo:hi, j:j + 1] + at[moved])
+                return got[key, moved]
 
-        def product(factors):
-            # left to right: entry alpha of A @ B is A at tgt_B(alpha) times B at alpha
-            value = None
-            for j, f in enumerate(factors):
-                path = tuple(g[0] for g in factors[:j:-1])     # the factors right of f
-                v = take((False, f[0]), path)
-                if len(f) == 3:     # H*_{conj psi} H_phi = T_{phi psi} - adj(T_{conj psi}) T_phi
-                    v = v - take((True, f[1]), path + (f[2],)) * take((False, f[2]), path)
-                value = v if value is None else value * v
-            return value
+            def product(factors):   # entry alpha of A @ B is A at tgt_B(alpha) times B at alpha
+                values = [take(*read) if not pair else
+                          take(*read) - take(*pair[0]) * take(*pair[1])
+                          for read, *pair in factors]
+                return functools.reduce(operator.mul, values)
 
-        c = coefs[a:b, None]
-        residual = combine(product(chain), map(product, terms)) * (c if c.imag.any() else c.real)
-        total = shift_of[row[False, terms[0][0][0]][:, 0]]     # of T_{s_1 ... s_m}
-        group, inverse = np.unique(outputs[a:b] * span + total, return_inverse=True)
-        if len(group) < len(residual):  # sum the monomial identities of one total shift
-            sums = np.zeros((len(group), len(block)), residual.dtype)
-            np.add.at(sums, inverse, residual)
-            residual = sums
-        tgt = targets.take(group[:, None] % span + block)
-        np.maximum.at(out, group // span,
-                      np.where((tgt >= 0) & keep[tgt], np.abs(residual), 0.0).max(axis=1))
+            residual = combine(product(chain), map(product, terms))
+            c = coefs[lo:hi, None]
+            if not (c == 1).all():
+                residual = residual * (c if c.imag.any() else c.real)
+            group = owner[lo:hi] * len(shifts) + shift_of[rows[lo:hi, total]]
+            if several:     # sum the monomial identities of one total shift
+                group, inverse = np.unique(group, return_inverse=True)
+                if len(group) < len(residual):
+                    sums = np.zeros((len(group), nb), residual.dtype)
+                    np.add.at(sums, inverse, residual)
+                    residual = sums
+            np.maximum.at(out, index[a + group // len(shifts)],
+                          np.where(ok[group % len(shifts)], np.abs(residual), 0.0).max(axis=1))
 
 
 def semi_commutator_residual(space, pairs, margin):
     """Max-entry residual of T_{phi2} T_{phi1} = T_{phi2 phi1} - H*_{conj(phi2)} H_{phi1}
     over the truncation-safe block, one per (phi2, phi1) in ``pairs``."""
-    return _residuals(space, "semi-commutator", pairs, max, margin,
+    return _residuals(space, "semi-commutator", pairs, np.maximum, margin,
                       lambda direct, terms: direct - next(terms) + next(terms))
 
 
@@ -650,7 +734,7 @@ def product_decomposition_residual(space, symbol_lists, margin):
     decomposition (one Toeplitz with the product symbol minus Hankel
     corrections) over the truncation-safe block, one per list of symbols
     in ``symbol_lists``."""
-    return _residuals(space, "product decomposition", symbol_lists, sum, margin,
+    return _residuals(space, "product decomposition", symbol_lists, np.add, margin,
                       lambda direct, terms: direct - functools.reduce(operator.sub, terms))
 
 
@@ -821,11 +905,11 @@ def expr_from_json(obj, dim):
             if len(f) != 1:
                 raise ParameterError(f"operator factor {f!r} does not have exactly one key")
             if "toeplitz" in f:
-                factors.append(T(_json_symbol(f, "toeplitz", "symbol", dim)))
+                factors.append(T(*_json_symbols(f, "toeplitz", ("symbol",), dim)))
             elif "hankelpair" in f:
-                factors.append(HP(_json_symbol(f, "hankelpair", "psi", dim),
-                                  _json_symbol(f, "hankelpair", "phi", dim)))
+                factors.append(HP(*_json_symbols(f, "hankelpair", ("psi", "phi"), dim)))
             elif "identity" in f:
+                _json_symbols(f, "identity", (), dim)
                 factors.append(IDENTITY)
             elif "scalar" in f:
                 v = f["scalar"]
@@ -839,8 +923,16 @@ def expr_from_json(obj, dim):
     return OperatorExpr(tuple(terms))
 
 
-def _json_symbol(factor, kind, name, dim):
-    """The symbol ``factor[kind][name]``, refusing a factor without one."""
-    if not isinstance(factor[kind], dict) or name not in factor[kind]:
-        raise ParameterError(f"{kind} factor {factor!r} has no {name!r}")
-    return Symbol.parse(factor[kind][name], dim)
+def _json_symbols(factor, kind, names, dim):
+    """The symbols ``factor[kind][name]`` for ``names``, refusing a body that
+    is not an object of exactly these keys."""
+    body = factor[kind]
+    for name in names:
+        if not isinstance(body, dict) or name not in body:
+            raise ParameterError(f"{kind} factor {factor!r} has no {name!r}")
+    if not isinstance(body, dict):
+        raise ParameterError(f"{kind} factor {factor!r} is not an object")
+    for key in body:
+        if key not in names:
+            raise ParameterError(f"{kind} factor {factor!r} has an unknown key {key!r}")
+    return [Symbol.parse(body[name], dim) for name in names]

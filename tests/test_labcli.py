@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -610,6 +611,22 @@ def test_semi_commutator_n_below_three_degrees_exits_1_naming_n_before_any_work(
         tmp_path, monkeypatch, config, message):
     _assert_refused_before_any_work(tmp_path, monkeypatch, "semi-commutator", config,
                                     message)
+
+
+@pytest.mark.parametrize("experiment,config", [
+    ("semi-commutator", {**_SWEEP, "degree": 2}),
+    ("axler-zheng", {**_AZ, "symbol": "z"}),
+])
+def test_n_whose_basis_exceeds_the_byte_budget_exits_1_naming_n_before_any_work(
+        tmp_path, monkeypatch, experiment, config):
+    # C(10^30 + 1, 1) basis functions: refused from N alone, without a call
+    # to multiindices
+    t0 = time.perf_counter()
+    _assert_refused_before_any_work(
+        tmp_path, monkeypatch, experiment, {**config, "N": 10 ** 30},
+        f"config field $['N']: {10 ** 30} asks for C({10 ** 30} + 1, 1) = {10 ** 30 + 1} basis "
+        f"functions, over the {labcli.BASIS_BUDGET_BYTES}-byte budget at 256 bytes each")
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_semi_commutator_at_n_equal_to_three_degrees_runs(tmp_path):

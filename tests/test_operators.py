@@ -516,6 +516,21 @@ def test_residual_batches_are_permutation_and_chunk_invariant(monkeypatch):
         product_decomposition_residual(sp, [t], 6)[0] for t in mixed]
 
 
+def test_polynomial_residuals_keep_their_bits():
+    # sha256 of the repr of every residual, pairs then triples, over the
+    # complex-coefficient polynomials of the batch test mixed with five
+    # monomials: pins the coefficient products and the sums per total shift
+    sp = build_space(WeightedMeasure(make_domain("ball", n=2), 0.0), 16)
+    poly = [Symbol.from_monomials({((1, 0), (0, 0)): 0.5 - 2j, ((0, 0), (0, 1)): 1j}, 2),
+            Symbol.from_monomials({((0, 1), (1, 0)): -1.0, ((0, 0), (0, 0)): 1.5 + 0.25j}, 2)]
+    syms = _monomial_symbols(2, 2)[:5] + poly
+    residuals = (semi_commutator_residual(sp, list(itertools.product(syms, repeat=2)), 4)
+                 + product_decomposition_residual(sp, list(itertools.product(syms, repeat=3)),
+                                                  6))
+    assert hashlib.sha256("\n".join(map(repr, residuals)).encode()).hexdigest() == (
+        "772ad0bdb1e8e8e2b243ec19bc585704e0b052f327d3415f46e8698a06291bcb")
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from([1, 2]).flatmap(lambda d: st.lists(_poly_symbols(d), min_size=3,
                                                           max_size=3)))
@@ -926,12 +941,21 @@ def _factors(*factors):
     (lambda: expr_from_json(_factors({"scalar": True}), 1), "scalar True is neither"),
     (lambda: expr_from_json(_factors({"toeplitz": {"symbol": "z"}, "identity": {}}), 1),
      "'identity': {}} does not have exactly one key"),
+    (lambda: expr_from_json(_factors({"identity": 5}), 1),
+     "identity factor {'identity': 5} is not an object"),
+    (lambda: expr_from_json(_factors({"identity": {"x": 1}}), 1),
+     "identity factor {'identity': {'x': 1}} has an unknown key 'x'"),
+    (lambda: expr_from_json(_factors({"toeplitz": {"symbol": "z", "extra": 1}}), 1),
+     "toeplitz factor {'toeplitz': {'symbol': 'z', 'extra': 1}} has an unknown key 'extra'"),
+    (lambda: expr_from_json(_factors({"hankelpair": {"psi": "z", "phi": "z", "x": 2}}), 1),
+     "has an unknown key 'x'"),
     (lambda: expr_from_json({"sum": 5}, 1), 'must be {"sum": [...]}'),
     (lambda: expr_from_json({"sum": [{"prod": 5}]}, 1), 'must be {"prod": [...]}'),
 ], ids=["symbol-not-str", "factor-not-object", "toeplitz-no-symbol", "toeplitz-not-object",
         "hankelpair-no-psi", "hankelpair-no-phi", "scalar-of-one", "scalar-of-three",
         "scalar-none", "scalar-object", "scalar-pair-of-text", "scalar-text", "scalar-bool",
-        "factor-of-two-kinds", "sum-not-list", "prod-not-list"])
+        "factor-of-two-kinds", "identity-not-object", "identity-with-key",
+        "toeplitz-extra-key", "hankelpair-extra-key", "sum-not-list", "prod-not-list"])
 def test_malformed_library_input_raises_parameter_error_naming_it(call, piece):
     with pytest.raises(ParameterError, match=re.escape(piece)):
         call()

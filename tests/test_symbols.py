@@ -1,12 +1,13 @@
 import functools
 import itertools
 import operator
+import re
 
 import numpy as np
 import pytest
 
 from berezin_lab import Symbol, SymbolTag, symbols
-from berezin_lab.errors import ParameterError
+from berezin_lab.errors import NumericError, ParameterError
 
 
 def rand_points(dim, m=64, seed=0):
@@ -203,6 +204,20 @@ def test_parser_depth_cap_is_the_module_constant():
     assert Symbol.parse(deepest, 1).radial
     with pytest.raises(ParameterError, match="nests deeper than 200 levels"):
         Symbol.parse("-" + deepest, 1)
+
+
+@pytest.mark.parametrize("build,text", [
+    (lambda: Symbol.parse("1e308*z", 1) * Symbol.parse("1e308*z", 1), "(1e308*z)*(1e308*z)"),
+    (lambda: Symbol.parse("1e200*z*1e200", 1), "1e200*z*1e200"),
+    (lambda: Symbol.parse("abs2(1e200*z)", 1), "abs2(1e200*z)"),
+    (lambda: Symbol.parse("0*1e309", 1), "0*1e309"),
+])
+def test_polynomial_product_with_a_non_finite_coefficient_raises_naming_the_symbol(build,
+                                                                                    text):
+    # refused as the product is formed: no symbol holds an inf or NaN
+    # coefficient that evaluates to NaN (with a numpy warning) at points
+    with pytest.raises(NumericError, match=re.escape(f"symbol {text!r} has a non-finite")):
+        build()
 
 
 def test_polynomial_times_general_symbol_is_a_general_symbol():

@@ -421,24 +421,28 @@ def validate_config(experiment, config):
 # config helpers
 # ---------------------------------------------------------------------------
 
-# The most a space's basis may take: a run whose N asks for more is refused
-# before anything is built.  A basis function costs about
-# _BASIS_FUNCTION_BYTES, for the space's arrays and the Python lists
+# The most a run's space may take: a run whose N asks for more is refused
+# before anything is built.  A basis of B functions costs about
+# _BASIS_FUNCTION_BYTES each, for the space's arrays and the Python lists
 # ``multiindices`` builds them from (build_space peaks at 163-174 bytes a
-# function on ball2 and ball3).
+# function on ball2 and ball3), plus 16 B^2 for one dense complex B x B
+# operator, which berezin-profile and axler-zheng build for a non-diagonal
+# symbol; every runner is held to that bound.
 BASIS_BUDGET_BYTES = 2 ** 31
 _BASIS_FUNCTION_BYTES = 256
 
 
 def _max_degree(config, dim, default):
     """config['N'] (else ``default``), refused when its basis in ``dim``
-    variables, C(N + dim, dim) functions, exceeds ``BASIS_BUDGET_BYTES``."""
+    variables, B = C(N + dim, dim) functions, and a dense B x B operator
+    would take more than ``BASIS_BUDGET_BYTES``."""
     nn = int(config.get("N", default))
     size = math.comb(nn + dim, dim)
-    if size * _BASIS_FUNCTION_BYTES > BASIS_BUDGET_BYTES:
+    need = size * _BASIS_FUNCTION_BYTES + 16 * size ** 2
+    if need > BASIS_BUDGET_BYTES:
         raise SchemaError(f"config field $['N']: {nn} asks for C({nn} + {dim}, {dim}) = {size} "
-                          f"basis functions, over the {BASIS_BUDGET_BYTES}-byte budget at "
-                          f"{_BASIS_FUNCTION_BYTES} bytes each")
+                          f"basis functions, {need} bytes with a dense {size} x {size} "
+                          f"operator, over the {BASIS_BUDGET_BYTES}-byte budget")
     return nn
 
 

@@ -31,7 +31,6 @@ monomial ones (the residual is multilinear), expanded with array ops chunk
 by chunk.
 """
 
-import cmath
 import functools
 import itertools
 import numbers
@@ -42,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _accel
-from .errors import BoundaryError, CapabilityError, NumericError, ParameterError
+from .errors import BoundaryError, CapabilityError, ParameterError
 from .quadrature import (finite_node_values, log_monomial_moments,
                          measure_node_weights, radial_rule)
 from .symbols import Symbol
@@ -283,7 +282,7 @@ class _ShiftForm:
                 self._radial = _RadialDiagonal(self)  # reads measure, N, alphas
             return _Shifts(self, {(0,) * self.dim: self._radial(sym)} if sym.radial
                            else self._radial.modes(sym))
-        real = all(c.imag == 0 for c in _finite(sym).poly.values())
+        real = all(c.imag == 0 for c in sym.poly.values())
         out = {}
         for (gamma, delta), c in sym.poly.items():
             shift = tuple(g - d for g, d in zip(gamma, delta))
@@ -330,13 +329,6 @@ class _ShiftForm:
         return _Shifts(self, {})
 
     adjoint = staticmethod(_Shifts.adjoint)
-
-
-def _finite(sym):
-    """``sym``, after checking that its coefficients are finite."""
-    if not all(map(cmath.isfinite, sym.poly.values())):
-        raise NumericError(f"symbol {sym.text!r} has a non-finite coefficient")
-    return sym
 
 
 def _shift_form(space):
@@ -559,7 +551,7 @@ def _residuals(space, what, identities, degree_of, margin, combine):
     if not keep.any():
         raise ParameterError(f"margin {margin} leaves no truncation-safe indices")
     radix = (2 * form.N + 1) ** np.arange(2 * form.dim)
-    polys = [_finite(s).poly for s in ids]
+    polys = [s.poly for s in ids]
     count = np.fromiter(map(len, polys), np.intp, len(polys))
     exps = np.array([e for p in polys for a, b in p for e in (*a, *b)], np.int64)
     monomials = (count, np.cumsum(count) - count, exps.reshape(-1, 2 * form.dim) @ radix,
@@ -639,9 +631,12 @@ def _batch_residuals(form, index, ids, monomials, radix, keep, combine, out):
     composes one target gather per factor instead: the positions agree while
     every partial shift stays in the truncation, and where one leaves it the
     first factor to leave weighs 0 at a position both agree on, so the
-    product is +-0 either way and its |.| the same.  Whole identities go in
-    chunks of about ``_accel.BLOCK_ENTRIES // 8`` entries per temporary, and
-    every entry takes the arithmetic of ``_Shifts`` in the same order."""
+    product is +-0 either way and its |.| the same.  The monomial identities
+    of an identity are ordered by total shift (a stable sort), and those of
+    one total shift are summed left to right before the max.  Whole
+    identities go in chunks of about ``_accel.BLOCK_ENTRIES // 8`` entries
+    per temporary, and every entry takes the arithmetic of ``_Shifts`` in the
+    same order."""
     m, size, dim = ids.shape[1], form.size, form.dim
     chain, *terms = structure = _decomposition(m)
     reads = [r for product in structure for factor in product for r in factor]
@@ -678,27 +673,30 @@ def _batch_residuals(form, index, ids, monomials, radix, keep, combine, out):
         weights[row, col] = form.monomial_weights(ext[gamma_of[row], src], src, dst)
     nb = int(keep.sum())    # the basis is in degree order: the block is its first nb indices
     ok = (targets[:, :nb] >= 0) & keep[targets[:, :nb]]     # per total shift, where it counts
-    several, total = (per > 1).any(), column[False, 2 ** m - 1]
-    per_chunk = max(1, _accel.BLOCK_ENTRIES // 8 // nb)
+    total = column[False, 2 ** m - 1]
+    per_chunk, unmoved = max(1, _accel.BLOCK_ENTRIES // 8 // nb), np.arange(nb)
     for a, b in zip(blocks, blocks[1:]):
         owner, codes, coefs = _monomial_identities(ids[a:b], monomials)
         rows = np.searchsorted(keys, codes @ inputs * 2 + adjoint)
+        group = owner * len(shifts) + shift_of[rows[:, total]]
+        # each total shift's monomial identities together, in their order
+        order = np.argsort(group, kind="stable")
+        owner, coefs, rows, group = owner[order], coefs[order], rows[order], group[order]
+        heads = np.flatnonzero(np.diff(group, prepend=-1))     # each total shift's first row
+        count = np.diff(heads, append=len(group))               # and its monomial identities
         starts, moves = rows * size, shift_of[rows]     # flat row starts, row shifts
         first = np.flatnonzero(np.diff(owner, prepend=-1))
         cuts = [*first[_cuts(first, per_chunk)[:-1]].tolist(), len(owner)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            got, at = {}, {}
+        ends = np.searchsorted(heads, cuts).tolist()            # cuts fall on heads
+        for lo, hi, i, j in zip(cuts, cuts[1:], ends, ends[1:]):
+            got, at = {}, {0: unmoved}
 
             def take(key, moved):   # row ``key`` at the block moved by the inputs ``moved``
                 if (key, moved) not in got:
-                    j = column[key]
-                    if not moved:   # whole rows: a row gather beats an entry gather
-                        got[key, moved] = weights.take(rows[lo:hi, j], axis=0)[:, :nb]
-                    else:
-                        if moved not in at:
-                            at[moved] = targets.take(moves[lo:hi, column[False, moved]],
-                                                     axis=0)[:, :nb]
-                        got[key, moved] = weights.take(starts[lo:hi, j:j + 1] + at[moved])
+                    if moved not in at:
+                        at[moved] = targets.take(moves[lo:hi, column[False, moved]],
+                                                 axis=0)[:, :nb]
+                    got[key, moved] = weights.take(starts[lo:hi, column[key], None] + at[moved])
                 return got[key, moved]
 
             def product(factors):   # entry alpha of A @ B is A at tgt_B(alpha) times B at alpha
@@ -707,19 +705,18 @@ def _batch_residuals(form, index, ids, monomials, radix, keep, combine, out):
                           for read, *pair in factors]
                 return functools.reduce(operator.mul, values)
 
-            residual = combine(product(chain), map(product, terms))
             c = coefs[lo:hi, None]
-            if not (c == 1).all():
-                residual = residual * (c if c.imag.any() else c.real)
-            group = owner[lo:hi] * len(shifts) + shift_of[rows[lo:hi, total]]
-            if several:     # sum the monomial identities of one total shift
-                group, inverse = np.unique(group, return_inverse=True)
-                if len(group) < len(residual):
-                    sums = np.zeros((len(group), nb), residual.dtype)
-                    np.add.at(sums, inverse, residual)
-                    residual = sums
-            np.maximum.at(out, index[a + group // len(shifts)],
-                          np.where(ok[group % len(shifts)], np.abs(residual), 0.0).max(axis=1))
+            residual = combine(product(chain), map(product, terms)) * (c if c.imag.any()
+                                                                       else c.real)
+            # sum the monomial identities of each total shift, left to right
+            head, n = heads[i:j] - lo, count[i:j]
+            sums = residual[head]
+            for k in range(1, n.max()):
+                more = n > k
+                sums[more] += residual[head[more] + k]
+            g = group[heads[i:j]]
+            np.maximum.at(out, index[a + g // len(shifts)],
+                          np.where(ok[g % len(shifts)], np.abs(sums), 0.0).max(axis=1))
 
 
 def semi_commutator_residual(space, pairs, margin):

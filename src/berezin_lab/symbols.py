@@ -188,32 +188,18 @@ def _poly_add(p, q, sign=1.0):
 
 
 def _poly_mul(p, q):
-    """The product polynomial; a coefficient that is not finite (an overflow,
-    or 0 * inf as evaluated) raises NumericError before it is stored."""
-    if not p or not q:
-        if not all(map(cmath.isfinite, (p or q).values())):
-            raise NumericError("a polynomial product has a non-finite coefficient")
-        return {}
+    if not p or not q:      # a zero factor: 0 * c is NaN for a c not finite, as evaluated
+        return {key: complex(c) * 0 for key, c in (p or q).items() if not cmath.isfinite(c)}
     out = {}
     for (a1, b1), c1 in p.items():
         for (a2, b2), c2 in q.items():
             key = (tuple(map(operator.add, a1, a2)), tuple(map(operator.add, b1, b2)))
             c = out.get(key, 0.0) + c1 * c2
-            if not cmath.isfinite(c):
-                raise NumericError("a polynomial product has a non-finite coefficient")
             if c == 0:
                 out.pop(key, None)
             else:
                 out[key] = c
     return out
-
-
-def _named(text, build):
-    """``build()``, with a NumericError of a polynomial product naming the symbol."""
-    try:
-        return build()
-    except NumericError:
-        raise NumericError(f"symbol {text!r} has a non-finite coefficient") from None
 
 
 def _poly_conj(p):
@@ -345,6 +331,10 @@ class Symbol:
     """
 
     def __init__(self, dim, ast, poly, radial, text):
+        # a coefficient that is not finite stays so through products and
+        # sums, so checking each polynomial symbol as it is built covers them
+        if poly is not None and not all(map(cmath.isfinite, poly.values())):
+            raise NumericError(f"symbol {text!r} has a non-finite coefficient")
         self.dim = int(dim)
         self.ast = ast
         self.poly = poly
@@ -357,7 +347,7 @@ class Symbol:
         if not isinstance(text, str):
             raise ParameterError(f"symbol {text!r} is not a string")
         tree = _parse(text, dim)
-        return cls(dim, tree, _named(text, lambda: _expand(tree, dim)), _is_radial(tree), text)
+        return cls(dim, tree, _expand(tree, dim), _is_radial(tree), text)
 
     @classmethod
     def from_monomials(cls, poly, dim):
@@ -399,7 +389,7 @@ class Symbol:
         if self.poly is None or other.poly is None:
             return Symbol(self.dim, ("*", self.ast, other.ast), None,
                           self.radial and other.radial, text)
-        poly = _named(text, lambda: _poly_mul(self.poly, other.poly))
+        poly = _poly_mul(self.poly, other.poly)
         return Symbol(self.dim, _poly_ast(poly), poly, _torus_invariant(poly), text)
 
     # -- evaluation ----------------------------------------------------------

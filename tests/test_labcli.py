@@ -3,10 +3,10 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -533,7 +533,7 @@ def _spy_on_work(monkeypatch):
             raise AssertionError(f"{name} was called")
         return called
 
-    for name in ("build_space", "boundary_profile", "axler_zheng_report",
+    for name in ("build_space", "multiindices", "boundary_profile", "axler_zheng_report",
                  "semi_commutator_residual", "product_decomposition_residual"):
         monkeypatch.setattr(labcli, name, spy(name))
     return calls
@@ -613,20 +613,22 @@ def test_semi_commutator_n_below_three_degrees_exits_1_naming_n_before_any_work(
                                     message)
 
 
-@pytest.mark.parametrize("experiment,config", [
-    ("semi-commutator", {**_SWEEP, "degree": 2}),
-    ("axler-zheng", {**_AZ, "symbol": "z"}),
+@pytest.mark.parametrize("experiment,config,dim", [
+    ("semi-commutator", {**_SWEEP, "degree": 2, "N": 10 ** 30}, 1),
+    ("axler-zheng", {**_AZ, "symbol": "z", "N": 10 ** 30}, 1),
+    ("semi-commutator", {**_SWEEP, "N": 200_000}, 1),
+    ("semi-commutator", {**_SWEEP, "domain": {"name": "ball", "n": 2}, "N": 1000}, 2),
 ])
-def test_n_whose_basis_exceeds_the_byte_budget_exits_1_naming_n_before_any_work(
-        tmp_path, monkeypatch, experiment, config):
-    # C(10^30 + 1, 1) basis functions: refused from N alone, without a call
-    # to multiindices
-    t0 = time.perf_counter()
+def test_n_whose_space_exceeds_the_byte_budget_exits_1_naming_n_before_any_work(
+        tmp_path, monkeypatch, experiment, config, dim):
+    # refused from N alone, before multiindices or build_space is called
+    nn = config["N"]
+    size = math.comb(nn + dim, dim)
     _assert_refused_before_any_work(
-        tmp_path, monkeypatch, experiment, {**config, "N": 10 ** 30},
-        f"config field $['N']: {10 ** 30} asks for C({10 ** 30} + 1, 1) = {10 ** 30 + 1} basis "
-        f"functions, over the {labcli.BASIS_BUDGET_BYTES}-byte budget at 256 bytes each")
-    assert time.perf_counter() - t0 < 1.0
+        tmp_path, monkeypatch, experiment, config,
+        f"config field $['N']: {nn} asks for C({nn} + {dim}, {dim}) = {size} basis functions, "
+        f"{256 * size + 16 * size ** 2} bytes with a dense {size} x {size} operator, over "
+        f"the {labcli.BASIS_BUDGET_BYTES}-byte budget")
 
 
 def test_semi_commutator_at_n_equal_to_three_degrees_runs(tmp_path):

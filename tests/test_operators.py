@@ -516,6 +516,19 @@ def test_residual_batches_are_permutation_and_chunk_invariant(monkeypatch):
         product_decomposition_residual(sp, [t], 6)[0] for t in mixed]
 
 
+def test_residual_over_monomial_identities_of_distinct_total_shifts_is_their_max():
+    # (1 + zbar_1) z_2 zbar_1 z_2 zbar_1 splits into two monomial identities
+    # of distinct total shifts, on disjoint entries: each one's entries are
+    # masked by its own shift's safe block, and the residual is their max
+    sp = build_space(WeightedMeasure(make_domain("ball", n=2), 0.5), 16)
+    one, zbar1 = ((0, 0), (0, 0)), ((0, 0), (1, 0))
+    s = Symbol.from_monomials({((0, 1), (1, 0)): 1.0}, 2)
+    parts = [Symbol.from_monomials({m: 1.0}, 2) for m in (one, zbar1)]
+    whole = Symbol.from_monomials({one: 1.0, zbar1: 1.0}, 2)
+    assert product_decomposition_residual(sp, [(whole, s, s)], 6) == [
+        max(product_decomposition_residual(sp, [(p, s, s) for p in parts], 6))]
+
+
 def test_polynomial_residuals_keep_their_bits():
     # sha256 of the repr of every residual, pairs then triples, over the
     # complex-coefficient polynomials of the batch test mixed with five

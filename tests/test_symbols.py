@@ -162,7 +162,7 @@ _GRAMMAR_TABLE = [
     ("1.5e3", 1, num(1500)),
     ("2E-2", 1, num(0.02)),
     ("1e+2", 1, num(100)),
-    ("1" + "0" * 400, 1, num(float("inf"))),      # refused at assembly, not here
+    ("1" + "0" * 400, 1, num(float("inf"))),      # a Symbol refuses it, not the parser
     ("conj(z)", 1, call("conj", Z)),
     ("abs2(z1*conj(z2))", 2, call("abs2", ("*", Z, call("conj", Z2)))),
     ("max(0, 1-(1-abs(z2))/0.3)", 2,
@@ -176,7 +176,7 @@ _GRAMMAR_TABLE = [
 
 @pytest.mark.parametrize("text,dim,want", _GRAMMAR_TABLE, ids=lambda v: str(v)[:24])
 def test_parser_reads_the_frozen_grammar_table(text, dim, want):
-    assert Symbol.parse(text, dim).ast == want
+    assert symbols._parse(text, dim) == want
 
 
 _REFUSED = [
@@ -211,11 +211,13 @@ def test_parser_depth_cap_is_the_module_constant():
     (lambda: Symbol.parse("1e200*z*1e200", 1), "1e200*z*1e200"),
     (lambda: Symbol.parse("abs2(1e200*z)", 1), "abs2(1e200*z)"),
     (lambda: Symbol.parse("0*1e309", 1), "0*1e309"),
+    (lambda: Symbol.parse("1e309", 1), "1e309"),
+    (lambda: Symbol.parse("1e308*z + 1e308*z", 1), "1e308*z + 1e308*z"),
+    (lambda: Symbol.from_monomials({((1,), (0,)): float("nan")}, 1), "((nan+0j))*z1"),
 ])
-def test_polynomial_product_with_a_non_finite_coefficient_raises_naming_the_symbol(build,
-                                                                                    text):
-    # refused as the product is formed: no symbol holds an inf or NaN
-    # coefficient that evaluates to NaN (with a numpy warning) at points
+def test_polynomial_symbol_with_a_non_finite_coefficient_raises_naming_the_symbol(build, text):
+    # refused as the symbol is built, product, sum or literal: no symbol holds
+    # an inf or NaN coefficient that evaluates to NaN (with a numpy warning)
     with pytest.raises(NumericError, match=re.escape(f"symbol {text!r} has a non-finite")):
         build()
 

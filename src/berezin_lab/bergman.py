@@ -16,7 +16,6 @@ with the last-degree share of K(z, z) available as a truncation-error
 heuristic.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,16 +38,21 @@ _NUMPY_ELIDE_BYTES = 256 * 1024
 
 
 def multiindices(dim, max_degree):
-    """All multiindices in ``dim`` variables of total degree <= max_degree,
-    ordered by total degree then lexicographically."""
-    out = []
-    for deg in range(max_degree + 1):
-        for combo in itertools.combinations_with_replacement(range(dim), deg):
-            alpha = [0] * dim
-            for j in combo:
-                alpha[j] += 1
-            out.append(alpha)
-    return np.array(sorted(out, key=lambda a: (sum(a), a)), dtype=np.int64)
+    """All multiindices in ``dim`` >= 1 variables of total degree <=
+    max_degree, ordered by total degree then lexicographically.
+
+    Built one variable at a time, in time and memory linear in their count:
+    those of degree d in k + 1 variables are, for a = 0..d, a followed by
+    those of degree d - a in k variables."""
+    out = np.arange(max_degree + 1, dtype=np.int64)[:, None]
+    sizes = np.ones(max_degree + 1, dtype=np.int64)        # rows of each degree
+    for _ in range(dim - 1):
+        d, a = np.tril_indices(max_degree + 1)             # d slowest, a <= d
+        length, start = sizes[d - a], (np.cumsum(sizes) - sizes)[d - a]
+        rows = np.arange(length.sum()) + np.repeat(start - (np.cumsum(length) - length), length)
+        out = np.column_stack([np.repeat(a, length), out[rows]])
+        sizes = np.cumsum(sizes)
+    return out
 
 
 class WeightedSpace:

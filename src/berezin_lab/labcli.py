@@ -20,6 +20,7 @@ its run reads: a runner refuses one that another key makes moot.
 import argparse
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -109,47 +110,107 @@ def _jsonify(obj):
     return str(obj)
 
 
-def _fmt_cell(x):
-    """CSV text of a JSON-native cell; the csv writer writes a str, float or
-    int (not bool) cell as this does."""
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+_EMIT_BLOCK_ROWS = 4096                # rows converted and written at a time
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _csv_field(text):
+    """The text csv.writer writes for the field ``text`` in a row of more
+    than one field, quoted and escaped as it would be."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _str_texts(s):
+    """(CSV text, JSON text) of the str ``s``: csv.writer's quoting and
+    json.dumps's escaping."""
+    return _csv_field(s), json.dumps(s)
+
+
+def _cell(x):
+    """(CSV text, JSON text) of one cell, converted by ``_jsonify``: in CSV
+    a bool is 1 or 0, None is None and a float its repr; JSON writes a
+    non-finite float as NaN or [-]Infinity."""
+    v = _jsonify(x)
+    if isinstance(v, str):
+        return _str_texts(v)
+    if isinstance(v, bool):
+        return ("1", "true") if v else ("0", "false")
+    if isinstance(v, (float, int)):
+        text = repr(v)
+        return text, _JSON_CONSTANTS.get(text, text)
+    return _csv_field(str(v)), json.dumps(v, sort_keys=True)
+
+
+def _column_texts(column, strings):
+    """(CSV texts, JSON texts) of one column's cells.  A column of Python
+    floats takes one repr per distinct value, which both write but for
+    JSON's NaN and [-]Infinity (a sweep's thousands of residuals take a
+    few dozen values); a column of str looks each value up in ``strings``, a dict
+    from a str to its two texts that gains the values it lacks; any other
+    column goes cell by cell (``_cell``)."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        reprs = {x: float.__repr__(x) for x in set(column)}
+        texts = [reprs[x] if x else float.__repr__(x) for x in column]    # 0.0 == -0.0
+        return texts, list(map(_JSON_CONSTANTS.get, texts, texts))
+    if kinds == {str}:
+        for s in set(column).difference(strings):
+            strings[s] = _str_texts(s)
+        return tuple(zip(*map(strings.__getitem__, column)))
+    return tuple(zip(*map(_cell, column)))
+
+
+def _write_table(name, table, csv_fh, json_fh):
+    """Write ``table``'s rows to its open CSV file and, as the JSON array of
+    arrays ``json.dumps`` would give, to the open report file; each block
+    of rows is converted column by column, each cell once for both."""
+    width, rows, strings = len(table.columns), table.rows, {}
+    json_fh.write("[")
+    for lo in range(0, len(rows), _EMIT_BLOCK_ROWS):
+        block = rows[lo:lo + _EMIT_BLOCK_ROWS]
+        if not width or set(map(len, block)) != {width}:
+            raise ValueError(f"table {name!r}: every row must have one cell per column "
+                             f"({width})")
+        csv_cols, json_cols = zip(*(_column_texts(col, strings) for col in zip(*block)))
+        lines = list(map(",".join, zip(*csv_cols)))
+        if width == 1:      # csv.writer quotes a row's only field when it is empty
+            lines = ['""' if line == "" else line for line in lines]
+        csv_fh.write("\n".join(lines) + "\n")
+        json_fh.write(("[" if lo == 0 else ", [")
+                      + "], [".join(map(", ".join, zip(*json_cols))) + "]")
+    json_fh.write("]")
 
 
 def emit(report, out_dir):
     """Write one CSV file per table and a JSON report mirroring them all;
-    returns every path written.  A table whose cells are all str, float or
-    int (not bool) is written as it is; in any other table each cell is
-    converted once, to its JSON value, and the CSV text is made from that."""
+    returns the CSV paths in table order, then the JSON path.
+
+    The bytes are those of ``csv.writer`` on each row and of
+    ``json.dumps(..., sort_keys=True)`` on the whole report, with cells
+    converted by ``_jsonify``.  Each table is written a block of rows at a
+    time, to its CSV file and to the report together, and each block is
+    turned into text column by column (``_column_texts``), each cell once."""
     os.makedirs(out_dir, exist_ok=True)
     prefix = report.experiment.replace("-", "_")
-    tables, written = {}, []
-    for name, t in report.tables.items():
-        native = all(type(x) in _NATIVE for row in t.rows for x in row)
-        rows = t.rows if native else _jsonify(t.rows)
-        tables[name] = {"columns": t.columns, "rows": rows}
-        path = os.path.join(out_dir, f"{prefix}_{name}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(t.columns)
-            writer.writerows(rows if native else ([_fmt_cell(x) for x in row] for row in rows))
-        written.append(path)
+    paths = {name: os.path.join(out_dir, f"{prefix}_{name}.csv") for name in report.tables}
     path = os.path.join(out_dir, f"{prefix}_report.json")
-    payload = {
-        "metadata": _jsonify(report.metadata),
-        "tables": tables,
-        "verdicts": _jsonify(report.verdicts),
-        "warnings": list(report.warnings),
-    }
-    # compact, so that json's C encoder writes it (indent forces pure Python);
-    # rows hold only scalars, so the payload has no cycle to check for
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, check_circular=False) + "\n")
-    written.append(path)
-    return written
+    with open(path, "w", encoding="utf-8") as json_fh:
+        json_fh.write('{"metadata": ' + json.dumps(_jsonify(report.metadata), sort_keys=True)
+                      + ', "tables": {')
+        for i, name in enumerate(sorted(report.tables)):
+            table = report.tables[name]
+            json_fh.write(f'{", " if i else ""}{json.dumps(name)}: {{"columns": '
+                          f'{json.dumps(table.columns, sort_keys=True)}, "rows": ')
+            with open(paths[name], "w", newline="", encoding="utf-8") as csv_fh:
+                csv.writer(csv_fh, lineterminator="\n").writerow(table.columns)
+                _write_table(name, table, csv_fh, json_fh)
+            json_fh.write("}")
+        json_fh.write('}, "verdicts": ' + json.dumps(_jsonify(report.verdicts), sort_keys=True)
+                      + ', "warnings": ' + json.dumps(list(report.warnings), sort_keys=True)
+                      + "}\n")
+    return [*paths.values(), path]
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +484,9 @@ def validate_config(experiment, config):
 
 # The most a run's space may take: a run whose N asks for more is refused
 # before anything is built.  A basis of B functions costs about
-# _BASIS_FUNCTION_BYTES each, for the space's arrays and the Python lists
-# ``multiindices`` builds them from (build_space peaks at 163-174 bytes a
-# function on ball2 and ball3), plus 16 B^2 for one dense complex B x B
+# _BASIS_FUNCTION_BYTES each, for the space's arrays and the multiindices
+# they are built from (build_space peaks at 123-172 bytes a function on the
+# disk, ball2 and ball3), plus 16 B^2 for one dense complex B x B
 # operator, which berezin-profile and axler-zheng build for a non-diagonal
 # symbol; every runner is held to that bound.
 BASIS_BUDGET_BYTES = 2 ** 31
@@ -740,13 +801,13 @@ def _run_semi_commutator(config, report):
                           f"for the degree-{degree} triples; need >= {3 * degree}")
     space = build_space(WeightedMeasure(dom, r), nn)
     syms, worst = _monomial_symbols(dom.dim, degree), 0.0
+    texts = [s.text for s in syms]
     for name, k, margin, residual in (("pairs", 2, degree, semi_commutator_residual),
                                       ("triples", 3, 3 * degree, product_decomposition_residual)):
-        identities = list(itertools.product(syms, repeat=k))
-        residuals = residual(space, identities, margin)
+        residuals = residual(space, list(itertools.product(syms, repeat=k)), margin)
         report.tables[name] = Table([f"sym{j}" for j in range(k, 0, -1)] + ["residual"],
-                                    [[*(s.text for s in x), res]
-                                     for x, res in zip(identities, residuals)])
+                                    [[*x, res] for x, res in
+                                     zip(itertools.product(texts, repeat=k), residuals)])
         worst = max([worst, *residuals])
     report.verdicts = {"pass": bool(worst < tol), "max_residual": worst,
                        "tolerance": tol}

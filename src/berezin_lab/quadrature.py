@@ -126,10 +126,9 @@ def _lgamma(x):
     out = _LGAMMA_TABLE.take(np.where(whole, x, 0.0).astype(np.intp))
     if not whole.all():
         rest = ~whole
-        others = x[rest]
-        values = np.unique(others)     # sorted, so searchsorted finds each entry
-        out[rest] = np.array([_lgamma1(v) for v in values.tolist()])[
-            np.searchsorted(values, others)]
+        # with its inverse, np.unique does not import numpy.ma (numpy 2.4)
+        values, inverse = np.unique(x[rest], return_inverse=True)
+        out[rest] = np.array([_lgamma1(v) for v in values.tolist()])[inverse]
     return out
 
 

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import time
 
 import numpy as np
 import pytest
@@ -471,3 +473,32 @@ def test_multiindices_ordering():
     assert len(mi) == 10
     degs = mi.sum(axis=1)
     assert all(a <= b for a, b in zip(degs, degs[1:]))
+
+
+def _multiindices_by_sorting(dim, max_degree):
+    """The earlier definition: every combination counted out, then sorted by
+    (degree, multiindex)."""
+    out = []
+    for deg in range(max_degree + 1):
+        for combo in itertools.combinations_with_replacement(range(dim), deg):
+            alpha = [0] * dim
+            for j in combo:
+                alpha[j] += 1
+            out.append(alpha)
+    return np.array(sorted(out, key=lambda a: (sum(a), a)), dtype=np.int64)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_degree", [0, 1, 2, 5, 9])
+def test_multiindices_equal_the_sorted_combinations(dim, max_degree):
+    got = multiindices(dim, max_degree)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _multiindices_by_sorting(dim, max_degree))
+
+
+def test_multiindices_at_the_largest_disk_degree_the_budget_admits_are_quick():
+    # linear in the basis size: the quadratic count took seconds here
+    t0 = time.perf_counter()
+    mi = multiindices(1, 11576)
+    assert time.perf_counter() - t0 < 0.1
+    assert np.array_equal(mi[:, 0], np.arange(11577))

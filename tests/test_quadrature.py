@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -449,3 +452,20 @@ def test_log_moments_rows_do_not_depend_on_the_other_rows():
         meas = WeightedMeasure(dom, 0.5)
         whole = log_monomial_moments(meas, alphas)
         assert np.array_equal(whole[cols], log_monomial_moments(meas, alphas[cols]))
+
+
+def test_log_moments_leave_numpy_ma_unimported():
+    # numpy.ma costs about 1 MB of RSS; np.unique without an inverse imports
+    # it (numpy 2.4), so the non-integer moment arguments of the smoothed
+    # polydisk must not reach that form
+    code = ("import sys; import numpy as np; from berezin_lab import make_domain, "
+            "WeightedMeasure; from berezin_lab.bergman import multiindices; "
+            "from berezin_lab.quadrature import log_monomial_moments as lm; "
+            "v = lm(WeightedMeasure(make_domain('smoothed_polydisk'), 0.5), "
+            "multiindices(2, 6)); assert np.isfinite(v).all(); "
+            "print('numpy.ma' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

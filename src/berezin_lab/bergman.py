@@ -181,12 +181,14 @@ class WeightedSpace:
         for one point, else one per point.  Raises :class:`BoundaryError`
         naming the first point outside the closed domain, rho(z) >
         BOUNDARY_TOL_COEFF (1 + |z|^2), where the kernel is not defined (the
-        truncated series would still return a number there), or not finite."""
+        truncated series would still return a number there), or where rho is
+        not finite: at a non-finite point, or so far out that rho overflows."""
         pts, single = _as_points(z, self.dim)
         domain = self.measure.domain
         rho = np.atleast_1d(domain.rho(pts[0] if single else pts))
-        outside = ~np.all(np.isfinite(pts), axis=1)
-        outside |= rho > BOUNDARY_TOL_COEFF * (1.0 + np.sum(np.abs(pts) ** 2, axis=1))
+        with np.errstate(over="ignore"):
+            tol = BOUNDARY_TOL_COEFF * (1.0 + np.sum(np.abs(pts) ** 2, axis=1))
+        outside = ~np.isfinite(rho) | (rho > tol)
         if np.any(outside):
             i = int(np.argmax(outside))
             raise BoundaryError(f"point {pts[i]} lies outside {domain.name} "

@@ -42,9 +42,9 @@ from .operators import (DEFAULT_T_GRID, OperatorExpr, axler_zheng_report,
                         boundary_profile, expr_from_json,
                         product_decomposition_residual,
                         semi_commutator_residual, toeplitz)
-from .quadrature import (WeightedMeasure, _lgamma, inflation_constant,
-                         inflation_constant_mc, inflation_hits, monomial_moment,
-                         monomial_moment_mc, polar_tensor_rule)
+from .quadrature import (MAX_TENSOR_NODES, WeightedMeasure, _lgamma,
+                         inflation_constant, inflation_constant_mc, inflation_hits,
+                         monomial_moment, monomial_moment_mc, polar_tensor_rule)
 from .symbols import Symbol
 
 EXPERIMENTS = ("kernel-check", "inflation-check", "moments", "berezin-profile",
@@ -530,20 +530,23 @@ def _to_point(spec, dim, field):
     return np.array(vec, dtype=np.complex128)
 
 
-def _boundary_point(dom, spec, field, band=0.01):
-    """Decode the config point at path ``field`` and rescale it onto the
-    boundary along its ray.
+# Config files cannot carry boundary coordinates to the 1e-10 membership
+# band, so a config point within |rho| <= _SNAP_BAND is moved onto the
+# boundary along its ray
+_SNAP_BAND = 0.01
 
-    Config files cannot carry boundary coordinates to the 1e-10 membership
-    band, so points within |rho| <= band are projected; a point farther
-    inside or outside raises :class:`SchemaError` naming ``field``.
-    """
+
+def _boundary_point(dom, spec, field):
+    """Decode the config point at path ``field`` and move it onto the
+    boundary along its ray (``boundary_point``); a point farther than
+    ``_SNAP_BAND`` inside or outside raises :class:`SchemaError` naming
+    ``field``."""
     point = _to_point(spec, dom.dim, field)
     rho = float(dom.rho(point))
-    if not abs(rho) <= band:       # NaN fails too
+    if not abs(rho) <= _SNAP_BAND:       # NaN fails too
         raise SchemaError(f"config field {field}: point {spec} is not on the "
                           f"boundary of {dom.name} (rho = {rho:.6g}, outside "
-                          f"|rho| <= {band})")
+                          f"|rho| <= {_SNAP_BAND})")
     return boundary_point(dom, point)
 
 
@@ -653,9 +656,8 @@ def _run_kernel_check(config, report):
     nn = _max_degree(config, dom.dim, 64)
     closed = _closed_form_kernel(dom, r)
     if closed is None:
-        raise ParameterError(
-            f"kernel-check requires a disk/ball domain with a closed-form kernel, "
-            f"got {dom.name}")
+        raise SchemaError(f"config field $['domain']: kernel-check needs a disk or a "
+                          f"ball, whose kernel has a closed form; got {dom.name}")
     space = build_space(WeightedMeasure(dom, r), nn)
     # ray grid: phases aligned so z wbar >= 0; anti-aligned pairs at these
     # truncations sit below the closed-form magnitude and fail the relative
@@ -707,9 +709,10 @@ def _run_moments(config, report):
     measure = WeightedMeasure(dom, r)
     if "alphas" in config:
         alphas = [tuple(int(x) for x in a) for a in config["alphas"]]
-        for a in alphas:
+        for i, a in enumerate(alphas):
             if len(a) != dom.dim:
-                raise SchemaError(f"multiindex {a} has wrong length for {dom.name}")
+                raise SchemaError(f"config field $['alphas'][{i}]: multiindex {a} has "
+                                  f"{len(a)} entries, expected {dom.dim} for {dom.name}")
     else:
         alphas = [tuple(int(x) for x in a)
                   for a in multiindices(dom.dim, _max_degree(config, dom.dim, 8))]
@@ -750,6 +753,10 @@ def _run_berezin_profile(config, report):
             raise SchemaError(f"config field $['mass_outside']['quad_order']: "
                               f"{order} cannot integrate |k_z|^2 at N={nn}; "
                               f"need >= {need}")
+        if 2 * order ** 2 > MAX_TENSOR_NODES:    # the polar rule's nodes
+            raise SchemaError(f"config field $['mass_outside']['quad_order']: "
+                              f"{order} asks for a polar rule of {2 * order ** 2} "
+                              f"nodes, over the {MAX_TENSOR_NODES}-node cap")
         center = _to_point(config["mass_outside"]["center"], dom.dim,
                            "$['mass_outside']['center']")
     p0 = _boundary_point(dom, config["point"], "$['point']")

@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _accel
-from .errors import BoundaryError, CapabilityError, ParameterError
+from .errors import BoundaryError, CapabilityError, NumericError, ParameterError
 from .quadrature import (finite_node_values, log_monomial_moments,
                          measure_node_weights, radial_rule)
 from .symbols import Symbol
@@ -116,6 +116,19 @@ class OperatorExpr:
     @classmethod
     def identity(cls):
         return cls(((IDENTITY,),))
+
+    @property
+    def text(self):
+        """The expression written with T(sym), HP(psi, phi), I and scalars."""
+        return " + ".join(" * ".join(map(_factor_text, p)) for p in self.terms)
+
+
+def _factor_text(factor):
+    kind, *args = factor
+    if kind == "scalar":
+        return f"{args[0].real if args[0].imag == 0 else args[0]:g}"
+    name = {"toeplitz": "T", "hankel_pair": "HP", "identity": "I"}[kind]
+    return f"{name}({', '.join(s.text for s in args)})" if args else name
 
 
 def decompose_product(symbols):
@@ -415,9 +428,23 @@ class _RadialDiagonal:
         return out
 
 
+def _finite(assemble, what):
+    """``assemble()``, run with numpy's overflow and invalid warnings off,
+    since a non-finite weight or entry of the operator it returns (weighted
+    shifts or a matrix) raises :class:`NumericError` naming ``what``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = assemble()
+    parts = out.w.values() if isinstance(out, _Shifts) else (out,)
+    if not all(np.isfinite(w).all() for w in parts):
+        raise NumericError(f"operator {what} is not finite: a product of its "
+                           "scalars and weights overflows")
+    return out
+
+
 def toeplitz(space, sym):
     """Truncated Toeplitz operator P_N M_phi on the basis."""
-    return TruncatedOperator(_shift_form(space).toeplitz(sym), space)
+    return TruncatedOperator(_finite(lambda: _shift_form(space).toeplitz(sym),
+                                     f"T({sym.text})"), space)
 
 
 @dataclass
@@ -466,7 +493,9 @@ def hankel_gram(space, phi, psi):
     psi = phi.  For holomorphic polynomial phi the block of degrees
     <= N - deg(phi) vanishes.
     """
-    return TruncatedOperator(_hankel_pair(_form(space, (phi, psi)), phi, psi), space).matrix
+    pair = _finite(lambda: _hankel_pair(_form(space, (phi, psi)), phi, psi),
+                   f"H*_({psi.text}) H_({phi.text})")
+    return TruncatedOperator(pair, space).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +542,7 @@ def materialize(expr, space):
     """
     form = _form(space, [s for product in expr.terms for f in product
                          if f[0] == "hankel_pair" for s in f[1:]])
-    return TruncatedOperator(_sum_of_products(form, expr), space)
+    return TruncatedOperator(_finite(lambda: _sum_of_products(form, expr), expr.text), space)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,9 @@ from .errors import BoundaryError, CapabilityError, NumericError, ParameterError
 # stream does not depend on it; it is fixed because monomial_moment_mc adds
 # one partial sum per chunk, so its estimates' last bits do
 MC_CHUNK = 1_000_000
+# the most nodes a tensor rule may have (2e7); a larger one is refused before
+# it is built
+MAX_TENSOR_NODES = 2 * 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -240,11 +243,11 @@ def _stick_breaking(q, r, order, angular=1):
     |z_j| = t_j^{1/q_j} as an (order^n, n) array, the weights
     prod w_j / prod q_j over (-rho)^r, -rho, and the factors (u_1, ..., u_n).
     Raises ParameterError, before allocating, when the rule with ``angular``
-    points per coordinate on each radial node would pass 2e7 nodes.
+    points per coordinate on each radial node would pass ``MAX_TENSOR_NODES``.
     """
     n = len(q)
     count = (order * angular) ** n
-    if count > 2 * 10 ** 7:
+    if count > MAX_TENSOR_NODES:
         raise ParameterError(f"a tensor rule in dimension {n} would have {count:.3g} "
                              "nodes, more than 2e7; lower the orders or use "
                              "monte_carlo_rule")

@@ -369,7 +369,9 @@ def test_kernel_mass_outside_rejects_points_outside_the_domain():
     sp = disk_space(0.0, 16)
     rule = polar_tensor_rule(sp.measure, radial_order=32, angular_order=64)
     kernel_mass_outside(sp, [1.0], [1.0], 0.3, rule)        # boundary point: allowed
-    for z in (1.0 + 1e-6, np.inf, np.nan, complex(0.0, np.inf)):
+    # the last three overflow rho and its tolerance to inf, without a warning
+    for z in (1.0 + 1e-6, np.inf, np.nan, complex(0.0, np.inf), 1e308, 1e200 + 1e200j,
+              -1e160):
         with pytest.raises(BoundaryError, match="outside disk"):
             kernel_mass_outside(sp, [z], [1.0], 0.3, rule)
 

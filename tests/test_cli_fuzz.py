@@ -4,18 +4,22 @@ Every config, valid or not, ends in exit code 0, 1 or 2; an exit 1 says why
 on an ``error:`` or ``config error:`` line, and nothing ever prints a
 traceback.  Sizes (N, samples, counts, quadrature order) are capped so the
 whole module runs in a few seconds; the examples are derandomized, so a run
-is repeatable.
+is repeatable.  A table of extreme numbers (overflowing products, points and
+orders near the largest float, 400-digit literals) goes through the CLI one
+config at a time, each with its exit code and at most one line of output.
 
 The same configs, and a list of edge cases, also check the lab's config
 schema checker against jsonschema's Draft 2020-12 validator.
 """
 
 import contextlib
+import ctypes
 import io
 import json
 import math
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -193,6 +197,71 @@ def test_cli_exit_codes_on_fuzzed_configs(experiment):
         run = example(config)(run)
     settings(derandomize=True, max_examples=30, deadline=None,
              database=None)(given(_configs(experiment))(run))()
+
+
+_AZ8 = {"domain": {"name": "disk"}, "N": 8, "strong_points": [[1.0, 0.0]]}
+_PROFILE8 = {"domain": {"name": "disk"}, "N": 8, "symbol": "z", "point": [1.0, 0.0]}
+_NOT_FINITE = "is not finite: a product of its scalars and weights overflows"
+# name: (experiment, config or its JSON text, exit code, the start of the one
+# stderr line, or "" for none)
+EXTREMES = {
+    "overflowing-scalars": (
+        "axler-zheng", {**_AZ8, "operator": {"sum": [{"prod": [
+            {"scalar": 1e308}, {"scalar": 1e308}, {"toeplitz": {"symbol": "z"}}]}]}},
+        1, f"error: operator 1e+308 * 1e+308 * T(z) {_NOT_FINITE}"),
+    "overflowing-product": (
+        "axler-zheng", {**_AZ8, "operator": {"sum": [{"prod": [
+            {"scalar": 1e200}, {"toeplitz": {"symbol": "z"}},
+            {"toeplitz": {"symbol": "1e200*conj(z)"}}]}]}},
+        1, f"error: operator 1e+200 * T(z) * T(1e200*conj(z)) {_NOT_FINITE}"),
+    "t-grid-to-1e308": (
+        "berezin-profile", {**_PROFILE8, "t_grid": {"start": 0.5, "stop": 1e308, "count": 2}},
+        1, "error: point [1.e+308+0.j] lies outside disk (rho = inf)"),
+    "point-at-1e308": (
+        "berezin-profile", {**_PROFILE8, "point": [1e308, 0.0]},
+        1, "config error: config field $['point']: point [1e+308, 0.0] is not on the "
+           "boundary of disk (rho = inf"),
+    "quad-order-3e6": (
+        "berezin-profile", {**_PROFILE8, "mass_outside": {
+            "center": [1.0, 0.0], "radius": 0.3, "quad_order": 3_000_000}},
+        1, "config error: config field $['mass_outside']['quad_order']: 3000000 "),
+    "r-1e308": (
+        "kernel-check", {"domain": {"name": "disk"}, "N": 8, "r": 1e308},
+        1, "error: log Gamma(1e+308) is not a finite float"),
+    "phase-1e308": (
+        "kernel-check", {"domain": {"name": "disk"}, "N": 64, "phase": 1e308}, 0, ""),
+    "400-digit-integer": (
+        "kernel-check", '{"domain": {"name": "disk"}, "N": 1' + "0" * 399 + "}",
+        1, "config parse error in "),
+    "alphas-of-wrong-length": (
+        "moments", {"domain": {"name": "disk"}, "alphas": [[1], [1, 2]]},
+        1, "config error: config field $['alphas'][1]: multiindex (1, 2) has 2 entries, "
+           "expected 1 for disk"),
+    "kernel-check-on-egg": (
+        "kernel-check", {"domain": {"name": "egg", "m": 2}, "N": 8},
+        1, "config error: config field $['domain']: kernel-check needs a disk or a ball"),
+}
+
+
+_fflush = ctypes.CDLL(None).fflush
+_fflush.argtypes, _fflush.restype = [ctypes.c_void_p], ctypes.c_int
+
+
+@pytest.mark.parametrize("name", list(EXTREMES))
+def test_extreme_numbers_exit_with_at_most_one_line(tmp_path, capfd, name):
+    experiment, config, code, line = EXTREMES[name]
+    path = tmp_path / "c.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")    # each one a line the CLI would print
+        got = labcli.main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+    _fflush(None)                          # LAPACK writes its complaints to C's stdout
+    out, err = capfd.readouterr()
+    assert [str(w.message) for w in caught] == []
+    for text in (out, err):
+        assert not any(bad in text for bad in ("Traceback", "Warning", "DLASCL")), text
+    assert (got, out) == (code, "")
+    assert len(err.splitlines()) <= 1 and err.startswith(line) and bool(err) == bool(line), err
 
 
 def _error_paths(errors):

@@ -51,7 +51,8 @@ def test_rho_sign_sampling():
 
 
 def _bisect_200(domain, d):
-    """boundary_point's bisection run for all 200 steps."""
+    """The boundary point by bisection on the sign of rho along the ray, run
+    for all 200 steps."""
     lo, hi = 0.0, 1.0
     while domain.rho(hi * d) < 0:
         hi *= 2.0
@@ -76,7 +77,7 @@ class _CountingRho:
         return self.domain.rho(z)
 
 
-def test_boundary_point_stops_bisecting_bit_identically():
+def test_boundary_point_is_the_ray_root_next_to_the_bisection_point():
     rng = np.random.default_rng(11)
     for dom in (DISK, BALL2, make_domain("ball", n=3), EGG2,
                 make_domain("egg", m=3), POLY4, inflate(DISK, 2, 1.0),
@@ -88,8 +89,11 @@ def test_boundary_point_stops_bisecting_bit_identically():
             d *= 10.0 ** rng.uniform(-6.0, 6.0) / np.linalg.norm(d)
             counting = _CountingRho(dom)
             got = boundary_point(counting, d)
-            assert np.array_equal(got, _bisect_200(dom, d))
-            assert counting.calls <= 20
+            assert counting.calls == 0
+            assert np.array_equal(got, _ray_root(dom.exponents, np.abs(d).tolist()) * d)
+            want = _bisect_200(dom, d)
+            assert np.linalg.norm(got - want) <= 16 * 2.0 ** -53 * np.linalg.norm(want)
+            assert abs(dom.rho(got)) <= 1e-14
 
 
 def test_ray_root_solves_the_ray_equation():

@@ -7,12 +7,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from berezin_lab import labcli
-from berezin_lab.errors import SchemaError
+from berezin_lab import WeightedMeasure, labcli, make_domain, polar_tensor_rule
+from berezin_lab.errors import ParameterError, SchemaError
 
 
 def read_files(out_dir):
@@ -629,6 +630,22 @@ def test_n_whose_space_exceeds_the_byte_budget_exits_1_naming_n_before_any_work(
         f"config field $['N']: {nn} asks for C({nn} + {dim}, {dim}) = {size} basis functions, "
         f"{256 * size + 16 * size ** 2} bytes with a dense {size} x {size} operator, over "
         f"the {labcli.BASIS_BUDGET_BYTES}-byte budget")
+
+
+@pytest.mark.parametrize("order", [3163, 3_000_000])
+def test_mass_outside_order_past_the_node_cap_exits_1_naming_it_before_any_work(
+        tmp_path, monkeypatch, order):
+    # its polar rule of 2 order^2 nodes is one that quadrature refuses to build
+    with pytest.raises(ParameterError, match="more than 2e7"):
+        polar_tensor_rule(WeightedMeasure(make_domain("disk"), 0.0), order, 2 * order)
+    config = {**_PROFILE, "mass_outside": {"center": [1.0, 0.0], "radius": 0.3,
+                                           "quad_order": order}}
+    start = time.perf_counter()
+    _assert_refused_before_any_work(
+        tmp_path, monkeypatch, "berezin-profile", config,
+        f"config field $['mass_outside']['quad_order']: {order} asks for a polar rule "
+        f"of {2 * order ** 2} nodes, over the 20000000-node cap")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_semi_commutator_at_n_equal_to_three_degrees_runs(tmp_path):

@@ -38,7 +38,7 @@ from berezin_lab.bergman import WeightedSpace
 from berezin_lab.errors import (BoundaryError, CapabilityError, NumericError,
                                 ParameterError)
 from berezin_lab.labcli import _monomial_symbols
-from berezin_lab.operators import _RADIAL_ORDER, DEFAULT_T_GRID, HP, T
+from berezin_lab.operators import _RADIAL_ORDER, DEFAULT_T_GRID, HP, SC, T
 from berezin_lab.quadrature import (finite_node_values, log_monomial_moments,
                                     measure_node_weights, radial_rule)
 
@@ -993,3 +993,28 @@ def test_toeplitz_symbol_not_finite_at_node_raises(text):
         with pytest.raises(NumericError) as info:
             toeplitz(sp, sym(text))
     assert info.value.node is not None
+
+
+def test_operator_whose_assembly_overflows_raises_naming_it():
+    # finite coefficients and scalars whose sums and products pass the
+    # largest float, in shift form and in dense form (a non-polynomial
+    # Hankel pair); numpy's overflow and invalid warnings stay quiet
+    sp = disk_space(0.0, 8)
+    big, z, a = sym("1e308*abs2(z) + 1e308"), sym("z"), sym("abs(z)")
+    cases = [
+        (lambda: toeplitz(sp, big), "T(1e308*abs2(z) + 1e308)"),
+        (lambda: hankel_gram(sp, big, sym("1")), "H*_(1) H_(1e308*abs2(z) + 1e308)"),
+        (lambda: materialize(OperatorExpr(((SC(1e308), SC(1e308), T(z)),)), sp),
+         "1e+308 * 1e+308 * T(z)"),
+        (lambda: materialize(OperatorExpr(((SC(1e200), T(z), T(sym("1e200*conj(z)"))),)), sp),
+         "1e+200 * T(z) * T(1e200*conj(z))"),
+        (lambda: materialize(OperatorExpr(((T(z),), (SC(1e308), SC(1e308j), HP(a, a)))), sp),
+         "T(z) + 1e+308 * 0+1e+308j * HP(abs(z), abs(z))"),
+    ]
+    for build, text in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as info:
+                build()
+        assert str(info.value) == (f"operator {text} is not finite: a product of its "
+                                   "scalars and weights overflows")

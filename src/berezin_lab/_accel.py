@@ -36,7 +36,7 @@ def _power_tables(points, kmax):
 # entries (basis size x points) of one basis-by-points table, 1 MiB of
 # complex128: the point blocks of ``WeightedSpace.kernel`` and the chunks of
 # ``series_values`` hold at most this many, or their minimum number of points
-# (3 and 32) when the basis is larger
+# (1 and 32) when the basis is larger
 BLOCK_ENTRIES = 2 ** 16
 
 

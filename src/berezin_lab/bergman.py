@@ -30,11 +30,6 @@ from .quadrature import (Scheme, WeightedMeasure, inflation_constant,
 
 DELTA_INTERIOR = 0.02        # accuracy contract: kernel advertised for -rho >= this
 UNDERFLOW_FLOOR = 1e-300
-# numpy's NPY_MIN_ELIDE_BYTES: from this size of an operand, a CPython numpy
-# build that can check its caller's stack (glibc's backtrace) reuses a
-# temporary operand's buffer for the result, swapping a commutative
-# product's operands; ``WeightedSpace.kernel`` mirrors that order
-_NUMPY_ELIDE_BYTES = 256 * 1024
 
 
 def multiindices(dim, max_degree):
@@ -119,39 +114,22 @@ class WeightedSpace:
         ``z`` and ``w`` must hold the same number of points; any other pairing
         raises :class:`ParameterError`.  The points go through in blocks whose
         basis tables hold at most ``_accel.BLOCK_ENTRIES`` entries each, or
-        three points when the basis is larger, and each block's column sums
-        go into one (m,) result.  Every value has the bits of the one-table
-        sum ``np.sum(ez * np.conj(ew), axis=0)``, which two numpy traps
-        decide:
-
-        1. Operand order.  numpy elides the conjugate temporary of
-           ``ez * np.conj(ew)`` when it holds at least
-           ``_NUMPY_ELIDE_BYTES``, and then computes ``conj(ew) * ez``, whose
-           rounding (FMA) differs.  So the order follows the size of the
-           whole call's table, not the block's.
-        2. Single-column sums.  numpy sums a (B, 1) column pairwise but a
-           (B, k >= 2) table row by row.  So a block holds one point only
-           when the call does.
+        one point when the basis is larger.  A value is the sum of its own
+        row of products, so it has the same bits in any call.
         """
         zs, single = _as_points(z, self.dim)
         ws = _as_points(w, self.dim)[0]
         if zs.shape != ws.shape:
             raise ParameterError(f"kernel pairs z and w point by point, got points "
                                  f"of shape {zs.shape} and {ws.shape}")
-        m = len(zs)
-        swapped = 16 * self.size * m >= _NUMPY_ELIDE_BYTES
-        width = max(3, _accel.BLOCK_ENTRIES // self.size)
-        k = np.empty(m, dtype=np.complex128)
-        start = 0
-        while start < m:
-            # never leave a lone point for the last block
-            stop = min(m, start + width - (m - start - width == 1))
-            ez = self.basis_values(zs[start:stop])
-            cw = self.basis_values(ws[start:stop])
+        width = max(1, _accel.BLOCK_ENTRIES // self.size)
+        k = np.empty(len(zs), dtype=np.complex128)
+        for i in range(0, len(zs), width):
+            ez = self._rows(zs[i:i + width])[1]
+            cw = self._rows(ws[i:i + width])[1]
             np.conj(cw, out=cw)
-            np.multiply(*((cw, ez) if swapped else (ez, cw)), out=cw)
-            np.sum(cw, axis=0, out=k[start:stop])
-            start = stop
+            np.multiply(ez, cw, out=cw)
+            np.sum(cw, axis=1, out=k[i:i + width])
         return complex(k[0]) if single else k
 
     def normalized_kernel(self, z):

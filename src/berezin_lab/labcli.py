@@ -36,8 +36,8 @@ from .bergman import (build_inflated_space, build_space,
                       inflation_kernel_residuals, kernel_mass_outside,
                       multiindices)
 from .domains import (PointKind, boundary_point, classify_boundary,
-                      domain_from_config, sample_boundary)
-from .errors import LabError, ParameterError, SchemaError
+                      domain_from_config, inflation_parameters, sample_boundary)
+from .errors import BoundaryError, LabError, ParameterError, SchemaError
 from .operators import (DEFAULT_T_GRID, OperatorExpr, axler_zheng_report,
                         boundary_profile, expr_from_json,
                         product_decomposition_residual,
@@ -491,6 +491,18 @@ def validate_config(experiment, config):
 # symbol; every runner is held to that bound.
 BASIS_BUDGET_BYTES = 2 ** 31
 _BASIS_FUNCTION_BYTES = 256
+# The grids a run builds are held to the same bound.  Each pair of a ray grid
+# (kernel-check, inflation-check) costs _PAIR_BYTES plus _PAIR_COORD_BYTES a
+# coordinate of its points (a run peaks at 233 bytes a pair with 1
+# coordinate, 336 with 5 and 864 with 13); each t-grid sample
+# (berezin-profile, axler-zheng) costs _SAMPLE_BYTES at each profiled point,
+# plus _SAMPLE_ENTRY_BYTES an entry of the basis rows one point's profile
+# builds (runs peak at 394-629 bytes a sample at 1-3 points, plus about 47
+# bytes an entry)
+_PAIR_BYTES = 256
+_PAIR_COORD_BYTES = 64
+_SAMPLE_BYTES = 512
+_SAMPLE_ENTRY_BYTES = 64
 
 
 def _max_degree(config, dim, default):
@@ -505,6 +517,52 @@ def _max_degree(config, dim, default):
                           f"basis functions, {need} bytes with a dense {size} x {size} "
                           f"operator, over the {BASIS_BUDGET_BYTES}-byte budget")
     return nn
+
+
+def _grid_points(config, default, coords):
+    """config['grid_points'] (else ``default``), refused when its n^2 ray
+    pairs (``_ray_pairs``) of points with ``coords`` coordinates would take
+    more than ``BASIS_BUDGET_BYTES``."""
+    n = int(config.get("grid_points", default))
+    need = n ** 2 * (_PAIR_BYTES + _PAIR_COORD_BYTES * coords)
+    if need > BASIS_BUDGET_BYTES:
+        raise SchemaError(f"config field $['grid_points']: {n} asks for {n ** 2} point "
+                          f"pairs, {need} bytes, over the {BASIS_BUDGET_BYTES}-byte budget")
+    return n
+
+
+def _t_grid(config, points, size):
+    """The config's t grid (else ``DEFAULT_T_GRID``), refused before it is
+    built when its samples at ``points`` profiled points, each sample with
+    basis rows of ``size`` entries, would take more than
+    ``BASIS_BUDGET_BYTES``."""
+    spec = config.get("t_grid", DEFAULT_T_GRID)
+    counted = isinstance(spec, dict)
+    count = int(spec["count"]) if counted else len(spec)
+    need = count * (_SAMPLE_BYTES * points + _SAMPLE_ENTRY_BYTES * size)
+    if need > BASIS_BUDGET_BYTES:
+        field = "$['t_grid']['count']" if counted else "$['t_grid']"
+        raise SchemaError(f"config field {field}: {count} samples at {points} point(s) with "
+                          f"{size} basis functions ask for {need} bytes, over the "
+                          f"{BASIS_BUDGET_BYTES}-byte budget")
+    if counted:
+        return np.linspace(spec["start"], spec["stop"], count)
+    return np.asarray(spec, dtype=float)
+
+
+def _decoded(field, step, *args):
+    """``step(*args)``, a :class:`ParameterError` or :class:`BoundaryError`
+    it raises re-raised as a :class:`SchemaError` naming the config field at
+    path ``field``."""
+    try:
+        return step(*args)
+    except (ParameterError, BoundaryError) as exc:
+        raise SchemaError(f"config field {field}: {exc}") from None
+
+
+def _domain(config):
+    """The domain of config['domain'] (``domain_from_config``)."""
+    return _decoded("$['domain']", domain_from_config, config["domain"])
 
 
 def _refuse(config, keys, reason):
@@ -550,14 +608,6 @@ def _boundary_point(dom, spec, field):
     return boundary_point(dom, point)
 
 
-def _to_tgrid(spec):
-    if spec is None:
-        return DEFAULT_T_GRID
-    if isinstance(spec, dict):
-        return np.linspace(spec["start"], spec["stop"], int(spec["count"]))
-    return np.asarray(spec, dtype=float)
-
-
 def _monomial_symbols(dim, degree):
     """All z^gamma zbar^delta with total degree <= degree, deterministic order."""
     syms = []
@@ -589,12 +639,6 @@ def _ray_radius(dom, config, default):
     return radius
 
 
-def _abs(d):
-    """|d| by libm's hypot, as Python's abs rounds it (numpy's vectorized
-    complex abs differs in the last bit on some values)."""
-    return np.hypot(d.real, d.imag)
-
-
 def _closed_form_kernel(domain, r):
     """(z, w) -> K^r(z, w) for disk and balls, else None."""
     if any(q != 2.0 for q in domain.exponents):
@@ -618,9 +662,12 @@ def _run_constants(config, report):
     if pairs is None:
         if "p" not in config or "r" not in config:
             raise SchemaError("constants needs either 'pairs' or both 'p' and 'r'")
-        pairs = [[config["p"], config["r"]]]
+        pairs, fields = [[config["p"], config["r"]]], ["$['r']"]
     else:
         _refuse(config, ("p", "r"), "next to 'pairs'")
+        fields = [f"$['pairs'][{i}]" for i in range(len(pairs))]
+    for field, (p, r) in zip(fields, pairs):
+        _decoded(field, inflation_parameters, p, r)
     samples = int(config.get("samples", 10_000_000))
     seed = int(config.get("seed", 42))
     rows = []
@@ -647,9 +694,9 @@ def _run_constants(config, report):
 
 
 def _run_kernel_check(config, report):
-    dom = domain_from_config(config["domain"])
+    dom = _domain(config)
     r = float(config.get("r", 0.0))
-    n_grid = int(config.get("grid_points", 10))
+    n_grid = _grid_points(config, 10, dom.dim)
     radius = _ray_radius(dom, config, 0.8)
     phase = float(config.get("phase", 0.3))
     tol = float(config.get("tolerance", 1e-8))
@@ -664,7 +711,7 @@ def _run_kernel_check(config, report):
     # tolerance for structural (not numerical) reasons
     tz, tw, z, w = _ray_pairs(dom.dim, radius, phase, n_grid)
     kc = closed(z, w)
-    err = _abs(space.kernel(z, w) - kc) / _abs(kc)
+    err = np.abs(space.kernel(z, w) - kc) / np.abs(kc)
     worst = float(np.max(err))
     report.tables["residuals"] = Table(["t_z", "t_w", "rel_err"],
                                        np.column_stack([tz, tw, err]).tolist())
@@ -673,11 +720,10 @@ def _run_kernel_check(config, report):
 
 
 def _run_inflation_check(config, report):
-    dom = domain_from_config(config["domain"])
-    r = float(config["r"])
-    p = int(config["p"])
+    dom = _domain(config)
+    p, r = _decoded("$['r']", inflation_parameters, config["p"], config["r"])
     nn = _max_degree(config, dom.dim + p, 32)    # the inflated space's dim + p variables
-    n_grid = int(config.get("grid_points", 8))
+    n_grid = _grid_points(config, 8, dom.dim + p)
     radius = _ray_radius(dom, config, 0.6)
     phase = float(config.get("phase", 0.2))
     tol = float(config.get("tolerance", 1e-8))
@@ -691,7 +737,7 @@ def _run_inflation_check(config, report):
     worst_closed = 0.0
     if closed is not None:
         kc = closed(zs, xis)
-        cerr = _abs(c * ki - kc) / _abs(kc)
+        cerr = np.abs(c * ki - kc) / np.abs(kc)
         worst_closed = float(np.max(cerr))
     report.tables["residuals"] = Table(
         ["t_z", "t_xi", "identity_residual", "closed_form_residual"],
@@ -704,7 +750,7 @@ def _run_inflation_check(config, report):
 
 
 def _run_moments(config, report):
-    dom = domain_from_config(config["domain"])
+    dom = _domain(config)
     r = float(config.get("r", 0.0))
     measure = WeightedMeasure(dom, r)
     if "alphas" in config:
@@ -740,7 +786,7 @@ def _run_moments(config, report):
 def _run_berezin_profile(config, report):
     if "expect_limit" not in config:
         _refuse(config, ("tolerance",), "without 'expect_limit'")
-    dom = domain_from_config(config["domain"])
+    dom = _domain(config)
     r = float(config.get("r", 0.0))
     nn = _max_degree(config, dom.dim, 96 if dom.dim == 1 else 16)
     if dom.dim != 1:
@@ -760,9 +806,9 @@ def _run_berezin_profile(config, report):
         center = _to_point(config["mass_outside"]["center"], dom.dim,
                            "$['mass_outside']['center']")
     p0 = _boundary_point(dom, config["point"], "$['point']")
+    t_grid = _t_grid(config, 1, math.comb(nn + dom.dim, dom.dim))
+    sym = _decoded("$['symbol']", Symbol.parse, config["symbol"], dom.dim)
     space = build_space(WeightedMeasure(dom, r), nn)
-    sym = Symbol.parse(config["symbol"], dom.dim)
-    t_grid = _to_tgrid(config.get("t_grid"))
     op = toeplitz(space, sym)
     prof = boundary_profile(op, p0, t_grid)
     rows = [[s.t, s.value.real, s.value.imag, s.trunc_flag] for s in prof]
@@ -797,7 +843,7 @@ def _run_berezin_profile(config, report):
 
 
 def _run_semi_commutator(config, report):
-    dom = domain_from_config(config["domain"])
+    dom = _domain(config)
     r = float(config.get("r", 0.0))
     nn = _max_degree(config, dom.dim, 32)
     degree = int(config.get("degree", 2))
@@ -821,33 +867,37 @@ def _run_semi_commutator(config, report):
 
 
 def _run_axler_zheng(config, report):
-    dom = domain_from_config(config["domain"])
+    dom = _domain(config)
     r = float(config.get("r", 0.0))
     nn = _max_degree(config, dom.dim, 16)
+    tail_k = int(config.get("tail_k", nn // 2))
+    if tail_k > nn:
+        raise SchemaError(f"config field $['tail_k']: tail_k={tail_k} outside [0, {nn}]")
     strong = [_boundary_point(dom, p, f"$['strong_points'][{i}]")
               for i, p in enumerate(config["strong_points"])]
     weak = [_boundary_point(dom, p, f"$['weak_points'][{i}]")
             for i, p in enumerate(config.get("weak_points", []))]
-    space = build_space(WeightedMeasure(dom, r), nn)
-    if "operator" in config:
-        _refuse(config, ("symbol",), "next to 'operator'")
-        expr = expr_from_json(config["operator"], dom.dim)
-    elif "symbol" in config:
-        expr = OperatorExpr.toeplitz(Symbol.parse(config["symbol"], dom.dim))
-    else:
-        raise SchemaError("axler-zheng needs 'operator' or 'symbol'")
+    t_grid = _t_grid(config, len(strong) + len(weak), math.comb(nn + dom.dim, dom.dim))
     pt_rows = []
     for role, pts, want in (("strong", strong, PointKind.STRONGLY_PSEUDOCONVEX),
                             ("weak", weak, PointKind.WEAKLY_PSEUDOCONVEX)):
         for i, p in enumerate(pts):
             cls = classify_boundary(dom, p)
             if cls.kind is not want:
-                raise ParameterError(f"{role} point #{i} {p} classified {cls.kind.value}")
+                raise SchemaError(f"config field $['{role}_points'][{i}]: {role} point "
+                                  f"#{i} {p} classified {cls.kind.value}")
             pt_rows.append([role, i, cls.kind.value, cls.min_tangential_eigenvalue])
-    tail_k = config.get("tail_k")
+    if "operator" in config:
+        _refuse(config, ("symbol",), "next to 'operator'")
+        expr = _decoded("$['operator']", expr_from_json, config["operator"], dom.dim)
+    elif "symbol" in config:
+        expr = OperatorExpr.toeplitz(
+            _decoded("$['symbol']", Symbol.parse, config["symbol"], dom.dim))
+    else:
+        raise SchemaError("axler-zheng needs 'operator' or 'symbol'")
+    space = build_space(WeightedMeasure(dom, r), nn)
     rep = axler_zheng_report(
-        expr, space, strong, weak, t_grid=_to_tgrid(config.get("t_grid")),
-        tail_k=None if tail_k is None else int(tail_k),
+        expr, space, strong, weak, t_grid=t_grid, tail_k=tail_k,
         **{f"{name}_threshold": float(v)
            for name, v in config.get("thresholds", {}).items()})
     for name, profs in (("strong_profiles", rep.strong_profiles),
@@ -874,7 +924,7 @@ def _run_axler_zheng(config, report):
 
 
 def _run_classify(config, report):
-    dom = domain_from_config(config["domain"])
+    dom = _domain(config)
     count = int(config.get("count", 64))
     seed = int(config.get("seed", 0))
     tol = config.get("tolerance")

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import time
 
 import numpy as np
@@ -148,37 +149,36 @@ def test_kernel_truncation_geometric_decay():
     assert all(r < 0.2 for r in ratios)   # |z w| = 0.64 per extra degree block
 
 
-def _unblocked_kernel(sp, zs, ws):
-    """The one-table kernel sum, with numpy's own operand order (the
-    conjugate temporary is elided from 256 KiB)."""
-    ez = sp.basis_values(zs)
-    ew = sp.basis_values(ws)
-    return np.sum(ez * np.conj(ew), axis=0)
-
-
 def _random_points(m, n, scale, seed):
     rng = np.random.default_rng(seed)
     return scale * (rng.uniform(-1, 1, (m, n)) + 1j * rng.uniform(-1, 1, (m, n)))
 
 
-def test_kernel_blocks_keep_the_bits_of_the_one_table_sum():
-    # crit 2.1's space: B = 6545, so a block holds 10 points at the budget,
-    # and 2 * 10 + 1 points would leave a lone last point (blocks 10, 9, 2)
-    infl = build_inflated_space(disk_space(2.0, 32), 2)
-    width = _accel.BLOCK_ENTRIES // infl.size
-    zs = _random_points(2 * width + 1, 3, 0.3, 20)
-    ws = _random_points(2 * width + 1, 3, 0.3, 21)
-    assert np.array_equal(infl.kernel(zs, ws), _unblocked_kernel(infl, zs, ws))
-    assert infl.kernel(zs[0], ws[0]) == complex(_unblocked_kernel(infl, zs[:1], ws[:1])[0])
+_KERNEL_SPACES = {
+    65: lambda: disk_space(1.0, 64),
+    1225: lambda: build_space(WeightedMeasure(BALL2, 0.5), 48),
+    6545: lambda: build_inflated_space(disk_space(2.0, 32), 2),      # crit 2.1's
+}
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 9, 10])
-def test_kernel_small_blocks_keep_the_bits_of_the_one_table_sum(monkeypatch, m):
-    # below 256 KiB numpy keeps ez * conj(ew) in order; blocks of 4 points
-    sp = disk_space(1.0, 64)
-    monkeypatch.setattr(_accel, "BLOCK_ENTRIES", 4 * sp.size)
-    zs, ws = _random_points(m, 1, 0.6, 22), _random_points(m, 1, 0.6, 23)
-    assert np.array_equal(sp.kernel(zs, ws), _unblocked_kernel(sp, zs, ws))
+@pytest.mark.parametrize("size", sorted(_KERNEL_SPACES))
+def test_kernel_value_is_its_own_row_sum_in_any_call(monkeypatch, size):
+    sp = _KERNEL_SPACES[size]()
+    assert sp.size == size
+    zs, ws = _random_points(7, sp.dim, 0.3, 20), _random_points(7, sp.dim, 0.3, 21)
+    k = sp.kernel(zs, ws)
+    assert np.array_equal([sp.kernel(z, w) for z, w in zip(zs, ws)], k)
+    cuts = [0, 2, 3, 7]
+    assert np.array_equal(np.concatenate([sp.kernel(zs[a:b], ws[a:b])
+                                          for a, b in zip(cuts, cuts[1:])]), k)
+    for entries in (size, 3 * size, 2 ** 16, 2 ** 20):
+        monkeypatch.setattr(_accel, "BLOCK_ENTRIES", entries)
+        assert np.array_equal(sp.kernel(zs, ws), k)
+    # against the exact sum of each row's products
+    terms = sp.basis_values(zs) * np.conj(sp.basis_values(ws))
+    for value, row in zip(k, terms.T):
+        exact = complex(math.fsum(row.real), math.fsum(row.imag))
+        assert abs(value - exact) <= 1e-15 * np.sum(np.abs(row))
 
 
 @pytest.mark.parametrize("w_shape", [(2, 1), (1, 1)])
@@ -193,18 +193,18 @@ _C1 = {"domain": {"name": "disk"}, "N": 64, "grid_points": 10, "radius": 0.8,
        "phase": 0.3, "tolerance": 1e-8}
 _C2 = {"domain": {"name": "disk"}, "grid_points": 8, "radius": 0.6, "phase": 0.2}
 # sha256 of the repr of every kernel value the criterion 1 and 2 runs
-# compute, taken before kernel evaluated its points in blocks
+# compute, each value the sum of its own row of products
 _KERNEL_DIGESTS = {
     "c1-r0": ("kernel-check", dict(_C1, r=0.0),
-              "1a3db9096a1f74ced77b8f7ecdc1d8205e78fbb817a68f4c410862331f232472"),
+              "659e5e3196be5c36fd5586e655d66ab4c1fb2ccc47750eaa622bef2d713c2f39"),
     "c1-r1": ("kernel-check", dict(_C1, r=1.0),
-              "302ecfb147ae999a07d253f08f3732ca54024a3e745a42a60fe7571dfcf34ddc"),
+              "9d2284220ef865745288dfb533f73001aa029b8926687a3ab628e845dd23b9ac"),
     "c1-r2": ("kernel-check", dict(_C1, r=2.0),
-              "34d0d6c10206b6e836a899afcc84faeeeb1cd684d8615cfadc45103ff9769615"),
+              "ec3e65cd93de38b0e0937b3d1c46805197cd5c2494eca3c9f85698aaf5e59423"),
     "c2-p1": ("inflation-check", dict(_C2, r=1.0, p=1, N=48, tolerance=1e-8),
-              "dc25a0a1f81de7156917b20f11dd93c98e985d4ac65156f9172f8ac575190fc1"),
+              "4b3dcd06f80f60623214da8d265f2561f2f178858400807c8936e65db50d13e0"),
     "c2-p2": ("inflation-check", dict(_C2, r=2.0, p=2, N=32, tolerance=1e-6),
-              "b94e789de08ad061de9084c4fd7f4127b7dc52467332c08dc61bfb369801d09b"),
+              "158946096fd42e7d62afa5aca7e008cfb1097fac9affadded34fa78badd9ed53"),
 }
 
 

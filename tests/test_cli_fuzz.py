@@ -5,8 +5,10 @@ on an ``error:`` or ``config error:`` line, and nothing ever prints a
 traceback.  Sizes (N, samples, counts, quadrature order) are capped so the
 whole module runs in a few seconds; the examples are derandomized, so a run
 is repeatable.  A table of extreme numbers (overflowing products, points and
-orders near the largest float, 400-digit literals) goes through the CLI one
-config at a time, each with its exit code and at most one line of output.
+orders near the largest float, 400-digit literals, grids past the byte
+budget) and of values the lab's own decoding refuses goes through the CLI
+one config at a time, each with its exit code and at most one line of
+output; a refused config's line names the offending field.
 
 The same configs, and a list of edge cases, also check the lab's config
 schema checker against jsonschema's Draft 2020-12 validator.
@@ -19,6 +21,7 @@ import json
 import math
 import os
 import tempfile
+import time
 import warnings
 
 import pytest
@@ -202,6 +205,29 @@ def test_cli_exit_codes_on_fuzzed_configs(experiment):
 _AZ8 = {"domain": {"name": "disk"}, "N": 8, "strong_points": [[1.0, 0.0]]}
 _PROFILE8 = {"domain": {"name": "disk"}, "N": 8, "symbol": "z", "point": [1.0, 0.0]}
 _NOT_FINITE = "is not finite: a product of its scalars and weights overflows"
+_R_PAST_P = "inflation needs an integer p >= 1 and 0 < r <= p, got p=1, r=2"
+_BUDGET = "over the 2147483648-byte budget"
+# grids that would take more than the byte budget: refused before any work
+_OVERSIZED = {
+    "grid-points-30000": (
+        "kernel-check", {"domain": {"name": "disk"}, "grid_points": 30_000},
+        1, "config error: config field $['grid_points']: 30000 asks for 900000000 point "
+           f"pairs, 288000000000 bytes, {_BUDGET}"),
+    "inflation-grid-points-30000": (
+        "inflation-check", {"domain": {"name": "disk"}, "r": 1.0, "p": 1, "grid_points": 30_000},
+        1, "config error: config field $['grid_points']: 30000 asks for 900000000 point "
+           f"pairs, 345600000000 bytes, {_BUDGET}"),
+    "t-grid-count-4e8": (
+        "axler-zheng", {**_AZ8, "symbol": "z",
+                        "t_grid": {"start": 0.5, "stop": 0.9, "count": 400_000_000}},
+        1, "config error: config field $['t_grid']['count']: 400000000 samples at 1 point(s) "
+           f"with 9 basis functions ask for 435200000000 bytes, {_BUDGET}"),
+    "profile-t-grid-count-4e8": (
+        "berezin-profile", {**_PROFILE8,
+                            "t_grid": {"start": 0.5, "stop": 0.9, "count": 400_000_000}},
+        1, "config error: config field $['t_grid']['count']: 400000000 samples at 1 point(s) "
+           f"with 9 basis functions ask for 435200000000 bytes, {_BUDGET}"),
+}
 # name: (experiment, config or its JSON text, exit code, the start of the one
 # stderr line, or "" for none)
 EXTREMES = {
@@ -240,6 +266,41 @@ EXTREMES = {
     "kernel-check-on-egg": (
         "kernel-check", {"domain": {"name": "egg", "m": 2}, "N": 8},
         1, "config error: config field $['domain']: kernel-check needs a disk or a ball"),
+    "tail-k-past-n": (
+        "axler-zheng", {**_AZ8, "symbol": "z", "tail_k": 20},
+        1, "config error: config field $['tail_k']: tail_k=20 outside [0, 8]"),
+    "inflation-r-past-p": (
+        "inflation-check", {"domain": {"name": "disk"}, "r": 2, "p": 1},
+        1, f"config error: config field $['r']: {_R_PAST_P}"),
+    "constants-r-past-p": (
+        "constants", {"p": 1, "r": 2}, 1, f"config error: config field $['r']: {_R_PAST_P}"),
+    "constants-pair-r-past-p": (
+        "constants", {"pairs": [[1, 1.0], [1, 2]]},
+        1, f"config error: config field $['pairs'][1]: {_R_PAST_P}"),
+    "zero-exponent": (
+        "kernel-check", {"domain": {"name": "ellipsoid", "exponents": [2, 0]}},
+        1, "config error: config field $['domain']: exponents must be positive and finite"),
+    "ball-n-4": (
+        "kernel-check", {"domain": {"name": "ball", "n": 4}},
+        1, "config error: config field $['domain']: ball is cataloged for n in {1, 2, 3}, "
+           "got 4"),
+    "inflated-disk-r-past-p": (
+        "kernel-check", {"domain": {"name": "disk", "inflate": {"p": 1, "r": 2}}},
+        1, f"config error: config field $['domain']: {_R_PAST_P}"),
+    "unknown-symbol": (
+        "berezin-profile", {**_PROFILE8, "symbol": "zz"},
+        1, "config error: config field $['symbol']: unknown identifier 'zz'"),
+    "unknown-symbol-in-operator": (
+        "axler-zheng", {**_AZ8, "operator": {"sum": [{"prod": [{"toeplitz": {"symbol": "zz"}}]}]}},
+        1, "config error: config field $['operator']: unknown identifier 'zz'"),
+    "weak-point-as-strong": (
+        "axler-zheng", {**_AZ8, "domain": {"name": "egg", "m": 2}, "symbol": "z1",
+                        "strong_points": [[[1, 0], [0, 0]]]},
+        1, "config error: config field $['strong_points'][0]: strong point #0 "),
+    "strong-point-as-weak": (
+        "axler-zheng", {**_AZ8, "symbol": "z", "weak_points": [[0, 1]]},
+        1, "config error: config field $['weak_points'][0]: weak point #0 "),
+    **_OVERSIZED,
 }
 
 
@@ -262,6 +323,25 @@ def test_extreme_numbers_exit_with_at_most_one_line(tmp_path, capfd, name):
         assert not any(bad in text for bad in ("Traceback", "Warning", "DLASCL")), text
     assert (got, out) == (code, "")
     assert len(err.splitlines()) <= 1 and err.startswith(line) and bool(err) == bool(line), err
+
+
+@pytest.mark.parametrize("name", list(_OVERSIZED))
+def test_oversized_grids_are_refused_before_any_work(tmp_path, monkeypatch, name):
+    def spy(*args, **kwargs):
+        raise AssertionError("work was done")
+
+    monkeypatch.setattr(labcli, "build_space", spy)
+    monkeypatch.setattr(labcli, "_ray_pairs", spy)
+    experiment, config, code, line = _OVERSIZED[name]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        got = labcli.main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert (got, err.getvalue()) == (code, line + "\n")
+    assert not (tmp_path / "out").exists()
 
 
 def _error_paths(errors):

@@ -150,15 +150,15 @@ _REPORT_DIGESTS = {
             "7eb419cfb979bec389fdea77aee3cabf0f8297ade9bdcd2e7ce4b6162f40bee8"}),
     "kernel-check": ("kernel-check", {"domain": DISK, "r": 1.0, "N": 16, "grid_points": 4}, {
         "kernel_check_report.json":
-            "ab413f1d29b88fb9ab598ee4b8c237e881112405ad688e9b0a9b118177782e5d",
+            "9c8977f47961eacb7515e38e0bff07b7cd2849e3ba2c522c8dfdb4a83697f884",
         "kernel_check_residuals.csv":
-            "5742d761d2407f74bf63926e441140ed444f0d7caeb608e9c496f0da6a85248a"}),
+            "eacb5ca17e9e95313b1109e3e6bbe1d2d86cd137888b8dd47b0c11edf69fef01"}),
     "inflation-check": ("inflation-check", {"domain": EGG, "r": 0.5, "p": 1, "N": 6,
                                             "grid_points": 3}, {
         "inflation_check_report.json":
-            "709600ae4c59e2424b44b3288f6b47d320f8550a627d88b0a2e431c6a8c46a39",
+            "60f4a47481e636ba6a3621318c51afa00d963ad589d0e9944fd238d93fc555eb",
         "inflation_check_residuals.csv":
-            "ba1a03d5900148fcc3f68345764aa0114d444114c031c0a642b9309f8fb71758"}),
+            "c5fca7ee6abfbd57538918eca80f9be1073ec58442b8babe43c9184c9a8b26ec"}),
     "moments": ("moments", {"domain": EGG, "r": 0.5, "N": 3}, {
         "moments_moments.csv":
             "3872f641ed377e011f0c777d2b838ae16894ee066c47f26e988a191b5d8ecdc1",

@@ -2,7 +2,8 @@
 
 Monomial matrices come from iterated power tables and fixed left-to-right
 products, so results are bit-reproducible run to run.  The Monte Carlo hit
-count runs on every usable CPU and still draws the serial stream exactly.
+count draws one double per squared modulus, runs on every usable CPU and
+still draws the serial stream exactly.
 """
 
 import copy
@@ -54,15 +55,6 @@ def monomial_matrix(points, alphas):
     return out
 
 
-def _pair_sums(u, out):
-    """out[k] = u[2k]**2 + u[2k+1]**2, the |w_k|^2 of flat real pairs ``u``.
-
-    Squares ``u`` in place, so pass a copy to keep it.
-    """
-    np.multiply(u, u, out=u)
-    return np.add(u[0::2], u[1::2], out=out)
-
-
 def _row_sums(t, out):
     """Left-to-right sums of the rows of ``t`` (m, p): in ``out`` (m,) when
     p > 1, else column 0 of ``t`` itself."""
@@ -79,7 +71,7 @@ _BAND = 2.0 ** -40
 
 
 def _count_block(t, exponent, scratch):
-    """Rows of the pair sums ``t`` (m, p) with sum_j t[:, j]**exponent < 1.
+    """Rows of the squared moduli ``t`` (m, p) with sum_j t[:, j]**exponent < 1.
 
     Leaves ``t`` as it is and works in ``scratch``, a flat buffer of at least
     t.size + m doubles.  The power is taken on a contiguous array and the
@@ -154,7 +146,7 @@ def _passes(shapes):
     return groups
 
 
-def _count_pass(bitgen, samples, shapes, lcm, half):
+def _count_pass(bitgen, samples, shapes, lcm, scale):
     """Hit counts of ``shapes`` from copies of ``bitgen``; see ``count_inside``."""
     longest = max(p for p, _ in shapes)
     total = samples * longest
@@ -174,27 +166,23 @@ def _count_pass(bitgen, samples, shapes, lcm, half):
     # each worker's hit counts, or the exception it raised, re-raised below
     results = [None] * workers
 
-    def count(i, draws, sums, gen):
+    def count(i, moduli, scratch, gen):
         try:
             hits = [0] * len(shapes)
             pos = 0
             while (start := take()) is not None:
                 if start != pos:
-                    gen.bit_generator.advance(2 * (start - pos))
+                    gen.bit_generator.advance(start - pos)
                 n = min(block, total - start)
                 pos = start + n
-                u = draws[:2 * n]
-                gen.random(out=u)
-                u *= 2.0
-                u += -1.0
-                if half != 1.0:         # x / 1.0 is x
-                    u /= half
-                t = _pair_sums(u, sums[:n])
+                t = moduli[:n]
+                gen.random(out=t)
+                t *= scale
                 for k, (p, exponent) in enumerate(shapes):
                     rows = min(n, samples * p - start) // p
-                    if rows > 0:        # the spent draws are its scratch
+                    if rows > 0:
                         hits[k] += _count_block(t[:rows * p].reshape(rows, p),
-                                                exponent, draws)
+                                                exponent, scratch)
             results[i] = hits
         except BaseException as exc:
             failed.set()
@@ -204,7 +192,7 @@ def _count_pass(bitgen, samples, shapes, lcm, half):
     # worker's malloc arena
     n = min(block, total)
     threads = [threading.Thread(target=count, args=(
-        i, np.empty(2 * n), np.empty(n), np.random.Generator(copy.deepcopy(bitgen))))
+        i, np.empty(n), np.empty(2 * n), np.random.Generator(copy.deepcopy(bitgen))))
         for i in range(workers)]
     for t in threads:
         t.start()
@@ -217,21 +205,30 @@ def _count_pass(bitgen, samples, shapes, lcm, half):
 
 
 def count_inside(rng, samples, shapes, half):
-    """For each shape (p, exponent), how many of ``samples`` draws w uniform
-    on the unit box [-1, 1]^{2p} of R^{2p} ~ C^p satisfy
-    sum_j |w_j / half|^{2 exponent} < 1; one count per shape, in order.
+    """For each shape (p, exponent), a hit count with the law of how many of
+    ``samples`` draws w uniform on the unit box [-1, 1]^{2p} of R^{2p} ~ C^p
+    satisfy sum_j |w_j / half|^{2 exponent} < 1; one count per shape, in
+    order.  ``half`` must lie in (0, 1].
+
+    The draw takes each squared modulus t_j = |w_j / half|^2 from one
+    uniform double u_j as t_j = u_j * 4 / (pi half^2), not w_j from two.
+    Both have the same law where it matters: for w uniform on the unit
+    square, P(|w|^2 < x) = pi x / 4 for x <= 1 (the quarter disc of radius
+    sqrt(x) in each quadrant), so P(|w / half|^2 < x) = pi half^2 x / 4 for
+    x <= 1 when half <= 1, which is the law of t on [0, 1).  A coordinate
+    with t_j >= 1 puts its row outside under either draw, and the
+    coordinates are independent under both.  So each count is
+    Binomial(samples, vol / 4^p) for the fiber's volume vol, as with the
+    box draw, and only the disc area pi / 4 enters, not the fiber's
+    closed form.
 
     ``rng`` is a PCG64 ``Generator`` (``np.random.default_rng``), and every
     shape reads the same stream, as if each had its own generator in
-    ``rng``'s state: a row of 2p doubles is p consecutive pair sums
-    T[k] = x_{2k}^2 + x_{2k+1}^2 of the scaled stream x, and row i of shape p
-    is T[p i : p i + p].  So one pass serves every shape drawn from the same
-    stream.  It draws the longest shape's samples * 2 max(p) doubles once,
-    scales, squares and pair-sums them once, then takes each shape's power,
-    row sums and count on its prefix of T.  Scaling ``rng.random`` as
-    low + (high - low) x, as ``rng.uniform`` does, gives the same stream and
-    the same rounding as ``rng.uniform(-1.0, 1.0)`` followed by ``/ half``,
-    and each count is the one a separate call with that shape alone gives.
+    ``rng``'s state: row i of shape p is the scaled doubles T[p i : p i + p].
+    So one pass serves every shape drawn from the same stream.  It draws the
+    longest shape's samples * max(p) doubles once and scales them once, then
+    takes each shape's power, row sums and count on its prefix of T, and
+    each count is the one a separate call with that shape alone gives.
 
     T is drawn in blocks of a whole number of rows of every shape (a
     multiple of the lcm of the p values).  W = min(usable CPUs, blocks)
@@ -248,20 +245,23 @@ def count_inside(rng, samples, shapes, half):
     shapes.  Each count takes cheap proxy powers and recounts only the rows
     whose proxy sum is within ``_BAND`` of 1 (see ``_count_block``).  The
     drawing and the ufunc loops release the GIL.  Worker threads call only
-    ``_pair_sums``, ``_count_block`` with its helpers and numpy, never a
-    module-level name that a tracer may wrap (such wrappers are not
-    thread-safe): tracing sees one call, on the calling thread, covering all
-    the work.
+    ``_count_block`` with its helpers and numpy, never a module-level name
+    that a tracer may wrap (such wrappers are not thread-safe): tracing sees
+    one call, on the calling thread, covering all the work.
     """
+    if not 0.0 < half <= 1.0:
+        raise ValueError(f"half = {half!r} must lie in (0, 1]: a larger fiber "
+                         f"leaves the unit box")
+    scale = 4.0 / (np.pi * half * half)
     bitgen = rng.bit_generator
     hits = [0] * len(shapes)
     for group, lcm in _passes(shapes):
-        counts = _count_pass(bitgen, samples, [shapes[k] for k in group], lcm, half)
+        counts = _count_pass(bitgen, samples, [shapes[k] for k in group], lcm, scale)
         for k, c in zip(group, counts):
             hits[k] = c
     # advance() drops the buffered 32-bit half-output that random() keeps
     state = bitgen.state
-    bitgen.advance(samples * 2 * max((p for p, _ in shapes), default=0))
+    bitgen.advance(samples * max((p for p, _ in shapes), default=0))
     bitgen.state = {**bitgen.state, "has_uint32": state["has_uint32"],
                     "uinteger": state["uinteger"]}
     return hits

@@ -7,10 +7,10 @@ closed-form moments.  The truncated kernel is
 K(z, w) = sum_b e_b(z) conj(e_b(w)).
 
 The space evaluates its kernel itself (``kernel``, ``normalized_kernel``,
-``truncation_tail_fraction``, ``inside_contract``), at one point of shape
-(n,) or at an (m, n) array of points: one basis evaluation per call (the
-kernel's in point blocks of bounded size), and a scalar or one value per
-point back.  Kernel evaluations are advertised for
+``truncation_tail_fraction`` or both at once, ``inside_contract``), at one
+point of shape (n,) or at an (m, n) array of points: one basis evaluation
+per call (the kernel's in point blocks of bounded size), and a scalar or one
+value per point back.  Kernel evaluations are advertised for
 -rho(z) >= DELTA_INTERIOR; nearer the boundary values are still returned,
 with the last-degree share of K(z, z) available as a truncation-error
 heuristic.
@@ -136,11 +136,7 @@ class WeightedSpace:
         """Coefficients of k_z = K(., z)/sqrt(K(z, z)) in the basis (unit
         norm): shape (B,) for one point, (m, B) for an array of points."""
         pts, e, single = self._rows(z)
-        kzz = np.sum(np.abs(e) ** 2, axis=1)
-        low = kzz < UNDERFLOW_FLOOR
-        if np.any(low):
-            raise ParameterError(f"K(z,z) underflow at z={pts[np.argmax(low)]}")
-        v = np.conj(e) / np.sqrt(kzz)[:, None]
+        v = self._unit_rows(pts, e, np.sum(np.abs(e) ** 2, axis=1))
         return v[0] if single else v
 
     def truncation_tail_fraction(self, z):
@@ -148,11 +144,32 @@ class WeightedSpace:
         heuristic): a float for one point, else one value per point."""
         _, e, single = self._rows(z)
         dens = np.abs(e) ** 2
-        total = dens.sum(axis=1)
+        frac = self._top_share(dens, dens.sum(axis=1))
+        return float(frac[0]) if single else frac
+
+    def kernel_and_tail_fraction(self, z):
+        """``(normalized_kernel(z), truncation_tail_fraction(z))``, the same
+        values from one basis evaluation."""
+        pts, e, single = self._rows(z)
+        dens = np.abs(e) ** 2
+        kzz = dens.sum(axis=1)
+        v = self._unit_rows(pts, e, kzz)
+        frac = self._top_share(dens, kzz)
+        return (v[0], float(frac[0])) if single else (v, frac)
+
+    @staticmethod
+    def _unit_rows(pts, e, kzz):
+        """Rows conj(e) / sqrt(K(z, z)) of the basis values ``e``."""
+        low = kzz < UNDERFLOW_FLOOR
+        if np.any(low):
+            raise ParameterError(f"K(z,z) underflow at z={pts[np.argmax(low)]}")
+        return np.conj(e) / np.sqrt(kzz)[:, None]
+
+    def _top_share(self, dens, total):
+        """Per row of |e|^2, the top-degree block's share of its sum ``total``."""
         # compress keeps the rows contiguous, unlike boolean indexing
         top = dens.compress(self.degrees == self.N, axis=1).sum(axis=1)
-        frac = np.divide(top, total, out=np.zeros_like(total), where=total > 0)
-        return float(frac[0]) if single else frac
+        return np.divide(top, total, out=np.zeros_like(total), where=total > 0)
 
     def inside_contract(self, z):
         """-rho(z) >= DELTA_INTERIOR, the interior accuracy contract: a bool

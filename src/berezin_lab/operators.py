@@ -768,12 +768,14 @@ def product_decomposition_residual(space, symbol_lists, margin):
 # Berezin transform, profiles, tail norms
 # ---------------------------------------------------------------------------
 
-def berezin(op, z):
+def berezin(op, z, v=None):
     """B T(z) = <T k_z, k_z>, a complex for one point (n,), else one value
     per row of an (m, n) array.  The quadratic form is taken row by row, which
     rounds as a one-point call does; one (m, B) x (B, B) product would not.
-    A diagonal operator takes sum_j conj(v_j) d_j v_j, rounding as M does."""
-    v = op.space.normalized_kernel(z)
+    A diagonal operator takes sum_j conj(v_j) d_j v_j, rounding as M does.
+    ``v`` is ``op.space.normalized_kernel(z)`` when the caller has it."""
+    if v is None:
+        v = op.space.normalized_kernel(z)
     d = op.diagonal
     vals = np.array([row.conj() @ op.matrix @ row if d is None else (row.conj() * d) @ row
                      for row in np.atleast_2d(v)])
@@ -801,8 +803,8 @@ def boundary_profile(op, p0, t_grid):
         raise BoundaryError(f"point [{ts[~np.isfinite(ts)][0]}] * p0 is not finite")
     zs = ts[:, None] * p0
     inside = op.space.inside_contract(zs)
-    vals = berezin(op, zs)
-    tails = op.space.truncation_tail_fraction(zs)
+    kernels, tails = op.space.kernel_and_tail_fraction(zs)
+    vals = berezin(op, zs, kernels)
     return [ProfileSample(float(t), complex(v), not ok, float(tail))
             for t, v, ok, tail in zip(ts, vals, inside, tails)]
 

@@ -439,9 +439,10 @@ def dilation_identity_check(domain, p, r, z, samples=1_000_000, seed=42):
 
     Both sides are estimated with independent Monte Carlo streams (seed and
     seed+1), so the returned residual reflects genuine sampling error rather
-    than the change of variables cancelling exactly.  The left side draws w
-    on the unit box, whatever z is, so its hit rate scales as (-rho(z))^r;
-    that box holds the fiber only when -rho(z) <= 1.
+    than the change of variables cancelling exactly.  The left side draws
+    the squared moduli |w_j|^2 with the unit box's law, whatever z is, so
+    its hit rate scales as (-rho(z))^r; that box holds the fiber only when
+    -rho(z) <= 1.
     """
     z = np.asarray(z, dtype=np.complex128)
     s = -float(domain.rho(z))

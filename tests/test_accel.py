@@ -96,12 +96,11 @@ def test_series_values_chunks_hold_at_most_the_block_budget(monkeypatch, case):
 @pytest.mark.parametrize("p", (1, 2, 3))
 @pytest.mark.parametrize("exponent", (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0, 2 / 0.7))
 def test_count_inside_matches_reference_sum(p, exponent):
-    u = np.random.default_rng(10 * p + int(4 * exponent)).uniform(-1, 1, (50_000, 2 * p))
-    want = np.count_nonzero(
-        np.sum((u[:, 0::2] ** 2 + u[:, 1::2] ** 2) ** exponent, axis=1) < 1)
-    t = _accel._pair_sums(u.ravel().copy(), np.empty(u.size // 2))  # squares its input in place
-    got = _accel._count_block(t.reshape(len(u), p), exponent, np.empty(u.size))
-    assert 0 < got < len(u)
+    rng = np.random.default_rng(10 * p + int(4 * exponent))
+    t = rng.random((50_000, p)) * (4.0 / np.pi)
+    want = np.count_nonzero(np.sum(t ** exponent, axis=1) < 1)
+    got = _accel._count_block(t, exponent, np.empty(2 * t.size))
+    assert 0 < got < len(t)
     assert got == want
 
 
@@ -147,12 +146,11 @@ def _generator(seed):
 
 
 def _unblocked_hits(seed, samples, p, exponent, half):
-    """The hit count from one ``rng.uniform`` call, and the generator's state
-    after it."""
+    """The hit count from one ``rng.random`` call of every squared modulus,
+    and the generator's state after it."""
     rng = _generator(seed)
-    u = rng.uniform(-1.0, 1.0, size=(samples, 2 * p)) / half
-    hits = np.count_nonzero(
-        np.sum((u[:, 0::2] ** 2 + u[:, 1::2] ** 2) ** exponent, axis=1) < 1)
+    t = rng.random((samples, p)) * (4.0 / (np.pi * half * half))
+    hits = np.count_nonzero(np.sum(t ** exponent, axis=1) < 1)
     return hits, rng.bit_generator.state
 
 
@@ -161,7 +159,7 @@ def _unblocked_hits(seed, samples, p, exponent, half):
 @pytest.mark.parametrize("half", (1.0, 0.9))
 def test_count_inside_split_draws_the_unblocked_stream(monkeypatch, cpus, p, half):
     # any split of the blocks over threads counts the hits of one unblocked
-    # rng.uniform draw and leaves the caller's generator where it leaves it
+    # rng.random draw and leaves the caller's generator where it leaves it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     for samples in (1000, 16384, 16385, 32769, 100003):
         rng = _generator(samples)
@@ -224,7 +222,7 @@ def test_count_inside_reraises_a_worker_exception(monkeypatch, cpus):
 ))
 def test_count_inside_one_pass_counts_each_shape_as_its_own_stream(
         monkeypatch, cpus, half, shapes):
-    # every shape's count is that of its own unblocked rng.uniform draw from
+    # every shape's count is that of its own unblocked rng.random draw from
     # the same state, and the caller's generator ends where the longest
     # shape's draw leaves it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -256,9 +254,39 @@ def test_count_inside_splits_coprime_p_into_passes_of_a_few_blocks(monkeypatch, 
     _accel.count_inside(_generator(0), 1000, shapes, 0.9)
     rng = _generator(6)
     got, peak = traced_peak(lambda: _accel.count_inside(rng, samples, shapes, 0.9))
-    # each worker holds 3 doubles per pair sum of one block, at most 16 * 7
-    # pair sums, where the longest shape's draws at once are 11.2 MB
+    # each worker holds 3 doubles per modulus of one block, at most 16 * 7
+    # moduli, where the longest shape's draws at once are 5.6 MB
     assert peak <= cpus * 3 * 8 * 16 * 7 + 2 ** 16
     assert got == [_unblocked_hits(6, samples, p, e, 0.9)[0] for p, e in shapes]
     assert min(got) > 0
     assert rng.bit_generator.state == _unblocked_hits(6, samples, 7, 1.0, 0.9)[1]
+
+
+def _unit_box_hits(rng, samples, p, exponent, half, chunk=100_000):
+    """Hits of w drawn on the unit box [-1, 1]^{2p}, two doubles a
+    coordinate, in chunks."""
+    hits = 0
+    for start in range(0, samples, chunk):
+        u = rng.uniform(-1.0, 1.0, (min(chunk, samples - start), 2 * p)) / half
+        hits += np.count_nonzero(
+            np.sum((u[:, 0::2] ** 2 + u[:, 1::2] ** 2) ** exponent, axis=1) < 1)
+    return hits
+
+
+@pytest.mark.parametrize("p,exponent,half", [
+    (1, 1.0, 1.0), (1, 1 / 0.7, 0.9), (3, 1.5, 1.0), (2, 4.0, 0.9)])
+def test_count_inside_hits_follow_the_unit_box_law(p, exponent, half):
+    # one double per squared modulus counts hits with the law of the box draw
+    samples = 1_000_000
+    got, = _accel.count_inside(np.random.default_rng(11), samples, [(p, exponent)], half)
+    box = _unit_box_hits(np.random.default_rng(12), samples, p, exponent, half)
+    variance = sum(h * (samples - h) / samples for h in (got, box))
+    assert 0 < box < samples
+    assert abs(got - box) <= 4 * np.sqrt(variance)
+
+
+@pytest.mark.parametrize("half", (0.0, -0.5, 1.0 + 2 ** -52, 2.0, np.inf, np.nan))
+def test_count_inside_refuses_a_half_outside_the_unit_interval(half):
+    # above 1 the fiber's disc leaves the unit square, and the box law differs
+    with pytest.raises(ValueError, match=r"half = .* must lie in \(0, 1\]"):
+        _accel.count_inside(np.random.default_rng(0), 10, [(1, 1.0)], half)

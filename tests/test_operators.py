@@ -760,6 +760,27 @@ def test_boundary_profile_evaluates_the_basis_at_most_twice(monkeypatch):
     assert len(calls) <= 2
 
 
+@pytest.mark.parametrize("name", ["disk", "smoothed_polydisk"])
+def test_boundary_profile_evaluates_the_basis_once(monkeypatch, name):
+    # one basis table serves the Berezin values and the tail shares, which
+    # keep the bits of their separate calls
+    op, p0 = _profile_case(name)
+    zs = DEFAULT_T_GRID[:, None] * p0
+    vals, tails = berezin(op, zs), op.space.truncation_tail_fraction(zs)
+    calls = []
+    orig = WeightedSpace.basis_values
+
+    def counting(self, points):
+        calls.append(points)
+        return orig(self, points)
+
+    monkeypatch.setattr(WeightedSpace, "basis_values", counting)
+    prof = boundary_profile(op, p0, DEFAULT_T_GRID)
+    assert len(calls) == 1
+    assert np.array_equal([s.value for s in prof], vals)
+    assert np.array_equal([s.tail_fraction for s in prof], tails)
+
+
 def test_tail_norm_examples():
     sp = disk_space(0.0, 24)
     ident = TruncatedOperator(np.eye(sp.size, dtype=complex), sp)

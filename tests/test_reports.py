@@ -145,9 +145,9 @@ _REPORT_DIGESTS = {
     "constants": ("constants", {"pairs": [[1, 1.0], [2, 0.5], [2, 2.0]], "samples": 2000,
                                 "seed": 42}, {
         "constants_constants.csv":
-            "d4a5afeecbe458f63adbaf17801a3b8221f39802f05127bb933a2b9bd5378a64",
+            "a2e83c74e0feb83739c7ba31ebcc53031d81bacf3a71773b401cd414b13be1cc",
         "constants_report.json":
-            "7eb419cfb979bec389fdea77aee3cabf0f8297ade9bdcd2e7ce4b6162f40bee8"}),
+            "38d67ae86c171ecb1d92c30d45e2bea1d90f7673fbc7ed045430f4251b795817"}),
     "kernel-check": ("kernel-check", {"domain": DISK, "r": 1.0, "N": 16, "grid_points": 4}, {
         "kernel_check_report.json":
             "9c8977f47961eacb7515e38e0bff07b7cd2849e3ba2c522c8dfdb4a83697f884",

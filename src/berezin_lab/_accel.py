@@ -6,7 +6,6 @@ count draws one double per squared modulus, runs on every usable CPU and
 still draws the serial stream exactly.
 """
 
-import copy
 import os
 import threading
 
@@ -133,67 +132,81 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _passes(shapes):
-    """Indices of ``shapes`` in order, grouped so that each group's p values
-    have an lcm of at most ``_CHUNK`` (or are one p), and that lcm."""
-    groups = []
-    for k, (p, _) in enumerate(shapes):
-        if groups and np.lcm(groups[-1][1], p) <= _CHUNK:
-            groups[-1][0].append(k)
-            groups[-1][1] = int(np.lcm(groups[-1][1], p))
-        else:
-            groups.append([[k], p])
-    return groups
+def count_inside(seed, samples, shapes, half):
+    """For each shape (p, exponent), a hit count with the law of how many of
+    ``samples`` draws w uniform on the unit box [-1, 1]^{2p} of R^{2p} ~ C^p
+    satisfy sum_j |w_j / half|^{2 exponent} < 1; one count per shape, in
+    order.  ``half`` must lie in (0, 1].
 
+    The draw takes each squared modulus t_j = |w_j / half|^2 from one
+    uniform double u_j as t_j = u_j * 4 / (pi half^2), not w_j from two.
+    For w uniform on the unit square, P(|w|^2 < x) = pi x / 4 for x <= 1
+    (a quarter disc of radius sqrt(x) in each quadrant), so for half <= 1
+    P(|w / half|^2 < x) = pi half^2 x / 4 for x <= 1, the law of t on
+    [0, 1).  A coordinate with t_j >= 1 puts its row outside under either
+    draw, and the coordinates are independent under both.  So each count is
+    Binomial(samples, vol / 4^p) for the fiber's volume vol, as with the box
+    draw, and only the disc area pi / 4 enters, not the fiber's closed form.
 
-def _count_pass(bitgen, samples, shapes, lcm, scale):
-    """Hit counts of ``shapes`` from copies of ``bitgen``; see ``count_inside``."""
+    Every shape reads the stream T of scaled doubles that
+    ``np.random.default_rng(seed)`` draws, row i of shape p being
+    T[p i : p i + p], so one pass serves every shape and each count is the
+    one that shape alone gives.  Block b reads T[b S, b S + S + max(p) - 1)
+    for the stride S = ``_CHUNK`` rows of the longest shape, and each shape
+    counts its rows that start in [b S, b S + S), reading one that
+    straddles the boundary from the overlap: a worker holds
+    O(_CHUNK max(p)) doubles.  W = min(usable CPUs, blocks) threads take
+    the blocks round-robin (worker w takes b = w, w + W, ...), each with its
+    own PCG64 from ``seed``, advanced to the block's first double modulo
+    the period 2^128 (so past an overlap it steps back).  Each double takes
+    one 64-bit output, so every draw and hit is the serial loop's on any
+    CPU count.  A worker's exception is raised once every thread has
+    ended.  Each count takes cheap proxy powers and recounts only the rows
+    whose proxy sum is within ``_BAND`` of 1 (see ``_count_block``); a
+    power that overflows is inf, which puts its row outside.  The drawing
+    and the ufunc loops release the GIL.  Worker threads call only
+    ``_count_block`` with its helpers and numpy, never a module-level name
+    that a tracer may wrap (such wrappers are not thread-safe): tracing
+    sees one call, on the calling thread, covering all the work.
+    """
+    if not 0.0 < half <= 1.0:
+        raise ValueError(f"half = {half!r} must lie in (0, 1]: a larger fiber "
+                         f"leaves the unit box")
+    scale = 4.0 / (np.pi * half * half)
     longest = max(p for p, _ in shapes)
     total = samples * longest
-    # a block is a whole number of rows of every shape, and at most _CHUNK
-    # rows of the longest
-    block = _CHUNK * longest // lcm * lcm
-    blocks = -(-total // block)
-    workers = max(1, min(_usable_cpus(), blocks))
-    starts = iter(range(0, total, block))
-    lock = threading.Lock()
-    failed = threading.Event()
-
-    def take():
-        with lock:
-            return None if failed.is_set() else next(starts, None)
-
+    stride = _CHUNK * longest
+    size = min(stride + longest - 1, total)
+    workers = max(1, min(_usable_cpus(), -(-total // stride)))
     # each worker's hit counts, or the exception it raised, re-raised below
     results = [None] * workers
 
-    def count(i, moduli, scratch, gen):
+    def count(w, moduli, scratch, gen):
         try:
             hits = [0] * len(shapes)
             pos = 0
-            while (start := take()) is not None:
-                if start != pos:
-                    gen.bit_generator.advance(start - pos)
-                n = min(block, total - start)
-                pos = start + n
-                t = moduli[:n]
-                gen.random(out=t)
-                t *= scale
-                for k, (p, exponent) in enumerate(shapes):
-                    rows = min(n, samples * p - start) // p
-                    if rows > 0:
-                        hits[k] += _count_block(t[:rows * p].reshape(rows, p),
-                                                exponent, scratch)
-            results[i] = hits
+            with np.errstate(over="ignore"):     # numpy's is per thread
+                for start in range(w * stride, total, workers * stride):
+                    gen.bit_generator.advance((start - pos) % 2 ** 128)
+                    t = moduli[:min(size, total - start)]
+                    pos = start + len(t)
+                    gen.random(out=t)
+                    t *= scale
+                    for k, (p, exponent) in enumerate(shapes):
+                        first = -(-start // p)
+                        end = min(-(-(start + stride) // p), samples)
+                        if end > first:
+                            hits[k] += _count_block(
+                                t[first * p - start:end * p - start].reshape(-1, p),
+                                exponent, scratch)
+            results[w] = hits
         except BaseException as exc:
-            failed.set()
-            results[i] = exc
+            results[w] = exc
 
-    # buffers and generators are made on the calling thread, not in each
-    # worker's malloc arena
-    n = min(block, total)
+    # buffers and generators are made here, not in each worker's malloc arena
     threads = [threading.Thread(target=count, args=(
-        i, np.empty(n), np.empty(2 * n), np.random.Generator(copy.deepcopy(bitgen))))
-        for i in range(workers)]
+        w, np.empty(size), np.empty(2 * size), np.random.default_rng(seed)))
+        for w in range(workers)]
     for t in threads:
         t.start()
     for t in threads:
@@ -202,69 +215,6 @@ def _count_pass(bitgen, samples, shapes, lcm, scale):
         if isinstance(r, BaseException):
             raise r
     return [sum(col) for col in zip(*results)]
-
-
-def count_inside(rng, samples, shapes, half):
-    """For each shape (p, exponent), a hit count with the law of how many of
-    ``samples`` draws w uniform on the unit box [-1, 1]^{2p} of R^{2p} ~ C^p
-    satisfy sum_j |w_j / half|^{2 exponent} < 1; one count per shape, in
-    order.  ``half`` must lie in (0, 1].
-
-    The draw takes each squared modulus t_j = |w_j / half|^2 from one
-    uniform double u_j as t_j = u_j * 4 / (pi half^2), not w_j from two.
-    Both have the same law where it matters: for w uniform on the unit
-    square, P(|w|^2 < x) = pi x / 4 for x <= 1 (the quarter disc of radius
-    sqrt(x) in each quadrant), so P(|w / half|^2 < x) = pi half^2 x / 4 for
-    x <= 1 when half <= 1, which is the law of t on [0, 1).  A coordinate
-    with t_j >= 1 puts its row outside under either draw, and the
-    coordinates are independent under both.  So each count is
-    Binomial(samples, vol / 4^p) for the fiber's volume vol, as with the
-    box draw, and only the disc area pi / 4 enters, not the fiber's
-    closed form.
-
-    ``rng`` is a PCG64 ``Generator`` (``np.random.default_rng``), and every
-    shape reads the same stream, as if each had its own generator in
-    ``rng``'s state: row i of shape p is the scaled doubles T[p i : p i + p].
-    So one pass serves every shape drawn from the same stream.  It draws the
-    longest shape's samples * max(p) doubles once and scales them once, then
-    takes each shape's power, row sums and count on its prefix of T, and
-    each count is the one a separate call with that shape alone gives.
-
-    T is drawn in blocks of a whole number of rows of every shape (a
-    multiple of the lcm of the p values).  W = min(usable CPUs, blocks)
-    threads take the blocks in order from one queue, so each works until the
-    pass ends however the shapes' work falls along the stream.  Each thread
-    has its own copy of ``rng``'s bit generator and advances it past the
-    draws before any block that does not follow its last one.  Each double
-    takes exactly one 64-bit output, so every draw and every hit is the
-    serial loop's whichever thread counts the block, and ``rng`` is left
-    where the longest shape's serial loop leaves it.  A thread that fails
-    stops the queue, and its exception is raised once every thread has
-    ended.  A shape whose p would push the lcm past ``_CHUNK`` starts another
-    pass over the stream, so a worker holds O(_CHUNK max(p)) doubles for any
-    shapes.  Each count takes cheap proxy powers and recounts only the rows
-    whose proxy sum is within ``_BAND`` of 1 (see ``_count_block``).  The
-    drawing and the ufunc loops release the GIL.  Worker threads call only
-    ``_count_block`` with its helpers and numpy, never a module-level name
-    that a tracer may wrap (such wrappers are not thread-safe): tracing sees
-    one call, on the calling thread, covering all the work.
-    """
-    if not 0.0 < half <= 1.0:
-        raise ValueError(f"half = {half!r} must lie in (0, 1]: a larger fiber "
-                         f"leaves the unit box")
-    scale = 4.0 / (np.pi * half * half)
-    bitgen = rng.bit_generator
-    hits = [0] * len(shapes)
-    for group, lcm in _passes(shapes):
-        counts = _count_pass(bitgen, samples, [shapes[k] for k in group], lcm, scale)
-        for k, c in zip(group, counts):
-            hits[k] = c
-    # advance() drops the buffered 32-bit half-output that random() keeps
-    state = bitgen.state
-    bitgen.advance(samples * max((p for p, _ in shapes), default=0))
-    bitgen.state = {**bitgen.state, "has_uint32": state["has_uint32"],
-                    "uinteger": state["uinteger"]}
-    return hits
 
 
 def series_values(points, alphas, coeffs, chunk=None):

@@ -260,7 +260,7 @@ def _schema(props, required=()):
 
 SCHEMAS = {
     "constants": _schema({
-        "pairs": {"type": "array", "items": dict(_PAIR, prefixItems=[_P, _R])},
+        "pairs": {"type": "array", "minItems": 1, "items": dict(_PAIR, prefixItems=[_P, _R])},
         "p": _P,
         "r": _R,
         "samples": {"type": "integer", "minimum": 1000},
@@ -289,7 +289,7 @@ SCHEMAS = {
         "domain": _DOMAIN,
         "r": {"type": "number", "minimum": 0},
         "N": {"type": "integer", "minimum": 0},
-        "alphas": {"type": "array",
+        "alphas": {"type": "array", "minItems": 1,
                    "items": {"type": "array", "items": {"type": "integer", "minimum": 0}}},
         "mc": {"type": "boolean"},
         "samples": {"type": "integer", "minimum": 1000},

@@ -407,7 +407,7 @@ def inflation_hits(pairs, samples, seed):
     for p, r in pairs:
         p, r = inflation_parameters(p, r)
         shapes.append((p, p / r))
-    return _accel.count_inside(np.random.default_rng(seed), samples, shapes, 1.0)
+    return _accel.count_inside(seed, samples, shapes, 1.0)
 
 
 def inflation_constant_mc(p, r, samples=10_000_000, seed=42, *, hits=None):
@@ -454,7 +454,7 @@ def dilation_identity_check(domain, p, r, z, samples=1_000_000, seed=42):
                              f"hold the fiber")
     half = s ** (r / (2.0 * p))
     # sum |w|^{2p/r} < s  <=>  sum |w/half|^{2p/r} < 1
-    hits, = _accel.count_inside(np.random.default_rng(seed), samples, [(p, p / r)], half)
+    hits, = _accel.count_inside(seed, samples, [(p, p / r)], half)
     lhs = 4.0 ** p * hits / samples
     mc = inflation_constant_mc(p, r, samples=samples, seed=seed + 1)
     rhs = s ** r * mc.value

@@ -1,5 +1,4 @@
 import os
-import sys
 import threading
 
 import numpy as np
@@ -136,22 +135,10 @@ def test_count_block_decides_rows_on_the_boundary_as_np_power(monkeypatch):
     assert moved > 0
 
 
-def _generator(seed):
-    """A PCG64 generator holding a buffered 32-bit half-output, which
-    ``random`` leaves alone."""
-    rng = np.random.default_rng(seed)
-    rng.integers(2 ** 32, dtype=np.uint32)
-    assert rng.bit_generator.state["has_uint32"] == 1
-    return rng
-
-
 def _unblocked_hits(seed, samples, p, exponent, half):
-    """The hit count from one ``rng.random`` call of every squared modulus,
-    and the generator's state after it."""
-    rng = _generator(seed)
-    t = rng.random((samples, p)) * (4.0 / (np.pi * half * half))
-    hits = np.count_nonzero(np.sum(t ** exponent, axis=1) < 1)
-    return hits, rng.bit_generator.state
+    """The hit count from one ``rng.random`` call of every squared modulus."""
+    t = np.random.default_rng(seed).random((samples, p)) * (4.0 / (np.pi * half * half))
+    return np.count_nonzero(np.sum(t ** exponent, axis=1) < 1)
 
 
 @pytest.mark.parametrize("cpus", (1, 2, 3))
@@ -159,38 +146,31 @@ def _unblocked_hits(seed, samples, p, exponent, half):
 @pytest.mark.parametrize("half", (1.0, 0.9))
 def test_count_inside_split_draws_the_unblocked_stream(monkeypatch, cpus, p, half):
     # any split of the blocks over threads counts the hits of one unblocked
-    # rng.random draw and leaves the caller's generator where it leaves it
+    # rng.random draw
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     for samples in (1000, 16384, 16385, 32769, 100003):
-        rng = _generator(samples)
-        got, = _accel.count_inside(rng, samples, [(p, p / 0.7)], half)
-        want, state = _unblocked_hits(samples, samples, p, p / 0.7, half)
-        assert got == want
-        assert rng.bit_generator.state == state
+        got, = _accel.count_inside(samples, samples, [(p, p / 0.7)], half)
+        assert got == _unblocked_hits(samples, samples, p, p / 0.7, half)
 
 
-def test_count_inside_queue_gives_each_block_to_one_worker(monkeypatch):
-    # eight workers on 313 small blocks, switching threads as often as the
-    # interpreter allows: a block counted twice or skipped moves a count
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    monkeypatch.setattr(_accel, "_CHUNK", 64)
-    shapes = [(1, 1.5), (2, 2.0), (3, 3 / 0.7)]
-    samples = 20011
-    rng = _generator(3)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = _accel.count_inside(rng, samples, shapes, 0.9)
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == [_unblocked_hits(3, samples, p, e, 0.9)[0] for p, e in shapes]
-    assert rng.bit_generator.state == _unblocked_hits(3, samples, 3, 1.0, 0.9)[1]
+@pytest.mark.parametrize("cpus", (1, 2, 3, 8))
+def test_count_inside_reads_rows_that_straddle_a_stride_from_the_overlap(monkeypatch, cpus):
+    # a 17-row stride of the longest shape is 119 doubles, which no row of
+    # p = 2, 3 or 5 divides: their rows straddle the stride boundaries, and
+    # one worker steps its generator back over each overlap it has read
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(_accel, "_CHUNK", 17)
+    shapes = [(2, 2 / 0.7), (3, 1.5), (5, 5 / 0.7), (7, 7 / 0.7)]
+    for samples in (1000, 16385, 20011):
+        got = _accel.count_inside(samples, samples, shapes, 0.9)
+        assert got == [_unblocked_hits(samples, samples, p, e, 0.9) for p, e in shapes]
+        assert min(got) > 0
 
 
 @pytest.mark.parametrize("cpus", (1, 2, 3))
 def test_count_inside_reraises_a_worker_exception(monkeypatch, cpus):
-    # a failure on a worker thread surfaces in the caller, the other workers
-    # take no further block, and every worker has ended by then
+    # a failure on a worker thread surfaces in the caller, and every worker
+    # has ended by then
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     count_block = _accel._count_block
     calls = []
@@ -206,9 +186,9 @@ def test_count_inside_reraises_a_worker_exception(monkeypatch, cpus):
     monkeypatch.setattr(_accel, "_count_block", fail_first)
     threads = threading.active_count()
     with pytest.raises(FloatingPointError, match="block failed"):
-        _accel.count_inside(np.random.default_rng(0), 50 * _accel._CHUNK, [(1, 1.0)], 1.0)
+        _accel.count_inside(0, 50 * _accel._CHUNK, [(1, 1.0)], 1.0)
     assert threading.active_count() == threads
-    assert 1 <= len(calls) <= cpus
+    assert calls
 
 
 @pytest.mark.parametrize("cpus", (1, 2, 3))
@@ -223,43 +203,31 @@ def test_count_inside_reraises_a_worker_exception(monkeypatch, cpus):
 def test_count_inside_one_pass_counts_each_shape_as_its_own_stream(
         monkeypatch, cpus, half, shapes):
     # every shape's count is that of its own unblocked rng.random draw from
-    # the same state, and the caller's generator ends where the longest
-    # shape's draw leaves it
+    # the same seed
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    longest = max(p for p, _ in shapes)
     for samples in (1000, 16384, 16385, 100003):
-        rng = _generator(samples)
-        got = _accel.count_inside(rng, samples, shapes, half)
-        want = [_unblocked_hits(samples, samples, p, exponent, half)[0]
-                for p, exponent in shapes]
-        assert got == want
-        state = _unblocked_hits(samples, samples, longest, 1.0, half)[1]
-        assert rng.bit_generator.state == state
+        got = _accel.count_inside(samples, samples, shapes, half)
+        assert got == [_unblocked_hits(samples, samples, p, exponent, half)
+                       for p, exponent in shapes]
 
 
 @pytest.mark.parametrize("cpus", (1, 2, 3))
-def test_count_inside_splits_coprime_p_into_passes_of_a_few_blocks(monkeypatch, cpus,
-                                                                  traced_peak):
-    # lcm(97, 89) = 8633 fits in a block, and with 83 it would be 716,539
-    coprime = [(97, 1.0), (89, 2.0), (83, 83 / 0.7)]
-    assert [group for group, _ in _accel._passes(coprime)] == [[0, 1], [2]]
-    # rows that long almost never hit, so count the same split on short
-    # rows with 16-row blocks: lcm(5, 3) = 15 fits, and with 7 it would be 105
+@pytest.mark.parametrize("shapes", (
+    [(97, 1.0), (89, 2.0), (83, 83 / 0.7)],
+    [(5, 5 / 0.7), (3, 3 / 0.7), (7, 7 / 0.7)],
+))
+def test_count_inside_counts_coprime_p_in_one_pass_of_one_block_a_worker(
+        monkeypatch, cpus, shapes, traced_peak):
+    # coprime p share no block boundary but take one pass: each worker holds
+    # 3 doubles per modulus of one block (16 rows of the longest shape and
+    # its overlap), where the longest shape's draws at once are 1.6 MB
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(_accel, "_CHUNK", 16)
-    shapes = [(5, 5 / 0.7), (3, 3 / 0.7), (7, 7 / 0.7)]
-    assert [group for group, _ in _accel._passes(shapes)] == [[0, 1], [2]]
-    samples = 100003
-    # the first copy of a bit generator imports numpy.random's pickle helpers
-    _accel.count_inside(_generator(0), 1000, shapes, 0.9)
-    rng = _generator(6)
-    got, peak = traced_peak(lambda: _accel.count_inside(rng, samples, shapes, 0.9))
-    # each worker holds 3 doubles per modulus of one block, at most 16 * 7
-    # moduli, where the longest shape's draws at once are 5.6 MB
-    assert peak <= cpus * 3 * 8 * 16 * 7 + 2 ** 16
-    assert got == [_unblocked_hits(6, samples, p, e, 0.9)[0] for p, e in shapes]
-    assert min(got) > 0
-    assert rng.bit_generator.state == _unblocked_hits(6, samples, 7, 1.0, 0.9)[1]
+    longest = max(p for p, _ in shapes)
+    samples = 200_003 // longest
+    got, peak = traced_peak(lambda: _accel.count_inside(6, samples, shapes, 0.9))
+    assert peak <= cpus * 3 * 8 * (16 * longest + longest - 1) + 2 ** 16
+    assert got == [_unblocked_hits(6, samples, p, e, 0.9) for p, e in shapes]
 
 
 def _unit_box_hits(rng, samples, p, exponent, half, chunk=100_000):
@@ -278,7 +246,7 @@ def _unit_box_hits(rng, samples, p, exponent, half, chunk=100_000):
 def test_count_inside_hits_follow_the_unit_box_law(p, exponent, half):
     # one double per squared modulus counts hits with the law of the box draw
     samples = 1_000_000
-    got, = _accel.count_inside(np.random.default_rng(11), samples, [(p, exponent)], half)
+    got, = _accel.count_inside(11, samples, [(p, exponent)], half)
     box = _unit_box_hits(np.random.default_rng(12), samples, p, exponent, half)
     variance = sum(h * (samples - h) / samples for h in (got, box))
     assert 0 < box < samples
@@ -289,4 +257,4 @@ def test_count_inside_hits_follow_the_unit_box_law(p, exponent, half):
 def test_count_inside_refuses_a_half_outside_the_unit_interval(half):
     # above 1 the fiber's disc leaves the unit square, and the box law differs
     with pytest.raises(ValueError, match=r"half = .* must lie in \(0, 1\]"):
-        _accel.count_inside(np.random.default_rng(0), 10, [(1, 1.0)], half)
+        _accel.count_inside(0, 10, [(1, 1.0)], half)

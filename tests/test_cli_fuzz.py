@@ -259,6 +259,9 @@ EXTREMES = {
     "400-digit-integer": (
         "kernel-check", '{"domain": {"name": "disk"}, "N": 1' + "0" * 399 + "}",
         1, "config parse error in "),
+    "moments-no-alphas": (
+        "moments", {"domain": {"name": "disk"}, "alphas": []},
+        1, "config error: config field $['alphas']: [] is too short"),
     "alphas-of-wrong-length": (
         "moments", {"domain": {"name": "disk"}, "alphas": [[1], [1, 2]]},
         1, "config error: config field $['alphas'][1]: multiindex (1, 2) has 2 entries, "
@@ -277,6 +280,10 @@ EXTREMES = {
     "constants-pair-r-past-p": (
         "constants", {"pairs": [[1, 1.0], [1, 2]]},
         1, f"config error: config field $['pairs'][1]: {_R_PAST_P}"),
+    "constants-no-pairs": (
+        "constants", {"pairs": []}, 1, "config error: config field $['pairs']: [] is too short"),
+    "constants-exponent-4000": (
+        "constants", {"pairs": [[2, 0.0005]], "samples": 1000}, 0, ""),
     "zero-exponent": (
         "kernel-check", {"domain": {"name": "ellipsoid", "exponents": [2, 0]}},
         1, "config error: config field $['domain']: exponents must be positive and finite"),
